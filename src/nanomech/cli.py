@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import sys
@@ -27,10 +28,9 @@ from .fock import partial_trace
 from .lindblad import (LaserParams, SolverError, SystemConfig,
                        build_full_liouvillian, reduced_steady_populations,
                        steady_state_solve, transition_rates)
-from .observables import (SpectrumInversionError, default_grid,
-                          populations_from_spectrum, power_spectrum,
-                          wigner_from_density_matrix, wigner_from_populations,
-                          wigner_origin)
+from .observables import (SpectrumInversionError, populations_from_spectrum,
+                          power_spectrum, wigner_from_density_matrix,
+                          wigner_from_populations, wigner_origin)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -173,8 +173,7 @@ def run_device(cfg: RunConfig):
 def _system_config(cfg: RunConfig, derived, mech_dim=None) -> SystemConfig:
     return SystemConfig.from_derived(
         derived, mech_dim or cfg.simulation.mech_truncation,
-        cfg.simulation.cavity_truncation,
-        include_reduced_shifts=cfg.simulation.include_reduced_shifts)
+        cfg.simulation.cavity_truncation)
 
 
 def run_steady(cfg: RunConfig, full=False, compare=False, converge=False):
@@ -203,11 +202,11 @@ def run_steady(cfg: RunConfig, full=False, compare=False, converge=False):
     if full:
         liou = build_full_liouvillian(sysc)
         ss = steady_state_solve(liou, method=cfg.simulation.solver)
-        full_pops = ss.mechanical_populations()
+        mech = partial_trace(ss.rho, 0)
+        full_pops = mech.populations()
         result["full"] = ss
         result["full_populations"] = full_pops
-        result["full_wigner"] = wigner_from_density_matrix(
-            partial_trace(ss.rho, 0), x, x)
+        result["full_wigner"] = wigner_from_density_matrix(mech, x, x)
         if compare:
             n = min(full_pops.size, reduced.populations.size)
             result["compare"] = np.abs(full_pops[:n] - reduced.populations[:n])
@@ -230,10 +229,8 @@ def run_spectrum(cfg: RunConfig, selftest=False):
     sysc = _system_config(cfg, derived)
     reduced = reduced_steady_populations(sysc)
     probe = _probe_derived(cfg, derived)
-    probe_sys = SystemConfig(
-        mech_dim=sysc.mech_dim, cavity_dims=(2,),
-        omega_m_prime=sysc.omega_m_prime, lam=sysc.lam,
-        gamma_m=sysc.gamma_m, n_bar=sysc.n_bar, kappa=sysc.kappa,
+    probe_sys = dataclasses.replace(
+        sysc, cavity_dims=(2,),
         lasers=(LaserParams(g=probe.g, detuning=probe.detuning),))
     drive_rates = transition_rates(sysc)
     probe_rates = transition_rates(probe_sys)

@@ -106,14 +106,12 @@ class SimulationSection:
     spectrum_points: int = 20001
     pass_ratio: float = 0.1
     warn_ratio: float = 0.5
-    include_reduced_shifts: bool = False
     include_probe_in_linewidth: bool = True
 
 
 @dataclass(frozen=True)
 class OutputSection:
     directory: str = "out"
-    formats: tuple[str, ...] = ("json", "csv")
 
 
 @dataclass(frozen=True)
@@ -286,11 +284,10 @@ def _parse_simulation(d: dict, path: str) -> SimulationSection:
         kwargs["pass_ratio"] = float(th["pass"])
     if "warn" in th:
         kwargs["warn_ratio"] = float(th["warn"])
-    for flag in ("include_reduced_shifts", "include_probe_in_linewidth"):
-        if flag in d:
-            if not isinstance(d[flag], bool):
-                raise ConfigError(f"{path}.{flag}", "expected a boolean")
-            kwargs[flag] = d[flag]
+    flag = d.get("include_probe_in_linewidth", True)
+    if not isinstance(flag, bool):
+        raise ConfigError(f"{path}.include_probe_in_linewidth", "expected a boolean")
+    kwargs["include_probe_in_linewidth"] = flag
     sim = SimulationSection(**kwargs)
     if sim.mech_truncation < 3:
         raise ConfigError(f"{path}.mech_truncation", "must be >= 3")
@@ -299,9 +296,26 @@ def _parse_simulation(d: dict, path: str) -> SimulationSection:
     return sim
 
 
+def _reject_unknown_keys(data, schema, path: str):
+    """Raise ConfigError at the dotted path of the first key that
+    CONFIG_SCHEMA does not list; values of the wrong type are left to the
+    section parsers."""
+    if isinstance(schema, list) and isinstance(data, list):
+        for i, item in enumerate(data):
+            _reject_unknown_keys(item, schema[0], f"{path}[{i}]")
+    elif isinstance(schema, dict) and isinstance(data, dict):
+        for key, value in data.items():
+            sub = f"{path}.{key}" if path else key
+            if key not in schema:
+                raise ConfigError(sub, "unknown config key; "
+                                       "see nanomech --print-schema")
+            _reject_unknown_keys(value, schema[key], sub)
+
+
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("<root>", "config must be a JSON object")
+    _reject_unknown_keys(data, CONFIG_SCHEMA, "")
     dev = _get(data, "device", "<root>")
     beam = _parse_beam(_get(dev, "beam", "device"), "device.beam")
     softening = _parse_softening(_get(dev, "softening", "device"), "device.softening")
@@ -320,10 +334,8 @@ def parse_config(data: dict) -> RunConfig:
     if "electrode" in dev:
         electrode = _parse_electrode(dev["electrode"], "device.electrode")
     simulation = _parse_simulation(data.get("simulation", {}), "simulation")
-    out_raw = data.get("output", {})
     output = OutputSection(
-        directory=out_raw.get("directory", "out"),
-        formats=tuple(out_raw.get("formats", ["json", "csv"])))
+        directory=data.get("output", {}).get("directory", "out"))
     return RunConfig(beam=beam, softening=softening, cavity=cavity,
                      drives=drives, temperature=temperature, probe=probe,
                      electrode=electrode, simulation=simulation, output=output,
@@ -346,9 +358,11 @@ CONFIG_SCHEMA = {
         "beam": {
             "length": "quantity, e.g. \"1.0 um\"",
             "radius": "nanotube radius (transverse scale R/sqrt(2)); or give transverse_scale",
+            "transverse_scale": "length; replaces radius",
             "sound_speed": "e.g. \"21000 m/s\"",
             "quality_factor": "bare number",
             "linear_mass_density": "e.g. \"1.86e-15 kg/m\" (or effective_mass in kg)",
+            "effective_mass": "mass; must agree with linear_mass_density to 1% if both",
         },
         "softening": {
             "zeta": "softening factor >= 1; or give field_model",
@@ -374,8 +388,10 @@ CONFIG_SCHEMA = {
             "misalignment": "angle, e.g. \"1 deg\"",
         },
         "drives": [{"power": "e.g. \"1.2 W\"",
-                    "detuning": "frequency or symbolic \"+delta_1\"/\"-delta_2\""}],
-        "probe": {"power": "weak probe power", "detuning": "usually \"0 Hz\""},
+                    "detuning": "frequency or symbolic \"+delta_1\"/\"-delta_2\"",
+                    "laser_frequency": "optional; default cavity resonance"}],
+        "probe": {"power": "weak probe power", "detuning": "usually \"0 Hz\"",
+                  "laser_frequency": "optional; default cavity resonance"},
         "temperature": "e.g. \"20 mK\"",
     },
     "simulation": {
@@ -387,5 +403,5 @@ CONFIG_SCHEMA = {
         "regime_thresholds": {"pass": 0.1, "warn": 0.5},
         "include_probe_in_linewidth": "bool (default true)",
     },
-    "output": {"directory": "path", "formats": ["json", "csv"]},
+    "output": {"directory": "path"},
 }

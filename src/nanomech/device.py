@@ -8,7 +8,7 @@ shape normalized to unit midpoint deflection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.constants import c as C_LIGHT, epsilon_0, hbar, k as K_B
@@ -470,9 +470,6 @@ class DerivedParams:
             raise DeviceError("delta_n defined for n >= 1")
         return self.omega_m_prime + self.lam * (n - 1)
 
-    def delta_table(self, n_max: int) -> np.ndarray:
-        return np.array([self.delta_n(n) for n in range(1, n_max + 1)])
-
     @property
     def g_abs_max(self) -> float:
         return max((abs(l.g) for l in self.lasers), default=0.0)
@@ -500,15 +497,16 @@ def derive_parameters(beam: BeamSpec, softening: SofteningSpec,
                       cavity: CavitySpec, drives: list[DriveSpec],
                       temperature: float) -> DerivedParams:
     """Full device -> master-equation parameter map."""
-    w0 = base_frequency(beam)
     wm = softened_frequency(beam, softening)
     lam = nonlinearity_per_phonon(beam, wm)
-    wmp = wm + lam
-    beta = duffing_coefficient(beam)
-    gamma_m = wm / beam.quality_factor
     kappa = cavity_linewidth(cavity)
     x_zpm = zero_point_motion(beam.mass, wm)
-    n_bar = thermal_occupancy(temperature, wmp)
+    base = DerivedParams(
+        omega_m0=base_frequency(beam), omega_m=wm, omega_m_prime=wm + lam,
+        lam=lam, beta=duffing_coefficient(beam),
+        gamma_m=wm / beam.quality_factor, kappa=kappa, x_zpm=x_zpm,
+        n_bar=thermal_occupancy(temperature, wm + lam),
+        temperature=temperature)
 
     alpha_par = softening.alpha_par
     if alpha_par is None:
@@ -516,13 +514,10 @@ def derive_parameters(beam: BeamSpec, softening: SofteningSpec,
         # paper-style nanotube value unless drives are absent
         alpha_par = 142 * POLARIZABILITY_UNIT
 
-    def delta(n):
-        return wmp + lam * (n - 1)
-
     lasers = []
     for d in drives:
         omega_L = d.laser_frequency or cavity.resonance_frequency
-        det = resolve_detuning(d.detuning, delta)
+        det = resolve_detuning(d.detuning, base.delta_n)
         g0 = coupling_G0(cavity, alpha_par, beam.length, omega_L)
         g, nphot = enhanced_coupling(
             g0, d, det, kappa, cavity.external_coupling_fraction, x_zpm, omega_L)
@@ -532,11 +527,7 @@ def derive_parameters(beam: BeamSpec, softening: SofteningSpec,
             input_power=d.input_power, omega_L=omega_L, detuning=det,
             detuning_spec=d.detuning, alpha=alpha, photon_number=nphot,
             g0=g0, g=g))
-
-    return DerivedParams(
-        omega_m0=w0, omega_m=wm, omega_m_prime=wmp, lam=lam, beta=beta,
-        gamma_m=gamma_m, kappa=kappa, x_zpm=x_zpm, n_bar=n_bar,
-        temperature=temperature, lasers=tuple(lasers))
+    return replace(base, lasers=tuple(lasers))
 
 
 # ---------------------------------------------------------------------------

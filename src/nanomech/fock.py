@@ -61,12 +61,6 @@ class CompositeSpace:
     def dims(self) -> tuple[int, ...]:
         return tuple(f.dim for f in self.factors)
 
-    def slot(self, label: str) -> int:
-        for i, f in enumerate(self.factors):
-            if f.label == label:
-                return i
-        raise FockError(f"no factor labelled {label!r}")
-
 
 def _as_composite(space) -> CompositeSpace:
     if isinstance(space, FockSpace):

@@ -15,8 +15,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
 from .fock import (CompositeSpace, DensityMatrix, FockOperator, FockSpace,
-                   annihilation, creation, fock_transition, identity, lift,
-                   number)
+                   annihilation, lift, number)
 
 TRACE_PRESERVATION_TOL = 1e-10
 DEFAULT_NNZ_CAP = 200_000_000
@@ -59,7 +58,6 @@ class SystemConfig:
     n_bar: float
     kappa: float
     lasers: tuple[LaserParams, ...]
-    include_reduced_shifts: bool = False
 
     def __post_init__(self):
         if self.mech_dim < 3:
@@ -70,16 +68,15 @@ class SystemConfig:
             raise ValueError("one cavity mode per laser required")
 
     @classmethod
-    def from_derived(cls, derived, mech_dim: int, cavity_dim: int = 2,
-                     include_reduced_shifts: bool = False) -> "SystemConfig":
+    def from_derived(cls, derived, mech_dim: int,
+                     cavity_dim: int = 2) -> "SystemConfig":
         lasers = tuple(LaserParams(g=l.g, detuning=l.detuning)
                        for l in derived.lasers)
         return cls(mech_dim=mech_dim,
                    cavity_dims=(cavity_dim,) * len(lasers),
                    omega_m_prime=derived.omega_m_prime, lam=derived.lam,
                    gamma_m=derived.gamma_m, n_bar=derived.n_bar,
-                   kappa=derived.kappa, lasers=lasers,
-                   include_reduced_shifts=include_reduced_shifts)
+                   kappa=derived.kappa, lasers=lasers)
 
     def space(self) -> CompositeSpace:
         factors = [FockSpace(self.mech_dim, "mech")]
@@ -94,7 +91,6 @@ class SystemConfig:
 class Liouvillian:
     space: CompositeSpace
     superoperator: sp.csr_matrix = field(repr=False)
-    kind: str                   # "full" | "reduced-population"
 
     @property
     def dim(self) -> int:
@@ -102,20 +98,10 @@ class Liouvillian:
 
     def trace_preservation_defect(self) -> float:
         """Norm of L^dagger applied to the identity (should vanish)."""
-        if self.kind == "reduced-population":
-            colsum = np.asarray(self.superoperator.sum(axis=0)).ravel()
-            return float(np.max(np.abs(colsum)))
         d = self.space.total_dim
         vec_id = np.eye(d, dtype=complex).reshape(-1, order="F")
         defect = self.superoperator.conj().T @ vec_id
         return float(np.max(np.abs(defect)))
-
-    def dump_coo(self, path):
-        coo = self.superoperator.tocoo()
-        with open(path, "w") as fh:
-            fh.write("# row col re im\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")
 
 
 @dataclass(frozen=True)
@@ -125,12 +111,6 @@ class SteadyState:
     residual: float
     method: str
     iterations: int = 0
-
-    def mechanical_populations(self) -> np.ndarray:
-        if self.populations is not None:
-            return self.populations
-        from .fock import partial_trace
-        return partial_trace(self.rho, 0).populations()
 
 
 @dataclass(frozen=True)
@@ -226,7 +206,7 @@ def build_full_liouvillian(config: SystemConfig,
             lsuper = lsuper + _dissipator_super(
                 b.conj().T.tocsr(), config.gamma_m * config.n_bar)
 
-    liou = Liouvillian(space, lsuper.tocsr(), "full")
+    liou = Liouvillian(space, lsuper.tocsr())
     defect = liou.trace_preservation_defect()
     scale = max(abs(lsuper).max(), 1.0)
     if defect > TRACE_PRESERVATION_TOL * scale:
@@ -264,8 +244,8 @@ def birth_death_rates(config: SystemConfig, n_max: int | None = None):
     return up, down, rates
 
 
-def build_reduced_generator(config: SystemConfig) -> Liouvillian:
-    """Tridiagonal birth-death generator on the mechanical populations
+def build_reduced_generator(config: SystemConfig) -> sp.csr_matrix:
+    """Tridiagonal birth-death rate matrix Q on the mechanical populations
     (dP/dt = Q P, columns sum to zero)."""
     nm = config.mech_dim
     up, down, _ = birth_death_rates(config, nm - 1)
@@ -275,26 +255,7 @@ def build_reduced_generator(config: SystemConfig) -> Liouvillian:
         q[n - 1, n - 1] -= up[n - 1]
         q[n - 1, n] += down[n - 1]     # n -> n-1
         q[n, n] -= down[n - 1]
-    space = CompositeSpace((FockSpace(nm, "mech"),))
-    return Liouvillian(space, sp.csr_matrix(q, dtype=complex), "reduced-population")
-
-
-def reduced_frequency_shifts(config: SystemConfig, n_max: int | None = None) -> np.ndarray:
-    """Optional diagonal light shifts for coherence dynamics; same Lorentzian
-    structure as the rates with a dispersive numerator.  Never enters the
-    population dynamics."""
-    if n_max is None:
-        n_max = config.mech_dim - 1
-    delta = np.array([config.delta_n(n) for n in range(1, n_max + 1)])
-    shifts = np.zeros(n_max)
-    kap = config.kappa
-    for laser in config.lasers:
-        g2 = abs(laser.g) ** 2
-        shifts += (g2 * (laser.detuning - delta)
-                   / (4.0 * (laser.detuning - delta) ** 2 + kap**2))
-        shifts -= (g2 * (laser.detuning + delta)
-                   / (4.0 * (laser.detuning + delta) ** 2 + kap**2))
-    return shifts
+    return sp.csr_matrix(q, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -328,18 +289,24 @@ def reduced_steady_populations(config: SystemConfig, n_cut: int | None = None,
         raise TruncationError(
             f"top-level population {p[n_cut]:.3e} is not negligible "
             f"(max {p.max():.3e}); increase the truncation")
-    q = build_reduced_generator(config).superoperator
+    q = build_reduced_generator(config)
     residual = float(np.linalg.norm(q @ p.astype(complex)))
     return SteadyState(rho=None, populations=p, residual=residual,
                        method="recursion")
 
 
 def _steady_vec_dense(lsuper: sp.csr_matrix, d: int, check_unique: bool):
-    ld = lsuper.toarray()
-    a = ld.copy()
-    trace_row = np.zeros(d * d, dtype=complex)
-    trace_row[:: d + 1] = 1.0
-    a[0, :] = trace_row
+    a = lsuper.toarray()
+    if check_unique:
+        sv = np.linalg.svd(a, compute_uv=False)
+        scale = sv[0] if sv[0] > 0 else 1.0
+        if sv[-2] < 1e-10 * scale:
+            raise DegenerateSteadyStateError(
+                f"second-smallest singular value {sv[-2]:.3e} "
+                f"(scale {scale:.3e}): null space is not one-dimensional")
+    # the trace row overwrites row 0 in place: no second dense copy
+    a[0, :] = 0.0
+    a[0, :: d + 1] = 1.0
     rhs = np.zeros(d * d, dtype=complex)
     rhs[0] = 1.0
     try:
@@ -348,13 +315,6 @@ def _steady_vec_dense(lsuper: sp.csr_matrix, d: int, check_unique: bool):
         raise DegenerateSteadyStateError(
             "trace-constrained system is singular; the generator null "
             "space is not one-dimensional") from None
-    if check_unique:
-        sv = np.linalg.svd(ld, compute_uv=False)
-        scale = sv[0] if sv[0] > 0 else 1.0
-        if sv[-2] < 1e-10 * scale:
-            raise DegenerateSteadyStateError(
-                f"second-smallest singular value {sv[-2]:.3e} "
-                f"(scale {scale:.3e}): null space is not one-dimensional")
     return x, 0
 
 
@@ -388,26 +348,9 @@ def _steady_vec_iterative(lsuper: sp.csr_matrix, d: int, maxiter: int):
 def steady_state_solve(liou: Liouvillian, method: str = "auto",
                        check_unique: bool | None = None,
                        maxiter: int = 2000) -> SteadyState:
-    """Null-space steady state of a generator.
-
-    Full generators: solve L x = 0 with the trace constraint replacing one
-    row, densely (total_dim <= 128) or by preconditioned Krylov iteration.
-    Reduced generators: dense null vector of the rate matrix.
-    """
-    if liou.kind == "reduced-population":
-        q = liou.superoperator.toarray().real
-        nm = q.shape[0]
-        a = q.copy()
-        a[0, :] = 1.0
-        rhs = np.zeros(nm)
-        rhs[0] = 1.0
-        p = np.linalg.solve(a, rhs)
-        p = np.clip(p, 0.0, None)
-        p /= p.sum()
-        residual = float(np.linalg.norm(q @ p))
-        return SteadyState(rho=None, populations=p, residual=residual,
-                           method="null-space")
-
+    """Null-space steady state of the full generator: solve L x = 0 with the
+    trace constraint replacing one row, densely (total_dim <= 128) or by
+    preconditioned Krylov iteration."""
     d = liou.space.total_dim
     if method == "auto":
         method = "dense" if d <= DENSE_DIM_LIMIT else "iterative"

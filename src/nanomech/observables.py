@@ -9,7 +9,7 @@ parts of the coherent amplitude, so the vacuum gives W(0,0) = 2/pi and
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -66,20 +66,9 @@ class SpectrumData:
 # ---------------------------------------------------------------------------
 # Wigner functions
 
-def _laguerre_table(n_max: int, z: np.ndarray) -> np.ndarray:
-    """L_n(z) for n = 0..n_max by the three-term upward recurrence.
-    Returns shape (n_max + 1,) + z.shape."""
-    out = np.empty((n_max + 1,) + z.shape)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = 1.0 - z
-    for n in range(1, n_max):
-        out[n + 1] = ((2 * n + 1 - z) * out[n] - n * out[n - 1]) / (n + 1)
-    return out
-
-
 def _genlaguerre_table(m_max: int, k: int, z: np.ndarray) -> np.ndarray:
-    """Associated Laguerre L_m^(k)(z) for m = 0..m_max, upward recurrence."""
+    """Associated Laguerre L_m^(k)(z) for m = 0..m_max by the three-term
+    upward recurrence.  Returns shape (m_max + 1,) + z.shape."""
     out = np.empty((m_max + 1,) + z.shape)
     out[0] = 1.0
     if m_max >= 1:
@@ -120,7 +109,7 @@ def wigner_from_populations(populations, x, p, check_norm=True) -> WignerData:
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     r2 = x[None, :] ** 2 + p[:, None] ** 2
-    lag = _laguerre_table(pn.size - 1, 4.0 * r2)
+    lag = _genlaguerre_table(pn.size - 1, 0, 4.0 * r2)
     signs = np.where(np.arange(pn.size) % 2 == 0, 1.0, -1.0)
     # fold the Gaussian into the sum per point to keep large-n terms bounded
     w = WIGNER_BOUND * np.exp(-2.0 * r2) * np.tensordot(signs * pn, lag, axes=(0, 0))

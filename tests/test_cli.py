@@ -110,6 +110,13 @@ def test_run_sweep_temperature_monotonicity(headline_config):
     assert rows[0]["P1"] > rows[1]["P1"]
 
 
+def test_run_sweep_unknown_param_fails_every_row(headline_config):
+    rows = run_sweep(headline_config, "simulation.mech_trunction", [4, 6])
+    assert [r["value"] for r in rows] == [4, 6]
+    for r in rows:
+        assert "simulation.mech_trunction" in r["error"]
+
+
 def test_run_spectrum_requires_probe(headline_config_dict):
     raw = json.loads(json.dumps(headline_config_dict))
     del raw["device"]["probe"]
@@ -215,7 +222,30 @@ def test_cli_regime_failure_exit_code(tmp_path):
     # a deep truncation pushes the rotating-wave ratio past failure
     path = write_variant(
         tmp_path, lambda raw: raw["simulation"].update(mech_truncation=14))
-    assert main(["device", "--config", str(path)]) == EXIT_REGIME
+    assert main(["device", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_REGIME
+
+
+def test_cli_symbolic_detuning_below_first_line(tmp_path, capsys):
+    def mutate(raw):
+        raw["device"]["drives"][0]["detuning"] = "+delta_0"
+    path = write_variant(tmp_path, mutate)
+    assert main(["device", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "delta_n defined for n >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("simulation", "mech_trunction", 6),             # misspelled
+    ("simulation", "include_reduced_shifts", True),  # removed knob
+    ("output", "formats", ["json"]),                 # removed knob
+])
+def test_cli_unknown_config_key(tmp_path, capsys, section, key, value):
+    path = write_variant(tmp_path, lambda raw: raw[section].update({key: value}))
+    assert main(["steady", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"{section}.{key}: unknown config key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_buckling_exit_code(tmp_path):

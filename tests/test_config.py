@@ -154,6 +154,29 @@ def test_unknown_field_model(headline_config_dict):
         parse_config(raw)
 
 
+def test_unknown_key_reported_at_its_path(headline_config_dict):
+    raw = json.loads(json.dumps(headline_config_dict))
+    raw["device"]["drives"][1]["powr"] = "1 W"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert exc.value.path == "device.drives[1].powr"
+
+
+def test_optional_keys_accepted(headline_config_dict):
+    # keys the parser reads beyond the reference config are in the schema
+    raw = json.loads(json.dumps(headline_config_dict))
+    beam = raw["device"]["beam"]
+    beam["transverse_scale"] = "0.25 nm"
+    beam["effective_mass"] = "7.3842e-22 kg"
+    raw["device"]["drives"][0]["laser_frequency"] = "272 THz"
+    raw["device"]["probe"]["laser_frequency"] = "272 THz"
+    cfg = parse_config(raw)
+    assert cfg.beam.kappa_tilde == pytest.approx(0.25e-9)
+    assert cfg.beam.effective_mass == pytest.approx(7.3842e-22)
+    assert cfg.drives[0].laser_frequency == pytest.approx(TWO_PI * 272e12)
+    assert cfg.probe.laser_frequency == pytest.approx(TWO_PI * 272e12)
+
+
 def test_evanescent_decay_given_as_length(headline_config_dict):
     raw = json.loads(json.dumps(headline_config_dict))
     raw["device"]["cavity"]["evanescent_decay"] = "100 nm"

@@ -343,7 +343,8 @@ def test_derived_detunings_follow_the_ladder(reference_derived):
     assert d.lasers[0].detuning == pytest.approx(d.delta_n(1))
     assert d.lasers[1].detuning == pytest.approx(-d.delta_n(2))
     assert d.lasers[2].detuning == pytest.approx(-d.delta_n(3))
-    np.testing.assert_allclose(np.diff(d.delta_table(5)), d.lam)
+    np.testing.assert_allclose(np.diff([d.delta_n(n) for n in range(1, 6)]),
+                               d.lam)
 
 
 def test_delta_n_validation(reference_derived):
