@@ -38,6 +38,27 @@ EXIT_REGIME = 2
 EXIT_PRECONDITION = 3
 EXIT_SOLVER = 4
 
+# exception class -> exit code and message prefix; the first match wins, so
+# BucklingError precedes its base DeviceError
+ERRORS = (
+    (ConfigError, EXIT_CONFIG, "config error"),
+    (BucklingError, EXIT_REGIME, "regime error"),
+    (DeviceError, EXIT_CONFIG, "config error"),
+    (SpectrumInversionError, EXIT_PRECONDITION, "analysis precondition"),
+    (SolverError, EXIT_SOLVER, "solver error"),
+    (MemoryError, EXIT_SOLVER, "solver error"),
+)
+
+
+def classify_error(exc: BaseException) -> tuple[int, str]:
+    """Exit code and message prefix of an exception; one outside ERRORS
+    counts as a config error."""
+    for cls, code, prefix in ERRORS:
+        if isinstance(exc, cls):
+            return code, prefix
+    return EXIT_CONFIG, "config error"
+
+
 SCHEMA_VERSION = "nanomech-files-1"
 
 
@@ -162,12 +183,15 @@ def write_csv(path: Path, header: list[str], rows):
 # ---------------------------------------------------------------------------
 # pipelines (shared by the CLI and the test suite)
 
+def _regime_check(cfg: RunConfig, derived):
+    return regime_check(derived, cfg.simulation.mech_truncation,
+                        cfg.simulation.pass_ratio, cfg.simulation.warn_ratio)
+
+
 def run_device(cfg: RunConfig):
     derived = derive_parameters(cfg.beam, cfg.softening, cfg.cavity,
                                 list(cfg.drives), cfg.temperature)
-    report = regime_check(derived, cfg.simulation.mech_truncation,
-                          cfg.simulation.pass_ratio, cfg.simulation.warn_ratio)
-    return derived, report
+    return derived, _regime_check(cfg, derived)
 
 
 def _system_config(cfg: RunConfig, derived, mech_dim=None) -> SystemConfig:
@@ -201,7 +225,7 @@ def run_steady(cfg: RunConfig, full=False, compare=False, converge=False):
     }
     if full:
         liou = build_full_liouvillian(sysc)
-        ss = steady_state_solve(liou, method=cfg.simulation.solver)
+        ss = steady_state_solve(liou)
         mech = partial_trace(ss.rho, 0)
         full_pops = mech.populations()
         result["full"] = ss
@@ -213,22 +237,18 @@ def run_steady(cfg: RunConfig, full=False, compare=False, converge=False):
     return result
 
 
-def _probe_derived(cfg: RunConfig, derived):
-    """Derive the probe laser through the same coupling pipeline."""
-    probe = cfg.probe
-    all_drives = list(cfg.drives) + [probe]
-    derived_all = derive_parameters(cfg.beam, cfg.softening, cfg.cavity,
-                                    all_drives, cfg.temperature)
-    return derived_all.lasers[-1]
-
-
 def run_spectrum(cfg: RunConfig, selftest=False):
     if cfg.probe is None:
         raise ConfigError("device.probe", "spectrum command requires a probe laser")
-    derived, report = run_device(cfg)
+    # the probe goes through the same coupling pipeline as the drives, in
+    # one pass; the derived parameters and the regime checks keep the drives
+    both = derive_parameters(cfg.beam, cfg.softening, cfg.cavity,
+                             [*cfg.drives, cfg.probe], cfg.temperature)
+    *drives, probe = both.lasers
+    derived = dataclasses.replace(both, lasers=tuple(drives))
+    report = _regime_check(cfg, derived)
     sysc = _system_config(cfg, derived)
     reduced = reduced_steady_populations(sysc)
-    probe = _probe_derived(cfg, derived)
     probe_sys = dataclasses.replace(
         sysc, cavity_dims=(2,),
         lasers=(LaserParams(g=probe.g, detuning=probe.detuning),))
@@ -302,7 +322,8 @@ def run_sweep(cfg: RunConfig, param: str, values, threads: int = 1):
             try:
                 rows.append(fut.result())
             except Exception as exc:          # recorded in-row, sweep continues
-                rows.append({"value": v, "error": f"{type(exc).__name__}: {exc}"})
+                rows.append({"value": v, "error": f"{type(exc).__name__}: {exc}",
+                             "exit_code": classify_error(exc)[0]})
     return rows
 
 
@@ -430,7 +451,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         else:
             print(f"{args.param}={r['value']}: P1={r['P1']:.4f} "
                   f"W00={r['W00']:.4f}")
-    return EXIT_OK
+    return next((r["exit_code"] for r in rows if "error" in r), EXIT_OK)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,31 +497,15 @@ def main(argv=None) -> int:
     if not args.command:
         ap.print_help()
         return EXIT_CONFIG
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     handlers = {"device": cmd_device, "validate": cmd_validate,
                 "steady": cmd_steady, "spectrum": cmd_spectrum,
                 "sweep": cmd_sweep}
     try:
-        return handlers[args.command](cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except BucklingError as exc:
-        print(f"regime error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
-    except DeviceError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SpectrumInversionError as exc:
-        print(f"analysis precondition: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (SolverError, MemoryError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return handlers[args.command](load_config(args.config), args)
+    except tuple(cls for cls, _code, _prefix in ERRORS) as exc:
+        code, prefix = classify_error(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

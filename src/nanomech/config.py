@@ -9,6 +9,7 @@ converted to angular units (rad/s) on input; all internal math is angular.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,42 +65,55 @@ _UNITS = {
 
 
 def parse_quantity(value, dimension: str, path: str) -> float:
-    """Parse "number unit" into internal units, enforcing the dimension."""
+    """Parse "number unit" into internal units, enforcing the dimension and
+    a finite result."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if dimension == "dimensionless":
-            return float(value)
-        raise ConfigError(path, f"bare number for a {dimension} field; "
-                                "write e.g. \"5.23 MHz\"")
-    if not isinstance(value, str):
+        if dimension != "dimensionless":
+            raise ConfigError(path, f"bare number for a {dimension} field; "
+                                    "write e.g. \"5.23 MHz\"")
+        num_s, unit = value, None
+    elif not isinstance(value, str):
         raise ConfigError(path, f"expected a quantity string, got {type(value).__name__}")
-    parts = value.strip().split()
-    if dimension == "dimensionless":
-        if len(parts) == 1:
-            try:
-                return float(parts[0])
-            except ValueError:
-                raise ConfigError(path, f"cannot parse number {value!r}") from None
-        raise ConfigError(path, f"dimensionless field must be a bare number, got {value!r}")
-    if len(parts) != 2:
-        raise ConfigError(path, f"expected \"number unit\", got {value!r}")
-    num_s, unit = parts
+    else:
+        parts = value.strip().split()
+        if dimension == "dimensionless":
+            if len(parts) != 1:
+                raise ConfigError(path, "dimensionless field must be a bare "
+                                        f"number, got {value!r}")
+            num_s, unit = parts[0], None
+        elif len(parts) == 2:
+            num_s, unit = parts
+        else:
+            raise ConfigError(path, f"expected \"number unit\", got {value!r}")
     try:
         num = float(num_s)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigError(path, f"cannot parse number {num_s!r}") from None
-    if unit not in _UNITS:
-        raise ConfigError(path, f"unknown unit {unit!r}")
-    dim, factor = _UNITS[unit]
-    if dim != dimension:
-        raise ConfigError(path, f"unit {unit!r} has dimension {dim}, expected {dimension}")
+    factor = 1.0
+    if unit is not None:
+        if unit not in _UNITS:
+            raise ConfigError(path, f"unknown unit {unit!r}")
+        dim, factor = _UNITS[unit]
+        if dim != dimension:
+            raise ConfigError(path, f"unit {unit!r} has dimension {dim}, "
+                                    f"expected {dimension}")
+    if not math.isfinite(num * factor):
+        raise ConfigError(path, f"{value!r} is not a finite quantity")
     return num * factor
+
+
+def parse_integer(value, path: str) -> int:
+    """A dimensionless quantity that must be integral."""
+    num = parse_quantity(value, "dimensionless", path)
+    if num != int(num):
+        raise ConfigError(path, f"expected an integer, got {value!r}")
+    return int(num)
 
 
 @dataclass(frozen=True)
 class SimulationSection:
     mech_truncation: int = 10
     cavity_truncation: int = 2
-    solver: str = "auto"
     wigner_half_width: float | None = None
     wigner_points: int = 121
     spectrum_span: float | None = None      # rad/s, centered on the probe
@@ -255,35 +269,28 @@ def _parse_electrode(d: dict, path: str) -> ElectrodeSpec:
 
 def _parse_simulation(d: dict, path: str) -> SimulationSection:
     kwargs = {}
-    if "mech_truncation" in d:
-        kwargs["mech_truncation"] = int(parse_quantity(
-            d["mech_truncation"], "dimensionless", f"{path}.mech_truncation"))
-    if "cavity_truncation" in d:
-        kwargs["cavity_truncation"] = int(parse_quantity(
-            d["cavity_truncation"], "dimensionless", f"{path}.cavity_truncation"))
-    if "solver" in d:
-        if d["solver"] not in ("auto", "dense", "iterative"):
-            raise ConfigError(f"{path}.solver", f"unknown solver {d['solver']!r}")
-        kwargs["solver"] = d["solver"]
+    for key in ("mech_truncation", "cavity_truncation"):
+        if key in d:
+            kwargs[key] = parse_integer(d[key], f"{path}.{key}")
     wg = d.get("wigner_grid", {})
     if "half_width" in wg:
         kwargs["wigner_half_width"] = parse_quantity(
             wg["half_width"], "dimensionless", f"{path}.wigner_grid.half_width")
     if "points" in wg:
-        kwargs["wigner_points"] = int(parse_quantity(
-            wg["points"], "dimensionless", f"{path}.wigner_grid.points"))
+        kwargs["wigner_points"] = parse_integer(
+            wg["points"], f"{path}.wigner_grid.points")
     sg = d.get("spectrum_grid", {})
     if "span" in sg:
         kwargs["spectrum_span"] = parse_quantity(
             sg["span"], "frequency", f"{path}.spectrum_grid.span")
     if "points" in sg:
-        kwargs["spectrum_points"] = int(parse_quantity(
-            sg["points"], "dimensionless", f"{path}.spectrum_grid.points"))
+        kwargs["spectrum_points"] = parse_integer(
+            sg["points"], f"{path}.spectrum_grid.points")
     th = d.get("regime_thresholds", {})
-    if "pass" in th:
-        kwargs["pass_ratio"] = float(th["pass"])
-    if "warn" in th:
-        kwargs["warn_ratio"] = float(th["warn"])
+    for key in ("pass", "warn"):
+        if key in th:
+            kwargs[f"{key}_ratio"] = parse_quantity(
+                th[key], "dimensionless", f"{path}.regime_thresholds.{key}")
     flag = d.get("include_probe_in_linewidth", True)
     if not isinstance(flag, bool):
         raise ConfigError(f"{path}.include_probe_in_linewidth", "expected a boolean")
@@ -397,7 +404,6 @@ CONFIG_SCHEMA = {
     "simulation": {
         "mech_truncation": ">= 3 (default 10)",
         "cavity_truncation": ">= 2 (default 2)",
-        "solver": "auto | dense | iterative",
         "wigner_grid": {"half_width": "bare number", "points": "odd integer"},
         "spectrum_grid": {"span": "frequency around the probe", "points": "integer"},
         "regime_thresholds": {"pass": 0.1, "warn": 0.5},

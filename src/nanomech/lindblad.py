@@ -19,7 +19,7 @@ from .fock import (CompositeSpace, DensityMatrix, FockOperator, FockSpace,
 
 TRACE_PRESERVATION_TOL = 1e-10
 DEFAULT_NNZ_CAP = 200_000_000
-DENSE_DIM_LIMIT = 128
+PIVOT_RATIO = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -110,7 +110,7 @@ class SteadyState:
     populations: np.ndarray | None
     residual: float
     method: str
-    iterations: int = 0
+    iterations: int = 0         # 0 for the direct solve
 
 
 @dataclass(frozen=True)
@@ -295,73 +295,31 @@ def reduced_steady_populations(config: SystemConfig, n_cut: int | None = None,
                        method="recursion")
 
 
-def _steady_vec_dense(lsuper: sp.csr_matrix, d: int, check_unique: bool):
-    a = lsuper.toarray()
-    if check_unique:
-        sv = np.linalg.svd(a, compute_uv=False)
-        scale = sv[0] if sv[0] > 0 else 1.0
-        if sv[-2] < 1e-10 * scale:
-            raise DegenerateSteadyStateError(
-                f"second-smallest singular value {sv[-2]:.3e} "
-                f"(scale {scale:.3e}): null space is not one-dimensional")
-    # the trace row overwrites row 0 in place: no second dense copy
-    a[0, :] = 0.0
-    a[0, :: d + 1] = 1.0
-    rhs = np.zeros(d * d, dtype=complex)
-    rhs[0] = 1.0
+def steady_state_solve(liou: Liouvillian) -> SteadyState:
+    """Null-space steady state of the full generator: solve L x = 0 with the
+    trace constraint replacing row 0, by sparse LU (SuperLU, COLAMD column
+    ordering).  A pivot below PIVOT_RATIO times the largest one means the
+    null space is not one-dimensional."""
+    d = liou.space.total_dim
+    lsuper = liou.superoperator
+    trace_row = sp.csr_matrix(
+        (np.ones(d), (np.zeros(d, dtype=int), np.arange(0, d * d, d + 1))),
+        shape=(1, d * d))
+    a = sp.vstack([trace_row, lsuper[1:]], format="csc")
     try:
-        x = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
+        lu = spla.splu(a)
+    except RuntimeError:
         raise DegenerateSteadyStateError(
             "trace-constrained system is singular; the generator null "
             "space is not one-dimensional") from None
-    return x, 0
-
-
-def _steady_vec_iterative(lsuper: sp.csr_matrix, d: int, maxiter: int):
-    a = lsuper.tolil()
-    trace_cols = np.arange(0, d * d, d + 1)
-    a[0, :] = 0.0
-    a[0, trace_cols] = 1.0
-    a = a.tocsc()
+    pivots = np.abs(lu.U.diagonal())
+    if pivots.min() < PIVOT_RATIO * pivots.max():
+        raise DegenerateSteadyStateError(
+            f"smallest LU pivot {pivots.min():.3e} (largest {pivots.max():.3e}): "
+            "null space is not one-dimensional")
     rhs = np.zeros(d * d, dtype=complex)
     rhs[0] = 1.0
-    try:
-        ilu = spla.spilu(a, drop_tol=1e-10, fill_factor=40)
-        prec = spla.LinearOperator(a.shape, ilu.solve)
-    except RuntimeError:
-        prec = None
-    residuals = []
-
-    def cb(xk):
-        residuals.append(float(np.linalg.norm(a @ xk - rhs)))
-
-    x, info = spla.lgmres(a, rhs, M=prec, rtol=1e-12, atol=1e-14,
-                          maxiter=maxiter, callback=cb)
-    if info != 0:
-        raise SolverError(
-            f"iterative steady-state solve did not converge (info={info}); "
-            f"residual history tail {residuals[-5:]}")
-    return x, len(residuals)
-
-
-def steady_state_solve(liou: Liouvillian, method: str = "auto",
-                       check_unique: bool | None = None,
-                       maxiter: int = 2000) -> SteadyState:
-    """Null-space steady state of the full generator: solve L x = 0 with the
-    trace constraint replacing one row, densely (total_dim <= 128) or by
-    preconditioned Krylov iteration."""
-    d = liou.space.total_dim
-    if method == "auto":
-        method = "dense" if d <= DENSE_DIM_LIMIT else "iterative"
-    if check_unique is None:
-        check_unique = d * d <= 1600
-    if method == "dense":
-        x, its = _steady_vec_dense(liou.superoperator, d, check_unique)
-    elif method == "iterative":
-        x, its = _steady_vec_iterative(liou.superoperator, d, maxiter)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    x = lu.solve(rhs)
 
     rho = x.reshape((d, d), order="F")
     rho = (rho + rho.conj().T) / 2.0
@@ -374,10 +332,10 @@ def steady_state_solve(liou: Liouvillian, method: str = "auto",
     rho = (v * w) @ v.conj().T
     rho /= np.trace(rho).real
     vec = rho.reshape(-1, order="F")
-    residual = float(np.linalg.norm(liou.superoperator @ vec))
+    residual = float(np.linalg.norm(lsuper @ vec))
     dm = DensityMatrix(liou.space, rho)
     return SteadyState(rho=dm, populations=None, residual=residual,
-                       method=method, iterations=its)
+                       method="sparse_lu")
 
 
 # ---------------------------------------------------------------------------

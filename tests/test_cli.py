@@ -191,6 +191,21 @@ def test_cli_spectrum_outputs(tmp_path):
     assert len(spec_lines) == 2 + 40001
 
 
+def test_cli_sweep_failed_points_set_exit_code(tmp_path, capsys):
+    # every row is still written; the exit code is the first failure's
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(CONFIG_PATH), "--out", str(out),
+                 "--param", "simulation.mech_trunction",
+                 "--values", "4", "6"]) == EXIT_CONFIG
+    assert len((out / "sweep.csv").read_text().splitlines()) == 4
+    # a 2 K point overfills the truncation: a solver error after a good row
+    assert main(["sweep", "--config", str(CONFIG_PATH), "--out", str(out),
+                 "--param", "device.temperature",
+                 "--values", '"20 mK"', '"2 K"']) == EXIT_SOLVER
+    rows = (out / "sweep.csv").read_text().splitlines()[2:]
+    assert rows[0].endswith(",") and "TruncationError" in rows[1]
+
+
 def test_cli_sweep_outputs(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(CONFIG_PATH), "--out", str(out),
@@ -239,6 +254,7 @@ def test_cli_symbolic_detuning_below_first_line(tmp_path, capsys):
     ("simulation", "mech_trunction", 6),             # misspelled
     ("simulation", "include_reduced_shifts", True),  # removed knob
     ("output", "formats", ["json"]),                 # removed knob
+    ("simulation", "solver", "iterative"),           # removed knob
 ])
 def test_cli_unknown_config_key(tmp_path, capsys, section, key, value):
     path = write_variant(tmp_path, lambda raw: raw[section].update({key: value}))
@@ -246,6 +262,34 @@ def test_cli_unknown_config_key(tmp_path, capsys, section, key, value):
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert f"{section}.{key}: unknown config key" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_non_finite_quantities(tmp_path, capsys):
+    # a JSON number beyond the float range reads as inf: with no drives it
+    # used to give gamma_m = 0 and all-NaN populations with exit 0
+    raw = json.loads(CONFIG_PATH.read_text())
+    raw["device"]["drives"] = []
+    raw["device"]["beam"]["quality_factor"] = "QF"
+    path = tmp_path / "qf.json"
+    path.write_text(json.dumps(raw).replace('"QF"', "1e400"))
+    assert main(["steady", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "device.beam.quality_factor" in capsys.readouterr().err
+    # "nan" used to reach the regime report and exit 2
+    path = write_variant(
+        tmp_path, lambda raw: raw["device"]["softening"].update(zeta="nan"))
+    assert main(["validate", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "device.softening.zeta" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_bad_regime_threshold(tmp_path, capsys):
+    path = write_variant(tmp_path, lambda raw: raw["simulation"].update(
+        regime_thresholds={"pass": "x"}))
+    assert main(["validate", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "simulation.regime_thresholds.pass" in capsys.readouterr().err
 
 
 def test_cli_buckling_exit_code(tmp_path):

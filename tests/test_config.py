@@ -53,6 +53,18 @@ def test_parse_quantity_malformed(text):
         parse_quantity(text, "frequency", "p")
 
 
+@pytest.mark.parametrize("value,dim", [
+    (float("inf"), "dimensionless"), ("nan", "dimensionless"),
+    ("-inf", "dimensionless"), ("inf MHz", "frequency"),
+    ("1e308 THz", "frequency"),          # finite number, infinite in rad/s
+    (10**400, "dimensionless"),          # too large for a float
+], ids=["inf", "nan", "-inf", "inf_MHz", "1e308_THz", "huge_int"])
+def test_parse_quantity_non_finite(value, dim):
+    with pytest.raises(ConfigError) as exc:
+        parse_quantity(value, dim, "device.x")
+    assert exc.value.path == "device.x"
+
+
 def test_parse_quantity_wrong_dimension():
     with pytest.raises(ConfigError, match="dimension"):
         parse_quantity("5 um", "frequency", "p")
@@ -117,11 +129,32 @@ def test_invalid_truncations(headline_config_dict):
         parse_config(raw)
 
 
-def test_unknown_solver_rejected(headline_config_dict):
+@pytest.mark.parametrize("section,key", [
+    ("simulation", "mech_truncation"), ("simulation", "cavity_truncation"),
+    ("simulation.wigner_grid", "points"), ("simulation.spectrum_grid", "points"),
+])
+def test_integer_fields_reject_fractions(headline_config_dict, section, key):
     raw = json.loads(json.dumps(headline_config_dict))
-    raw["simulation"]["solver"] = "quantum"
-    with pytest.raises(ConfigError, match="solver"):
+    node = raw
+    for part in section.split("."):
+        node = node.setdefault(part, {})
+    node[key] = 6.7
+    with pytest.raises(ConfigError, match="expected an integer") as exc:
         parse_config(raw)
+    assert exc.value.path == f"{section}.{key}"
+    node[key] = "7"
+    assert parse_config(raw)   # integral strings and floats stay valid
+
+
+@pytest.mark.parametrize("key", ["pass", "warn"])
+def test_regime_thresholds_parsed_as_numbers(headline_config_dict, key):
+    raw = json.loads(json.dumps(headline_config_dict))
+    raw["simulation"]["regime_thresholds"] = {key: "x"}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert exc.value.path == f"simulation.regime_thresholds.{key}"
+    raw["simulation"]["regime_thresholds"] = {key: "0.3"}
+    assert getattr(parse_config(raw).simulation, f"{key}_ratio") == 0.3
 
 
 def test_field_model_config(headline_config_dict):

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from nanomech.cli import run_device
+from nanomech.config import parse_config
 from nanomech.fock import (CompositeSpace, FockSpace, diagonal_density,
                            fock_state, lift, number, partial_trace,
                            tensor_density)
@@ -14,7 +18,8 @@ from nanomech.lindblad import (DegenerateSteadyStateError, LaserParams,
                                reduced_steady_populations, steady_state_solve,
                                time_evolve, transition_rates)
 
-from conftest import GAMMA_M, KAPPA, LAMBDA, N_BAR, OMEGA_M_PRIME, quoted_system
+from conftest import (CONFIG_PATH, GAMMA_M, KAPPA, LAMBDA, N_BAR,
+                      OMEGA_M_PRIME, quoted_system)
 
 TWO_PI = 2 * np.pi
 
@@ -236,15 +241,29 @@ def test_thermal_fixed_point_small():
     assert cav[0] == pytest.approx(1.0, abs=1e-8)
 
 
-def test_dense_and_iterative_solvers_agree():
-    cfg = small_driven(mech_dim=4, g=3.0e3, n_bar=0.2)
-    liou = build_full_liouvillian(cfg)
-    dense = steady_state_solve(liou, method="dense")
-    iterative = steady_state_solve(liou, method="iterative")
-    np.testing.assert_allclose(dense.rho.matrix, iterative.rho.matrix,
-                               atol=1e-8)
-    assert dense.method == "dense"
-    assert iterative.iterations >= 1
+def fig2_system(mech_dim):
+    cfg = parse_config(json.loads(CONFIG_PATH.read_text()))
+    derived, _report = run_device(cfg)
+    return SystemConfig.from_derived(derived, mech_dim,
+                                     cfg.simulation.cavity_truncation)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: small_driven(mech_dim=4, g=3.0e3, n_bar=0.2),
+    lambda: fig2_system(4),
+], ids=["small_driven", "fig2_mech4"])
+def test_full_solve_matches_null_space(make):
+    # exact oracle: the null space of the dense generator
+    liou = build_full_liouvillian(make())
+    d = liou.space.total_dim
+    ns = scipy.linalg.null_space(liou.superoperator.toarray())
+    assert ns.shape == (d * d, 1)
+    oracle = ns[:, 0].reshape((d, d), order="F")
+    oracle /= np.trace(oracle)
+    ss = steady_state_solve(liou)
+    np.testing.assert_allclose(ss.rho.matrix, oracle, atol=1e-10)
+    assert ss.method == "sparse_lu"
+    assert ss.iterations == 0
 
 
 def test_steady_state_residual_and_validity():
@@ -256,20 +275,27 @@ def test_steady_state_residual_and_validity():
     assert ss.residual <= 1e-9 * scale
 
 
-def test_degenerate_generator_detected():
-    # two disconnected thermal blocks: the zero generator on a 3-level
-    # system conserves every population separately
-    space = CompositeSpace((FockSpace(3, "mech"),))
-    zero = sp.csr_matrix((9, 9), dtype=complex)
-    liou = Liouvillian(space, zero)
+@pytest.mark.parametrize("liou", [
+    # every population of a 3-level system is conserved separately
+    Liouvillian(CompositeSpace((FockSpace(3, "mech"),)),
+                sp.csr_matrix((9, 9), dtype=complex)),
+    # closed system: every Fock projector is stationary
+    build_full_liouvillian(mech_only(mech_dim=4, lam=2.0e5, gamma_m=0.0)),
+    # the mechanics barely touches its bath and not the cavity
+    build_full_liouvillian(small_driven(g=0.0, gamma_m=1e-9)),
+], ids=["zero", "closed", "weak_bath"])
+def test_degenerate_generator_detected(liou):
     with pytest.raises(DegenerateSteadyStateError):
-        steady_state_solve(liou, method="dense", check_unique=True)
+        steady_state_solve(liou)
 
 
-def test_unknown_method_rejected():
-    liou = build_full_liouvillian(small_driven())
-    with pytest.raises(ValueError):
-        steady_state_solve(liou, method="magic")
+def test_thermal_chain_at_zero_kelvin_not_degenerate():
+    # the chain of acceptance criterion 1 with its bath at 0 K: weakly damped
+    # and decoupled, so its LU pivots span a wide range yet stay far above
+    # the degeneracy threshold
+    cfg = mech_only(mech_dim=30, gamma_m=100.0, n_bar=0.0)
+    ss = steady_state_solve(build_full_liouvillian(cfg))
+    assert ss.rho.populations()[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_cavity_relabeling_covariance():
