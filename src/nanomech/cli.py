@@ -1,7 +1,7 @@
 """Command-line front end: device reports, regime validation, steady states,
 probe spectra, and parameter sweeps, with reproducible file outputs.
 
-Exit codes: 0 success, 1 config error, 2 regime failure, 3 analysis
+Exit codes: 0 success, 1 config or usage error, 2 regime failure, 3 analysis
 precondition failure, 4 solver failure.
 """
 
@@ -14,7 +14,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,17 +25,23 @@ from .device import (POLARIZABILITY_UNIT, BucklingError, DeviceError,
                      derive_parameters, regime_check)
 from .fock import partial_trace
 from .lindblad import (LaserParams, SolverError, SystemConfig,
-                       build_full_liouvillian, reduced_steady_populations,
-                       steady_state_solve, transition_rates)
-from .observables import (SpectrumInversionError, populations_from_spectrum,
-                          power_spectrum, wigner_from_density_matrix,
-                          wigner_from_populations, wigner_origin)
+                       TruncationError, build_full_liouvillian,
+                       reduced_steady_populations, steady_state_solve,
+                       transition_rates)
+from .observables import (SpectrumInversionError, default_grid,
+                          populations_from_spectrum, power_spectrum,
+                          wigner_from_density_matrix, wigner_from_populations,
+                          wigner_origin)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_REGIME = 2
 EXIT_PRECONDITION = 3
 EXIT_SOLVER = 4
+
+# steady --converge doubles the mechanical truncation, up to 320 levels,
+# until no population moves by 1e-3 or more
+CONVERGE_LEVELS, CONVERGE_DRIFT = 320, 1e-3
 
 # exception class -> exit code and message prefix; the first match wins, so
 # BucklingError precedes its base DeviceError
@@ -204,20 +209,24 @@ def run_steady(cfg: RunConfig, full=False, compare=False, converge=False):
     derived, report = run_device(cfg)
     mech_dim = cfg.simulation.mech_truncation
     sysc = _system_config(cfg, derived, mech_dim)
-    reduced = reduced_steady_populations(sysc)
+    reduced = reduced_steady_populations(sysc, tail_check=not converge)
     if converge:
-        while mech_dim < 320:
-            bigger = reduced_steady_populations(
-                _system_config(cfg, derived, mech_dim * 2))
-            drift = np.max(np.abs(bigger.populations[:mech_dim]
-                                  - reduced.populations))
-            reduced = bigger
+        drift = np.inf
+        while drift >= CONVERGE_DRIFT:
+            if 2 * mech_dim > CONVERGE_LEVELS:
+                raise TruncationError(
+                    f"populations have not settled within {CONVERGE_LEVELS} "
+                    f"levels: drift {drift:.3e} at mech_truncation {mech_dim}")
+            smaller = reduced.populations
             mech_dim *= 2
-            if drift < 1e-3:
-                break
-        sysc = _system_config(cfg, derived, mech_dim)
-    half = cfg.simulation.wigner_half_width or (4.0 + np.sqrt(mech_dim))
-    x = np.linspace(-half, half, cfg.simulation.wigner_points)
+            sysc = _system_config(cfg, derived, mech_dim)
+            reduced = reduced_steady_populations(sysc, tail_check=False)
+            drift = np.max(np.abs(reduced.populations[:smaller.size] - smaller))
+        # only the final truncation has to pass the tail check
+        reduced = reduced_steady_populations(sysc)
+    half, points = cfg.simulation.wigner_half_width, cfg.simulation.wigner_points
+    x = (default_grid(mech_dim, points)[0] if half is None
+         else np.linspace(-half, half, points))
     wig = wigner_from_populations(reduced.populations, x, x)
     result = {
         "derived": derived, "report": report, "system": sysc,
@@ -256,13 +265,13 @@ def run_spectrum(cfg: RunConfig, selftest=False):
     probe_rates = transition_rates(probe_sys)
 
     n_lines = min(4, sysc.mech_dim - 2)
-    span = cfg.simulation.spectrum_span or 2.0 * (
-        sysc.delta_n(n_lines) + 3.0 * sysc.lam)
+    span = cfg.simulation.spectrum_span
+    if span is None:
+        span = 2.0 * (sysc.delta_n(n_lines) + 3.0 * sysc.lam)
     freqs = np.linspace(-span / 2.0, span / 2.0, cfg.simulation.spectrum_points)
     spec = power_spectrum(
         reduced.populations, drive_rates, probe_rates, 0.0, freqs,
-        sysc.gamma_m, sysc.n_bar,
-        include_probe_in_linewidth=cfg.simulation.include_probe_in_linewidth)
+        sysc.gamma_m, sysc.n_bar)
     recovered, sigma = populations_from_spectrum(spec)
     result = {
         "derived": derived, "report": report, "system": sysc,
@@ -298,32 +307,28 @@ def set_config_path(raw: dict, dotted: str, value):
     return raw
 
 
-def run_sweep(cfg: RunConfig, param: str, values, threads: int = 1):
-    def one(value):
-        raw = copy.deepcopy(cfg.raw)
-        set_config_path(raw, param, value)
-        point = parse_config(raw)
-        derived, _report = run_device(point)
-        sysc = _system_config(point, derived)
-        reduced = reduced_steady_populations(sysc)
-        p = reduced.populations
-        return {
+def run_sweep(cfg: RunConfig, param: str, values):
+    rows = []
+    for value in values:
+        try:
+            raw = copy.deepcopy(cfg.raw)
+            set_config_path(raw, param, value)
+            point = parse_config(raw)
+            derived, _report = run_device(point)
+            p = reduced_steady_populations(
+                _system_config(point, derived)).populations
+        except Exception as exc:              # recorded in-row, sweep continues
+            rows.append({"value": value,
+                         "error": f"{type(exc).__name__}: {exc}",
+                         "exit_code": classify_error(exc)[0]})
+            continue
+        rows.append({
             "value": value,
             "omega_m": derived.omega_m, "lambda": derived.lam,
             "kappa": derived.kappa, "n_bar": derived.n_bar,
             "P0": p[0], "P1": p[1], "P2": p[2],
             "W00": wigner_origin(p),
-        }
-
-    rows = []
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        futures = [pool.submit(one, v) for v in values]
-        for v, fut in zip(values, futures):
-            try:
-                rows.append(fut.result())
-            except Exception as exc:          # recorded in-row, sweep continues
-                rows.append({"value": v, "error": f"{type(exc).__name__}: {exc}",
-                             "exit_code": classify_error(exc)[0]})
+        })
     return rows
 
 
@@ -436,7 +441,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             values.append(json.loads(v))
         except json.JSONDecodeError:
             values.append(v)
-    rows = run_sweep(cfg, args.param, values, threads=args.threads)
+    rows = run_sweep(cfg, args.param, values)
     out = _outdir(cfg, args)
     header = ["value", "omega_m", "lambda", "kappa", "n_bar",
               "P0", "P1", "P2", "W00", "error"]
@@ -484,13 +489,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", required=True,
                          help="dotted config path, e.g. device.softening.zeta")
     p_sweep.add_argument("--values", nargs="+", required=True)
-    p_sweep.add_argument("--threads", type=int, default=1)
     return ap
 
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:     # argparse: 0 after -h, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     if args.print_schema:
         print(json.dumps(CONFIG_SCHEMA, indent=2))
         return EXIT_OK

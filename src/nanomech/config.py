@@ -102,11 +102,13 @@ def parse_quantity(value, dimension: str, path: str) -> float:
     return num * factor
 
 
-def parse_integer(value, path: str) -> int:
-    """A dimensionless quantity that must be integral."""
+def parse_integer(value, path: str, least: int) -> int:
+    """A dimensionless quantity that must be an integer >= least."""
     num = parse_quantity(value, "dimensionless", path)
     if num != int(num):
         raise ConfigError(path, f"expected an integer, got {value!r}")
+    if num < least:
+        raise ConfigError(path, f"must be >= {least}")
     return int(num)
 
 
@@ -120,7 +122,6 @@ class SimulationSection:
     spectrum_points: int = 20001
     pass_ratio: float = 0.1
     warn_ratio: float = 0.5
-    include_probe_in_linewidth: bool = True
 
 
 @dataclass(frozen=True)
@@ -269,38 +270,33 @@ def _parse_electrode(d: dict, path: str) -> ElectrodeSpec:
 
 def _parse_simulation(d: dict, path: str) -> SimulationSection:
     kwargs = {}
-    for key in ("mech_truncation", "cavity_truncation"):
+    for key, least in (("mech_truncation", 3), ("cavity_truncation", 2)):
         if key in d:
-            kwargs[key] = parse_integer(d[key], f"{path}.{key}")
+            kwargs[key] = parse_integer(d[key], f"{path}.{key}", least)
     wg = d.get("wigner_grid", {})
     if "half_width" in wg:
         kwargs["wigner_half_width"] = parse_quantity(
             wg["half_width"], "dimensionless", f"{path}.wigner_grid.half_width")
     if "points" in wg:
         kwargs["wigner_points"] = parse_integer(
-            wg["points"], f"{path}.wigner_grid.points")
+            wg["points"], f"{path}.wigner_grid.points", 3)
     sg = d.get("spectrum_grid", {})
     if "span" in sg:
         kwargs["spectrum_span"] = parse_quantity(
             sg["span"], "frequency", f"{path}.spectrum_grid.span")
     if "points" in sg:
         kwargs["spectrum_points"] = parse_integer(
-            sg["points"], f"{path}.spectrum_grid.points")
+            sg["points"], f"{path}.spectrum_grid.points", 3)
     th = d.get("regime_thresholds", {})
     for key in ("pass", "warn"):
         if key in th:
             kwargs[f"{key}_ratio"] = parse_quantity(
                 th[key], "dimensionless", f"{path}.regime_thresholds.{key}")
-    flag = d.get("include_probe_in_linewidth", True)
-    if not isinstance(flag, bool):
-        raise ConfigError(f"{path}.include_probe_in_linewidth", "expected a boolean")
-    kwargs["include_probe_in_linewidth"] = flag
-    sim = SimulationSection(**kwargs)
-    if sim.mech_truncation < 3:
-        raise ConfigError(f"{path}.mech_truncation", "must be >= 3")
-    if sim.cavity_truncation < 2:
-        raise ConfigError(f"{path}.cavity_truncation", "must be >= 2")
-    return sim
+    for key, name in (("wigner_grid.half_width", "wigner_half_width"),
+                      ("spectrum_grid.span", "spectrum_span")):
+        if name in kwargs and kwargs[name] <= 0:
+            raise ConfigError(f"{path}.{key}", "must be > 0")
+    return SimulationSection(**kwargs)
 
 
 def _reject_unknown_keys(data, schema, path: str):
@@ -404,10 +400,11 @@ CONFIG_SCHEMA = {
     "simulation": {
         "mech_truncation": ">= 3 (default 10)",
         "cavity_truncation": ">= 2 (default 2)",
-        "wigner_grid": {"half_width": "bare number", "points": "odd integer"},
-        "spectrum_grid": {"span": "frequency around the probe", "points": "integer"},
+        "wigner_grid": {"half_width": "bare number > 0",
+                        "points": "odd integer >= 3"},
+        "spectrum_grid": {"span": "frequency around the probe, > 0",
+                          "points": "integer >= 3"},
         "regime_thresholds": {"pass": 0.1, "warn": 0.5},
-        "include_probe_in_linewidth": "bool (default true)",
     },
     "output": {"directory": "path"},
 }

@@ -125,12 +125,6 @@ class RateTable:
     def n_max(self) -> int:
         return self.a_plus.shape[0]
 
-    def total_plus(self, n: int) -> float:
-        return float(self.a_plus[n - 1].sum())
-
-    def total_minus(self, n: int) -> float:
-        return float(self.a_minus[n - 1].sum())
-
 
 # ---------------------------------------------------------------------------
 # generator construction
@@ -214,11 +208,11 @@ def build_full_liouvillian(config: SystemConfig,
     return liou
 
 
-def transition_rates(config: SystemConfig, n_max: int | None = None) -> RateTable:
+def transition_rates(config: SystemConfig) -> RateTable:
     """Lorentzian phonon-adding/removing rates
-    A+-[n][j] = |g_j|^2 kappa / [4 (Delta_j -+ delta_n)^2 + kappa^2]."""
-    if n_max is None:
-        n_max = config.mech_dim - 1
+    A+-[n][j] = |g_j|^2 kappa / [4 (Delta_j -+ delta_n)^2 + kappa^2]
+    for n = 1..mech_dim - 1."""
+    n_max = config.mech_dim - 1
     nj = len(config.lasers)
     a_plus = np.zeros((n_max, nj))
     a_minus = np.zeros((n_max, nj))
@@ -231,66 +225,76 @@ def transition_rates(config: SystemConfig, n_max: int | None = None) -> RateTabl
     return RateTable(a_plus=a_plus, a_minus=a_minus, delta=delta)
 
 
-def birth_death_rates(config: SystemConfig, n_max: int | None = None):
-    """Up/down rates of the population chain: the n -> n+1 rate is
-    (n+1) [sum_j A+^(n+1) + gamma n_bar], the n -> n-1 rate is
-    n [sum_j A-^n + gamma (n_bar + 1)]."""
-    if n_max is None:
-        n_max = config.mech_dim - 1
-    rates = transition_rates(config, n_max)
-    n = np.arange(1, n_max + 1, dtype=float)
-    up = n * (rates.a_plus.sum(axis=1) + config.gamma_m * config.n_bar)
-    down = n * (rates.a_minus.sum(axis=1) + config.gamma_m * (config.n_bar + 1.0))
-    return up, down, rates
+def chain_rates(rates: RateTable, gamma_m: float, n_bar: float):
+    """Per-phonon rates of the population chain for n = 1..n_max:
+    up_n = sum_j A+^n + gamma n_bar (level n-1 -> n at rate n up_n) and
+    down_n = sum_j A-^n + gamma (n_bar + 1) (n -> n-1 at rate n down_n)."""
+    up = rates.a_plus.sum(axis=1) + gamma_m * n_bar
+    down = rates.a_minus.sum(axis=1) + gamma_m * (n_bar + 1.0)
+    return up, down
+
+
+def level_rates(up: np.ndarray, down: np.ndarray):
+    """Level rates of the chain with per-phonon rates up_n, down_n: n up_n
+    (n-1 -> n) and n down_n (n -> n-1) for n = 1..n_max, and the total rate
+    out of level k, out_k = k down_k + (k+1) up_(k+1), for k = 0..n_max."""
+    n = np.arange(1, up.size + 1)
+    up_w, down_w = n * up, n * down
+    return up_w, down_w, np.append(0.0, down_w) + np.append(up_w, 0.0)
+
+
+def rate_matrix(up: np.ndarray, down: np.ndarray) -> sp.csr_matrix:
+    """Tridiagonal rate matrix Q of the chain (dP/dt = Q P, columns sum to
+    zero, -Q_kk = out_k)."""
+    up_w, down_w, out = level_rates(up, down)
+    return sp.diags([up_w, -out, down_w], [-1, 0, 1], format="csr",
+                    dtype=complex)
+
+
+def birth_death_rates(config: SystemConfig):
+    """Level rates n up_n and n down_n of the population chain for
+    n = 1..mech_dim - 1, with the rate table."""
+    rates = transition_rates(config)
+    up_w, down_w, _ = level_rates(*chain_rates(rates, config.gamma_m,
+                                               config.n_bar))
+    return up_w, down_w, rates
 
 
 def build_reduced_generator(config: SystemConfig) -> sp.csr_matrix:
-    """Tridiagonal birth-death rate matrix Q on the mechanical populations
-    (dP/dt = Q P, columns sum to zero)."""
-    nm = config.mech_dim
-    up, down, _ = birth_death_rates(config, nm - 1)
-    q = np.zeros((nm, nm))
-    for n in range(1, nm):
-        q[n, n - 1] += up[n - 1]       # n-1 -> n
-        q[n - 1, n - 1] -= up[n - 1]
-        q[n - 1, n] += down[n - 1]     # n -> n-1
-        q[n, n] -= down[n - 1]
-    return sp.csr_matrix(q, dtype=complex)
+    """Birth-death rate matrix Q on the mechanical populations."""
+    return rate_matrix(*chain_rates(transition_rates(config), config.gamma_m,
+                                    config.n_bar))
+
+
+def populations_from_log_ratios(log_ratios) -> np.ndarray:
+    """Normalised populations P_0..P_k from log(P_n / P_(n-1)), n = 1..k."""
+    log_p = np.concatenate([[0.0], np.cumsum(log_ratios)])
+    p = np.exp(log_p - log_p.max())
+    return p / p.sum()
 
 
 # ---------------------------------------------------------------------------
 # steady-state solvers
 
-def reduced_steady_populations(config: SystemConfig, n_cut: int | None = None,
+def reduced_steady_populations(config: SystemConfig,
                                tail_check: bool = True) -> SteadyState:
     """Steady populations from the detailed-balance recursion
-    P_n / P_(n-1) = [sum_j A+^n + gamma n_bar] / [sum_j A-^n + gamma (n_bar+1)],
-    accumulated in log space and normalized."""
-    if n_cut is None:
-        n_cut = config.mech_dim - 1
-    if n_cut > config.mech_dim - 1:
-        raise ValueError("n_cut exceeds available truncation")
-    rates = transition_rates(config, n_cut)
-    gam = config.gamma_m
-    up = rates.a_plus.sum(axis=1) + gam * config.n_bar
-    down = rates.a_minus.sum(axis=1) + gam * (config.n_bar + 1.0)
+    P_n / P_(n-1) = up_n / down_n of the chain, accumulated in log space."""
+    up, down = chain_rates(transition_rates(config), config.gamma_m,
+                           config.n_bar)
     log_ratios = np.log(up) - np.log(down)
     # persistent growth means the chain has no normalizable tail here
-    tail = log_ratios[max(0, n_cut - 3):]
+    tail = log_ratios[-3:]
     if tail_check and np.all(tail >= 0):
         raise TruncationError(
             "population ratios do not decay near the truncation; "
             f"last ratios {np.exp(tail)}")
-    log_p = np.concatenate([[0.0], np.cumsum(log_ratios)])
-    log_p -= log_p.max()
-    p = np.exp(log_p)
-    p /= p.sum()
-    if tail_check and p[n_cut] >= 1e-3 * p.max():
+    p = populations_from_log_ratios(log_ratios)
+    if tail_check and p[-1] >= 1e-3 * p.max():
         raise TruncationError(
-            f"top-level population {p[n_cut]:.3e} is not negligible "
+            f"top-level population {p[-1]:.3e} is not negligible "
             f"(max {p.max():.3e}); increase the truncation")
-    q = build_reduced_generator(config)
-    residual = float(np.linalg.norm(q @ p.astype(complex)))
+    residual = float(np.linalg.norm(rate_matrix(up, down) @ p.astype(complex)))
     return SteadyState(rho=None, populations=p, residual=residual,
                        method="recursion")
 

@@ -15,7 +15,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .fock import DensityMatrix
-from .lindblad import RateTable
+from .lindblad import (RateTable, chain_rates, level_rates,
+                       populations_from_log_ratios)
 
 WIGNER_BOUND = 2.0 / np.pi
 
@@ -184,62 +185,54 @@ def linewidths(rates: RateTable, gamma_m: float, n_bar: float,
     Gamma_n = n [A-^n + A+^n + gamma (2 n_bar + 1)]
             + (n-1) [A-^(n-1) + gamma (n_bar + 1)]
             + (n+1) [A+^(n+1) + gamma n_bar]
-    with A summed over all lasers (and the probe when supplied)."""
+    with A summed over all lasers (and the probe when supplied), i.e. the
+    sum of the chain's total rates out of levels n and n-1."""
     if n_max is None:
         n_max = rates.n_max - 1
     if n_max + 1 > rates.n_max:
         raise ValueError("rate table must cover n_max + 1")
-
-    def tot(tbl, n, sign):
-        a = tbl.a_plus if sign == "+" else tbl.a_minus
-        val = float(a[n - 1].sum()) if n >= 1 else 0.0
-        if probe_rates is not None and n >= 1:
-            pa = probe_rates.a_plus if sign == "+" else probe_rates.a_minus
-            val += float(pa[n - 1].sum())
-        return val
-
-    out = np.zeros(n_max)
-    for n in range(1, n_max + 1):
-        out[n - 1] = (
-            n * (tot(rates, n, "-") + tot(rates, n, "+")
-                 + gamma_m * (2.0 * n_bar + 1.0))
-            + (n - 1) * (tot(rates, n - 1, "-") + gamma_m * (n_bar + 1.0))
-            + (n + 1) * (tot(rates, n + 1, "+") + gamma_m * n_bar))
-    return out
+    k = n_max + 1
+    up, down = chain_rates(rates, gamma_m, n_bar)
+    if probe_rates is not None:
+        up[:k] += probe_rates.a_plus[:k].sum(axis=1)
+        down[:k] += probe_rates.a_minus[:k].sum(axis=1)
+    out = level_rates(up[:k], down[:k])[2]
+    return out[1:k] + out[:n_max]
 
 
 def power_spectrum(populations, drive_rates: RateTable,
                    probe_rates: RateTable, omega_probe: float,
-                   frequencies: np.ndarray, gamma_m: float, n_bar: float,
-                   include_probe_in_linewidth: bool = True) -> SpectrumData:
+                   frequencies: np.ndarray, gamma_m: float,
+                   n_bar: float) -> SpectrumData:
     """Probe output sideband spectrum: a Lorentzian pair at w_L +- delta_n per
     phonon line,
     S(w) = sum_n n Gamma_n [A-^n P_n / ((w - w_n+)^2 + Gamma_n^2/4)
                           + A+^n P_(n-1) / ((w - w_n-)^2 + Gamma_n^2/4)].
-    The overall scale is arbitrary; only ratios are physical."""
+    The probe's own rates broaden the lines.  The overall scale is
+    arbitrary; only ratios are physical."""
     pn = np.asarray(populations, dtype=float)
     n_lines = min(pn.size - 1, probe_rates.n_max, drive_rates.n_max - 1)
     freqs = np.asarray(frequencies, dtype=float)
     gam = linewidths(drive_rates, gamma_m, n_bar, n_max=n_lines,
-                     probe_rates=probe_rates if include_probe_in_linewidth else None)
+                     probe_rates=probe_rates)
+    a_plus, a_minus = (probe_rates.a_plus.sum(axis=1),
+                       probe_rates.a_minus.sum(axis=1))
     values = np.zeros_like(freqs)
     peaks = []
     for n in range(1, n_lines + 1):
         g_n = gam[n - 1]
-        a_minus = probe_rates.total_minus(n)
-        a_plus = probe_rates.total_plus(n)
         w_plus = omega_probe + drive_rates.delta[n - 1]
         w_minus = omega_probe - drive_rates.delta[n - 1]
-        up = n * g_n * a_minus * pn[n]
-        lo = n * g_n * a_plus * pn[n - 1]
+        up = n * g_n * a_minus[n - 1] * pn[n]
+        lo = n * g_n * a_plus[n - 1] * pn[n - 1]
         values += up / ((freqs - w_plus) ** 2 + g_n**2 / 4.0)
         values += lo / ((freqs - w_minus) ** 2 + g_n**2 / 4.0)
         peaks.append(SpectrumPeak(
             n=n, side="+", position=w_plus, height=4.0 * up / g_n**2,
-            linewidth=g_n, weight=n * a_minus * pn[n]))
+            linewidth=g_n, weight=n * a_minus[n - 1] * pn[n]))
         peaks.append(SpectrumPeak(
             n=n, side="-", position=w_minus, height=4.0 * lo / g_n**2,
-            linewidth=g_n, weight=n * a_plus * pn[n - 1]))
+            linewidth=g_n, weight=n * a_plus[n - 1] * pn[n - 1]))
     lam = np.diff(drive_rates.delta).mean() if drive_rates.delta.size > 1 else np.inf
     resolvable = bool(lam >= 3.0 * gam.max())
     if not resolvable:
@@ -247,8 +240,7 @@ def power_spectrum(populations, drive_rates: RateTable,
                       "population inversion will be unreliable", stacklevel=2)
     # a resonant probe has A+^n = A-^n; grade resonance by the actual
     # asymmetry of the probe rate table rather than the raw detuning
-    ap = probe_rates.a_plus[:n_lines].sum(axis=1)
-    am = probe_rates.a_minus[:n_lines].sum(axis=1)
+    ap, am = a_plus[:n_lines], a_minus[:n_lines]
     asym = float(np.max(np.abs(ap - am) / (ap + am + 1e-300)))
     resonant = asym < 0.01
     if not resonant:
@@ -311,10 +303,7 @@ def populations_from_spectrum(spectrum: SpectrumData,
         leak_m = abs(h_minus - minus.height) / max(minus.height, 1e-300)
         log_ratios.append(np.log(max(ratio, 1e-300)))
         uncertainties.append(leak_p + leak_m)
-    log_p = np.concatenate([[0.0], np.cumsum(log_ratios)])
-    log_p -= log_p.max()
-    p = np.exp(log_p)
-    p /= p.sum()
+    p = populations_from_log_ratios(log_ratios)
     sig = p * np.concatenate([[0.0], np.cumsum(uncertainties)])
     sig = np.maximum(sig, np.full_like(p, 1e-12))
     return p, sig

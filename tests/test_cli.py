@@ -88,7 +88,7 @@ def test_run_steady_reduced(headline_config):
 
 def test_run_sweep_scalings(headline_config):
     rows = run_sweep(headline_config, "device.softening.zeta",
-                     [3.0, 4.0], threads=2)
+                     [3.0, 4.0])
     assert all("error" not in r for r in rows)
     # per-phonon nonlinearity scales as zeta^2 at fixed geometry
     assert rows[1]["lambda"] / rows[0]["lambda"] == pytest.approx(16.0 / 9.0)
@@ -98,14 +98,14 @@ def test_run_sweep_scalings(headline_config):
 
 def test_run_sweep_records_errors_per_point(headline_config):
     rows = run_sweep(headline_config, "device.softening.zeta",
-                     [4.0, 0.5], threads=1)
+                     [4.0, 0.5])
     assert "error" not in rows[0]
     assert "error" in rows[1]
 
 
 def test_run_sweep_temperature_monotonicity(headline_config):
     rows = run_sweep(headline_config, "device.temperature",
-                     ["10 mK", "40 mK"], threads=2)
+                     ["10 mK", "40 mK"])
     assert rows[0]["n_bar"] < rows[1]["n_bar"]
     assert rows[0]["P1"] > rows[1]["P1"]
 
@@ -177,6 +177,32 @@ def test_cli_steady_converge(tmp_path):
     assert pops["reduced"][1] == pytest.approx(0.954, abs=0.01)
 
 
+def test_cli_steady_converge_grows_small_truncation(tmp_path):
+    # the starting solve at 3 levels overfills its top level; --converge
+    # grows past it instead of failing the tail check
+    path = write_variant(
+        tmp_path, lambda raw: raw["simulation"].update(mech_truncation=3))
+    out = tmp_path / "out"
+    assert main(["steady", "--config", str(path), "--out", str(out),
+                 "--converge"]) == EXIT_OK
+    pops = json.loads((out / "populations.json").read_text())
+    assert pops["mech_truncation"] == 6
+    assert pops["reduced"][1] == pytest.approx(0.955, abs=0.002)
+
+
+def test_cli_steady_converge_unsettled_at_cap(tmp_path, capsys):
+    # at 40 mK the populations still drift at 256 levels, and doubling
+    # again would pass the 320-level cap
+    path = write_variant(
+        tmp_path, lambda raw: raw["device"].update(temperature="40 mK"))
+    out = tmp_path / "out"
+    assert main(["steady", "--config", str(path), "--out", str(out),
+                 "--converge"]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "not settled" in err and "mech_truncation 256" in err
+    assert not out.exists()
+
+
 def test_cli_spectrum_outputs(tmp_path):
     out = tmp_path / "out"
     assert main(["spectrum", "--config", str(CONFIG_PATH),
@@ -210,7 +236,7 @@ def test_cli_sweep_outputs(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(CONFIG_PATH), "--out", str(out),
                  "--param", "device.softening.zeta",
-                 "--values", "3.6", "4.0", "--threads", "2"]) == EXIT_OK
+                 "--values", "3.6", "4.0"]) == EXIT_OK
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[1].startswith("value,omega_m,lambda")
     assert len(lines) == 4
@@ -220,6 +246,16 @@ def test_cli_print_schema(capsys):
     assert main(["--print-schema"]) == EXIT_OK
     schema = json.loads(capsys.readouterr().out)
     assert "device" in schema and "simulation" in schema
+
+
+def test_cli_usage_error_exit_code(capsys):
+    # argparse's own code 2 would read as a regime failure
+    assert main(["steady", "--config", str(CONFIG_PATH), "--bogus"]) == \
+        EXIT_CONFIG
+    assert "--bogus" in capsys.readouterr().err
+    assert main(["sweep", "--config", str(CONFIG_PATH),
+                 "--param", "device.temperature"]) == EXIT_CONFIG
+    assert main(["steady", "-h"]) == EXIT_OK
 
 
 def test_cli_missing_config_file(tmp_path):
@@ -255,6 +291,7 @@ def test_cli_symbolic_detuning_below_first_line(tmp_path, capsys):
     ("simulation", "include_reduced_shifts", True),  # removed knob
     ("output", "formats", ["json"]),                 # removed knob
     ("simulation", "solver", "iterative"),           # removed knob
+    ("simulation", "include_probe_in_linewidth", False),  # removed knob
 ])
 def test_cli_unknown_config_key(tmp_path, capsys, section, key, value):
     path = write_variant(tmp_path, lambda raw: raw[section].update({key: value}))
@@ -290,6 +327,18 @@ def test_cli_bad_regime_threshold(tmp_path, capsys):
     assert main(["validate", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "simulation.regime_thresholds.pass" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, grid", [
+    ("steady", "wigner_grid"),        # used to escape as a ValueError
+    ("spectrum", "spectrum_grid"),    # used to exit 3
+])
+def test_cli_bad_grid_points(tmp_path, capsys, command, grid):
+    path = write_variant(tmp_path, lambda raw: raw["simulation"].setdefault(
+        grid, {}).update(points=0))
+    assert main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"simulation.{grid}.points" in capsys.readouterr().err
 
 
 def test_cli_buckling_exit_code(tmp_path):

@@ -129,6 +129,22 @@ def test_invalid_truncations(headline_config_dict):
         parse_config(raw)
 
 
+@pytest.mark.parametrize("grid, key, value", [
+    ("wigner_grid", "points", 0), ("wigner_grid", "points", -3),
+    ("wigner_grid", "points", 2), ("wigner_grid", "half_width", 0),
+    ("wigner_grid", "half_width", -7), ("spectrum_grid", "points", 0),
+    ("spectrum_grid", "span", "0 Hz"), ("spectrum_grid", "span", "-1 MHz"),
+])
+def test_invalid_grid_fields(headline_config_dict, grid, key, value):
+    # these used to raise a bare ValueError later, be replaced by the
+    # defaults, or (a negative half-width) be accepted
+    raw = json.loads(json.dumps(headline_config_dict))
+    raw["simulation"].setdefault(grid, {})[key] = value
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert exc.value.path == f"simulation.{grid}.{key}"
+
+
 @pytest.mark.parametrize("section,key", [
     ("simulation", "mech_truncation"), ("simulation", "cavity_truncation"),
     ("simulation.wigner_grid", "points"), ("simulation.spectrum_grid", "points"),
