@@ -188,8 +188,8 @@ def write_csv(path: Path, header: list[str], rows):
 # ---------------------------------------------------------------------------
 # pipelines (shared by the CLI and the test suite)
 
-def _regime_check(cfg: RunConfig, derived):
-    return regime_check(derived, cfg.simulation.mech_truncation,
+def _regime_check(cfg: RunConfig, derived, mech_dim=None):
+    return regime_check(derived, mech_dim or cfg.simulation.mech_truncation,
                         cfg.simulation.pass_ratio, cfg.simulation.warn_ratio)
 
 
@@ -222,8 +222,10 @@ def run_steady(cfg: RunConfig, full=False, compare=False, converge=False):
             sysc = _system_config(cfg, derived, mech_dim)
             reduced = reduced_steady_populations(sysc, tail_check=False)
             drift = np.max(np.abs(reduced.populations[:smaller.size] - smaller))
-        # only the final truncation has to pass the tail check
+        # only the final truncation has to pass the tail check, and the
+        # regime is graded at the truncation the result comes from
         reduced = reduced_steady_populations(sysc)
+        report = _regime_check(cfg, derived, mech_dim)
     half, points = cfg.simulation.wigner_half_width, cfg.simulation.wigner_points
     x = (default_grid(mech_dim, points)[0] if half is None
          else np.linspace(-half, half, points))

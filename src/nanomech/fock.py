@@ -233,11 +233,10 @@ def lift(op: FockOperator, composite: CompositeSpace, slot: int) -> FockOperator
     if op.space.total_dim != target.dim:
         raise FockError(
             f"operator dim {op.space.total_dim} does not match factor dim {target.dim}")
-    m = sp.identity(1, dtype=complex, format="csr")
-    for i, f in enumerate(composite.factors):
-        blk = op.matrix if i == slot else sp.identity(f.dim, dtype=complex, format="csr")
-        m = sp.kron(m, blk, format="csr")
-    return FockOperator(composite, m)
+    left = sp.identity(math.prod(composite.dims[:slot]), dtype=complex)
+    right = sp.identity(math.prod(composite.dims[slot + 1:]), dtype=complex)
+    return FockOperator(composite, sp.kron(sp.kron(left, op.matrix), right,
+                                           format="csr"))
 
 
 def tensor_density(*rhos: DensityMatrix) -> DensityMatrix:

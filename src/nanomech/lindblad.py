@@ -282,7 +282,14 @@ def reduced_steady_populations(config: SystemConfig,
     P_n / P_(n-1) = up_n / down_n of the chain, accumulated in log space."""
     up, down = chain_rates(transition_rates(config), config.gamma_m,
                            config.n_bar)
-    log_ratios = np.log(up) - np.log(down)
+    if not down.all():
+        n = int(np.argmin(down)) + 1
+        raise SolverError(
+            f"no phonon-removing rate on line {n} -> {n - 1} (gamma_m = 0 "
+            "and no drive removes phonons there): the chain has no steady state")
+    # up_n = 0 gives log(0) = -inf on purpose: the levels above n-1 are empty
+    with np.errstate(divide="ignore"):
+        log_ratios = np.log(up) - np.log(down)
     # persistent growth means the chain has no normalizable tail here
     tail = log_ratios[-3:]
     if tail_check and np.all(tail >= 0):
@@ -299,17 +306,52 @@ def reduced_steady_populations(config: SystemConfig,
                        method="recursion")
 
 
+def _hermitian_coordinates(d: int):
+    """Real coordinates of Hermitian d x d matrices: the d diagonal entries,
+    then Re and Im of the d(d-1)/2 strict-upper entries (np.triu_indices
+    order).  Returns the sparse map T from coordinates to the column-stacked
+    vec, and the vec indices of the diagonal and of the strict upper
+    triangle."""
+    i, j = np.triu_indices(d, 1)
+    m = i.size
+    diag = np.arange(d) * (d + 1)
+    upper, lower = i + j * d, j + i * d
+    re, im = d + np.arange(m), d + m + np.arange(m)
+    t = sp.csr_matrix(
+        (np.concatenate([np.ones(d + 2 * m), np.full(m, 1j), np.full(m, -1j)]),
+         (np.concatenate([diag, upper, lower, upper, lower]),
+          np.concatenate([np.arange(d), re, re, im, im]))),
+        shape=(d * d, d * d))
+    return t, diag, upper
+
+
 def steady_state_solve(liou: Liouvillian) -> SteadyState:
-    """Null-space steady state of the full generator: solve L x = 0 with the
-    trace constraint replacing row 0, by sparse LU (SuperLU, COLAMD column
-    ordering).  A pivot below PIVOT_RATIO times the largest one means the
-    null space is not one-dimensional."""
+    """Null-space steady state of the full generator, solved in the real
+    coordinates r of Hermitian matrices (x = T r, see _hermitian_coordinates).
+
+    A Lindbladian maps Hermitian matrices to Hermitian ones, so L T has real
+    diagonal rows and its upper rows fix the lower ones: the real n x n
+    system R stacks Re of the diagonal rows of L T on Re and Im of its upper
+    rows, with the trace row in place of the (0,0) row.  SuperLU (`splu`,
+    COLAMD column ordering) factorises R, about half the work of the complex
+    system.  The uniqueness test is the same as for the complex L:
+    L(X^dagger) = L(X)^dagger, so the null space of L is closed under the
+    adjoint, and a complex null space of dimension k has a Hermitian part of
+    real dimension k.  R with the trace row is therefore nonsingular exactly
+    when the null space of L is one-dimensional; a pivot below PIVOT_RATIO
+    times the largest one, or a singular factorisation, raises
+    DegenerateSteadyStateError.  The solution and the eigenvalue-clipped
+    state are read back through T, so rho is exactly Hermitian."""
     d = liou.space.total_dim
     lsuper = liou.superoperator
+    t, diag, upper = _hermitian_coordinates(d)
+    lt = (lsuper @ t).tocsr()
+    upper_rows = lt[upper]
     trace_row = sp.csr_matrix(
-        (np.ones(d), (np.zeros(d, dtype=int), np.arange(0, d * d, d + 1))),
-        shape=(1, d * d))
-    a = sp.vstack([trace_row, lsuper[1:]], format="csc")
+        (np.ones(d), (np.zeros(d, dtype=int), np.arange(d))), shape=(1, d * d))
+    a = sp.vstack([trace_row, lt[diag[1:]].real, upper_rows.real,
+                   upper_rows.imag], format="csc")
+    a.eliminate_zeros()
     try:
         lu = spla.splu(a)
     except RuntimeError:
@@ -321,22 +363,21 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
         raise DegenerateSteadyStateError(
             f"smallest LU pivot {pivots.min():.3e} (largest {pivots.max():.3e}): "
             "null space is not one-dimensional")
-    rhs = np.zeros(d * d, dtype=complex)
+    rhs = np.zeros(d * d)
     rhs[0] = 1.0
-    x = lu.solve(rhs)
+    rho = (t @ lu.solve(rhs)).reshape((d, d), order="F")
 
-    rho = x.reshape((d, d), order="F")
-    rho = (rho + rho.conj().T) / 2.0
     rho /= np.trace(rho).real
     w, v = np.linalg.eigh(rho)
     if w.min() < -1e-8:
         raise SolverError(
             f"steady state has negative eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
-    rho = (v * w) @ v.conj().T
+    vec = ((v * w) @ v.conj().T).reshape(-1, order="F")
+    rho = (t @ np.concatenate([vec[diag].real, vec[upper].real,
+                               vec[upper].imag])).reshape((d, d), order="F")
     rho /= np.trace(rho).real
-    vec = rho.reshape(-1, order="F")
-    residual = float(np.linalg.norm(lsuper @ vec))
+    residual = float(np.linalg.norm(lsuper @ rho.reshape(-1, order="F")))
     dm = DensityMatrix(liou.space, rho)
     return SteadyState(rho=dm, populations=None, residual=residual,
                        method="sparse_lu")

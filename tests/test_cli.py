@@ -172,9 +172,29 @@ def test_cli_steady_converge(tmp_path):
     assert main(["steady", "--config", str(CONFIG_PATH), "--out", str(out),
                  "--converge"]) == EXIT_OK
     pops = json.loads((out / "populations.json").read_text())
-    assert pops["mech_truncation"] >= 16
+    assert pops["mech_truncation"] == 16
     # the raw-input pipeline lands slightly above the quoted-parameter value
     assert pops["reduced"][1] == pytest.approx(0.954, abs=0.01)
+    # the regime is graded at the truncation the run ended at; steady does
+    # not gate on it
+    manifest = json.loads((out / "manifest.json").read_text())
+    rwa = next(c for c in manifest["regime_report"]["checks"]
+               if c["name"] == "rwa")
+    assert rwa["description"].endswith("at n = 16")
+    assert rwa["status"] == "fail"
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_steady_ground_state_without_drives(tmp_path):
+    # at 0 K with no drives nothing adds phonons: every up rate is exactly 0
+    # and the oscillator sits in its ground state, without a log(0) warning
+    def mutate(raw):
+        raw["device"].update(drives=[], temperature="0 K")
+    path = write_variant(tmp_path, mutate)
+    out = tmp_path / "out"
+    assert main(["steady", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    pops = json.loads((out / "populations.json").read_text())
+    assert pops["reduced"] == [1.0] + [0.0] * (len(pops["reduced"]) - 1)
 
 
 def test_cli_steady_converge_grows_small_truncation(tmp_path):

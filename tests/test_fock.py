@@ -115,6 +115,24 @@ def test_lift_distributes_over_products(pair, rng):
     np.testing.assert_allclose(left.to_dense(), right.to_dense(), atol=1e-12)
 
 
+@pytest.mark.parametrize("slot", range(4))
+def test_lift_matches_kron_per_factor(slot, rng):
+    # reference: one Kronecker product per factor, identities elsewhere
+    space = CompositeSpace(tuple(FockSpace(d, f"f{i}")
+                                 for i, d in enumerate((4, 2, 3, 2))))
+    d = space.dims[slot]
+    op = FockOperator(space.factors[slot], sp.csr_matrix(
+        rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))))
+    ref = sp.identity(1, dtype=complex, format="csr")
+    for i, f in enumerate(space.factors):
+        blk = op.matrix if i == slot else sp.identity(f.dim, dtype=complex)
+        ref = sp.kron(ref, blk, format="csr")
+    m = lift(op, space, slot).matrix
+    np.testing.assert_array_equal(m.indptr, ref.indptr)
+    np.testing.assert_array_equal(m.indices, ref.indices)
+    np.testing.assert_array_equal(m.data, ref.data)
+
+
 def test_lift_errors(pair):
     with pytest.raises(FockError):
         lift(number(FockSpace(4, "z")), pair, 0)     # dim mismatch

@@ -11,10 +11,10 @@ from nanomech.fock import (CompositeSpace, FockSpace, diagonal_density,
                            fock_state, lift, number, partial_trace,
                            tensor_density)
 from nanomech.lindblad import (DegenerateSteadyStateError, LaserParams,
-                               Liouvillian, SystemConfig, TruncationError,
-                               birth_death_rates, build_full_hamiltonian,
-                               build_full_liouvillian, build_reduced_generator,
-                               mechanical_hamiltonian,
+                               Liouvillian, SolverError, SystemConfig,
+                               TruncationError, birth_death_rates,
+                               build_full_hamiltonian, build_full_liouvillian,
+                               build_reduced_generator, mechanical_hamiltonian,
                                reduced_steady_populations, steady_state_solve,
                                time_evolve, transition_rates)
 
@@ -214,6 +214,13 @@ def test_reduced_fock_targeting():
     p = reduced_steady_populations(quoted_system(mech_dim=8)).populations
     assert p[1] == pytest.approx(0.949, abs=0.002)
     assert p.argmax() == 1
+
+
+def test_reduced_chain_without_down_rate_rejected():
+    # no bath and no drive: nothing removes phonons, and the recursion would
+    # divide by zero
+    with pytest.raises(SolverError, match=r"line 1 -> 0"):
+        reduced_steady_populations(mech_only(gamma_m=0.0), tail_check=False)
 
 
 def test_reduced_truncation_error_thermal_tail():
