@@ -269,7 +269,7 @@ def run_spectrum(cfg: RunConfig, selftest=False):
     n_lines = min(4, sysc.mech_dim - 2)
     span = cfg.simulation.spectrum_span
     if span is None:
-        span = 2.0 * (sysc.delta_n(n_lines) + 3.0 * sysc.lam)
+        span = 2.0 * (drive_rates.delta[n_lines - 1] + 3.0 * sysc.lam)
     freqs = np.linspace(-span / 2.0, span / 2.0, cfg.simulation.spectrum_points)
     spec = power_spectrum(
         reduced.populations, drive_rates, probe_rates, 0.0, freqs,

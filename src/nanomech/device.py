@@ -212,6 +212,11 @@ def nonlinearity_per_phonon(beam: BeamSpec, omega_m: float) -> float:
     return 0.045 * hbar * w0**2 / (beam.mass * beam.kappa_tilde**2 * omega_m**2)
 
 
+def transition_frequency(omega_m_prime: float, lam: float, n):
+    """delta_n = w_m' + lam (n - 1), the |n-1> <-> |n> frequency (n: array ok)."""
+    return omega_m_prime + lam * (n - 1)
+
+
 # ---------------------------------------------------------------------------
 # electrostatic softening
 
@@ -242,7 +247,6 @@ def electrostatic_quadratic(field_model, beam: BeamSpec,
     The field model must provide dW_dx(y) and d2W_dx2(y): first and second
     transverse derivatives of the energy line density
     W = -(alpha_par E_par^2 + alpha_perp E_perp^2)/2 on the beam axis.
-    Models expose them either analytically or via sampled-grid interpolation.
     """
     phi = mode_shape(beam)
     dW = field_model.energy_gradient(alpha_par, alpha_perp)
@@ -250,20 +254,6 @@ def electrostatic_quadratic(field_model, beam: BeamSpec,
     v1 = _refining_trapz(lambda y: dW(y) * phi(y), 0.0, beam.length)
     v2 = 0.5 * _refining_trapz(lambda y: d2W(y) * phi(y) ** 2, 0.0, beam.length)
     return float(v1), float(v2)
-
-
-class UniformField:
-    """Spatially homogeneous field: no gradient force, no softening."""
-
-    def __init__(self, e_par=0.0, e_perp=0.0):
-        self.e_par = e_par
-        self.e_perp = e_perp
-
-    def energy_gradient(self, alpha_par, alpha_perp):
-        return lambda y: np.zeros_like(np.asarray(y, dtype=float))
-
-    def energy_curvature(self, alpha_par, alpha_perp):
-        return lambda y: np.zeros_like(np.asarray(y, dtype=float))
 
 
 class QuadraticTestPotential:
@@ -313,34 +303,6 @@ class GaussianTipField:
             return -2.0 * amp * self._envelope2(y) / self.x_scale**2
 
         return d2W
-
-
-class SampledField:
-    """Field model from sampled transverse-derivative grids along the beam."""
-
-    def __init__(self, y, de_par_dx, d2e_par_dx2, e_par,
-                 de_perp_dx=None, d2e_perp_dx2=None, e_perp=None):
-        self.y = np.asarray(y, dtype=float)
-        self.e_par = np.asarray(e_par, dtype=float)
-        self.de_par = np.asarray(de_par_dx, dtype=float)
-        self.d2e_par = np.asarray(d2e_par_dx2, dtype=float)
-        zero = np.zeros_like(self.y)
-        self.e_perp = zero if e_perp is None else np.asarray(e_perp, dtype=float)
-        self.de_perp = zero if de_perp_dx is None else np.asarray(de_perp_dx, dtype=float)
-        self.d2e_perp = zero if d2e_perp_dx2 is None else np.asarray(d2e_perp_dx2, dtype=float)
-
-    def _interp(self, samples):
-        return lambda y: np.interp(np.asarray(y, dtype=float), self.y, samples)
-
-    def energy_gradient(self, alpha_par, alpha_perp):
-        s = -(alpha_par * self.e_par * self.de_par
-              + alpha_perp * self.e_perp * self.de_perp)
-        return self._interp(s)
-
-    def energy_curvature(self, alpha_par, alpha_perp):
-        s = -(alpha_par * (self.de_par**2 + self.e_par * self.d2e_par)
-              + alpha_perp * (self.de_perp**2 + self.e_perp * self.d2e_perp))
-        return self._interp(s)
 
 
 def buckling_threshold(beam: BeamSpec) -> float:
@@ -397,12 +359,9 @@ def cavity_amplitude(drive: DriveSpec, detuning: float, kappa: float,
             / (detuning + 1j * kappa / 2.0))
 
 
-def enhanced_coupling(g0: float, drive: DriveSpec, detuning: float,
-                      kappa: float, external_fraction: float,
-                      x_zpm: float, omega_L: float):
-    """Drive-enhanced coupling g = 2 alpha x_zpm G0; returns (g, |alpha|^2)."""
-    alpha = cavity_amplitude(drive, detuning, kappa, external_fraction, omega_L)
-    return 2.0 * alpha * x_zpm * g0, float(abs(alpha) ** 2)
+def enhanced_coupling(g0: float, alpha: complex, x_zpm: float) -> complex:
+    """Drive-enhanced coupling g = 2 alpha x_zpm G0."""
+    return 2.0 * alpha * x_zpm * g0
 
 
 def degraded_finesse(cavity: CavitySpec, electrode: ElectrodeSpec,
@@ -465,10 +424,10 @@ class DerivedParams:
     lasers: tuple[LaserDerived, ...] = ()
 
     def delta_n(self, n: int) -> float:
-        """Transition frequency between |n-1> and |n>: w_m' + lam*(n-1)."""
+        """Transition frequency between |n-1> and |n> (n >= 1)."""
         if n < 1:
             raise DeviceError("delta_n defined for n >= 1")
-        return self.omega_m_prime + self.lam * (n - 1)
+        return transition_frequency(self.omega_m_prime, self.lam, n)
 
     @property
     def g_abs_max(self) -> float:
@@ -519,14 +478,13 @@ def derive_parameters(beam: BeamSpec, softening: SofteningSpec,
         omega_L = d.laser_frequency or cavity.resonance_frequency
         det = resolve_detuning(d.detuning, base.delta_n)
         g0 = coupling_G0(cavity, alpha_par, beam.length, omega_L)
-        g, nphot = enhanced_coupling(
-            g0, d, det, kappa, cavity.external_coupling_fraction, x_zpm, omega_L)
         alpha = cavity_amplitude(d, det, kappa,
                                  cavity.external_coupling_fraction, omega_L)
         lasers.append(LaserDerived(
             input_power=d.input_power, omega_L=omega_L, detuning=det,
-            detuning_spec=d.detuning, alpha=alpha, photon_number=nphot,
-            g0=g0, g=g))
+            detuning_spec=d.detuning, alpha=alpha,
+            photon_number=float(abs(alpha) ** 2), g0=g0,
+            g=enhanced_coupling(g0, alpha, x_zpm)))
     return replace(base, lasers=tuple(lasers))
 
 
@@ -550,10 +508,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.status == "pass" for c in self.checks)
 
     def by_name(self, name: str) -> RegimeCheck:
         for c in self.checks:

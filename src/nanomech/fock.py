@@ -18,11 +18,6 @@ import scipy.sparse as sp
 # magnitude below which matrix entries are dropped as structural zeros
 ZERO_DROP = 1e-15
 
-# validation tolerances for density matrices coming out of solvers
-TRACE_TOL = 1e-10
-HERM_TOL = 1e-10
-EIG_TOL = 1e-8
-
 
 class FockError(ValueError):
     """Dimension/slot mismatch or invalid operator construction."""
@@ -119,14 +114,6 @@ class FockOperator:
     def __neg__(self) -> "FockOperator":
         return self * (-1.0)
 
-    def dump_coo(self, path):
-        """Debug dump as a coordinate-list text file: row col re im."""
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            fh.write("# row col re im\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -149,19 +136,6 @@ class DensityMatrix:
     def populations(self) -> np.ndarray:
         return np.real(np.diag(self.matrix))
 
-    def validate(self, trace_tol=TRACE_TOL, herm_tol=HERM_TOL, eig_tol=EIG_TOL):
-        """Raise FockError unless Hermitian, unit trace, and near-positive."""
-        m = self.matrix
-        tr = np.trace(m)
-        if abs(tr - 1.0) > trace_tol:
-            raise FockError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        nrm = np.linalg.norm(m)
-        if nrm > 0 and np.linalg.norm(m - m.conj().T) / nrm > herm_tol:
-            raise FockError("density matrix is not Hermitian to tolerance")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if w.min() < -eig_tol:
-            raise FockError(f"negative eigenvalue {w.min():.3e}")
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -174,28 +148,8 @@ def annihilation(space: FockSpace) -> FockOperator:
     return FockOperator(space, m)
 
 
-def creation(space: FockSpace) -> FockOperator:
-    return annihilation(space).dagger()
-
-
 def number(space: FockSpace) -> FockOperator:
     m = sp.diags(np.arange(space.dim, dtype=float), format="csr", dtype=complex)
-    return FockOperator(space, m)
-
-
-def identity(space) -> FockOperator:
-    comp = _as_composite(space)
-    return FockOperator(comp, sp.identity(comp.total_dim, dtype=complex, format="csr"))
-
-
-def fock_transition(space: FockSpace, n: int) -> FockOperator:
-    """The operator sqrt(n) |n-1><n| on a single mode."""
-    if not 1 <= n <= space.dim - 1:
-        raise FockError(f"transition index n={n} outside 1..{space.dim - 1}")
-    m = sp.csr_matrix(
-        (np.array([np.sqrt(n)], dtype=complex),
-         (np.array([n - 1]), np.array([n]))),
-        shape=(space.dim, space.dim))
     return FockOperator(space, m)
 
 
@@ -239,16 +193,6 @@ def lift(op: FockOperator, composite: CompositeSpace, slot: int) -> FockOperator
                                            format="csr"))
 
 
-def tensor_density(*rhos: DensityMatrix) -> DensityMatrix:
-    """Tensor product of density matrices, in factor order."""
-    factors = []
-    m = np.array([[1.0 + 0j]])
-    for rho in rhos:
-        factors.extend(rho.space.factors)
-        m = np.kron(m, rho.matrix)
-    return DensityMatrix(CompositeSpace(tuple(factors)), m)
-
-
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     """Trace out all factors except the one at index ``keep``."""
     dims = rho.space.dims
@@ -262,10 +206,3 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
             continue
         t = np.trace(t, axis1=ax, axis2=ax + (t.ndim // 2))
     return DensityMatrix(rho.space.factors[keep], t)
-
-
-def expectation(rho: DensityMatrix, op: FockOperator) -> complex:
-    """Tr(rho * op)."""
-    if rho.space.dims != op.space.dims:
-        raise FockError("expectation: spaces do not match")
-    return complex((op.matrix @ rho.matrix).diagonal().sum())

@@ -1,6 +1,6 @@
 """Lindblad generators for the driven nonlinear optomechanical system:
 the full multi-mode master equation and the reduced Fock-resolved
-birth-death model, with steady-state solvers and time evolution.
+birth-death model, with their steady-state solvers.
 
 Vectorization is column-stacking: vec(A X B) = (B^T kron A) vec(X).
 """
@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
 
+from .device import transition_frequency
 from .fock import (CompositeSpace, DensityMatrix, FockOperator, FockSpace,
                    annihilation, lift, number)
 
@@ -23,7 +23,7 @@ PIVOT_RATIO = 1e-12
 
 
 class SolverError(RuntimeError):
-    """Steady-state or time-evolution failure."""
+    """Steady-state failure."""
 
 
 class DegenerateSteadyStateError(SolverError):
@@ -32,10 +32,6 @@ class DegenerateSteadyStateError(SolverError):
 
 class TruncationError(SolverError):
     """Population tail does not decay within the available levels."""
-
-
-class StiffnessError(SolverError):
-    """Explicit integrator underflowed; use the steady-state solver."""
 
 
 @dataclass(frozen=True)
@@ -82,9 +78,6 @@ class SystemConfig:
         factors = [FockSpace(self.mech_dim, "mech")]
         factors += [FockSpace(d, f"cav{j}") for j, d in enumerate(self.cavity_dims)]
         return CompositeSpace(tuple(factors))
-
-    def delta_n(self, n: int) -> float:
-        return self.omega_m_prime + self.lam * (n - 1)
 
 
 @dataclass(frozen=True)
@@ -216,7 +209,8 @@ def transition_rates(config: SystemConfig) -> RateTable:
     nj = len(config.lasers)
     a_plus = np.zeros((n_max, nj))
     a_minus = np.zeros((n_max, nj))
-    delta = np.array([config.delta_n(n) for n in range(1, n_max + 1)])
+    delta = transition_frequency(config.omega_m_prime, config.lam,
+                                 np.arange(1, n_max + 1))
     kap = config.kappa
     for j, laser in enumerate(config.lasers):
         g2k = abs(laser.g) ** 2 * kap
@@ -249,15 +243,6 @@ def rate_matrix(up: np.ndarray, down: np.ndarray) -> sp.csr_matrix:
     up_w, down_w, out = level_rates(up, down)
     return sp.diags([up_w, -out, down_w], [-1, 0, 1], format="csr",
                     dtype=complex)
-
-
-def birth_death_rates(config: SystemConfig):
-    """Level rates n up_n and n down_n of the population chain for
-    n = 1..mech_dim - 1, with the rate table."""
-    rates = transition_rates(config)
-    up_w, down_w, _ = level_rates(*chain_rates(rates, config.gamma_m,
-                                               config.n_bar))
-    return up_w, down_w, rates
 
 
 def build_reduced_generator(config: SystemConfig) -> sp.csr_matrix:
@@ -381,34 +366,3 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     dm = DensityMatrix(liou.space, rho)
     return SteadyState(rho=dm, populations=None, residual=residual,
                        method="sparse_lu")
-
-
-# ---------------------------------------------------------------------------
-# time evolution
-
-def time_evolve(liou: Liouvillian, rho0: DensityMatrix, t_final: float,
-                tolerance: float = 1e-10, n_samples: int = 20):
-    """Adaptive integration of the vectorized master equation; returns
-    (times, [DensityMatrix]).  Trace drift beyond 1e-8 raises."""
-    d = liou.space.total_dim
-    lsuper = liou.superoperator
-    y0 = rho0.matrix.reshape(-1, order="F")
-
-    def rhs(_t, y):
-        return lsuper @ y
-
-    t_eval = np.linspace(0.0, t_final, n_samples)
-    sol = solve_ivp(rhs, (0.0, t_final), y0, method="RK45",
-                    t_eval=t_eval, rtol=tolerance, atol=tolerance * 1e-2)
-    if not sol.success:
-        raise StiffnessError(
-            f"integrator failed ({sol.message}); the generator is likely stiff, "
-            "use steady_state_solve instead")
-    states = []
-    for k in range(sol.y.shape[1]):
-        m = sol.y[:, k].reshape((d, d), order="F")
-        drift = abs(np.trace(m).real - 1.0)
-        if drift > 1e-8:
-            raise SolverError(f"trace drift {drift:.3e} during evolution")
-        states.append(DensityMatrix(liou.space, m))
-    return sol.t, states

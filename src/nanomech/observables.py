@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .fock import DensityMatrix
-from .lindblad import (RateTable, chain_rates, level_rates,
+from .lindblad import (RateTable, SolverError, chain_rates, level_rates,
                        populations_from_log_ratios)
 
 WIGNER_BOUND = 2.0 / np.pi
@@ -87,6 +87,9 @@ def wigner_origin(populations) -> float:
 
 
 def _package(x, p, w, origin, check_norm):
+    if not np.isfinite(w).all():
+        raise SolverError(f"Wigner series overflows at {np.sum(~np.isfinite(w))}"
+                          f" of {w.size} grid points")
     idx = np.unravel_index(np.argmin(w), w.shape)
     data = WignerData(
         x=np.asarray(x, dtype=float), p=np.asarray(p, dtype=float),
@@ -110,10 +113,13 @@ def wigner_from_populations(populations, x, p, check_norm=True) -> WignerData:
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     r2 = x[None, :] ** 2 + p[:, None] ** 2
-    lag = _genlaguerre_table(pn.size - 1, 0, 4.0 * r2)
     signs = np.where(np.arange(pn.size) % 2 == 0, 1.0, -1.0)
-    # fold the Gaussian into the sum per point to keep large-n terms bounded
-    w = WIGNER_BOUND * np.exp(-2.0 * r2) * np.tensordot(signs * pn, lag, axes=(0, 0))
+    # the Gaussian multiplies the finished sum, so the unscaled Laguerre
+    # terms can overflow at large n and r; _package refuses inf and NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        lag = _genlaguerre_table(pn.size - 1, 0, 4.0 * r2)
+        w = WIGNER_BOUND * np.exp(-2.0 * r2) * np.tensordot(signs * pn, lag,
+                                                            axes=(0, 0))
     return _package(x, p, w, wigner_origin(pn), check_norm)
 
 
@@ -149,20 +155,22 @@ def wigner_from_density_matrix(rho: DensityMatrix, x, p,
                           where=np.abs(beta) > 0)
     unit_b = np.divide(beta, np.abs(beta), out=np.ones_like(beta),
                        where=np.abs(beta) > 0)
-    for k in range(d):          # k = n - m
-        lag = _genlaguerre_table(d - 1 - k, k, babs2)
-        if k > 0:
-            phase = phase * unit_b
-            logb = logb + logabs_b
-        for mm in range(d - k):
-            nn = mm + k
-            coef = m[nn, mm] * (-1) ** mm
-            if coef == 0:
-                continue
-            logpref = (0.5 * (gammaln(mm + 1) - gammaln(nn + 1))
-                       + logb - 0.5 * babs2)
-            term = coef * phase * np.exp(logpref) * lag[mm]
-            w += term.real if k == 0 else 2.0 * term.real
+    # overflow of the Laguerre terms is refused by _package, as above
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(d):          # k = n - m
+            lag = _genlaguerre_table(d - 1 - k, k, babs2)
+            if k > 0:
+                phase = phase * unit_b
+                logb = logb + logabs_b
+            for mm in range(d - k):
+                nn = mm + k
+                coef = m[nn, mm] * (-1) ** mm
+                if coef == 0:
+                    continue
+                logpref = (0.5 * (gammaln(mm + 1) - gammaln(nn + 1))
+                           + logb - 0.5 * babs2)
+                term = coef * phase * np.exp(logpref) * lag[mm]
+                w += term.real if k == 0 else 2.0 * term.real
     w *= WIGNER_BOUND
     origin = wigner_origin(np.real(np.diag(m)))
     return _package(x, p, w, origin, check_norm)

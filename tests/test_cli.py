@@ -167,6 +167,26 @@ def test_cli_steady_outputs_and_determinism(tmp_path):
     assert len(wigner_lines) == 2 + 101 * 101
 
 
+@pytest.mark.parametrize("command", [["spectrum", "--selftest"],
+                                     ["steady", "--full", "--compare"]],
+                         ids=["spectrum_selftest", "steady_full_compare"])
+def test_cli_outputs_are_deterministic(tmp_path, command):
+    # two runs write byte-identical files, apart from the manifest timestamp
+    def mutate(raw):
+        raw["simulation"]["mech_truncation"] = 4
+    path = str(write_variant(tmp_path, mutate))
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    for out in (out1, out2):
+        assert main([*command, "--config", path, "--out", str(out)]) == EXIT_OK
+    names = sorted(f.name for f in out1.iterdir())
+    assert names == sorted(f.name for f in out2.iterdir())
+    assert "manifest.json" in names and len(names) == 3
+    for name in names:
+        one, two = ([line for line in (out / name).read_text().splitlines()
+                     if '"timestamp_utc"' not in line] for out in (out1, out2))
+        assert one == two, name
+
+
 def test_cli_steady_converge(tmp_path):
     out = tmp_path / "out"
     assert main(["steady", "--config", str(CONFIG_PATH), "--out", str(out),
@@ -221,6 +241,19 @@ def test_cli_steady_converge_unsettled_at_cap(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "not settled" in err and "mech_truncation 256" in err
     assert not out.exists()
+
+
+def test_cli_steady_refuses_overflowing_wigner(tmp_path, capsys):
+    # at 240 levels the upward Laguerre recurrence overflows on the default
+    # grid: the run fails with the solver exit code and writes no Wigner file
+    def mutate(raw):
+        raw["simulation"]["mech_truncation"] = 240
+        del raw["simulation"]["wigner_grid"]
+    out = tmp_path / "out"
+    assert main(["steady", "--config", str(write_variant(tmp_path, mutate)),
+                 "--out", str(out)]) == EXIT_SOLVER
+    assert "Wigner series overflows" in capsys.readouterr().err
+    assert not (out / "wigner.csv").exists()
 
 
 def test_cli_spectrum_outputs(tmp_path):

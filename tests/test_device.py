@@ -5,9 +5,9 @@ from scipy.constants import hbar, k as kB
 from nanomech.device import (POLARIZABILITY_UNIT, BeamSpec, BucklingError,
                              CavitySpec, DeviceError, DriveSpec,
                              ElectrodeSpec, GaussianTipField,
-                             QuadraticTestPotential, SampledField,
-                             SofteningSpec, UniformField, base_frequency,
-                             buckling_threshold, cavity_linewidth,
+                             QuadraticTestPotential, SofteningSpec,
+                             base_frequency, buckling_threshold,
+                             cavity_amplitude, cavity_linewidth,
                              coupling_G0, degraded_finesse, derive_parameters,
                              duffing_coefficient, electrostatic_quadratic,
                              enhanced_coupling, mode_shape,
@@ -125,14 +125,6 @@ def test_nonlinearity_rejects_nonpositive_frequency():
 # ---------------------------------------------------------------------------
 # electrostatic softening
 
-def test_uniform_field_has_no_effect():
-    beam = cnt_beam()
-    v1, v2 = electrostatic_quadratic(UniformField(1e7), beam,
-                                     142 * POLARIZABILITY_UNIT)
-    assert v1 == 0.0
-    assert v2 == 0.0
-
-
 def test_quadratic_test_potential_closed_form():
     # W = -c x^2 along the whole beam: V2 = -c * integral(phi^2) exactly
     beam = cnt_beam()
@@ -142,24 +134,26 @@ def test_quadratic_test_potential_closed_form():
     assert v2 == pytest.approx(expected, rel=1e-6)
 
 
-def test_sampled_field_matches_analytic_model():
-    beam = cnt_beam()
-    model = GaussianTipField(e_par_peak=1.2e7, e_perp_peak=2.35e6,
-                             center=beam.length / 2, width=0.2 * beam.length,
-                             gradient_scale=20e-9)
-    y = np.linspace(0.0, beam.length, 4001)
-    env = np.exp(-((y - beam.length / 2) ** 2) / (2 * (0.2 * beam.length) ** 2))
-    xs = 20e-9
-    sampled = SampledField(
-        y, e_par=1.2e7 * env, de_par_dx=1.2e7 * env / xs,
-        d2e_par_dx2=1.2e7 * env / xs**2,
-        e_perp=2.35e6 * env, de_perp_dx=2.35e6 * env / xs,
-        d2e_perp_dx2=2.35e6 * env / xs**2)
+def test_gaussian_tip_field_derivatives():
+    # dW/dx and d2W/dx2 of the model against central differences of its
+    # energy line density W = -(a_par E_par^2 + a_perp E_perp^2)/2, with
+    # E = E_peak exp(-(y - y0)^2 / (2 w^2)) exp(x / x_scale), at x = 0
+    e_par, e_perp, y0, w, xs = 1.2e7, 2.35e6, 0.5e-6, 0.2e-6, 20e-9
+    model = GaussianTipField(e_par_peak=e_par, e_perp_peak=e_perp, center=y0,
+                             width=w, gradient_scale=xs)
     ap, aperp = 142 * POLARIZABILITY_UNIT, 10.9 * POLARIZABILITY_UNIT
-    v1a, v2a = electrostatic_quadratic(model, beam, ap, aperp)
-    v1s, v2s = electrostatic_quadratic(sampled, beam, ap, aperp)
-    assert v1s == pytest.approx(v1a, rel=1e-4)
-    assert v2s == pytest.approx(v2a, rel=1e-4)
+    y = np.linspace(0.0, 1e-6, 101)
+
+    def energy(x):
+        env = np.exp(-((y - y0) ** 2) / (2 * w**2) + x / xs)
+        return -(ap * (e_par * env) ** 2 + aperp * (e_perp * env) ** 2) / 2
+
+    h = 1e-3 * xs
+    np.testing.assert_allclose(model.energy_gradient(ap, aperp)(y),
+                               (energy(h) - energy(-h)) / (2 * h), rtol=1e-6)
+    np.testing.assert_allclose(
+        model.energy_curvature(ap, aperp)(y),
+        (energy(h) - 2 * energy(0.0) + energy(-h)) / h**2, rtol=1e-5)
 
 
 def test_softened_frequency_from_zeta():
@@ -195,11 +189,11 @@ def test_softening_spec_validation():
     with pytest.raises(DeviceError):
         SofteningSpec()
     with pytest.raises(DeviceError):
-        SofteningSpec(zeta=2.0, field_model=UniformField())
+        SofteningSpec(zeta=2.0, field_model=QuadraticTestPotential(0.0))
     with pytest.raises(DeviceError):
         SofteningSpec(zeta=0.5)
     with pytest.raises(DeviceError):
-        SofteningSpec(field_model=UniformField())    # alpha_par missing
+        SofteningSpec(field_model=QuadraticTestPotential(0.0))  # no alpha_par
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +235,11 @@ def test_enhanced_coupling_reference_magnitude():
     x = zero_point_motion(beam.mass, wm)
     g0 = coupling_G0(cav, 142 * POLARIZABILITY_UNIT, beam.length)
     drive = DriveSpec(input_power=1.2, detuning=0.0)
-    g, nphot = enhanced_coupling(g0, drive, wm, cavity_linewidth(cav),
-                                 0.1, x, cav.resonance_frequency)
+    alpha = cavity_amplitude(drive, wm, cavity_linewidth(cav), 0.1,
+                             cav.resonance_frequency)
+    g = enhanced_coupling(g0, alpha, x)
     assert 14e3 < abs(g) / TWO_PI < 32e3
-    assert nphot > 0
+    assert abs(alpha) > 0
 
 
 def test_enhanced_coupling_power_scaling():
@@ -252,18 +247,18 @@ def test_enhanced_coupling_power_scaling():
     kap = cavity_linewidth(cav)
     g0 = coupling_G0(cav, 142 * POLARIZABILITY_UNIT, 1e-6)
     wl = cav.resonance_frequency
-    g1, n1 = enhanced_coupling(g0, DriveSpec(1.0, 0.0), 1e6, kap, 0.1, 1e-12, wl)
-    g4, n4 = enhanced_coupling(g0, DriveSpec(4.0, 0.0), 1e6, kap, 0.1, 1e-12, wl)
+    a1 = cavity_amplitude(DriveSpec(1.0, 0.0), 1e6, kap, 0.1, wl)
+    a4 = cavity_amplitude(DriveSpec(4.0, 0.0), 1e6, kap, 0.1, wl)
+    g1, g4 = (enhanced_coupling(g0, a, 1e-12) for a in (a1, a4))
     assert abs(g4) == pytest.approx(2.0 * abs(g1))
-    assert n4 == pytest.approx(4.0 * n1)
+    assert abs(a4) ** 2 == pytest.approx(4.0 * abs(a1) ** 2)
 
 
 def test_cavity_photon_number_on_resonance():
     cav = toroid_cavity()
     kap = cavity_linewidth(cav)
     wl = cav.resonance_frequency
-    _, nphot = enhanced_coupling(coupling_G0(cav, POLARIZABILITY_UNIT, 1e-6),
-                                 DriveSpec(1e-3, 0.0), 0.0, kap, 0.1, 1e-12, wl)
+    nphot = abs(cavity_amplitude(DriveSpec(1e-3, 0.0), 0.0, kap, 0.1, wl)) ** 2
     expected = 1e-3 * 0.1 * kap / (hbar * wl) / (kap / 2.0) ** 2
     assert nphot == pytest.approx(expected, rel=1e-12)
 
@@ -376,7 +371,7 @@ def test_regime_check_thresholds(reference_derived):
     assert not strict.ok
     lax = regime_check(reference_derived, n_max=8, pass_ratio=10.0,
                        warn_ratio=20.0)
-    assert lax.all_pass
+    assert all(c.status == "pass" for c in lax.checks)
 
 
 def test_report_serialization(reference_derived):

@@ -4,10 +4,9 @@ import pytest
 import scipy.sparse as sp
 
 from nanomech.fock import (CompositeSpace, DensityMatrix, FockError,
-                           FockOperator, FockSpace, annihilation, creation,
-                           diagonal_density, expectation, fock_state,
-                           fock_transition, identity, lift, number,
-                           partial_trace, tensor_density)
+                           FockOperator, FockSpace, annihilation,
+                           diagonal_density, fock_state, lift, number,
+                           partial_trace)
 
 
 @pytest.fixture
@@ -29,9 +28,11 @@ def test_annihilation_entries(mode3):
 
 
 def test_creation_is_dagger(mode3):
-    b = annihilation(mode3)
-    np.testing.assert_array_equal(creation(mode3).to_dense(),
-                                  b.dagger().to_dense())
+    expected = np.array([[0, 0, 0],
+                         [1, 0, 0],
+                         [0, np.sqrt(2), 0]], dtype=complex)
+    np.testing.assert_array_equal(annihilation(mode3).dagger().to_dense(),
+                                  expected)
 
 
 def test_number_equals_bdag_b(mode3):
@@ -49,29 +50,6 @@ def test_commutator_truncation_artifact():
     diag = np.real(np.diag(comm))
     np.testing.assert_allclose(diag[:-1], 1.0, atol=1e-14)
     assert diag[-1] == pytest.approx(1.0 - space.dim)
-
-
-def test_fock_transition_entries():
-    space = FockSpace(4, "m")
-    t2 = fock_transition(space, 2).to_dense()
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[1, 2] = np.sqrt(2)
-    np.testing.assert_array_equal(t2, expected)
-
-
-def test_fock_transitions_sum_to_annihilation():
-    space = FockSpace(5, "m")
-    total = fock_transition(space, 1)
-    for n in range(2, 5):
-        total = total + fock_transition(space, n)
-    np.testing.assert_allclose(total.to_dense(),
-                               annihilation(space).to_dense(), atol=1e-15)
-
-
-@pytest.mark.parametrize("n", [0, 5, -1])
-def test_fock_transition_out_of_range(n):
-    with pytest.raises(FockError):
-        fock_transition(FockSpace(5, "m"), n)
 
 
 def test_space_validation():
@@ -145,7 +123,7 @@ def test_partial_trace_recovers_product_factors(pair):
                                                      [-0.1j, 0.75]]))
     p_b = np.array([0.5, 0.3, 0.2])
     rho_b = diagonal_density(pair.factors[1], p_b)
-    joint = tensor_density(rho_a, rho_b)
+    joint = DensityMatrix(pair, np.kron(rho_a.matrix, rho_b.matrix))
     np.testing.assert_allclose(partial_trace(joint, 0).matrix,
                                rho_a.matrix, atol=1e-14)
     np.testing.assert_allclose(partial_trace(joint, 1).matrix,
@@ -166,21 +144,11 @@ def test_partial_trace_three_factors(rng):
         m = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
         m = m @ m.conj().T
         parts.append(DensityMatrix(s, m / np.trace(m)))
-    joint = tensor_density(*parts)
+    joint = DensityMatrix(CompositeSpace(tuple(spaces)), np.kron(
+        np.kron(parts[0].matrix, parts[1].matrix), parts[2].matrix))
     for k in range(3):
         np.testing.assert_allclose(partial_trace(joint, k).matrix,
                                    parts[k].matrix, atol=1e-13)
-
-
-def test_expectation_number(mode3):
-    rho = fock_state(mode3, 2)
-    assert expectation(rho, number(mode3)) == pytest.approx(2.0)
-    assert expectation(rho, identity(mode3)) == pytest.approx(1.0)
-
-
-def test_expectation_space_mismatch(mode3):
-    with pytest.raises(FockError):
-        expectation(fock_state(mode3, 0), number(FockSpace(4, "z")))
 
 
 def test_fock_state_composite(pair):
@@ -192,20 +160,6 @@ def test_fock_state_composite(pair):
         fock_state(pair, (0, 3))
     with pytest.raises(FockError):
         fock_state(pair, (0,))
-
-
-def test_density_validate(mode3):
-    good = diagonal_density(mode3, [0.5, 0.3, 0.2])
-    good.validate()
-    with pytest.raises(FockError):
-        diagonal_density(mode3, [0.5, 0.3, 0.3]).validate()     # trace
-    m = np.diag([0.6, 0.5, -0.1]).astype(complex)
-    with pytest.raises(FockError):
-        DensityMatrix(mode3, m).validate()                      # negativity
-    m2 = np.diag([0.5, 0.3, 0.2]).astype(complex)
-    m2[0, 1] = 0.2
-    with pytest.raises(FockError):
-        DensityMatrix(mode3, m2).validate()                     # hermiticity
 
 
 def test_operator_algebra_space_mismatch(mode3):
@@ -221,11 +175,3 @@ def test_scalar_multiplication(mode3):
     b = annihilation(mode3)
     np.testing.assert_allclose((2.5 * b).to_dense(), 2.5 * b.to_dense())
     np.testing.assert_allclose((-b).to_dense(), -b.to_dense())
-
-
-def test_dump_coo(tmp_path, mode3):
-    path = tmp_path / "op.txt"
-    annihilation(mode3).dump_coo(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("#")
-    assert len(lines) == 3  # two nonzeros + header

@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from nanomech.cli import run_device
 from nanomech.config import parse_config
 from nanomech.fock import (CompositeSpace, FockSpace, diagonal_density,
-                           fock_state, lift, number, partial_trace,
-                           tensor_density)
+                           fock_state, lift, number, partial_trace)
 from nanomech.lindblad import (DegenerateSteadyStateError, LaserParams,
                                Liouvillian, SolverError, SystemConfig,
-                               TruncationError, birth_death_rates,
-                               build_full_hamiltonian, build_full_liouvillian,
-                               build_reduced_generator, mechanical_hamiltonian,
+                               TruncationError, build_full_hamiltonian,
+                               build_full_liouvillian, build_reduced_generator,
+                               chain_rates, level_rates,
+                               mechanical_hamiltonian,
                                reduced_steady_populations, steady_state_solve,
-                               time_evolve, transition_rates)
+                               transition_rates)
 
 from conftest import (CONFIG_PATH, GAMMA_M, KAPPA, LAMBDA, N_BAR,
                       OMEGA_M_PRIME, quoted_system)
@@ -62,8 +63,9 @@ def test_space_layout():
     space = cfg.space()
     assert space.dims == (6, 3, 3, 3)
     assert space.factors[0].label == "mech"
-    assert cfg.delta_n(1) == pytest.approx(OMEGA_M_PRIME)
-    assert cfg.delta_n(3) == pytest.approx(OMEGA_M_PRIME + 2 * LAMBDA)
+    delta = transition_rates(cfg).delta
+    assert delta[0] == pytest.approx(OMEGA_M_PRIME)
+    assert delta[2] == pytest.approx(OMEGA_M_PRIME + 2 * LAMBDA)
 
 
 def test_mechanical_hamiltonian_spectrum():
@@ -71,8 +73,10 @@ def test_mechanical_hamiltonian_spectrum():
     diag = np.real(mechanical_hamiltonian(cfg).diagonal())
     expected = [2.0 * n + 0.25 * n * (n - 1) for n in range(5)]
     np.testing.assert_allclose(diag, expected)
-    # level spacings grow linearly: delta_n = w' + lam (n - 1)
-    np.testing.assert_allclose(np.diff(diag), [cfg.delta_n(n) for n in range(1, 5)])
+    # level spacings are the rate table's delta_n = w' + lam (n - 1)
+    delta = transition_rates(cfg).delta
+    np.testing.assert_allclose(delta, [2.0, 2.5, 3.0, 3.5])
+    np.testing.assert_allclose(np.diff(diag), delta)
 
 
 def test_full_hamiltonian_against_hand_built_matrix():
@@ -167,7 +171,8 @@ def test_transition_rates_lorentzian_values():
 
 def test_birth_death_rates_structure():
     cfg = quoted_system(mech_dim=6)
-    up, down, rates = birth_death_rates(cfg)
+    rates = transition_rates(cfg)
+    up, down, _ = level_rates(*chain_rates(rates, GAMMA_M, N_BAR))
     n = np.arange(1, 6)
     np.testing.assert_allclose(
         up, n * (rates.a_plus.sum(axis=1) + GAMMA_M * N_BAR))
@@ -277,7 +282,10 @@ def test_steady_state_residual_and_validity():
     cfg = small_driven(mech_dim=5, g=4.0e3, n_bar=0.3)
     liou = build_full_liouvillian(cfg)
     ss = steady_state_solve(liou)
-    ss.rho.validate()
+    rho = ss.rho.matrix
+    assert np.trace(rho) == pytest.approx(1.0, abs=1e-10)
+    np.testing.assert_array_equal(rho, rho.conj().T)
+    assert np.linalg.eigvalsh(rho).min() >= -1e-8
     scale = abs(liou.superoperator).max()
     assert ss.residual <= 1e-9 * scale
 
@@ -333,7 +341,19 @@ def test_adiabatic_limit_agreement(g_frac, tol):
 
 
 # ---------------------------------------------------------------------------
-# time evolution
+# time evolution, with scipy's expm_multiply as an independent oracle
+
+def evolve(liou, rho0, times):
+    """rho(t) = exp(t L) rho0 at evenly spaced times, each of unit trace."""
+    d = liou.space.total_dim
+    vecs = expm_multiply(liou.superoperator, rho0.reshape(-1, order="F"),
+                         start=times[0], stop=times[-1], num=len(times),
+                         endpoint=True)
+    states = [v.reshape((d, d), order="F") for v in vecs]
+    for m in states:
+        assert np.trace(m).real == pytest.approx(1.0, abs=1e-8)
+    return states
+
 
 def test_time_evolve_cavity_decay():
     # g = 0, gamma_m = 0: photon number decays as e^(-kappa t)
@@ -343,13 +363,11 @@ def test_time_evolve_cavity_decay():
                        lasers=(LaserParams(g=0.0, detuning=0.0),))
     liou = build_full_liouvillian(cfg)
     space = liou.space
-    rho0 = tensor_density(fock_state(space.factors[0], 0),
-                          fock_state(space.factors[1], 1))
-    t_final = 3.0 / kappa
+    rho0 = fock_state(space, (0, 1)).matrix
+    times = np.linspace(0.0, 3.0 / kappa, 7)
     n_cav = lift(number(space.factors[1]), space, 1)
-    times, states = time_evolve(liou, rho0, t_final, n_samples=7)
-    occupations = [np.real(np.trace(n_cav.to_dense() @ s.matrix))
-                   for s in states]
+    occupations = [np.real(np.trace(n_cav.to_dense() @ m))
+                   for m in evolve(liou, rho0, times)]
     np.testing.assert_allclose(occupations, np.exp(-kappa * times),
                                atol=1e-6)
 
@@ -363,11 +381,10 @@ def test_time_evolve_approaches_steady_state():
     liou = build_full_liouvillian(cfg)
     target = steady_state_solve(liou).rho.matrix
     space = liou.space
-    rho0 = tensor_density(
-        diagonal_density(space.factors[0], [0.4, 0.3, 0.2, 0.1]),
-        fock_state(space.factors[1], 0))
+    rho0 = np.kron(diagonal_density(space.factors[0], [0.4, 0.3, 0.2, 0.1]).matrix,
+                   fock_state(space.factors[1], 0).matrix)
     t_final = 3.0 / (cfg.gamma_m * (2.0 * cfg.n_bar + 1.0))
-    _, states = time_evolve(liou, rho0, t_final, n_samples=4)
-    d0 = np.max(np.abs(rho0.matrix - target))
-    d1 = np.max(np.abs(states[-1].matrix - target))
+    final = evolve(liou, rho0, [0.0, t_final])[-1]
+    d0 = np.max(np.abs(rho0 - target))
+    d1 = np.max(np.abs(final - target))
     assert d1 < d0 / 3.0

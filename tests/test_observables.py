@@ -161,7 +161,7 @@ def probe_system(power_scale=1.0, mech_dim=8):
 
 
 def spectrum_grid(cfg, n_lines=4, points=40001):
-    span = 2.0 * (cfg.delta_n(n_lines) + 3.0 * cfg.lam)
+    span = 2.0 * (transition_rates(cfg).delta[n_lines - 1] + 3.0 * cfg.lam)
     return np.linspace(-span / 2.0, span / 2.0, points)
 
 
@@ -204,8 +204,9 @@ def test_spectrum_peak_positions_and_pairing():
     assert spec.resolvable and spec.probe_resonant
     pk1p = spec.peak(1, "+")
     pk1m = spec.peak(1, "-")
-    assert pk1p.position == pytest.approx(drive.delta_n(1))
-    assert pk1m.position == pytest.approx(-drive.delta_n(1))
+    # the 0 <-> 1 line sits at delta_1 = w_m'
+    assert pk1p.position == pytest.approx(drive.omega_m_prime)
+    assert pk1m.position == pytest.approx(-drive.omega_m_prime)
     # neighbouring lines are split by lam
     assert spec.peak(2, "+").position - pk1p.position == pytest.approx(drive.lam)
     # the dominant upper sideband reflects the inverted n=1 population
@@ -324,7 +325,8 @@ def test_interp_peak_needs_grid_points():
     drive, probe = probe_system()
     pn = np.array([0.5, 0.5, 0.0])
     # absurdly coarse grid: no samples fall within a half linewidth
-    freqs = np.linspace(-2.0 * drive.delta_n(2), 2.0 * drive.delta_n(2), 41)
+    delta_2 = transition_rates(drive).delta[1]
+    freqs = np.linspace(-2.0 * delta_2, 2.0 * delta_2, 41)
     spec = power_spectrum(pn, transition_rates(drive),
                           transition_rates(probe), 0.0, freqs,
                           GAMMA_M, N_BAR)
