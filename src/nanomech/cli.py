@@ -391,6 +391,8 @@ def cmd_steady(cfg: RunConfig, args) -> int:
         pops["full_wigner_origin"] = res["full_wigner"].origin_value
         diagnostics["full_method"] = res["full"].method
         diagnostics["full_residual"] = res["full"].residual
+        diagnostics["full_iterations"] = res["full"].iterations
+        diagnostics["full_condition_estimate"] = res["full"].condition
         if args.compare:
             pops["compare_abs_diff"] = list(res["compare"])
     write_json(out / "populations.json", pops)

@@ -2,6 +2,12 @@
 the full multi-mode master equation and the reduced Fock-resolved
 birth-death model, with their steady-state solvers.
 
+The full steady state is solved by restarted GMRES, preconditioned with an
+exact sparse LU of the uncoupled generator: the full generator with every
+coupling g_j set to 0 and the mechanical bath replaced by the reduced chain,
+so that the reduced model preconditions its own oracle (iterative steady
+states as in Nation, arXiv:1504.06768).
+
 Vectorization is column-stacking: vec(A X B) = (B^T kron A) vec(X).
 """
 
@@ -15,11 +21,21 @@ import scipy.sparse.linalg as spla
 
 from .device import transition_frequency
 from .fock import (CompositeSpace, DensityMatrix, FockOperator, FockSpace,
-                   annihilation, lift, number)
+                   annihilation, lift)
 
 TRACE_PRESERVATION_TOL = 1e-10
 DEFAULT_NNZ_CAP = 200_000_000
-PIVOT_RATIO = 1e-12
+# a trace-rowed system whose 1-norm condition estimate exceeds this has a
+# null space that is numerically not one-dimensional
+CONDITION_LIMIT = 1e12
+# GMRES stops at this backward error of the preconditioned system (see
+# _gmres); each solve gets at most GMRES_MAX_CYCLES restart cycles of
+# GMRES_RESTART iterations
+GMRES_TOL = 1e-14
+GMRES_RESTART = 100
+GMRES_MAX_CYCLES = 20
+# seed of the random right-hand side of the uniqueness probe
+PROBE_SEED = 0
 
 
 class SolverError(RuntimeError):
@@ -84,6 +100,9 @@ class SystemConfig:
 class Liouvillian:
     space: CompositeSpace
     superoperator: sp.csr_matrix = field(repr=False)
+    # the uncoupled generator M that preconditions the steady-state solve
+    # (see build_full_liouvillian); None means M = L
+    uncoupled: sp.csr_matrix | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -103,7 +122,8 @@ class SteadyState:
     populations: np.ndarray | None
     residual: float
     method: str
-    iterations: int = 0         # 0 for the direct solve
+    iterations: int = 0         # GMRES iterations, steady and probe solve
+    condition: float | None = None  # 1-norm condition estimate (full solve)
 
 
 @dataclass(frozen=True)
@@ -129,26 +149,44 @@ def mechanical_hamiltonian(config: SystemConfig) -> sp.csr_matrix:
     return sp.diags(diag.astype(complex), format="csr")
 
 
+def _hamiltonian_parts(config: SystemConfig):
+    """The pieces of the full Hamiltonian, each operator lifted once: the
+    space, the diagonal uncoupled part H0 (the anharmonic mechanics and the
+    detuned cavities), the displaced linear coupling Hc, and the lifted
+    ladder operators b and a_j as CSR matrices."""
+    space = config.space()
+    occupations = np.unravel_index(np.arange(space.total_dim), space.dims)
+    energy = mechanical_hamiltonian(config).diagonal()[occupations[0]]
+    for j, laser in enumerate(config.lasers):
+        energy = energy + (-laser.detuning) * occupations[1 + j]
+    h0 = FockOperator(space, sp.diags(energy, format="csr"))
+    b = lift(annihilation(space.factors[0]), space, 0)
+    x = b + b.dagger()
+    cavities = [lift(annihilation(cav), space, 1 + j)
+                for j, cav in enumerate(space.factors[1:])]
+    coupling = FockOperator(space, sp.csr_matrix(
+        (space.total_dim, space.total_dim), dtype=complex))
+    for a, laser in zip(cavities, config.lasers, strict=True):
+        coupling = coupling + (
+            (np.conj(laser.g) / 2.0) * a + (laser.g / 2.0) * a.dagger()) @ x
+    h = h0.matrix + coupling.matrix
+    herm_defect = abs(h - h.conj().T).max()
+    if herm_defect > 1e-12 * max(1.0, abs(h).max()):
+        raise SolverError(f"Hamiltonian not Hermitian, defect {herm_defect:.3e}")
+    return space, h0.matrix, coupling.matrix, b.matrix, [a.matrix for a in cavities]
+
+
 def build_full_hamiltonian(config: SystemConfig) -> FockOperator:
     """Multi-mode Hamiltonian (in units of hbar): detuned cavities, the
     anharmonic mechanical mode, and the displaced linear coupling."""
-    space = config.space()
-    mech = space.factors[0]
-    b = lift(annihilation(mech), space, 0)
-    x = b + b.dagger()
-    h = FockOperator(space, sp.csr_matrix(
-        (space.total_dim, space.total_dim), dtype=complex))
-    h = h + lift(FockOperator(mech, mechanical_hamiltonian(config)), space, 0)
-    for j, laser in enumerate(config.lasers):
-        cav = space.factors[1 + j]
-        a = lift(annihilation(cav), space, 1 + j)
-        h = h + (-laser.detuning) * lift(number(cav), space, 1 + j)
-        coupling = (np.conj(laser.g) / 2.0) * a + (laser.g / 2.0) * a.dagger()
-        h = h + coupling @ x
-    herm_defect = abs(h.matrix - h.matrix.conj().T).max()
-    if herm_defect > 1e-12 * max(1.0, abs(h.matrix).max()):
-        raise SolverError(f"Hamiltonian not Hermitian, defect {herm_defect:.3e}")
-    return h
+    space, h0, coupling, _b, _cavities = _hamiltonian_parts(config)
+    return FockOperator(space, h0 + coupling)
+
+
+def _commutator_super(h: sp.spmatrix) -> sp.csr_matrix:
+    """-i [h, .] in column-stacked form."""
+    eye = sp.identity(h.shape[0], dtype=complex, format="csr")
+    return -1j * (sp.kron(eye, h, format="csr") - sp.kron(h.T, eye, format="csr"))
 
 
 def _dissipator_super(c: sp.spmatrix, rate: float) -> sp.csr_matrix:
@@ -170,30 +208,53 @@ def _estimate_nnz(config: SystemConfig) -> int:
 
 def build_full_liouvillian(config: SystemConfig,
                            nnz_cap: int = DEFAULT_NNZ_CAP) -> Liouvillian:
-    """Sparse superoperator for the full master equation: coherent part plus
-    cavity decay and the thermal mechanical dissipator."""
+    """Sparse superoperator L for the full master equation: coherent part plus
+    cavity decay and the thermal mechanical dissipator.
+
+    The same pass assembles the uncoupled generator M that preconditions the
+    steady-state solve: L with every coupling g_j = 0 and the mechanical
+    bath replaced by the reduced chain's jump operators
+    sum_n sqrt(n up_n) |n><n-1| and sum_n sqrt(n down_n) |n-1><n| (rates
+    from chain_rates).  No term of M acts on the mechanics and a cavity
+    together (the chain's rates stand in for the cavities' effect on the
+    mechanics), so its LU has almost no fill, and M has a unique steady
+    state whenever the chain has one, also at gamma_m = 0, where L with
+    g_j = 0 alone would be singular."""
     est = _estimate_nnz(config)
     if est > nnz_cap:
         raise MemoryError(
             f"estimated superoperator nonzeros {est} exceed cap {nnz_cap}")
-    space = config.space()
-    d = space.total_dim
-    h = build_full_hamiltonian(config).matrix
-    eye = sp.identity(d, dtype=complex, format="csr")
-    lsuper = -1j * (sp.kron(eye, h, format="csr") - sp.kron(h.T, eye, format="csr"))
+    space, h0, coupling, b, cavities = _hamiltonian_parts(config)
+    # the part L and M share: the uncoupled Hamiltonian and the cavity decay
+    shared = _commutator_super(h0)
+    for a in cavities:
+        shared = shared + _dissipator_super(a, config.kappa)
 
-    for j in range(len(config.cavity_dims)):
-        a = lift(annihilation(space.factors[1 + j]), space, 1 + j).matrix
-        lsuper = lsuper + _dissipator_super(a, config.kappa)
-
-    b = lift(annihilation(space.factors[0]), space, 0).matrix
+    lsuper = shared + _commutator_super(coupling)
     if config.gamma_m > 0:
         lsuper = lsuper + _dissipator_super(b, config.gamma_m * (config.n_bar + 1.0))
         if config.n_bar > 0:
             lsuper = lsuper + _dissipator_super(
                 b.conj().T.tocsr(), config.gamma_m * config.n_bar)
 
-    liou = Liouvillian(space, lsuper.tocsr())
+    # with no drive the chain's jump operators are the thermal dissipator's
+    # and there is no coupling, so M = L
+    uncoupled = None
+    if config.lasers:
+        up, down = chain_rates(transition_rates(config), config.gamma_m,
+                               config.n_bar)
+        n = np.arange(1, config.mech_dim)
+        mech = space.factors[0]
+        uncoupled = shared
+        for rates, offset in ((down, 1), (up, -1)):
+            jump = FockOperator(mech, sp.diags(
+                np.sqrt(n * rates), offset, shape=(mech.dim, mech.dim),
+                format="csr", dtype=complex))
+            uncoupled = uncoupled + _dissipator_super(
+                lift(jump, space, 0).matrix, 1.0)
+        uncoupled = uncoupled.tocsr()
+
+    liou = Liouvillian(space, lsuper.tocsr(), uncoupled)
     defect = liou.trace_preservation_defect()
     scale = max(abs(lsuper).max(), 1.0)
     if defect > TRACE_PRESERVATION_TOL * scale:
@@ -310,6 +371,56 @@ def _hermitian_coordinates(d: int):
     return t, diag, upper
 
 
+def _real_system(lsuper: sp.spmatrix, t, diag, upper,
+                 weight: float) -> sp.csr_matrix:
+    """The real n x n system of a Lindbladian in Hermitian coordinates: Re of
+    the diagonal rows of L T, with the trace row (every entry `weight`) in
+    place of the (0,0) row, stacked on Re and Im of its upper rows."""
+    d = diag.size
+    lt = (lsuper @ t).tocsr()
+    upper_rows = lt[upper]
+    trace_row = sp.csr_matrix(
+        (np.full(d, weight), (np.zeros(d, dtype=int), np.arange(d))),
+        shape=(1, d * d))
+    a = sp.vstack([trace_row, lt[diag[1:]].real, upper_rows.real,
+                   upper_rows.imag], format="csr")
+    a.eliminate_zeros()
+    return a
+
+
+def _gmres(r: sp.csr_matrix, abs_r: sp.csr_matrix, lu, b: np.ndarray):
+    """Solve r x = b by GMRES from x = 0, preconditioned on the left by lu,
+    the LU of R_M.  Each restart cycle is one scipy GMRES cycle on the
+    correction equation lu^-1 r dx = lu^-1 (b - r x), whose right-hand side
+    is formed from the unpreconditioned residual.  The loop stops when the
+    backward error |lu^-1 (b - r x)| / |lu^-1 (|r| |x| + |b|)| is at most
+    GMRES_TOL.  The denominator is the preconditioned size of the terms
+    summed in b - r x, so the test stays a fixed factor above rounding
+    however the rows of r are scaled; their entries span about 1 to 1e8 on
+    the reference device, where a relative test on |b - r x| is out of
+    reach for even a direct solve.  Returns x, the GMRES iteration count
+    and the backward error."""
+    op = spla.LinearOperator(r.shape, matvec=lambda v: lu.solve(r @ v),
+                             dtype=float)
+    x = np.zeros_like(b)
+    iterations = 0
+
+    def count(_residual):
+        nonlocal iterations
+        iterations += 1
+
+    for cycle in range(GMRES_MAX_CYCLES + 1):
+        residual = lu.solve(b - r @ x)
+        scale = np.linalg.norm(lu.solve(abs_r @ np.abs(x) + np.abs(b)))
+        error = np.linalg.norm(residual) / scale
+        if error <= GMRES_TOL or cycle == GMRES_MAX_CYCLES:
+            return x, iterations, error
+        dx, _info = spla.gmres(op, residual, rtol=0.0, atol=GMRES_TOL * scale,
+                               restart=GMRES_RESTART, maxiter=1,
+                               callback=count, callback_type="pr_norm")
+        x = x + dx
+
+
 def steady_state_solve(liou: Liouvillian) -> SteadyState:
     """Null-space steady state of the full generator, solved in the real
     coordinates r of Hermitian matrices (x = T r, see _hermitian_coordinates).
@@ -317,40 +428,59 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     A Lindbladian maps Hermitian matrices to Hermitian ones, so L T has real
     diagonal rows and its upper rows fix the lower ones: the real n x n
     system R stacks Re of the diagonal rows of L T on Re and Im of its upper
-    rows, with the trace row in place of the (0,0) row.  SuperLU (`splu`,
-    COLAMD column ordering) factorises R, about half the work of the complex
-    system.  The uniqueness test is the same as for the complex L:
-    L(X^dagger) = L(X)^dagger, so the null space of L is closed under the
-    adjoint, and a complex null space of dimension k has a Hermitian part of
-    real dimension k.  R with the trace row is therefore nonsingular exactly
-    when the null space of L is one-dimensional; a pivot below PIVOT_RATIO
-    times the largest one, or a singular factorisation, raises
-    DegenerateSteadyStateError.  The solution and the eigenvalue-clipped
-    state are read back through T, so rho is exactly Hermitian."""
+    rows, with the trace row, weighted with max|L_ij|, in place of the (0,0)
+    row.  R_M is built from the uncoupled generator M (liou.uncoupled, or L
+    itself when that is None) in the same way.  Its sparse LU (`splu`)
+    preconditions restarted GMRES on R r = max|L_ij| e_0 (see _gmres for
+    the stopping test).
+
+    Uniqueness: L(X^dagger) = L(X)^dagger, so the null space of L is closed
+    under the adjoint, and a complex null space of dimension k has a
+    Hermitian part of real dimension k.  R is therefore nonsingular exactly
+    when the null space of L is one-dimensional.  A second GMRES solve
+    R y = b, with b a fixed-seed random vector, gives the 1-norm condition
+    estimate |R|_1 |y|_1 / |b|_1.  An estimate above CONDITION_LIMIT, or a
+    singular R_M, raises DegenerateSteadyStateError.  A singular R makes b
+    inconsistent, so the estimate is judged even when that solve did not
+    converge.  A steady or probe solve that misses GMRES_TOL within its
+    budget raises SolverError; no unconverged rho is returned.  The
+    solution and the eigenvalue-clipped state are read back through T, so
+    rho is exactly Hermitian."""
     d = liou.space.total_dim
     lsuper = liou.superoperator
     t, diag, upper = _hermitian_coordinates(d)
-    lt = (lsuper @ t).tocsr()
-    upper_rows = lt[upper]
-    trace_row = sp.csr_matrix(
-        (np.ones(d), (np.zeros(d, dtype=int), np.arange(d))), shape=(1, d * d))
-    a = sp.vstack([trace_row, lt[diag[1:]].real, upper_rows.real,
-                   upper_rows.imag], format="csc")
-    a.eliminate_zeros()
+    # the trace row is weighted with the largest entry of L, so that R, and
+    # the condition estimate, do not depend on the units of the rates
+    weight = float(np.abs(lsuper.data).max(initial=0.0))
+    r = _real_system(lsuper, t, diag, upper, weight)
+    r_m = r if liou.uncoupled is None else _real_system(liou.uncoupled, t,
+                                                         diag, upper, weight)
     try:
-        lu = spla.splu(a)
+        lu = spla.splu(r_m.tocsc())
     except RuntimeError:
         raise DegenerateSteadyStateError(
-            "trace-constrained system is singular; the generator null "
-            "space is not one-dimensional") from None
-    pivots = np.abs(lu.U.diagonal())
-    if pivots.min() < PIVOT_RATIO * pivots.max():
-        raise DegenerateSteadyStateError(
-            f"smallest LU pivot {pivots.min():.3e} (largest {pivots.max():.3e}): "
-            "null space is not one-dimensional")
+            "trace-constrained preconditioner is singular; the generator "
+            "null space is not one-dimensional") from None
+    abs_r = abs(r)
     rhs = np.zeros(d * d)
-    rhs[0] = 1.0
-    rho = (t @ lu.solve(rhs)).reshape((d, d), order="F")
+    rhs[0] = weight
+    x, steady_its, steady_error = _gmres(r, abs_r, lu, rhs)
+    probe = np.random.default_rng(PROBE_SEED).standard_normal(d * d)
+    y, probe_its, probe_error = _gmres(r, abs_r, lu, probe)
+    condition = float(spla.norm(r, 1) * np.abs(y).sum() / np.abs(probe).sum())
+    if not condition <= CONDITION_LIMIT:
+        raise DegenerateSteadyStateError(
+            f"condition estimate {condition:.3e} of the trace-constrained "
+            f"system exceeds {CONDITION_LIMIT:.0e}: null space is not "
+            "one-dimensional")
+    for name, its, error in (("steady", steady_its, steady_error),
+                             ("probe", probe_its, probe_error)):
+        if not error <= GMRES_TOL:
+            raise SolverError(
+                f"GMRES {name} solve did not converge: backward error "
+                f"{error:.3e} (tolerance {GMRES_TOL:.0e}) after {its} "
+                "iterations")
+    rho = (t @ x).reshape((d, d), order="F")
 
     rho /= np.trace(rho).real
     w, v = np.linalg.eigh(rho)
@@ -365,4 +495,5 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     residual = float(np.linalg.norm(lsuper @ rho.reshape(-1, order="F")))
     dm = DensityMatrix(liou.space, rho)
     return SteadyState(rho=dm, populations=None, residual=residual,
-                       method="sparse_lu")
+                       method="gmres", iterations=steady_its + probe_its,
+                       condition=condition)

@@ -187,6 +187,22 @@ def test_cli_outputs_are_deterministic(tmp_path, command):
         assert one == two, name
 
 
+def test_cli_steady_full_three_cavity_levels(tmp_path):
+    # three levels per cavity (n = 11,664): the preconditioned solve handles
+    # the size whose direct LU took minutes, and the manifest records it
+    def mutate(raw):
+        raw["simulation"].update(mech_truncation=4, cavity_truncation=3)
+    out = tmp_path / "out"
+    assert main(["steady", "--config", str(write_variant(tmp_path, mutate)),
+                 "--full", "--out", str(out)]) == EXIT_OK
+    pops = json.loads((out / "populations.json").read_text())
+    assert pops["full"][1] == pytest.approx(0.93458, abs=1e-5)
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    assert solver["full_method"] == "gmres"
+    assert 2 <= solver["full_iterations"] <= 200
+    assert 1.0 <= solver["full_condition_estimate"] <= 1e12
+
+
 def test_cli_steady_converge(tmp_path):
     out = tmp_path / "out"
     assert main(["steady", "--config", str(CONFIG_PATH), "--out", str(out),

@@ -1,18 +1,21 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg import expm_multiply, splu
 
 from nanomech.cli import run_device
 from nanomech.config import parse_config
 from nanomech.fock import (CompositeSpace, FockSpace, diagonal_density,
                            fock_state, lift, number, partial_trace)
-from nanomech.lindblad import (DegenerateSteadyStateError, LaserParams,
-                               Liouvillian, SolverError, SystemConfig,
-                               TruncationError, build_full_hamiltonian,
+from nanomech import lindblad
+from nanomech.lindblad import (CONDITION_LIMIT, DegenerateSteadyStateError,
+                               LaserParams, Liouvillian, SolverError,
+                               SystemConfig, TruncationError,
+                               _hermitian_coordinates, build_full_hamiltonian,
                                build_full_liouvillian, build_reduced_generator,
                                chain_rates, level_rates,
                                mechanical_hamiltonian,
@@ -260,10 +263,19 @@ def fig2_system(mech_dim):
                                      cfg.simulation.cavity_truncation)
 
 
+def fig2_scaled(mech_dim, g_scale):
+    sysc = fig2_system(mech_dim)
+    return dataclasses.replace(sysc, lasers=tuple(
+        dataclasses.replace(l, g=g_scale * l.g) for l in sysc.lasers))
+
+
 @pytest.mark.parametrize("make", [
     lambda: small_driven(mech_dim=4, g=3.0e3, n_bar=0.2),
     lambda: fig2_system(4),
-], ids=["small_driven", "fig2_mech4"])
+    # no mechanical bath: L with g_j = 0 would be singular here, the
+    # uncoupled generator with the chain's rates is not
+    lambda: small_driven(gamma_m=0.0),
+], ids=["small_driven", "fig2_mech4", "small_driven_no_bath"])
 def test_full_solve_matches_null_space(make):
     # exact oracle: the null space of the dense generator
     liou = build_full_liouvillian(make())
@@ -274,8 +286,55 @@ def test_full_solve_matches_null_space(make):
     oracle /= np.trace(oracle)
     ss = steady_state_solve(liou)
     np.testing.assert_allclose(ss.rho.matrix, oracle, atol=1e-10)
-    assert ss.method == "sparse_lu"
-    assert ss.iterations == 0
+    assert ss.method == "gmres"
+    assert ss.iterations >= 2
+    assert 1.0 <= ss.condition <= CONDITION_LIMIT
+
+
+@pytest.mark.parametrize("g_scale", [1.0, 4.0], ids=["g", "4g"])
+def test_full_solve_matches_direct_lu(g_scale):
+    # fig2 at mech 8, at its coupling and at 4g (|g|/kappa ~ 1.8, past the
+    # regime validator's fail line): the direct sparse LU of the same real
+    # trace-rowed system is the reference
+    liou = build_full_liouvillian(fig2_scaled(8, g_scale))
+    d = liou.space.total_dim
+    t, diag, upper = _hermitian_coordinates(d)
+    lt = (liou.superoperator @ t).tocsr()
+    rows = lt[upper]
+    trace_row = sp.csr_matrix(np.ones((1, d))) @ t[diag].real
+    a = sp.vstack([trace_row, lt[diag[1:]].real, rows.real, rows.imag],
+                  format="csc")
+    rhs = np.zeros(d * d)
+    rhs[0] = 1.0
+    ref = (t @ splu(a).solve(rhs)).reshape((d, d), order="F")
+    ref /= np.trace(ref).real
+    ss = steady_state_solve(liou)
+    np.testing.assert_allclose(ss.rho.matrix, ref, rtol=0, atol=1e-12)
+
+
+def test_uncoupled_generator_holds_the_reduced_chain():
+    # M has no coupling, so its steady state is the cavity vacuum times the
+    # reduced chain's populations
+    cfg = fig2_system(6)
+    liou = build_full_liouvillian(cfg)
+    ss = steady_state_solve(Liouvillian(liou.space, liou.uncoupled))
+    np.testing.assert_allclose(
+        partial_trace(ss.rho, 0).populations(),
+        reduced_steady_populations(cfg, tail_check=False).populations,
+        rtol=0, atol=1e-10)
+    for cavity in (1, 2, 3):
+        assert partial_trace(ss.rho, cavity).populations()[0] == \
+            pytest.approx(1.0, abs=1e-12)
+
+
+def test_gmres_budget_overrun_is_a_solver_error(monkeypatch):
+    # a well-posed system that needs more iterations than the budget allows
+    # is a convergence failure, not a degenerate null space
+    monkeypatch.setattr(lindblad, "GMRES_RESTART", 5)
+    monkeypatch.setattr(lindblad, "GMRES_MAX_CYCLES", 1)
+    with pytest.raises(SolverError, match=r"after 5 iterations") as err:
+        steady_state_solve(build_full_liouvillian(fig2_system(4)))
+    assert not isinstance(err.value, DegenerateSteadyStateError)
 
 
 def test_steady_state_residual_and_validity():
@@ -304,10 +363,26 @@ def test_degenerate_generator_detected(liou):
         steady_state_solve(liou)
 
 
+@pytest.mark.parametrize("scale", [1e-30, 1e30])
+def test_steady_state_does_not_depend_on_rate_units(scale):
+    # a change of the unit of time rescales L (and M); neither the solution
+    # nor the uniqueness test may depend on it
+    liou = build_full_liouvillian(small_driven(mech_dim=4, g=3.0e3, n_bar=0.2))
+    scaled = Liouvillian(liou.space, scale * liou.superoperator,
+                         scale * liou.uncoupled)
+    np.testing.assert_allclose(steady_state_solve(scaled).rho.matrix,
+                               steady_state_solve(liou).rho.matrix,
+                               rtol=0, atol=1e-12)
+    weak = build_full_liouvillian(small_driven(g=0.0, gamma_m=1e-9))
+    with pytest.raises(DegenerateSteadyStateError):
+        steady_state_solve(Liouvillian(weak.space, scale * weak.superoperator,
+                                       scale * weak.uncoupled))
+
+
 def test_thermal_chain_at_zero_kelvin_not_degenerate():
     # the chain of acceptance criterion 1 with its bath at 0 K: weakly damped
-    # and decoupled, so its LU pivots span a wide range yet stay far above
-    # the degeneracy threshold
+    # and decoupled, so its condition estimate (about 1e4) is large yet far
+    # below the degeneracy threshold
     cfg = mech_only(mech_dim=30, gamma_m=100.0, n_bar=0.0)
     ss = steady_state_solve(build_full_liouvillian(cfg))
     assert ss.rho.populations()[0] == pytest.approx(1.0, abs=1e-10)
