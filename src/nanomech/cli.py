@@ -172,17 +172,51 @@ def build_manifest(cfg: RunConfig, derived, report, diagnostics: dict) -> dict:
     }
 
 
-def write_csv(path: Path, header: list[str], rows):
-    lines = [f"# schema: {SCHEMA_VERSION}", ",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append(format_float(float(v)))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+# rows per block of write_csv: bounds the writer's transient text (about
+# 1.5 MB for two float columns), however long the file
+CSV_BLOCK_ROWS = 4096
+
+
+def _csv_text(cell: str) -> str:
+    """A text cell, quoted as RFC 4180 says when it holds a comma, a double
+    quote or a line break."""
+    if any(c in cell for c in ',"\n\r'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _csv_cells(column):
+    """The text of every cell of one column block.
+
+    A float64 array is formatted once per distinct bit pattern (so -0.0 and
+    0.0 stay apart) by one "%.17g" template, which for a finite value is
+    `format_float` exactly; non-finite values go through `format_float`.  Other columns are formatted cell by
+    cell: floats by `format_float`, anything else as quoted text."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        values = bits.view(np.float64)
+        text = ((",%.17g" * values.size)[1:] % tuple(values.tolist())).split(",")
+        for k in np.flatnonzero(~np.isfinite(values)):
+            text[k] = format_float(float(values[k]))
+        return np.array(text, dtype=object)[inverse]
+    return [format_float(float(v)) if isinstance(v, (float, np.floating))
+            else _csv_text(str(v)) for v in column]
+
+
+def write_csv(path: Path, header: list[str], columns):
+    """Write a `# schema:` comment line, the header, then one row per index
+    of `columns`, which holds one equally long column per header name.
+
+    Float cells have the 17 significant digits of `format_float`, as in the
+    JSON files; text cells are quoted per RFC 4180 when needed.  Rows are
+    formatted and written in blocks of CSV_BLOCK_ROWS."""
+    with path.open("w") as f:
+        f.write(f"# schema: {SCHEMA_VERSION}\n{','.join(header)}\n")
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            cells = [_csv_cells(c[start:start + CSV_BLOCK_ROWS])
+                     for c in columns]
+            f.write("\n".join(map(",".join, zip(*cells, strict=True)))
+                    + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +410,13 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     return EXIT_OK if report.ok else EXIT_REGIME
 
 
+def _wigner_columns(wig):
+    """The x, p and W columns of wigner.csv, p-major: row k is
+    (x[k % nx], p[k // nx], W[k // nx, k % nx])."""
+    return [np.tile(wig.x, wig.p.size), np.repeat(wig.p, wig.x.size),
+            wig.values.ravel()]
+
+
 def cmd_steady(cfg: RunConfig, args) -> int:
     res = run_steady(cfg, full=args.full, compare=args.compare,
                      converge=args.converge)
@@ -397,9 +438,7 @@ def cmd_steady(cfg: RunConfig, args) -> int:
             pops["compare_abs_diff"] = list(res["compare"])
     write_json(out / "populations.json", pops)
     wig = res["wigner"]
-    rows = [(x, p, wig.values[i, j])
-            for i, p in enumerate(wig.p) for j, x in enumerate(wig.x)]
-    write_csv(out / "wigner.csv", ["x", "p", "W"], rows)
+    write_csv(out / "wigner.csv", ["x", "p", "W"], _wigner_columns(wig))
     _emit_manifest(out, cfg, res["derived"], res["report"], diagnostics)
     p = res["reduced"].populations
     print(f"P = {np.array2string(p[:6], precision=4)}")
@@ -414,7 +453,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     out = _outdir(cfg, args)
     spec = res["spectrum"]
     write_csv(out / "spectrum.csv", ["omega_minus_omegaL", "S"],
-              zip(spec.frequencies, spec.values))
+              [spec.frequencies, spec.values])
     peaks = {
         "probe_resonant": spec.probe_resonant,
         "resolvable": spec.resolvable,
@@ -449,8 +488,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     out = _outdir(cfg, args)
     header = ["value", "omega_m", "lambda", "kappa", "n_bar",
               "P0", "P1", "P2", "W00", "error"]
-    table = [[r.get(h, "") for h in header] for r in rows]
-    write_csv(out / "sweep.csv", header, table)
+    write_csv(out / "sweep.csv", header,
+              [[r.get(h, "") for r in rows] for h in header])
     derived, report = run_device(cfg)
     _emit_manifest(out, cfg, derived, report,
                    {"command": "sweep", "param": args.param})

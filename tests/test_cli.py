@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -44,7 +45,7 @@ def test_canonical_json_sorts_keys_and_is_stable():
 
 def test_write_csv_schema_comment(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ["a", "b"], [(1.0, "x"), (0.25, "y")])
+    write_csv(path, ["a", "b"], [np.array([1.0, 0.25]), ["x", "y"]])
     lines = path.read_text().splitlines()
     assert lines[0] == f"# schema: {SCHEMA_VERSION}"
     assert lines[1] == "a,b"
@@ -299,6 +300,22 @@ def test_cli_sweep_failed_points_set_exit_code(tmp_path, capsys):
                  "--values", '"20 mK"', '"2 K"']) == EXIT_SOLVER
     rows = (out / "sweep.csv").read_text().splitlines()[2:]
     assert rows[0].endswith(",") and "TruncationError" in rows[1]
+
+
+def test_cli_sweep_quotes_text_cells(tmp_path):
+    # error messages and the list value hold commas; every row keeps one
+    # field per header name, and the exit code is still the first failure's
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(CONFIG_PATH), "--out", str(out),
+                 "--param", "device.softening.zeta",
+                 "--values", "0.5", '"4 m"', "[1,2]", "4.0"]) == EXIT_CONFIG
+    with (out / "sweep.csv").open(newline="") as f:
+        header, *rows = list(csv.reader(f))[1:]
+    assert len(rows) == 4 and all(len(r) == len(header) for r in rows)
+    assert [r[0] for r in rows] == ["0.5", "4 m", "[1, 2]", "4"]
+    for r in rows[:3]:
+        assert r[-1].startswith("ConfigError: ") and set(r[1:-1]) == {""}
+    assert "got 0.5" in rows[0][-1] and rows[3][-1] == ""
 
 
 def test_cli_sweep_outputs(tmp_path):
