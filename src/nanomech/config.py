@@ -280,6 +280,9 @@ def _parse_simulation(d: dict, path: str) -> SimulationSection:
     if "points" in wg:
         kwargs["wigner_points"] = parse_integer(
             wg["points"], f"{path}.wigner_grid.points", 3)
+        # an even grid has no point at the origin, where W is most negative
+        if kwargs["wigner_points"] % 2 == 0:
+            raise ConfigError(f"{path}.wigner_grid.points", "must be odd")
     sg = d.get("spectrum_grid", {})
     if "span" in sg:
         kwargs["spectrum_span"] = parse_quantity(

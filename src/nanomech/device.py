@@ -42,7 +42,7 @@ class BucklingError(DeviceError):
             f"{v2_critical:.6e} N/m; the beam is unstable")
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(DeviceError):
     """Quadrature failed to converge within the refinement cap."""
 
 
@@ -287,8 +287,15 @@ class GaussianTipField:
     def _envelope2(self, y):
         return np.exp(-((np.asarray(y, dtype=float) - self.center) ** 2) / self.width**2)
 
+    def _amplitude(self, alpha_par, alpha_perp):
+        amp = (alpha_par * self.e_par_peak * self.e_par_peak
+               + alpha_perp * self.e_perp_peak * self.e_perp_peak)
+        if not np.isfinite(amp):
+            raise DeviceError("field energy amplitude alpha E^2 is not finite")
+        return amp
+
     def energy_gradient(self, alpha_par, alpha_perp):
-        amp = alpha_par * self.e_par_peak**2 + alpha_perp * self.e_perp_peak**2
+        amp = self._amplitude(alpha_par, alpha_perp)
 
         def dW(y):
             # dW/dx = -amp * env^2 / x_scale (E^2 grows as exp(2x/x_scale))
@@ -297,7 +304,7 @@ class GaussianTipField:
         return dW
 
     def energy_curvature(self, alpha_par, alpha_perp):
-        amp = alpha_par * self.e_par_peak**2 + alpha_perp * self.e_perp_peak**2
+        amp = self._amplitude(alpha_par, alpha_perp)
 
         def d2W(y):
             return -2.0 * amp * self._envelope2(y) / self.x_scale**2

@@ -8,11 +8,11 @@ parts of the coherent amplitude, so the vacuum gives W(0,0) = 2/pi and
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock import DensityMatrix
 from .lindblad import (RateTable, SolverError, chain_rates, level_rates,
@@ -67,16 +67,9 @@ class SpectrumData:
 # ---------------------------------------------------------------------------
 # Wigner functions
 
-def _genlaguerre_table(m_max: int, k: int, z: np.ndarray) -> np.ndarray:
-    """Associated Laguerre L_m^(k)(z) for m = 0..m_max by the three-term
-    upward recurrence.  Returns shape (m_max + 1,) + z.shape."""
-    out = np.empty((m_max + 1,) + z.shape)
-    out[0] = 1.0
-    if m_max >= 1:
-        out[1] = 1.0 + k - z
-    for m in range(1, m_max):
-        out[m + 1] = ((2 * m + 1 + k - z) * out[m] - (m + k) * out[m - 1]) / (m + 1)
-    return out
+# |g_m| past which _wigner_series rescales: far below overflow, far above
+# the largest growth in one step of its recurrence (about z)
+LIMIT = 2.0 ** 500
 
 
 def wigner_origin(populations) -> float:
@@ -86,16 +79,59 @@ def wigner_origin(populations) -> float:
     return float(WIGNER_BOUND * np.dot(signs, p))
 
 
-def _package(x, p, w, origin, check_norm):
+def _wigner_series(diagonals, x, p) -> np.ndarray:
+    """W(x + ip) = (2/pi) sum_k c_k Re[u^k S_k] for diagonals[k][m] =
+    rho_{m+k,m}, with c_0 = 1, c_k = 2, u = (x - ip)/|x + ip| and
+    S_k = sum_m (-1)^m rho_{m+k,m} f_m^k(z), z = 4(x^2 + p^2).  The
+    f_m^k(z) = sqrt(m!/(m+k)!) z^(k/2) e^(-z/2) L_m^k(z) = |<m+k|D(beta)|m>|,
+    |beta|^2 = z, are bounded by 1; f_m^k = g_m e^scale runs their upward
+    recurrence from g_0 = 1, and powers of two move from g and S_k into
+    scale, so no factor leaves the float range.  A non-finite z gives NaN."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z = 4.0 * (x[None, :] ** 2 + p[:, None] ** 2)
+        if len(diagonals) > 1:
+            log_z = np.log(z)
+            unit = np.exp(-1j * np.arctan2(p[:, None], x[None, :]))
+        w, phase = np.zeros(z.shape), 1.0
+        for k, coefs in enumerate(diagonals):
+            scale = -0.5 * z - 0.5 * math.lgamma(k + 1)
+            if k:
+                scale += 0.5 * k * log_z
+                phase = phase * unit
+            g_prev, g, tmp = np.zeros(z.shape), np.ones(z.shape), np.empty(z.shape)
+            s = coefs[0] * g
+            for m, c in enumerate(coefs[1:]):
+                # g_(m+1) = [(2m+1+k-z) g_m - sqrt(m(m+k)) g_(m-1)]
+                #           / sqrt((m+1)(m+k+1)), in place
+                np.subtract(2 * m + 1 + k, z, out=tmp)
+                tmp *= g
+                g_prev *= -np.sqrt(m * (m + k))
+                g_prev += tmp
+                g_prev /= np.sqrt((m + 1) * (m + k + 1))
+                g_prev, g = g, g_prev
+                s += (c if m % 2 else -c) * g
+                if g.max() > LIMIT or g.min() < -LIMIT:
+                    shift = np.where(np.abs(g) > LIMIT, np.frexp(g)[1], 0)
+                    factor = np.ldexp(1.0, -shift)
+                    g, g_prev, s = g * factor, g_prev * factor, s * factor
+                    scale += shift * np.log(2.0)
+            w += (2.0 if k else 1.0) * (phase * s * np.exp(scale)).real
+    return WIGNER_BOUND * w
+
+
+def _wigner_data(diagonals, x, p, check_norm) -> WignerData:
+    """_wigner_series on the grid, refused when not finite."""
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    w = _wigner_series(diagonals, x, p)
     if not np.isfinite(w).all():
         raise SolverError(f"Wigner series overflows at {np.sum(~np.isfinite(w))}"
                           f" of {w.size} grid points")
     idx = np.unravel_index(np.argmin(w), w.shape)
     data = WignerData(
-        x=np.asarray(x, dtype=float), p=np.asarray(p, dtype=float),
-        values=w, origin_value=float(origin),
+        x=x, p=p, values=w, origin_value=wigner_origin(diagonals[0]),
         min_value=float(w[idx]),
-        min_location=(float(np.asarray(x)[idx[1]]), float(np.asarray(p)[idx[0]])))
+        min_location=(float(x[idx[1]]), float(p[idx[0]])))
     if check_norm:
         norm = data.grid_integral()
         if abs(norm - 1.0) > 1e-3:
@@ -109,71 +145,24 @@ def wigner_from_populations(populations, x, p, check_norm=True) -> WignerData:
     """Wigner function of a diagonal (Fock-mixture) state:
     W(r) = (2/pi) e^(-2 r^2) sum_n P_n (-1)^n L_n(4 r^2), radially symmetric.
     """
-    pn = np.asarray(populations, dtype=float)
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    r2 = x[None, :] ** 2 + p[:, None] ** 2
-    signs = np.where(np.arange(pn.size) % 2 == 0, 1.0, -1.0)
-    # the Gaussian multiplies the finished sum, so the unscaled Laguerre
-    # terms can overflow at large n and r; _package refuses inf and NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        lag = _genlaguerre_table(pn.size - 1, 0, 4.0 * r2)
-        w = WIGNER_BOUND * np.exp(-2.0 * r2) * np.tensordot(signs * pn, lag,
-                                                            axes=(0, 0))
-    return _package(x, p, w, wigner_origin(pn), check_norm)
+    return _wigner_data([np.asarray(populations, dtype=float)], x, p,
+                        check_norm)
 
 
 def wigner_from_density_matrix(rho: DensityMatrix, x, p,
                                check_norm=True) -> WignerData:
-    """Wigner function of a general single-mode state via the displaced
-    parity series; agrees with the population path for diagonal states."""
+    """Wigner function of a general single-mode state,
+    W(alpha) = (2/pi) Tr[rho D(alpha) (-1)^(b+ b) D(alpha)^+]; agrees with
+    the population path for diagonal states."""
     if len(rho.space.factors) != 1:
         raise ValueError("single-mode density matrix required")
     m = rho.matrix
     nrm = np.linalg.norm(m)
     if nrm > 0 and np.linalg.norm(m - m.conj().T) / nrm > 1e-10:
         raise ValueError("density matrix is not Hermitian")
-    d = m.shape[0]
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    alpha = x[None, :] + 1j * p[:, None]
-    # the row-major (upper-triangle) accumulation below effectively sums
-    # rho_{mn} <n|D(beta)|m> with beta = 2 conj(alpha); conjugating here
-    # keeps the phase-space orientation (displacement by alpha peaks at
-    # alpha, not at its mirror image)
-    beta = 2.0 * np.conj(alpha)
-    babs2 = np.abs(beta) ** 2
-
-    # W(alpha) = (2/pi) sum_{mn} rho_{mn} (-1)^m <n|D(beta)|m>, with
-    # <n|D(beta)|m> = sqrt(m!/n!) beta^(n-m) e^(-|beta|^2/2) L_m^(n-m)(|beta|^2)
-    # for n >= m; Hermiticity folds the lower triangle into twice the real part.
-    w = np.zeros(babs2.shape)
-    phase = np.ones_like(beta)
-    logb = np.zeros(babs2.shape)
-    with np.errstate(divide="ignore"):
-        logabs_b = np.log(np.abs(beta), out=np.full(babs2.shape, -np.inf),
-                          where=np.abs(beta) > 0)
-    unit_b = np.divide(beta, np.abs(beta), out=np.ones_like(beta),
-                       where=np.abs(beta) > 0)
-    # overflow of the Laguerre terms is refused by _package, as above
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(d):          # k = n - m
-            lag = _genlaguerre_table(d - 1 - k, k, babs2)
-            if k > 0:
-                phase = phase * unit_b
-                logb = logb + logabs_b
-            for mm in range(d - k):
-                nn = mm + k
-                coef = m[nn, mm] * (-1) ** mm
-                if coef == 0:
-                    continue
-                logpref = (0.5 * (gammaln(mm + 1) - gammaln(nn + 1))
-                           + logb - 0.5 * babs2)
-                term = coef * phase * np.exp(logpref) * lag[mm]
-                w += term.real if k == 0 else 2.0 * term.real
-    w *= WIGNER_BOUND
-    origin = wigner_origin(np.real(np.diag(m)))
-    return _package(x, p, w, origin, check_norm)
+    diagonals = [np.real(np.diagonal(m))]
+    diagonals += [np.diagonal(m, -k) for k in range(1, len(m))]
+    return _wigner_data(diagonals, x, p, check_norm)
 
 
 def default_grid(mech_dim: int, points: int = 121):

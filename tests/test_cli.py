@@ -260,17 +260,60 @@ def test_cli_steady_converge_unsettled_at_cap(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_steady_refuses_overflowing_wigner(tmp_path, capsys):
-    # at 240 levels the upward Laguerre recurrence overflows on the default
-    # grid: the run fails with the solver exit code and writes no Wigner file
+def test_cli_steady_wigner_at_240_levels(tmp_path):
+    # the upward Laguerre recurrence used to overflow here on the default grid
     def mutate(raw):
         raw["simulation"]["mech_truncation"] = 240
         del raw["simulation"]["wigner_grid"]
     out = tmp_path / "out"
     assert main(["steady", "--config", str(write_variant(tmp_path, mutate)),
-                 "--out", str(out)]) == EXIT_SOLVER
+                 "--out", str(out)]) == EXIT_OK
+    rows = list(csv.reader((out / "wigner.csv").read_text().splitlines()[2:]))
+    assert len(rows) == 121 * 121
+    assert np.isfinite(np.array(rows, dtype=float)).all()
+
+
+def test_cli_steady_refuses_overflowing_wigner(tmp_path, capsys):
+    # a grid this wide overflows z = 4 |alpha|^2: the run fails with the
+    # solver exit code, warns nothing and writes no Wigner file
+    out = tmp_path / "out"
+    path = write_variant(tmp_path, lambda raw: raw["simulation"][
+        "wigner_grid"].update(half_width=1e200))
+    assert main(["steady", "--config", str(path), "--out", str(out)]) \
+        == EXIT_SOLVER
     assert "Wigner series overflows" in capsys.readouterr().err
     assert not (out / "wigner.csv").exists()
+
+
+@pytest.mark.parametrize("peak, width, error, message", [
+    # an OverflowError and a QuadratureError used to escape as tracebacks
+    ("1e200 V/m", "50 nm", "DeviceError", "not finite"),
+    ("1.2e7 V/m", "1e-9 nm", "QuadratureError", "did not converge"),
+])
+def test_cli_field_model_failures_are_config_errors(tmp_path, capsys, peak,
+                                                    width, error, message):
+    def mutate(raw):
+        raw["device"]["softening"] = {
+            "field_model": {"type": "gaussian_tip", "e_par_peak": peak,
+                            "center": "0.5 um", "width": width,
+                            "gradient_scale": "20 nm"},
+            "alpha_par": "142 4pi_eps0_A2"}
+    path = write_variant(tmp_path, mutate)
+    out = tmp_path / "out"
+    assert main(["device", "--config", str(path), "--out", str(out)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert len(err.splitlines()) == 1
+    # each sweep point records the failure in its row; the sweep's own
+    # device report then fails the same way
+    assert main(["sweep", "--config", str(path), "--out", str(out),
+                 "--param", "device.temperature",
+                 "--values", '"20 mK"', '"25 mK"']) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    rows = list(csv.reader((out / "sweep.csv").read_text().splitlines()[2:]))
+    assert [r[-1].split(":")[0] for r in rows] == [error] * 2
 
 
 def test_cli_spectrum_outputs(tmp_path):

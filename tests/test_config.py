@@ -131,7 +131,8 @@ def test_invalid_truncations(headline_config_dict):
 
 @pytest.mark.parametrize("grid, key, value", [
     ("wigner_grid", "points", 0), ("wigner_grid", "points", -3),
-    ("wigner_grid", "points", 2), ("wigner_grid", "half_width", 0),
+    ("wigner_grid", "points", 2), ("wigner_grid", "points", 100),
+    ("wigner_grid", "half_width", 0),
     ("wigner_grid", "half_width", -7), ("spectrum_grid", "points", 0),
     ("spectrum_grid", "span", "0 Hz"), ("spectrum_grid", "span", "-1 MHz"),
 ])

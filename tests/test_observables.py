@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from nanomech.fock import (DensityMatrix, FockSpace, annihilation,
@@ -65,12 +68,16 @@ def test_wigner_bound_and_normalization_high_levels():
     assert w.grid_integral() == pytest.approx(1.0, abs=1e-4)
 
 
-def test_density_matrix_path_matches_population_path():
-    space = FockSpace(6, "m")
-    pn = np.array([0.35, 0.30, 0.20, 0.10, 0.04, 0.01])
+@settings(max_examples=20, deadline=None)
+@given(arrays(float, st.integers(2, 12), elements=st.floats(0.0, 1.0)))
+@example(np.array([0.35, 0.30, 0.20, 0.10, 0.04, 0.01]))
+def test_density_matrix_path_matches_population_path(weights):
+    assume(weights.sum() > 1e-3)
+    pn = weights / weights.sum()
     x, p = grid()
-    w_pop = wigner_from_populations(pn, x, p)
-    w_rho = wigner_from_density_matrix(diagonal_density(space, pn), x, p)
+    w_pop = wigner_from_populations(pn, x, p, check_norm=False)
+    w_rho = wigner_from_density_matrix(
+        diagonal_density(FockSpace(pn.size, "m"), pn), x, p, check_norm=False)
     np.testing.assert_allclose(w_rho.values, w_pop.values, atol=1e-12)
 
 

@@ -1,0 +1,101 @@
+"""Property tests of the Wigner kernel: the bound |W| <= 2/pi, the origin
+identity, the normalisation of Fock mixtures up to 400 levels, and the
+density-matrix path against an independent displaced-parity oracle."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import expm
+
+from nanomech.fock import DensityMatrix, FockSpace
+from nanomech.observables import (WIGNER_BOUND, wigner_from_density_matrix,
+                                  wigner_from_populations, wigner_origin)
+
+
+@st.composite
+def populations(draw, max_levels):
+    """A normalised Fock mixture; sparse draws put weight on high levels."""
+    levels = draw(st.integers(1, max_levels))
+    weights = np.zeros(levels)
+    for n in draw(st.lists(st.integers(0, levels - 1), min_size=1,
+                           max_size=6)):
+        weights[n] += draw(st.floats(0.01, 1.0))
+    return weights / weights.sum()
+
+
+@st.composite
+def density_matrices(draw, max_dim):
+    """A random density matrix A A^+ / Tr(A A^+) of random rank."""
+    d = draw(st.integers(2, max_dim))
+    parts = draw(arrays(float, (2, d, draw(st.integers(1, d))),
+                        elements=st.floats(-1.0, 1.0)))
+    a = parts[0] + 1j * parts[1]
+    rho = a @ a.conj().T
+    trace = np.trace(rho).real
+    if trace < 1e-6:
+        rho, trace = np.eye(d, dtype=complex), d
+    return DensityMatrix(FockSpace(d, "m"), rho / trace)
+
+
+def oracle(rho, alpha, pad=40):
+    """(2/pi) Tr[rho D(alpha) P D(alpha)^+] with the parity P = (-1)^(b+ b)
+    and D = exp(alpha b^+ - alpha* b) by expm in a truncation d + pad."""
+    d = rho.matrix.shape[0]
+    n = d + pad
+    b = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+    disp = expm(alpha * b.T - np.conj(alpha) * b)
+    parity = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    big = np.zeros((n, n), dtype=complex)
+    big[:d, :d] = rho.matrix
+    return WIGNER_BOUND * np.trace(big @ (disp * parity) @ disp.conj().T).real
+
+
+@settings(max_examples=30, deadline=None)
+@given(density_matrices(12))
+def test_wigner_bound(rho):
+    x = np.linspace(-6.0, 6.0, 41)
+    w = wigner_from_density_matrix(rho, x, x, check_norm=False).values
+    assert np.max(np.abs(w)) <= WIGNER_BOUND * (1.0 + 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(populations(400), density_matrices(12))
+def test_origin_is_alternating_sum(pn, rho):
+    origin = np.zeros(1)
+    alternating = WIGNER_BOUND * sum((-1) ** n * v for n, v in enumerate(pn))
+    w = wigner_from_populations(pn, origin, origin, check_norm=False)
+    assert w.values[0, 0] == pytest.approx(alternating, abs=1e-12)
+    assert wigner_origin(pn) == pytest.approx(alternating, abs=1e-12)
+    diag = np.real(np.diag(rho.matrix))
+    w = wigner_from_density_matrix(rho, origin, origin, check_norm=False)
+    assert w.values[0, 0] == pytest.approx(
+        WIGNER_BOUND * sum((-1) ** n * v for n, v in enumerate(diag)),
+        abs=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(populations(400))
+@example(np.eye(400)[399])
+@example(np.full(400, 1.0 / 400))
+def test_fock_mixture_normalisation_and_bound(pn):
+    # W is radial, so its integral over the plane is 2 pi int r W(r, 0) dr;
+    # the grid steps 0.005, about 1/16 of the shortest fringe at 400 levels,
+    # and reaches 6 beyond the classical radius sqrt(n)
+    r = np.arange(0.0, np.sqrt(pn.size) + 6.0, 0.005)
+    w = wigner_from_populations(pn, r, np.zeros(1), check_norm=False).values[0]
+    assert 2.0 * np.pi * np.trapezoid(r * w, r) == pytest.approx(1.0, abs=1e-3)
+    assert np.max(np.abs(w)) <= WIGNER_BOUND * (1.0 + 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(density_matrices(8),
+       st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2 * np.pi)),
+                min_size=1, max_size=3))
+def test_density_path_matches_displaced_parity(rho, points):
+    for radius, angle in points:
+        alpha = radius * np.exp(1j * angle)
+        w = wigner_from_density_matrix(rho, [alpha.real], [alpha.imag],
+                                       check_norm=False)
+        assert w.values[0, 0] == pytest.approx(oracle(rho, alpha), abs=1e-10)
