@@ -30,8 +30,7 @@ from .lindblad import (LaserParams, SolverError, SystemConfig,
                        transition_rates)
 from .observables import (SpectrumInversionError, default_grid,
                           populations_from_spectrum, power_spectrum,
-                          wigner_from_density_matrix, wigner_from_populations,
-                          wigner_origin)
+                          wigner_from_populations, wigner_origin)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -271,11 +270,9 @@ def run_steady(cfg: RunConfig, full=False, compare=False, converge=False):
     if full:
         liou = build_full_liouvillian(sysc)
         ss = steady_state_solve(liou)
-        mech = partial_trace(ss.rho, 0)
-        full_pops = mech.populations()
+        full_pops = partial_trace(ss.rho, 0).populations()
         result["full"] = ss
         result["full_populations"] = full_pops
-        result["full_wigner"] = wigner_from_density_matrix(mech, x, x)
         if compare:
             n = min(full_pops.size, reduced.populations.size)
             result["compare"] = np.abs(full_pops[:n] - reduced.populations[:n])
@@ -429,7 +426,7 @@ def cmd_steady(cfg: RunConfig, args) -> int:
                    "reduced_residual": res["reduced"].residual}
     if args.full:
         pops["full"] = list(res["full_populations"])
-        pops["full_wigner_origin"] = res["full_wigner"].origin_value
+        pops["full_wigner_origin"] = wigner_origin(res["full_populations"])
         diagnostics["full_method"] = res["full"].method
         diagnostics["full_residual"] = res["full"].residual
         diagnostics["full_iterations"] = res["full"].iterations
@@ -484,13 +481,15 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             values.append(json.loads(v))
         except json.JSONDecodeError:
             values.append(v)
+    # the manifest reports the base point: a base point that fails refuses
+    # the sweep before any file is written
+    derived, report = run_device(cfg)
     rows = run_sweep(cfg, args.param, values)
     out = _outdir(cfg, args)
     header = ["value", "omega_m", "lambda", "kappa", "n_bar",
               "P0", "P1", "P2", "W00", "error"]
     write_csv(out / "sweep.csv", header,
               [[r.get(h, "") for r in rows] for h in header])
-    derived, report = run_device(cfg)
     _emit_manifest(out, cfg, derived, report,
                    {"command": "sweep", "param": args.param})
     for r in rows:

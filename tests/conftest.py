@@ -25,6 +25,19 @@ N_BAR = 1.0 / np.expm1(hbar * OMEGA_M_PRIME / (kB * 0.020))
 CONFIG_PATH = Path(__file__).resolve().parents[1] / "configs" / "fig2.json"
 
 
+def dense_generator(h, jumps):
+    """Dense column-stacked generator of a Hermitian H and jump operators,
+    written out with Kronecker products."""
+    d = h.shape[0]
+    eye = np.eye(d)
+    lsuper = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for c in jumps:
+        cdc = c.conj().T @ c
+        lsuper += (np.kron(c.conj(), c) - 0.5 * np.kron(eye, cdc)
+                   - 0.5 * np.kron(cdc.T, eye))
+    return lsuper
+
+
 def quoted_system(mech_dim=8, cavity_dim=2, g_scale=1.0):
     def delta(n):
         return OMEGA_M_PRIME + LAMBDA * (n - 1)

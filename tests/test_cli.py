@@ -9,7 +9,8 @@ from nanomech.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION,
                           canonical_json, config_hash, format_float, main,
                           run_device, run_spectrum, run_steady, run_sweep,
                           set_config_path, write_csv)
-from nanomech.config import ConfigError, parse_config
+from nanomech.config import ConfigError, load_config, parse_config
+from nanomech.observables import wigner_origin
 
 from conftest import CONFIG_PATH
 
@@ -204,6 +205,20 @@ def test_cli_steady_full_three_cavity_levels(tmp_path):
     assert 1.0 <= solver["full_condition_estimate"] <= 1e12
 
 
+def test_cli_steady_full_reference_device(tmp_path):
+    # fig2 at mech 8 (n = 4,096): the steady and the probe solve take 64
+    # GMRES steps together, and the full-state W(0,0) is the alternating
+    # sum of the full populations
+    out = tmp_path / "out"
+    assert main(["steady", "--config", str(CONFIG_PATH), "--full",
+                 "--compare", "--out", str(out)]) == EXIT_OK
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    assert solver["full_iterations"] == pytest.approx(64, abs=2)
+    pops = json.loads((out / "populations.json").read_text())
+    assert pops["full_wigner_origin"] == wigner_origin(pops["full"])
+    assert max(pops["compare_abs_diff"]) < 0.05
+
+
 def test_cli_steady_converge(tmp_path):
     out = tmp_path / "out"
     assert main(["steady", "--config", str(CONFIG_PATH), "--out", str(out),
@@ -305,15 +320,20 @@ def test_cli_field_model_failures_are_config_errors(tmp_path, capsys, peak,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
     assert len(err.splitlines()) == 1
-    # each sweep point records the failure in its row; the sweep's own
-    # device report then fails the same way
+    # the sweep's base point fails the same way, before any point is run
+    # or any file is written
     assert main(["sweep", "--config", str(path), "--out", str(out),
                  "--param", "device.temperature",
                  "--values", '"20 mK"', '"25 mK"']) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
-    rows = list(csv.reader((out / "sweep.csv").read_text().splitlines()[2:]))
-    assert [r[-1].split(":")[0] for r in rows] == [error] * 2
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+    # a sweep point that fails this way records the failure in its row
+    rows = run_sweep(load_config(path), "device.temperature",
+                     ["20 mK", "25 mK"])
+    assert [r["error"].split(":")[0] for r in rows] == [error] * 2
+    assert [r["exit_code"] for r in rows] == [EXIT_CONFIG] * 2
 
 
 def test_cli_spectrum_outputs(tmp_path):

@@ -23,7 +23,7 @@ from nanomech.lindblad import (CONDITION_LIMIT, DegenerateSteadyStateError,
                                transition_rates)
 
 from conftest import (CONFIG_PATH, GAMMA_M, KAPPA, LAMBDA, N_BAR,
-                      OMEGA_M_PRIME, quoted_system)
+                      OMEGA_M_PRIME, dense_generator, quoted_system)
 
 TWO_PI = 2 * np.pi
 
@@ -125,6 +125,44 @@ def test_liouvillian_trace_preservation():
     liou = build_full_liouvillian(cfg)
     scale = abs(liou.superoperator).max()
     assert liou.trace_preservation_defect() <= 1e-10 * scale
+
+
+def test_liouvillian_assembly_matches_dense_kronecker_sums():
+    # L and the uncoupled generator M at fig2 mech 4 (n = 1,024) against
+    # -i[H, .] plus one dissipator per jump, written out as dense Kronecker
+    # sums: L has H and the thermal jumps sqrt(gamma (n_bar + 1)) b and
+    # sqrt(gamma n_bar) b^dag, M has H at g_j = 0 and the reduced chain's
+    # jumps sum_n sqrt(n down_n) |n-1><n| and sum_n sqrt(n up_n) |n><n-1|;
+    # both have the cavity decays sqrt(kappa) a_j
+    cfg = fig2_system(4)
+    liou = build_full_liouvillian(cfg)
+    dims = liou.space.dims
+
+    def lifted(op, slot):
+        out = np.ones((1, 1))
+        for k, dim in enumerate(dims):
+            out = np.kron(out, op if k == slot else np.eye(dim))
+        return out
+
+    n = np.arange(1, cfg.mech_dim)
+    b = lifted(np.diag(np.sqrt(n), 1), 0)
+    cavities = [np.sqrt(cfg.kappa) * lifted(np.diag(np.sqrt(
+        np.arange(1, dim)), 1), 1 + j) for j, dim in enumerate(dims[1:])]
+    h = build_full_hamiltonian(cfg).to_dense()
+    h0 = build_full_hamiltonian(dataclasses.replace(cfg, lasers=tuple(
+        dataclasses.replace(l, g=0.0) for l in cfg.lasers))).to_dense()
+    up, down = chain_rates(transition_rates(cfg), cfg.gamma_m, cfg.n_bar)
+    thermal = [np.sqrt(cfg.gamma_m * (cfg.n_bar + 1.0)) * b,
+               np.sqrt(cfg.gamma_m * cfg.n_bar) * b.conj().T]
+    chain = [lifted(np.diag(np.sqrt(n * down), 1), 0),
+             lifted(np.diag(np.sqrt(n * up), -1), 0)]
+    lsuper = dense_generator(h, cavities + thermal)
+    scale = np.abs(lsuper).max()
+    np.testing.assert_allclose(liou.superoperator.toarray(), lsuper, rtol=0,
+                               atol=1e-12 * scale)
+    np.testing.assert_allclose(liou.uncoupled.toarray(),
+                               dense_generator(h0, cavities + chain), rtol=0,
+                               atol=1e-12 * scale)
 
 
 def test_liouvillian_preserves_hermiticity(rng):

@@ -1,17 +1,22 @@
 """Property tests of the full steady-state solver over random Lindbladians:
 preconditioned GMRES in Hermitian coordinates against the dense null
 space, with the generator as its own preconditioner and with an inexact
-one."""
+one; and its GMRES cycle against scipy's on random nonsymmetric systems."""
 
 import numpy as np
+import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nanomech.fock import CompositeSpace, FockSpace
-from nanomech.lindblad import Liouvillian, steady_state_solve
+from nanomech.lindblad import (Liouvillian, _arnoldi_cycle,
+                               steady_state_solve)
+
+from conftest import dense_generator
 
 ENTRY = st.floats(-1.0, 1.0)
 
@@ -20,19 +25,6 @@ def complex_matrices(d):
     return st.builds(lambda re, im: re + 1j * im,
                      arrays(float, (d, d), elements=ENTRY),
                      arrays(float, (d, d), elements=ENTRY))
-
-
-def dense_generator(h, jumps):
-    """Dense column-stacked generator of a Hermitian H and jump operators,
-    written out with Kronecker products."""
-    d = h.shape[0]
-    eye = np.eye(d)
-    lsuper = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for c in jumps:
-        cdc = c.conj().T @ c
-        lsuper += (np.kron(c.conj(), c) - 0.5 * np.kron(eye, cdc)
-                   - 0.5 * np.kron(cdc.T, eye))
-    return lsuper
 
 
 @st.composite
@@ -105,3 +97,66 @@ def test_steady_state_with_inexact_uncoupled_generator(generators):
     # the preconditioner must itself have a unique steady state
     assume(one_dimensional_null_space(uncoupled))
     check_against_null_space(d, lsuper, uncoupled)
+
+
+def scipy_cycle(a, b, atol, restart):
+    """The oracle: one cycle of scipy's GMRES from x = 0, and its steps."""
+    steps = []
+    x, _info = scipy.sparse.linalg.gmres(
+        a, b, rtol=0.0, atol=atol, restart=restart, maxiter=1,
+        callback=steps.append, callback_type="pr_norm")
+    return x, len(steps)
+
+
+@st.composite
+def nonsymmetric_systems(draw):
+    """A random nonsymmetric n x n system, its diagonal shifted by 0 to 2n
+    (from indefinite to diagonally dominant), a right-hand side, a restart
+    length and a stopping tolerance of 0 or a fraction of |b|.  The entries
+    are Gaussian from a drawn seed: drawn entry by entry, they shrink to
+    multiples of the identity, whose Krylov space closes to rounding after
+    one step, where scipy's single-pass Gram-Schmidt carries on with a
+    vector of rounding noise and is no oracle (see the breakdown test)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 12))
+    a = rng.standard_normal((n, n)) + draw(st.floats(0.0, 2.0)) * n * np.eye(n)
+    b = rng.standard_normal(n)
+    restart = draw(st.integers(1, n + 2))
+    atol = draw(st.sampled_from([0.0, 1e-8, 1e-3, 0.1])) * np.linalg.norm(b)
+    return a, b, atol, restart
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonsymmetric_systems())
+def test_arnoldi_cycle_matches_scipy_gmres(system):
+    a, b, atol, restart = system
+    dx, steps = _arnoldi_cycle(lambda v: a @ v, b, atol, restart)
+    x, oracle_steps = scipy_cycle(a, b, atol, restart)
+    assert steps == oracle_steps
+    # to 1e-10 of the correction's size: near-singular draws (|x| ~ 1e3 at
+    # condition ~ 1e4) leave both cycles rounding errors of 1e-10
+    np.testing.assert_allclose(dx, x, rtol=0,
+                               atol=1e-10 * max(1.0, np.abs(x).max()))
+
+
+@pytest.mark.parametrize("a, b, restart, steps, dx, oracle", [
+    # b lies in a two-dimensional invariant space: after 2 steps w = 0
+    # exactly and the correction is the solution
+    (np.diag([1.0, 1, 3, 3, 5, 7]), [1.0, 1, 1, 1, 0, 0], 6, 2,
+     [1, 1, 1 / 3, 1 / 3, 0, 0], True),
+    # a singular system whose second step adds nothing (a zero rotation):
+    # the first step cannot reduce the residual, so the correction is 0
+    (np.array([[0.0, 0.0], [1.0, 0.0]]), [1.0, 0.0], 2, 2, [0, 0], True),
+    # A b = 3 b: w is rounding noise after one step; scipy goes on with
+    # it as a basis vector and returns 0.398 for 1/3
+    (3.0 * np.eye(3), [1.0, 1.0, 1.0], 2, 1, [1 / 3] * 3, False),
+], ids=["invariant_space", "zero_rotation", "one_step"])
+def test_arnoldi_cycle_happy_breakdown(a, b, restart, steps, dx, oracle):
+    b = np.array(b)
+    got, got_steps = _arnoldi_cycle(lambda v: a @ v, b, 0.0, restart)
+    assert got_steps == steps
+    np.testing.assert_allclose(got, dx, rtol=0, atol=1e-15)
+    if oracle:
+        x, oracle_steps = scipy_cycle(a, b, 0.0, restart)
+        assert oracle_steps == steps
+        np.testing.assert_allclose(got, x, rtol=0, atol=1e-15)
