@@ -1,9 +1,9 @@
-"""Truncated Fock-space operator algebra on tensor products of bosonic modes.
+"""Truncated Fock spaces of bosonic modes and their tensor products, density
+matrices on them, and the partial trace.
 
-Operators are stored as sparse complex matrices (CSR) tagged with the space
-they act on.  Basis ordering is lexicographic with the first tensor factor
-varying slowest, i.e. the composite basis index of occupations (n_0, ..., n_k)
-is n_0 * (d_1*...*d_k) + n_1 * (d_2*...*d_k) + ... + n_k.  This matches the
+Basis ordering is lexicographic with the first tensor factor varying
+slowest, i.e. the composite basis index of occupations (n_0, ..., n_k) is
+n_0 * (d_1*...*d_k) + n_1 * (d_2*...*d_k) + ... + n_k.  This matches the
 ordering produced by chained Kronecker products.
 """
 
@@ -13,14 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-
-# magnitude below which matrix entries are dropped as structural zeros
-ZERO_DROP = 1e-15
 
 
 class FockError(ValueError):
-    """Dimension/slot mismatch or invalid operator construction."""
+    """Invalid space, density-matrix shape or factor slot."""
 
 
 @dataclass(frozen=True)
@@ -64,58 +60,6 @@ def _as_composite(space) -> CompositeSpace:
 
 
 @dataclass(frozen=True)
-class FockOperator:
-    """Sparse complex operator tagged with the space it acts on."""
-
-    space: CompositeSpace
-    matrix: sp.csr_matrix = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "space", _as_composite(self.space))
-        m = sp.csr_matrix(self.matrix, dtype=complex)
-        if m.shape != (self.space.total_dim, self.space.total_dim):
-            raise FockError(
-                f"matrix shape {m.shape} does not match space dim "
-                f"{self.space.total_dim}")
-        mask = np.abs(m.data) > ZERO_DROP
-        if not mask.all():
-            m.data[~mask] = 0.0
-            m.eliminate_zeros()
-        object.__setattr__(self, "matrix", m)
-
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.space, self.matrix.conj().T.tocsr())
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def _check_same_space(self, other: "FockOperator"):
-        if self.space.dims != other.space.dims:
-            raise FockError(
-                f"operator spaces differ: {self.space.dims} vs {other.space.dims}")
-
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        self._check_same_space(other)
-        return FockOperator(self.space, (self.matrix @ other.matrix).tocsr())
-
-    def __add__(self, other: "FockOperator") -> "FockOperator":
-        self._check_same_space(other)
-        return FockOperator(self.space, (self.matrix + other.matrix).tocsr())
-
-    def __sub__(self, other: "FockOperator") -> "FockOperator":
-        self._check_same_space(other)
-        return FockOperator(self.space, (self.matrix - other.matrix).tocsr())
-
-    def __mul__(self, scalar) -> "FockOperator":
-        return FockOperator(self.space, (self.matrix * complex(scalar)).tocsr())
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "FockOperator":
-        return self * (-1.0)
-
-
-@dataclass(frozen=True)
 class DensityMatrix:
     """Complex square matrix on a (composite) Fock space."""
 
@@ -130,67 +74,8 @@ class DensityMatrix:
             raise FockError(f"density matrix shape {m.shape}, expected {(d, d)}")
         object.__setattr__(self, "matrix", m)
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
     def populations(self) -> np.ndarray:
         return np.real(np.diag(self.matrix))
-
-
-# ---------------------------------------------------------------------------
-# constructors
-
-def annihilation(space: FockSpace) -> FockOperator:
-    """Ladder operator with <n-1|b|n> = sqrt(n)."""
-    d = space.dim
-    data = np.sqrt(np.arange(1, d))
-    m = sp.diags(data, offsets=1, shape=(d, d), format="csr", dtype=complex)
-    return FockOperator(space, m)
-
-
-def number(space: FockSpace) -> FockOperator:
-    m = sp.diags(np.arange(space.dim, dtype=float), format="csr", dtype=complex)
-    return FockOperator(space, m)
-
-
-def fock_state(space, occupations) -> DensityMatrix:
-    """Pure product Fock state |n_0, n_1, ...><...| on the given space."""
-    comp = _as_composite(space)
-    occ = [occupations] if isinstance(occupations, int) else list(occupations)
-    if len(occ) != len(comp.factors):
-        raise FockError("one occupation per factor required")
-    idx = 0
-    for n, f in zip(occ, comp.factors):
-        if not 0 <= n < f.dim:
-            raise FockError(f"occupation {n} outside space of dim {f.dim}")
-        idx = idx * f.dim + n
-    m = np.zeros((comp.total_dim, comp.total_dim), dtype=complex)
-    m[idx, idx] = 1.0
-    return DensityMatrix(comp, m)
-
-
-def diagonal_density(space: FockSpace, populations) -> DensityMatrix:
-    p = np.asarray(populations, dtype=float)
-    if p.shape != (space.dim,):
-        raise FockError("population vector length must equal dim")
-    return DensityMatrix(space, np.diag(p.astype(complex)))
-
-
-# ---------------------------------------------------------------------------
-# composition and reduction
-
-def lift(op: FockOperator, composite: CompositeSpace, slot: int) -> FockOperator:
-    """Embed a single-factor operator as id x ... x op x ... x id."""
-    if not 0 <= slot < len(composite.factors):
-        raise FockError(f"slot {slot} out of range for {len(composite.factors)} factors")
-    target = composite.factors[slot]
-    if op.space.total_dim != target.dim:
-        raise FockError(
-            f"operator dim {op.space.total_dim} does not match factor dim {target.dim}")
-    left = sp.identity(math.prod(composite.dims[:slot]), dtype=complex)
-    right = sp.identity(math.prod(composite.dims[slot + 1:]), dtype=complex)
-    return FockOperator(composite, sp.kron(sp.kron(left, op.matrix), right,
-                                           format="csr"))
 
 
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:

@@ -30,8 +30,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
 
 from .device import transition_frequency
-from .fock import (CompositeSpace, DensityMatrix, FockOperator, FockSpace,
-                   annihilation, lift)
+from .fock import CompositeSpace, DensityMatrix, FockSpace
 
 TRACE_PRESERVATION_TOL = 1e-10
 DEFAULT_NNZ_CAP = 200_000_000
@@ -86,7 +85,7 @@ class SystemConfig:
             raise ValueError(f"mech truncation must be >= 3, got {self.mech_dim}")
         if any(d < 2 for d in self.cavity_dims):
             raise ValueError("cavity truncations must be >= 2")
-        if self.cavity_dims and len(self.cavity_dims) != len(self.lasers):
+        if len(self.cavity_dims) != len(self.lasers):
             raise ValueError("one cavity mode per laser required")
 
     @classmethod
@@ -152,45 +151,53 @@ class RateTable:
 # ---------------------------------------------------------------------------
 # generator construction
 
-def mechanical_hamiltonian(config: SystemConfig) -> sp.csr_matrix:
-    """Single-mode anharmonic part w_m' n + (lam/2) n (n - 1), diagonal."""
-    n = np.arange(config.mech_dim, dtype=float)
-    diag = config.omega_m_prime * n + 0.5 * config.lam * n * (n - 1)
-    return sp.diags(diag.astype(complex), format="csr")
+def _lowering(dims: tuple[int, ...], slot: int, weights) -> sp.csr_matrix:
+    """sum_n weights[n-1] |..n-1..><..n..| on factor `slot` of the product
+    space with factor dimensions `dims` (first factor slowest), the identity
+    on the others; weights sqrt(n) give the factor's annihilation operator."""
+    d = math.prod(dims)
+    stride = math.prod(dims[slot + 1:])
+    cols = np.arange(d)
+    n = cols // stride % dims[slot]
+    cols, n = cols[n > 0], n[n > 0]
+    return sp.csr_matrix((np.asarray(weights)[n - 1], (cols - stride, cols)),
+                         shape=(d, d), dtype=complex)
 
 
 def _hamiltonian_parts(config: SystemConfig):
-    """The pieces of the full Hamiltonian, each operator lifted once: the
-    space, the diagonal uncoupled part H0 (the anharmonic mechanics and the
-    detuned cavities), the displaced linear coupling Hc, and the lifted
-    ladder operators b and a_j as CSR matrices."""
+    """The full Hamiltonian built on the occupation table of the space: the
+    space, the diagonal uncoupled part H0 (the anharmonic mechanics
+    w_m' n + (lam/2) n (n - 1) and the detuned cavities), H = H0 plus the
+    displaced linear coupling, and the ladder operators b and a_j as CSR
+    matrices."""
     space = config.space()
-    occupations = np.unravel_index(np.arange(space.total_dim), space.dims)
-    energy = mechanical_hamiltonian(config).diagonal()[occupations[0]]
+    dims = space.dims
+    occupations = np.unravel_index(np.arange(space.total_dim), dims)
+    n = occupations[0]
+    energy = config.omega_m_prime * n + 0.5 * config.lam * n * (n - 1)
     for j, laser in enumerate(config.lasers):
         energy = energy + (-laser.detuning) * occupations[1 + j]
-    h0 = FockOperator(space, sp.diags(energy, format="csr"))
-    b = lift(annihilation(space.factors[0]), space, 0)
-    x = b + b.dagger()
-    cavities = [lift(annihilation(cav), space, 1 + j)
-                for j, cav in enumerate(space.factors[1:])]
-    coupling = FockOperator(space, sp.csr_matrix(
-        (space.total_dim, space.total_dim), dtype=complex))
+    h0 = sp.diags(energy, format="csr")
+    # the ladder operators are real, so their transposes are the creators
+    b = _lowering(dims, 0, np.sqrt(np.arange(1, dims[0])))
+    x = b + b.T
+    cavities = [_lowering(dims, 1 + j, np.sqrt(np.arange(1, dim)))
+                for j, dim in enumerate(dims[1:])]
+    coupling = sp.csr_matrix((space.total_dim, space.total_dim), dtype=complex)
     for a, laser in zip(cavities, config.lasers, strict=True):
         coupling = coupling + (
-            (np.conj(laser.g) / 2.0) * a + (laser.g / 2.0) * a.dagger()) @ x
-    h = h0.matrix + coupling.matrix
+            (np.conj(laser.g) / 2.0) * a + (laser.g / 2.0) * a.T) @ x
+    h = h0 + coupling
     herm_defect = abs(h - h.conj().T).max()
     if herm_defect > 1e-12 * max(1.0, abs(h).max()):
         raise SolverError(f"Hamiltonian not Hermitian, defect {herm_defect:.3e}")
-    return space, h0.matrix, coupling.matrix, b.matrix, [a.matrix for a in cavities]
+    return space, h0, h, b, cavities
 
 
-def build_full_hamiltonian(config: SystemConfig) -> FockOperator:
+def build_full_hamiltonian(config: SystemConfig) -> sp.csr_matrix:
     """Multi-mode Hamiltonian (in units of hbar): detuned cavities, the
     anharmonic mechanical mode, and the displaced linear coupling."""
-    space, h0, coupling, _b, _cavities = _hamiltonian_parts(config)
-    return FockOperator(space, h0 + coupling)
+    return _hamiltonian_parts(config)[2]
 
 
 def _lindblad_super(h: sp.spmatrix, jumps) -> sp.csr_matrix:
@@ -232,7 +239,7 @@ def build_full_liouvillian(config: SystemConfig,
     if est > nnz_cap:
         raise MemoryError(
             f"estimated superoperator nonzeros {est} exceed cap {nnz_cap}")
-    space, h0, coupling, b, cavities = _hamiltonian_parts(config)
+    space, h0, h, b, cavities = _hamiltonian_parts(config)
     # the jumps L and M share: the cavity decay
     cavity_jumps = [np.sqrt(config.kappa) * a for a in cavities]
     mech_jumps = []
@@ -241,7 +248,7 @@ def build_full_liouvillian(config: SystemConfig,
         if config.n_bar > 0:
             mech_jumps.append(np.sqrt(config.gamma_m * config.n_bar)
                               * b.conj().T.tocsr())
-    lsuper = _lindblad_super(h0 + coupling, cavity_jumps + mech_jumps)
+    lsuper = _lindblad_super(h, cavity_jumps + mech_jumps)
 
     # with no drive the chain's jump operators are the thermal dissipator's
     # and there is no coupling, so M = L
@@ -250,11 +257,8 @@ def build_full_liouvillian(config: SystemConfig,
         up, down = chain_rates(transition_rates(config), config.gamma_m,
                                config.n_bar)
         n = np.arange(1, config.mech_dim)
-        mech = space.factors[0]
-        chain_jumps = [lift(FockOperator(mech, sp.diags(
-            np.sqrt(n * rates), offset, shape=(mech.dim, mech.dim),
-            format="csr", dtype=complex)), space, 0).matrix
-            for rates, offset in ((down, 1), (up, -1))]
+        chain_jumps = [_lowering(space.dims, 0, np.sqrt(n * down)),
+                       _lowering(space.dims, 0, np.sqrt(n * up)).T.tocsr()]
         uncoupled = _lindblad_super(h0, cavity_jumps + chain_jumps)
 
     liou = Liouvillian(space, lsuper, uncoupled)

@@ -16,7 +16,7 @@ from nanomech.device import (BucklingError, QuadraticTestPotential,
                              SofteningSpec, buckling_threshold,
                              mode_shape_integral, regime_check,
                              softened_frequency)
-from nanomech.fock import FockSpace, diagonal_density, partial_trace
+from nanomech.fock import DensityMatrix, FockSpace, partial_trace
 from nanomech.lindblad import (SystemConfig, build_full_liouvillian,
                                reduced_steady_populations,
                                steady_state_solve, transition_rates)
@@ -126,7 +126,7 @@ def test_criterion_5_wigner_identities():
     pn = np.array([0.2, 0.5, 0.2, 0.07, 0.03])
     mixed = wigner_from_populations(pn, x, x)
     rho_path = wigner_from_density_matrix(
-        diagonal_density(FockSpace(5, "m"), pn), x, x)
+        DensityMatrix(FockSpace(5, "m"), np.diag(pn)), x, x)
     alt = WIGNER_BOUND * np.sum((-1.0) ** np.arange(5) * pn)
     checks = {
         "vacuum origin": abs(vac.origin_value - WIGNER_BOUND) < 1e-12,

@@ -9,17 +9,16 @@ from scipy.sparse.linalg import expm_multiply, splu
 
 from nanomech.cli import run_device
 from nanomech.config import parse_config
-from nanomech.fock import (CompositeSpace, FockSpace, diagonal_density,
-                           fock_state, lift, number, partial_trace)
+from nanomech.fock import CompositeSpace, FockSpace, partial_trace
 from nanomech import lindblad
 from nanomech.lindblad import (CONDITION_LIMIT, DegenerateSteadyStateError,
                                LaserParams, Liouvillian, SolverError,
                                SystemConfig, TruncationError,
-                               _hermitian_coordinates, build_full_hamiltonian,
-                               build_full_liouvillian, build_reduced_generator,
-                               chain_rates, level_rates,
-                               mechanical_hamiltonian,
-                               reduced_steady_populations, steady_state_solve,
+                               _hermitian_coordinates, _lowering,
+                               build_full_hamiltonian, build_full_liouvillian,
+                               build_reduced_generator, chain_rates,
+                               level_rates, reduced_steady_populations,
+                               steady_state_solve,
                                transition_rates)
 
 from conftest import (CONFIG_PATH, GAMMA_M, KAPPA, LAMBDA, N_BAR,
@@ -59,6 +58,11 @@ def test_config_validation():
         SystemConfig(mech_dim=4, cavity_dims=(1,), omega_m_prime=1.0,
                      lam=0.0, gamma_m=0.0, n_bar=0.0, kappa=1.0,
                      lasers=(LaserParams(1.0, 0.0),))
+    # a laser needs its cavity mode also when there are no cavities at all
+    with pytest.raises(ValueError, match="one cavity mode per laser"):
+        SystemConfig(mech_dim=4, cavity_dims=(), omega_m_prime=1.0,
+                     lam=0.0, gamma_m=0.0, n_bar=0.0, kappa=1.0,
+                     lasers=(LaserParams(1.0, 0.0),))
 
 
 def test_space_layout():
@@ -73,7 +77,7 @@ def test_space_layout():
 
 def test_mechanical_hamiltonian_spectrum():
     cfg = mech_only(mech_dim=5, omega=2.0, lam=0.5)
-    diag = np.real(mechanical_hamiltonian(cfg).diagonal())
+    diag = np.real(build_full_hamiltonian(cfg).diagonal())
     expected = [2.0 * n + 0.25 * n * (n - 1) for n in range(5)]
     np.testing.assert_allclose(diag, expected)
     # level spacings are the rate table's delta_n = w' + lam (n - 1)
@@ -89,7 +93,7 @@ def test_full_hamiltonian_against_hand_built_matrix():
     cfg = SystemConfig(mech_dim=3, cavity_dims=(2,), omega_m_prime=omega,
                        lam=lam, gamma_m=0.0, n_bar=0.0, kappa=1.0,
                        lasers=(LaserParams(g=g, detuning=det),))
-    h = build_full_hamiltonian(cfg).to_dense()
+    h = build_full_hamiltonian(cfg).toarray()
 
     dim = 6   # |n_mech, n_cav> with mech slowest
     ref = np.zeros((dim, dim), dtype=complex)
@@ -116,7 +120,7 @@ def test_full_hamiltonian_against_hand_built_matrix():
 
 def test_full_hamiltonian_hermitian_with_complex_coupling():
     cfg = small_driven(g=1.0e3 * np.exp(0.7j))
-    h = build_full_hamiltonian(cfg).to_dense()
+    h = build_full_hamiltonian(cfg).toarray()
     np.testing.assert_allclose(h, h.conj().T, atol=1e-9)
 
 
@@ -127,42 +131,61 @@ def test_liouvillian_trace_preservation():
     assert liou.trace_preservation_defect() <= 1e-10 * scale
 
 
-def test_liouvillian_assembly_matches_dense_kronecker_sums():
-    # L and the uncoupled generator M at fig2 mech 4 (n = 1,024) against
-    # -i[H, .] plus one dissipator per jump, written out as dense Kronecker
-    # sums: L has H and the thermal jumps sqrt(gamma (n_bar + 1)) b and
-    # sqrt(gamma n_bar) b^dag, M has H at g_j = 0 and the reduced chain's
-    # jumps sum_n sqrt(n down_n) |n-1><n| and sum_n sqrt(n up_n) |n><n-1|;
-    # both have the cavity decays sqrt(kappa) a_j
-    cfg = fig2_system(4)
-    liou = build_full_liouvillian(cfg)
-    dims = liou.space.dims
+@pytest.mark.parametrize("slot", range(4))
+def test_lowering_matches_kron_per_factor(slot, rng):
+    # reference: one Kronecker product per factor, identities elsewhere, for
+    # the annihilation weights sqrt(n) and for positive weights like those
+    # of the chain jumps
+    dims = (4, 2, 3, 2)
+    n = np.arange(1, dims[slot])
+    for weights in (np.sqrt(n), rng.uniform(0.1, 10.0, n.size)):
+        ref = sp.identity(1, dtype=complex, format="csr")
+        for k, dim in enumerate(dims):
+            blk = (sp.diags(weights, 1, shape=(dim, dim), dtype=complex)
+                   if k == slot else sp.identity(dim, dtype=complex))
+            ref = sp.kron(ref, blk, format="csr")
+        m = _lowering(dims, slot, weights)
+        np.testing.assert_array_equal(m.indptr, ref.indptr)
+        np.testing.assert_array_equal(m.indices, ref.indices)
+        np.testing.assert_array_equal(m.data, ref.data)
 
+
+def test_liouvillian_assembly_matches_dense_kronecker_sums():
+    # L and the uncoupled generator M against -i[H, .] plus one dissipator
+    # per jump, written out as dense Kronecker sums: L has H and the thermal
+    # jumps sqrt(gamma (n_bar + 1)) b and sqrt(gamma n_bar) b^dag, M has H at
+    # g_j = 0 and the reduced chain's jumps sum_n sqrt(n down_n) |n-1><n| and
+    # sum_n sqrt(n up_n) |n><n-1|; both have the cavity decays sqrt(kappa) a_j.
+    # Inputs: fig2 at mech 4 (n = 1,024), and one driven 3-level cavity
+    # (d = 9), whose ladder has the entry sqrt(2)
     def lifted(op, slot):
         out = np.ones((1, 1))
         for k, dim in enumerate(dims):
             out = np.kron(out, op if k == slot else np.eye(dim))
         return out
 
-    n = np.arange(1, cfg.mech_dim)
-    b = lifted(np.diag(np.sqrt(n), 1), 0)
-    cavities = [np.sqrt(cfg.kappa) * lifted(np.diag(np.sqrt(
-        np.arange(1, dim)), 1), 1 + j) for j, dim in enumerate(dims[1:])]
-    h = build_full_hamiltonian(cfg).to_dense()
-    h0 = build_full_hamiltonian(dataclasses.replace(cfg, lasers=tuple(
-        dataclasses.replace(l, g=0.0) for l in cfg.lasers))).to_dense()
-    up, down = chain_rates(transition_rates(cfg), cfg.gamma_m, cfg.n_bar)
-    thermal = [np.sqrt(cfg.gamma_m * (cfg.n_bar + 1.0)) * b,
-               np.sqrt(cfg.gamma_m * cfg.n_bar) * b.conj().T]
-    chain = [lifted(np.diag(np.sqrt(n * down), 1), 0),
-             lifted(np.diag(np.sqrt(n * up), -1), 0)]
-    lsuper = dense_generator(h, cavities + thermal)
-    scale = np.abs(lsuper).max()
-    np.testing.assert_allclose(liou.superoperator.toarray(), lsuper, rtol=0,
-                               atol=1e-12 * scale)
-    np.testing.assert_allclose(liou.uncoupled.toarray(),
-                               dense_generator(h0, cavities + chain), rtol=0,
-                               atol=1e-12 * scale)
+    for cfg in (fig2_system(4), small_driven(mech_dim=3, cavity_dim=3)):
+        liou = build_full_liouvillian(cfg)
+        dims = liou.space.dims
+        n = np.arange(1, cfg.mech_dim)
+        b = lifted(np.diag(np.sqrt(n), 1), 0)
+        cavities = [np.sqrt(cfg.kappa) * lifted(np.diag(np.sqrt(
+            np.arange(1, dim)), 1), 1 + j) for j, dim in enumerate(dims[1:])]
+        h = build_full_hamiltonian(cfg).toarray()
+        h0 = build_full_hamiltonian(dataclasses.replace(cfg, lasers=tuple(
+            dataclasses.replace(l, g=0.0) for l in cfg.lasers))).toarray()
+        up, down = chain_rates(transition_rates(cfg), cfg.gamma_m, cfg.n_bar)
+        thermal = [np.sqrt(cfg.gamma_m * (cfg.n_bar + 1.0)) * b,
+                   np.sqrt(cfg.gamma_m * cfg.n_bar) * b.conj().T]
+        chain = [lifted(np.diag(np.sqrt(n * down), 1), 0),
+                 lifted(np.diag(np.sqrt(n * up), -1), 0)]
+        lsuper = dense_generator(h, cavities + thermal)
+        scale = np.abs(lsuper).max()
+        np.testing.assert_allclose(liou.superoperator.toarray(), lsuper,
+                                   rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(liou.uncoupled.toarray(),
+                                   dense_generator(h0, cavities + chain),
+                                   rtol=0, atol=1e-12 * scale)
 
 
 def test_liouvillian_preserves_hermiticity(rng):
@@ -476,10 +499,11 @@ def test_time_evolve_cavity_decay():
                        lasers=(LaserParams(g=0.0, detuning=0.0),))
     liou = build_full_liouvillian(cfg)
     space = liou.space
-    rho0 = fock_state(space, (0, 1)).matrix
+    rho0 = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    rho0[1, 1] = 1.0              # |0, 1>: no phonon, one photon
     times = np.linspace(0.0, 3.0 / kappa, 7)
-    n_cav = lift(number(space.factors[1]), space, 1)
-    occupations = [np.real(np.trace(n_cav.to_dense() @ m))
+    n_cav = np.kron(np.eye(3), np.diag(np.arange(3.0)))
+    occupations = [np.real(np.trace(n_cav @ m))
                    for m in evolve(liou, rho0, times)]
     np.testing.assert_allclose(occupations, np.exp(-kappa * times),
                                atol=1e-6)
@@ -493,9 +517,8 @@ def test_time_evolve_approaches_steady_state():
                        lasers=(LaserParams(g=6.0e3, detuning=-1.0e5),))
     liou = build_full_liouvillian(cfg)
     target = steady_state_solve(liou).rho.matrix
-    space = liou.space
-    rho0 = np.kron(diagonal_density(space.factors[0], [0.4, 0.3, 0.2, 0.1]).matrix,
-                   fock_state(space.factors[1], 0).matrix)
+    rho0 = np.kron(np.diag([0.4, 0.3, 0.2, 0.1]),
+                   np.diag([1.0, 0.0])).astype(complex)
     t_final = 3.0 / (cfg.gamma_m * (2.0 * cfg.n_bar + 1.0))
     final = evolve(liou, rho0, [0.0, t_final])[-1]
     d0 = np.max(np.abs(rho0 - target))
