@@ -151,27 +151,28 @@ def _get(d: dict, key: str, path: str, required=True, default=None):
     return default
 
 
+def _quantity(d: dict, key: str, dimension: str, path: str) -> float:
+    """The quantity d[key] in SI units; a missing key is an error."""
+    return parse_quantity(_get(d, key, path), dimension, f"{path}.{key}")
+
+
 def _parse_beam(d: dict, path: str) -> BeamSpec:
     if "transverse_scale" in d:
-        kt = parse_quantity(d["transverse_scale"], "length", f"{path}.transverse_scale")
+        kt = _quantity(d, "transverse_scale", "length", path)
     elif "radius" in d:
         # nanotube convention: transverse scale R / sqrt(2)
-        kt = parse_quantity(d["radius"], "length", f"{path}.radius") / np.sqrt(2.0)
+        kt = _quantity(d, "radius", "length", path) / np.sqrt(2.0)
     else:
         raise ConfigError(f"{path}.transverse_scale", "give transverse_scale or radius")
     kwargs = dict(
-        length=parse_quantity(_get(d, "length", path), "length", f"{path}.length"),
-        kappa_tilde=kt,
-        sound_speed=parse_quantity(_get(d, "sound_speed", path), "speed",
-                                   f"{path}.sound_speed"),
-        quality_factor=parse_quantity(_get(d, "quality_factor", path),
-                                      "dimensionless", f"{path}.quality_factor"))
+        length=_quantity(d, "length", "length", path), kappa_tilde=kt,
+        sound_speed=_quantity(d, "sound_speed", "speed", path),
+        quality_factor=_quantity(d, "quality_factor", "dimensionless", path))
     if "effective_mass" in d:
-        kwargs["effective_mass"] = parse_quantity(
-            d["effective_mass"], "mass", f"{path}.effective_mass")
+        kwargs["effective_mass"] = _quantity(d, "effective_mass", "mass", path)
     if "linear_mass_density" in d:
-        kwargs["linear_mass_density"] = parse_quantity(
-            d["linear_mass_density"], "linear_density", f"{path}.linear_mass_density")
+        kwargs["linear_mass_density"] = _quantity(
+            d, "linear_mass_density", "linear_density", path)
     try:
         return BeamSpec(**kwargs)
     except DeviceError as exc:
@@ -182,27 +183,25 @@ def _parse_field_model(d: dict, path: str):
     kind = _get(d, "type", path)
     if kind == "gaussian_tip":
         return GaussianTipField(
-            e_par_peak=parse_quantity(_get(d, "e_par_peak", path), "field",
-                                      f"{path}.e_par_peak"),
+            e_par_peak=_quantity(d, "e_par_peak", "field", path),
             e_perp_peak=parse_quantity(d.get("e_perp_peak", "0 V/m"), "field",
                                        f"{path}.e_perp_peak"),
-            center=parse_quantity(_get(d, "center", path), "length", f"{path}.center"),
-            width=parse_quantity(_get(d, "width", path), "length", f"{path}.width"),
-            gradient_scale=parse_quantity(_get(d, "gradient_scale", path), "length",
-                                          f"{path}.gradient_scale"))
+            center=_quantity(d, "center", "length", path),
+            width=_quantity(d, "width", "length", path),
+            gradient_scale=_quantity(d, "gradient_scale", "length", path))
     raise ConfigError(f"{path}.type", f"unknown field model {kind!r}")
 
 
 def _parse_softening(d: dict, path: str) -> SofteningSpec:
     kwargs = {}
     if "zeta" in d:
-        kwargs["zeta"] = parse_quantity(d["zeta"], "dimensionless", f"{path}.zeta")
+        kwargs["zeta"] = _quantity(d, "zeta", "dimensionless", path)
     if "field_model" in d:
         kwargs["field_model"] = _parse_field_model(d["field_model"],
                                                    f"{path}.field_model")
     for key in ("alpha_par", "alpha_perp"):
         if key in d:
-            kwargs[key] = parse_quantity(d[key], "polarizability", f"{path}.{key}")
+            kwargs[key] = _quantity(d, key, "polarizability", path)
     try:
         return SofteningSpec(**kwargs)
     except DeviceError as exc:
@@ -211,26 +210,19 @@ def _parse_softening(d: dict, path: str) -> SofteningSpec:
 
 def _parse_cavity(d: dict, path: str) -> CavitySpec:
     kwargs = dict(
-        bare_finesse=parse_quantity(_get(d, "bare_finesse", path), "dimensionless",
-                                    f"{path}.bare_finesse"),
-        round_trip_length=parse_quantity(_get(d, "round_trip_length", path), "length",
-                                         f"{path}.round_trip_length"),
-        refractive_index=parse_quantity(_get(d, "refractive_index", path),
-                                        "dimensionless", f"{path}.refractive_index"),
-        wavelength=parse_quantity(_get(d, "wavelength", path), "length",
-                                  f"{path}.wavelength"),
-        waist=parse_quantity(_get(d, "waist", path), "length", f"{path}.waist"),
-        surface_field_ratio=parse_quantity(_get(d, "surface_field_ratio", path),
-                                           "dimensionless",
-                                           f"{path}.surface_field_ratio"),
-        gap=parse_quantity(_get(d, "gap", path), "length", f"{path}.gap"),
-        external_coupling_fraction=parse_quantity(
-            _get(d, "external_coupling_fraction", path), "dimensionless",
-            f"{path}.external_coupling_fraction"))
+        bare_finesse=_quantity(d, "bare_finesse", "dimensionless", path),
+        round_trip_length=_quantity(d, "round_trip_length", "length", path),
+        refractive_index=_quantity(d, "refractive_index", "dimensionless", path),
+        wavelength=_quantity(d, "wavelength", "length", path),
+        waist=_quantity(d, "waist", "length", path),
+        surface_field_ratio=_quantity(d, "surface_field_ratio", "dimensionless", path),
+        gap=_quantity(d, "gap", "length", path),
+        external_coupling_fraction=_quantity(
+            d, "external_coupling_fraction", "dimensionless", path))
     if "evanescent_decay" in d:
         # stored as an inverse length; accept a decay length instead
-        kwargs["evanescent_decay"] = 1.0 / parse_quantity(
-            d["evanescent_decay"], "length", f"{path}.evanescent_decay")
+        kwargs["evanescent_decay"] = 1.0 / _quantity(
+            d, "evanescent_decay", "length", path)
     try:
         return CavitySpec(**kwargs)
     except DeviceError as exc:
@@ -244,11 +236,10 @@ def _parse_drive(d: dict, path: str) -> DriveSpec:
     else:
         detuning = parse_quantity(det, "frequency", f"{path}.detuning")
     kwargs = dict(
-        input_power=parse_quantity(_get(d, "power", path), "power", f"{path}.power"),
+        input_power=_quantity(d, "power", "power", path),
         detuning=detuning)
     if "laser_frequency" in d:
-        kwargs["laser_frequency"] = parse_quantity(
-            d["laser_frequency"], "frequency", f"{path}.laser_frequency")
+        kwargs["laser_frequency"] = _quantity(d, "laser_frequency", "frequency", path)
     try:
         return DriveSpec(**kwargs)
     except DeviceError as exc:
@@ -258,12 +249,9 @@ def _parse_drive(d: dict, path: str) -> DriveSpec:
 def _parse_electrode(d: dict, path: str) -> ElectrodeSpec:
     try:
         return ElectrodeSpec(
-            diameter=parse_quantity(_get(d, "diameter", path), "length",
-                                    f"{path}.diameter"),
-            conductivity_2d=parse_quantity(_get(d, "conductivity_2d", path),
-                                           "conductance", f"{path}.conductivity_2d"),
-            misalignment=parse_quantity(_get(d, "misalignment", path), "angle",
-                                        f"{path}.misalignment"))
+            diameter=_quantity(d, "diameter", "length", path),
+            conductivity_2d=_quantity(d, "conductivity_2d", "conductance", path),
+            misalignment=_quantity(d, "misalignment", "angle", path))
     except DeviceError as exc:
         raise ConfigError(path, str(exc)) from None
 
@@ -275,8 +263,8 @@ def _parse_simulation(d: dict, path: str) -> SimulationSection:
             kwargs[key] = parse_integer(d[key], f"{path}.{key}", least)
     wg = d.get("wigner_grid", {})
     if "half_width" in wg:
-        kwargs["wigner_half_width"] = parse_quantity(
-            wg["half_width"], "dimensionless", f"{path}.wigner_grid.half_width")
+        kwargs["wigner_half_width"] = _quantity(
+            wg, "half_width", "dimensionless", f"{path}.wigner_grid")
     if "points" in wg:
         kwargs["wigner_points"] = parse_integer(
             wg["points"], f"{path}.wigner_grid.points", 3)
@@ -285,16 +273,16 @@ def _parse_simulation(d: dict, path: str) -> SimulationSection:
             raise ConfigError(f"{path}.wigner_grid.points", "must be odd")
     sg = d.get("spectrum_grid", {})
     if "span" in sg:
-        kwargs["spectrum_span"] = parse_quantity(
-            sg["span"], "frequency", f"{path}.spectrum_grid.span")
+        kwargs["spectrum_span"] = _quantity(sg, "span", "frequency",
+                                            f"{path}.spectrum_grid")
     if "points" in sg:
         kwargs["spectrum_points"] = parse_integer(
             sg["points"], f"{path}.spectrum_grid.points", 3)
     th = d.get("regime_thresholds", {})
     for key in ("pass", "warn"):
         if key in th:
-            kwargs[f"{key}_ratio"] = parse_quantity(
-                th[key], "dimensionless", f"{path}.regime_thresholds.{key}")
+            kwargs[f"{key}_ratio"] = _quantity(
+                th, key, "dimensionless", f"{path}.regime_thresholds")
     for key, name in (("wigner_grid.half_width", "wigner_half_width"),
                       ("spectrum_grid.span", "spectrum_span")):
         if name in kwargs and kwargs[name] <= 0:
@@ -331,8 +319,7 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("device.drives", "expected a list")
     drives = tuple(_parse_drive(d, f"device.drives[{i}]")
                    for i, d in enumerate(drives_raw))
-    temperature = parse_quantity(_get(dev, "temperature", "device"),
-                                 "temperature", "device.temperature")
+    temperature = _quantity(dev, "temperature", "temperature", "device")
     probe = None
     if "probe" in dev:
         probe = _parse_drive(dev["probe"], "device.probe")

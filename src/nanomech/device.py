@@ -256,19 +256,6 @@ def electrostatic_quadratic(field_model, beam: BeamSpec,
     return float(v1), float(v2)
 
 
-class QuadraticTestPotential:
-    """Synthetic energy line density W = -c x^2 (uniform along the beam)."""
-
-    def __init__(self, curvature_coefficient):
-        self.c = curvature_coefficient
-
-    def energy_gradient(self, alpha_par, alpha_perp):
-        return lambda y: np.zeros_like(np.asarray(y, dtype=float))
-
-    def energy_curvature(self, alpha_par, alpha_perp):
-        return lambda y: np.full_like(np.asarray(y, dtype=float), -2.0 * self.c)
-
-
 class GaussianTipField:
     """Parametric tip-electrode field: Gaussian lobe along the beam axis with
     exponential transverse growth toward the electrodes,
@@ -515,12 +502,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
-
-    def by_name(self, name: str) -> RegimeCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
     def to_dict(self) -> dict:
         return {

@@ -4,19 +4,16 @@ birth-death model, with their steady-state solvers.
 
 The full steady state is solved by restarted GMRES (Saad and Schultz, SIAM
 J. Sci. Stat. Comput. 7, 856 (1986)), preconditioned with an exact sparse
-LU of the uncoupled generator: the full generator with every coupling g_j
-set to 0 and the mechanical bath replaced by the reduced chain, so that the
+LU of the uncoupled generator M (see build_full_liouvillian), so that the
 reduced model preconditions its own oracle (iterative steady states as in
-Nation, arXiv:1504.06768).  The LU keeps the natural order of the Hermitian
-coordinates, which already suits a generator with no mechanics-cavity term;
-each restart cycle is an Arnoldi cycle of this module, so a GMRES step
-costs one matrix-vector product, one triangular solve pair and four BLAS-2
-products.
+Nation, arXiv:1504.06768).  Each restart cycle is an Arnoldi cycle of this
+module, so a GMRES step costs one matrix-vector product, one triangular
+solve pair and four BLAS-2 products.
 
-Both generators come from one formula, -i[H, .] plus one dissipator per
-jump operator (_lindblad_super).
-
-Vectorization is column-stacking: vec(A X B) = (B^T kron A) vec(X).
+Both generators are written by index arithmetic from the occupation table,
+each entry once (_generator): column-stacked, vec(A X B) = (B^T kron A)
+vec(X), as QuTiP's spre/spost (Johansson, Nation and Nori, Comput. Phys.
+Commun. 184, 1234 (2013)).
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from .device import transition_frequency
 from .fock import CompositeSpace, DensityMatrix, FockSpace
 
 TRACE_PRESERVATION_TOL = 1e-10
-DEFAULT_NNZ_CAP = 200_000_000
+DEFAULT_NNZ_CAP = 200_000_000    # < 2**31: CSR indices fit int32 (_assemble)
 # a trace-rowed system whose 1-norm condition estimate exceeds this has a
 # null space that is numerically not one-dimensional
 CONDITION_LIMIT = 1e12
@@ -118,11 +115,10 @@ class Liouvillian:
         return self.superoperator.shape[0]
 
     def trace_preservation_defect(self) -> float:
-        """Norm of L^dagger applied to the identity (should vanish)."""
+        """Norm of L^dagger applied to the identity (should vanish), up to a
+        conjugation the sum of L's rows at the diagonal entries of vec(I)."""
         d = self.space.total_dim
-        vec_id = np.eye(d, dtype=complex).reshape(-1, order="F")
-        defect = self.superoperator.conj().T @ vec_id
-        return float(np.max(np.abs(defect)))
+        return float(np.abs(self.superoperator[::d + 1].sum(axis=0)).max())
 
 
 @dataclass(frozen=True)
@@ -133,6 +129,7 @@ class SteadyState:
     method: str
     iterations: int = 0         # GMRES iterations, steady and probe solve
     condition: float | None = None  # 1-norm condition estimate (full solve)
+    lu_nnz: int | None = None   # nonzeros of the preconditioner's LU (full)
 
 
 @dataclass(frozen=True)
@@ -151,68 +148,106 @@ class RateTable:
 # ---------------------------------------------------------------------------
 # generator construction
 
-def _lowering(dims: tuple[int, ...], slot: int, weights) -> sp.csr_matrix:
+ASSEMBLY_BLOCK = 1 << 16    # slot-table entries per block of rows (_assemble)
+
+
+def _lowering(dims: tuple[int, ...], slot: int, weights):
     """sum_n weights[n-1] |..n-1..><..n..| on factor `slot` of the product
     space with factor dimensions `dims` (first factor slowest), the identity
-    on the others; weights sqrt(n) give the factor's annihilation operator."""
-    d = math.prod(dims)
+    on the others, as a step (s, w): entries [i, i + s] = w[i], 0 on rows
+    with none; weights sqrt(n) give the annihilation operator.  Every model
+    operator is diagonal or a step on one or two factors (a product of
+    steps on different factors multiplies their row weights)."""
     stride = math.prod(dims[slot + 1:])
-    cols = np.arange(d)
-    n = cols // stride % dims[slot]
-    cols, n = cols[n > 0], n[n > 0]
-    return sp.csr_matrix((np.asarray(weights)[n - 1], (cols - stride, cols)),
-                         shape=(d, d), dtype=complex)
+    n = np.arange(math.prod(dims)) // stride % dims[slot]
+    return stride, np.append(weights, 0.0)[n]
+
+
+def _transpose(stride: int, w: np.ndarray):
+    """The transpose of a real step (the roll wraps only zero weights)."""
+    return -stride, np.concatenate((w[-stride:], w[:-stride]))
+
+
+def _assemble(slots, m: int, d: int) -> sp.csr_matrix:
+    """The (m d) x (m d) CSR matrix whose row p = i + j d holds v[j, i] at
+    column p + s for each slot (s, v), s distinct, v broadcasting to m x d.
+    Rows are counted first and slots taken in the order of s, so each CSR
+    array is written once, sorted; adding 0.0 makes -0.0 parts +0.0."""
+    slots.sort(key=lambda slot: slot[0])
+    offsets = np.array([s for s, _ in slots], dtype=np.int32)
+    indptr = np.zeros(m * d + 1, dtype=np.int32)
+    np.cumsum(sum(v != 0 for _, v in slots), out=indptr[1:])
+    data = np.empty(indptr[-1], dtype=complex)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    rows = max(1, ASSEMBLY_BLOCK // (d * len(slots)))
+    table = np.empty((min(rows, m), d, len(slots)), dtype=complex)
+    for j in range(0, m, rows):
+        block = table[:min(rows, m - j)]
+        for k, (_, v) in enumerate(slots):
+            # a 1 x d table is the same for every j
+            block[..., k] = v[j:j + rows] if len(v) > 1 else v
+        block = block.reshape(-1, len(slots))
+        at = np.flatnonzero(block != 0)
+        start, stop = j * d, j * d + len(block)
+        span = slice(indptr[start], indptr[stop])
+        block.take(at, out=data[span], mode="clip")
+        (np.arange(start, stop, dtype=np.int32)[:, None] + offsets).take(
+            at, out=indices[span], mode="clip")
+    data += 0.0
+    return sp.csr_matrix((data, indices, indptr), shape=(m * d, m * d))
 
 
 def _hamiltonian_parts(config: SystemConfig):
-    """The full Hamiltonian built on the occupation table of the space: the
-    space, the diagonal uncoupled part H0 (the anharmonic mechanics
-    w_m' n + (lam/2) n (n - 1) and the detuned cavities), H = H0 plus the
-    displaced linear coupling, and the ladder operators b and a_j as CSR
-    matrices."""
+    """The full Hamiltonian on the occupation table: the space, H's diagonal
+    (the anharmonic mechanics w_m' n + (lam/2) n (n - 1), detuned cavities),
+    the steps of the displaced linear coupling, H as CSR, the steps b, a_j."""
     space = config.space()
-    dims = space.dims
-    occupations = np.unravel_index(np.arange(space.total_dim), dims)
+    dims, d = space.dims, space.total_dim
+    occupations = np.unravel_index(np.arange(d), dims)
     n = occupations[0]
     energy = config.omega_m_prime * n + 0.5 * config.lam * n * (n - 1)
     for j, laser in enumerate(config.lasers):
         energy = energy + (-laser.detuning) * occupations[1 + j]
-    h0 = sp.diags(energy, format="csr")
-    # the ladder operators are real, so their transposes are the creators
     b = _lowering(dims, 0, np.sqrt(np.arange(1, dims[0])))
-    x = b + b.T
     cavities = [_lowering(dims, 1 + j, np.sqrt(np.arange(1, dim)))
                 for j, dim in enumerate(dims[1:])]
-    coupling = sp.csr_matrix((space.total_dim, space.total_dim), dtype=complex)
-    for a, laser in zip(cavities, config.lasers, strict=True):
-        coupling = coupling + (
-            (np.conj(laser.g) / 2.0) * a + (laser.g / 2.0) * a.T) @ x
-    h = h0 + coupling
+    # (g*/2 a_j + g/2 a_j^dag)(b + b^dag): four steps per laser
+    coupling = [(s_a + s_b, (coef * w_a) * w_b)
+                for a, laser in zip(cavities, config.lasers, strict=True)
+                for (s_a, w_a), coef in ((a, np.conj(laser.g) / 2.0),
+                                         (_transpose(*a), laser.g / 2.0))
+                for s_b, w_b in (b, _transpose(*b))]
+    h = _assemble([(s, w[None, :]) for s, w in [(0, energy)] + coupling], 1, d)
     herm_defect = abs(h - h.conj().T).max()
     if herm_defect > 1e-12 * max(1.0, abs(h).max()):
         raise SolverError(f"Hamiltonian not Hermitian, defect {herm_defect:.3e}")
-    return space, h0, h, b, cavities
+    return space, energy, coupling, h, b, cavities
 
 
 def build_full_hamiltonian(config: SystemConfig) -> sp.csr_matrix:
     """Multi-mode Hamiltonian (in units of hbar): detuned cavities, the
     anharmonic mechanical mode, and the displaced linear coupling."""
-    return _hamiltonian_parts(config)[2]
+    return _hamiltonian_parts(config)[3]
 
 
-def _lindblad_super(h: sp.spmatrix, jumps) -> sp.csr_matrix:
-    """The generator -i[h, .] + sum_c (c . c^dag - {c^dag c, .}/2) in
-    column-stacked form, I kron K + conj(K) kron I + sum_c conj(c) kron c
-    with K = -ih - sum_c c^dag c / 2; each jump c carries the square root
-    of its rate."""
-    k = -1j * h
-    for c in jumps:
-        k = k - 0.5 * (c.conj().T @ c)
-    eye = sp.identity(h.shape[0], dtype=complex, format="csr")
-    out = sp.kron(eye, k, format="csr") + sp.kron(k.conj(), eye, format="csr")
-    for c in jumps:
-        out = out + sp.kron(c.conj(), c, format="csr")
-    return out.tocsr()
+def _generator(energy, coupling, jumps) -> sp.csr_matrix:
+    """The generator -i[H, .] + sum_c (c . c^dag - {c^dag c, .}/2) of
+    H = diag(energy) + the coupling steps, with real jump steps carrying the
+    square roots of their rates: column-stacked, I kron K + conj(K) kron I
+    + sum_c c kron c, K = -iH - sum_c c^dag c / 2, each c^dag c diagonal.
+    Row p = i + j d holds K[i, i'] at column i' + j d, conj(K[j, j']) at
+    i + j' d and c[j, j'] c[i, i'] at i' + j' d: slots at fixed offsets
+    (_assemble) that meet only in K[i, i] + conj(K[j, j]), as a coupling
+    step moves two factors, a jump one, and no two jumps make one step."""
+    d = energy.size
+    k = -1j * energy
+    for s, w in jumps:
+        k = k - 0.5 * _transpose(s, w)[1] ** 2
+    slots = [(0, k + k.conj()[:, None])] + [(s * (d + 1), np.outer(w, w))
+                                            for s, w in jumps]
+    for s, w in coupling:
+        slots += [(s, -1j * w[None, :]), (s * d, (-1j * w).conj()[:, None])]
+    return _assemble(slots, d, d)
 
 
 def _estimate_nnz(config: SystemConfig) -> int:
@@ -239,16 +274,14 @@ def build_full_liouvillian(config: SystemConfig,
     if est > nnz_cap:
         raise MemoryError(
             f"estimated superoperator nonzeros {est} exceed cap {nnz_cap}")
-    space, h0, h, b, cavities = _hamiltonian_parts(config)
+    space, energy, coupling, _h, (s_b, w_b), cavities = _hamiltonian_parts(config)
     # the jumps L and M share: the cavity decay
-    cavity_jumps = [np.sqrt(config.kappa) * a for a in cavities]
-    mech_jumps = []
-    if config.gamma_m > 0:
-        mech_jumps.append(np.sqrt(config.gamma_m * (config.n_bar + 1.0)) * b)
-        if config.n_bar > 0:
-            mech_jumps.append(np.sqrt(config.gamma_m * config.n_bar)
-                              * b.conj().T.tocsr())
-    lsuper = _lindblad_super(h, cavity_jumps + mech_jumps)
+    cavity_jumps = [(s, np.sqrt(config.kappa) * w) for s, w in cavities]
+    # the thermal bath; a zero rate gives zero weights, which drop out
+    mech_jumps = [
+        (s_b, np.sqrt(config.gamma_m * (config.n_bar + 1.0)) * w_b),
+        _transpose(s_b, np.sqrt(config.gamma_m * config.n_bar) * w_b)]
+    lsuper = _generator(energy, coupling, cavity_jumps + mech_jumps)
 
     # with no drive the chain's jump operators are the thermal dissipator's
     # and there is no coupling, so M = L
@@ -258,12 +291,12 @@ def build_full_liouvillian(config: SystemConfig,
                                config.n_bar)
         n = np.arange(1, config.mech_dim)
         chain_jumps = [_lowering(space.dims, 0, np.sqrt(n * down)),
-                       _lowering(space.dims, 0, np.sqrt(n * up)).T.tocsr()]
-        uncoupled = _lindblad_super(h0, cavity_jumps + chain_jumps)
+                       _transpose(*_lowering(space.dims, 0, np.sqrt(n * up)))]
+        uncoupled = _generator(energy, [], cavity_jumps + chain_jumps)
 
     liou = Liouvillian(space, lsuper, uncoupled)
     defect = liou.trace_preservation_defect()
-    scale = max(abs(lsuper).max(), 1.0)
+    scale = np.abs(lsuper.data).max(initial=1.0)
     if defect > TRACE_PRESERVATION_TOL * scale:
         raise SolverError(f"generator is not trace preserving: defect {defect:.3e}")
     return liou
@@ -386,9 +419,8 @@ def _real_system(lsuper: sp.spmatrix, t, diag, upper,
     d = diag.size
     lt = (lsuper @ t).tocsr()
     upper_rows = lt[upper]
-    trace_row = sp.csr_matrix(
-        (np.full(d, weight), (np.zeros(d, dtype=int), np.arange(d))),
-        shape=(1, d * d))
+    trace_row = sp.csr_matrix((np.full(d, weight), np.arange(d), [0, d]),
+                              shape=(1, d * d))
     a = sp.vstack([trace_row, lt[diag[1:]].real, upper_rows.real,
                    upper_rows.imag], format="csr")
     a.eliminate_zeros()
@@ -477,8 +509,8 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     system R stacks Re of the diagonal rows of L T on Re and Im of its upper
     rows, with the trace row, weighted with max|L_ij|, in place of the (0,0)
     row.  R_M is built from the uncoupled generator M (liou.uncoupled, or L
-    itself when that is None) in the same way.  Its sparse LU (`splu` in
-    natural order) preconditions restarted GMRES on R r = max|L_ij| e_0
+    itself when that is None) in the same way.  Its sparse LU (natural order,
+    or COLAMD when M = L) preconditions restarted GMRES on R r = max|L_ij| e_0
     (see _gmres for the stopping test).
 
     Uniqueness: L(X^dagger) = L(X)^dagger, so the null space of L is closed
@@ -503,11 +535,10 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     r_m = r if liou.uncoupled is None else _real_system(liou.uncoupled, t,
                                                          diag, upper, weight)
     try:
-        # the Hermitian-coordinate order already suits M: at fig2 mech 8 its
-        # LU has 33k nonzeros against 34k after COLAMD, and solves 2-3x
-        # faster.  With no drive (M = L) it fills more, the more the hotter
-        # the bath (d = 320: +15% at n_bar 0.5, x2.9 at n_bar 50)
-        lu = spla.splu(r_m.tocsc(), permc_spec="NATURAL")
+        # natural order suits an M with no mechanics-cavity term (fig2 mech 8:
+        # 33k nonzeros, 34k after COLAMD), not M = L (d = 320, n_bar 50: x2.9)
+        lu = spla.splu(r_m.tocsc(), permc_spec="COLAMD" if r_m is r
+                       else "NATURAL")
     except RuntimeError:
         raise DegenerateSteadyStateError(
             "trace-constrained preconditioner is singular; the generator "
@@ -547,4 +578,4 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     dm = DensityMatrix(liou.space, rho)
     return SteadyState(rho=dm, populations=None, residual=residual,
                        method="gmres", iterations=steady_its + probe_its,
-                       condition=condition)
+                       condition=condition, lu_nnz=lu.nnz)

@@ -1,12 +1,15 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.constants import hbar, k as kB
 
 from nanomech.config import parse_config
-from nanomech.lindblad import LaserParams, SystemConfig
+from nanomech.lindblad import (LaserParams, SystemConfig, chain_rates,
+                               transition_rates)
 
 TWO_PI = 2 * np.pi
 
@@ -36,6 +39,82 @@ def dense_generator(h, jumps):
         lsuper += (np.kron(c.conj(), c) - 0.5 * np.kron(eye, cdc)
                    - 0.5 * np.kron(cdc.T, eye))
     return lsuper
+
+
+class QuadraticTestPotential:
+    """Synthetic energy line density W = -c x^2 (uniform along the beam)."""
+
+    def __init__(self, curvature_coefficient):
+        self.c = curvature_coefficient
+
+    def energy_gradient(self, alpha_par, alpha_perp):
+        return lambda y: np.zeros_like(np.asarray(y, dtype=float))
+
+    def energy_curvature(self, alpha_par, alpha_perp):
+        return lambda y: np.full_like(np.asarray(y, dtype=float), -2.0 * self.c)
+
+
+def kron_lift(block, slot, dims):
+    """The sparse matrix `block` on factor `slot` of the product space with
+    factor dimensions `dims` (first factor slowest), the identity on the
+    others, as chained Kronecker products."""
+    out = sp.identity(1, dtype=complex, format="csr")
+    for k, dim in enumerate(dims):
+        out = sp.kron(out, block if k == slot else
+                      sp.identity(dim, dtype=complex), format="csr")
+    return out
+
+
+def kron_generator(h, jumps):
+    """The sparse column-stacked generator of H and jump operators as
+    Kronecker sums: I kron K + conj(K) kron I + sum_c conj(c) kron c with
+    K = -iH - sum_c c^dag c / 2; each jump carries the square root of its
+    rate."""
+    k = -1j * h
+    for c in jumps:
+        k = k - 0.5 * (c.conj().T @ c)
+    eye = sp.identity(h.shape[0], dtype=complex, format="csr")
+    out = sp.kron(eye, k, format="csr") + sp.kron(k.conj(), eye, format="csr")
+    for c in jumps:
+        out = out + sp.kron(c.conj(), c, format="csr")
+    return out.tocsr()
+
+
+def kron_generators(cfg):
+    """The generators L and M of build_full_liouvillian (M is None with no
+    drive), each from sparse ladder operators, the Hamiltonian built from
+    their products and kron_generator."""
+    dims = (cfg.mech_dim, *cfg.cavity_dims)
+    occupations = np.unravel_index(np.arange(math.prod(dims)), dims)
+    n = occupations[0]
+    energy = cfg.omega_m_prime * n + 0.5 * cfg.lam * n * (n - 1)
+    for j, laser in enumerate(cfg.lasers):
+        energy = energy + (-laser.detuning) * occupations[1 + j]
+    h0 = sp.diags(energy, format="csr")
+
+    def lowering(slot, weights):
+        return kron_lift(sp.diags(weights, 1, dtype=complex), slot, dims)
+
+    b, *cavities = [lowering(slot, np.sqrt(np.arange(1, dim)))
+                    for slot, dim in enumerate(dims)]
+    h = h0
+    for a, laser in zip(cavities, cfg.lasers, strict=True):
+        h = h + ((np.conj(laser.g) / 2.0) * a
+                 + (laser.g / 2.0) * a.T) @ (b + b.T)
+    decay = [np.sqrt(cfg.kappa) * a for a in cavities]
+    thermal = []
+    if cfg.gamma_m > 0:
+        thermal.append(np.sqrt(cfg.gamma_m * (cfg.n_bar + 1.0)) * b)
+        if cfg.n_bar > 0:
+            thermal.append(np.sqrt(cfg.gamma_m * cfg.n_bar) * b.T.tocsr())
+    if not cfg.lasers:
+        return kron_generator(h, decay + thermal), None
+    up, down = chain_rates(transition_rates(cfg), cfg.gamma_m, cfg.n_bar)
+    level = np.arange(1, cfg.mech_dim)
+    chain = [lowering(0, np.sqrt(level * down)),
+             lowering(0, np.sqrt(level * up)).T.tocsr()]
+    return (kron_generator(h, decay + thermal),
+            kron_generator(h0, decay + chain))
 
 
 def quoted_system(mech_dim=8, cavity_dim=2, g_scale=1.0):

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from nanomech.config import parse_config
-from nanomech.device import (BucklingError, QuadraticTestPotential,
-                             SofteningSpec, buckling_threshold,
-                             mode_shape_integral, regime_check,
-                             softened_frequency)
+from nanomech.device import (BucklingError, SofteningSpec,
+                             buckling_threshold, mode_shape_integral,
+                             regime_check, softened_frequency)
 from nanomech.fock import DensityMatrix, FockSpace, partial_trace
 from nanomech.lindblad import (SystemConfig, build_full_liouvillian,
                                reduced_steady_populations,
@@ -25,7 +24,8 @@ from nanomech.observables import (WIGNER_BOUND, linewidths,
                                   wigner_from_density_matrix,
                                   wigner_from_populations, wigner_origin)
 
-from conftest import CONFIG_PATH, GAMMA_M, N_BAR, quoted_system
+from conftest import (CONFIG_PATH, GAMMA_M, N_BAR, QuadraticTestPotential,
+                      quoted_system)
 from test_device import cnt_beam
 from test_observables import probe_system, spectrum_grid
 

@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply, splu
 
 from nanomech.cli import run_device
@@ -14,7 +17,7 @@ from nanomech import lindblad
 from nanomech.lindblad import (CONDITION_LIMIT, DegenerateSteadyStateError,
                                LaserParams, Liouvillian, SolverError,
                                SystemConfig, TruncationError,
-                               _hermitian_coordinates, _lowering,
+                               _hermitian_coordinates, _lowering, _transpose,
                                build_full_hamiltonian, build_full_liouvillian,
                                build_reduced_generator, chain_rates,
                                level_rates, reduced_steady_populations,
@@ -22,7 +25,8 @@ from nanomech.lindblad import (CONDITION_LIMIT, DegenerateSteadyStateError,
                                transition_rates)
 
 from conftest import (CONFIG_PATH, GAMMA_M, KAPPA, LAMBDA, N_BAR,
-                      OMEGA_M_PRIME, dense_generator, quoted_system)
+                      OMEGA_M_PRIME, dense_generator, kron_generators,
+                      kron_lift, quoted_system)
 
 TWO_PI = 2 * np.pi
 
@@ -131,23 +135,112 @@ def test_liouvillian_trace_preservation():
     assert liou.trace_preservation_defect() <= 1e-10 * scale
 
 
+def step_matrix(stride, w):
+    """The CSR matrix of a step: entries [i, i + stride] = w[i] where w[i]
+    is nonzero."""
+    rows = np.flatnonzero(w)
+    return sp.csr_matrix((w[rows].astype(complex), (rows, rows + stride)),
+                         shape=(w.size, w.size))
+
+
 @pytest.mark.parametrize("slot", range(4))
 def test_lowering_matches_kron_per_factor(slot, rng):
     # reference: one Kronecker product per factor, identities elsewhere, for
     # the annihilation weights sqrt(n) and for positive weights like those
-    # of the chain jumps
+    # of the chain jumps; the transposed step is the creation operator
     dims = (4, 2, 3, 2)
     n = np.arange(1, dims[slot])
     for weights in (np.sqrt(n), rng.uniform(0.1, 10.0, n.size)):
-        ref = sp.identity(1, dtype=complex, format="csr")
-        for k, dim in enumerate(dims):
-            blk = (sp.diags(weights, 1, shape=(dim, dim), dtype=complex)
-                   if k == slot else sp.identity(dim, dtype=complex))
-            ref = sp.kron(ref, blk, format="csr")
-        m = _lowering(dims, slot, weights)
+        ref = kron_lift(sp.diags(weights, 1, dtype=complex), slot, dims)
+        step = _lowering(dims, slot, weights)
+        for m, r in ((step_matrix(*step), ref),
+                     (step_matrix(*_transpose(*step)), ref.T.tocsr())):
+            np.testing.assert_array_equal(m.indptr, r.indptr)
+            np.testing.assert_array_equal(m.indices, r.indices)
+            np.testing.assert_array_equal(m.data, r.data)
+
+
+def closed_system():
+    # no dissipation at all: the generator is -i [H, .]
+    return SystemConfig(mech_dim=3, cavity_dims=(2,), omega_m_prime=1.0e5,
+                        lam=3.0e3, gamma_m=0.0, n_bar=0.0, kappa=0.0,
+                        lasers=(LaserParams(g=500.0, detuning=9.0e4),))
+
+
+@pytest.mark.parametrize("block", [lindblad.ASSEMBLY_BLOCK, 1],
+                         ids=["blocks", "rows"])
+@pytest.mark.parametrize("make", [
+    lambda: fig2_system(4),
+    lambda: fig2_system(8),
+    lambda: fig2_scaled(4, 0.0),
+    # its diagonal entries K_ii + conj(K_ii) are exact zeros and dropped
+    closed_system,
+    lambda: small_driven(mech_dim=4, g=1.0e3 * np.exp(0.7j), cavity_dim=3),
+    lambda: mech_only(mech_dim=30, gamma_m=100.0, n_bar=0.5),
+    lambda: small_driven(g=0.0, gamma_m=0.0),
+], ids=["fig2_mech4", "fig2_mech8", "fig2_mech4_g0", "closed",
+        "complex_g_3_levels", "chain30", "cavity_decay_gamma0"])
+def test_liouvillian_assembly_matches_kron_sums(make, block, monkeypatch):
+    # L and M against the sparse Kronecker sums of conftest.kron_generators:
+    # the same sparsity (the sums drop exact zeros), int32 indices in
+    # canonical form and data within 1e-12 max|L|, also when the slot table
+    # is written one row j at a time
+    monkeypatch.setattr(lindblad, "ASSEMBLY_BLOCK", block)
+    cfg = make()
+    liou = build_full_liouvillian(cfg)
+    ref_l, ref_m = kron_generators(cfg)
+    assert (liou.uncoupled is None) == (ref_m is None) == (not cfg.lasers)
+    scale = abs(ref_l).max()
+    for m, ref in ((liou.superoperator, ref_l), (liou.uncoupled, ref_m)):
+        if ref is None:
+            continue
+        assert m.indices.dtype == m.indptr.dtype == np.int32
+        assert m.has_canonical_format
         np.testing.assert_array_equal(m.indptr, ref.indptr)
         np.testing.assert_array_equal(m.indices, ref.indices)
-        np.testing.assert_array_equal(m.data, ref.data)
+        np.testing.assert_allclose(m.data, ref.data, rtol=0,
+                                   atol=1e-12 * scale)
+
+
+def test_liouvillian_build_memory_stays_flat():
+    # the assembly writes each CSR array once: at fig2 mech 32 the build's
+    # allocation peak is about 1.3 times the bytes of the L and M it
+    # returns, where one that gathered unsorted int64 triplets read 3.25
+    cfg = fig2_system(32)
+    tracemalloc.start()
+    try:
+        liou = build_full_liouvillian(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+                   for m in (liou.superoperator, liou.uncoupled))
+    assert peak <= 2 * returned
+
+
+@st.composite
+def small_systems(draw):
+    """Systems of mech 3-12 and 0-3 cavities of 2-3 levels, with and without
+    coupling, mechanical damping and thermal occupation."""
+    cavity_dims = tuple(draw(st.lists(st.integers(2, 3), max_size=3)))
+    lasers = tuple(LaserParams(g=draw(st.sampled_from([0.0, 2.0e3, 3.0e3j])),
+                               detuning=draw(st.sampled_from([-5.2e6, 5.4e6])))
+                   for _ in cavity_dims)
+    return SystemConfig(
+        mech_dim=draw(st.integers(3, 12)), cavity_dims=cavity_dims,
+        omega_m_prime=5.0e6, lam=2.0e5,
+        gamma_m=draw(st.sampled_from([0.0, 5.0])),
+        n_bar=draw(st.sampled_from([0.0, 0.3])), kappa=5.0e4, lasers=lasers)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_systems())
+def test_nnz_estimate_bounds_both_generators(cfg):
+    # the memory guard must never be optimistic; with no drive M = L, and
+    # the solver holds L's real system twice
+    liou = build_full_liouvillian(cfg)
+    m = liou.superoperator if liou.uncoupled is None else liou.uncoupled
+    assert lindblad._estimate_nnz(cfg) >= liou.superoperator.nnz + m.nnz
 
 
 def test_liouvillian_assembly_matches_dense_kronecker_sums():
@@ -205,12 +298,8 @@ def test_liouvillian_memory_guard():
 
 
 def test_closed_system_spectrum_is_imaginary():
-    # no dissipation at all: the generator is -i [H, .], eigenvalues purely
-    # imaginary
-    cfg = SystemConfig(mech_dim=3, cavity_dims=(2,), omega_m_prime=1.0e5,
-                       lam=3.0e3, gamma_m=0.0, n_bar=0.0, kappa=0.0,
-                       lasers=(LaserParams(g=500.0, detuning=9.0e4),))
-    liou = build_full_liouvillian(cfg)
+    # the eigenvalues of -i [H, .] are purely imaginary
+    liou = build_full_liouvillian(closed_system())
     ev = np.linalg.eigvals(liou.superoperator.toarray())
     assert np.max(np.abs(ev.real)) < 1e-8 * np.max(np.abs(ev.imag))
 
@@ -447,6 +536,19 @@ def test_thermal_chain_at_zero_kelvin_not_degenerate():
     cfg = mech_only(mech_dim=30, gamma_m=100.0, n_bar=0.0)
     ss = steady_state_solve(build_full_liouvillian(cfg))
     assert ss.rho.populations()[0] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_undriven_chain_preconditioner_fill_is_bounded():
+    # with no drive M = L, which is factored after COLAMD: on this hot chain
+    # (d = 320, n_bar = 50) natural order stores 1.85M LU nonzeros, COLAMD
+    # about 0.65M
+    cfg = mech_only(mech_dim=320, omega=1.0e6, gamma_m=1.0e3, n_bar=50.0)
+    ss = steady_state_solve(build_full_liouvillian(cfg))
+    assert ss.lu_nnz <= 1_000_000
+    np.testing.assert_allclose(
+        ss.rho.populations(),
+        reduced_steady_populations(cfg, tail_check=False).populations,
+        rtol=0, atol=1e-10)
 
 
 def test_cavity_relabeling_covariance():
