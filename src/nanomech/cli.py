@@ -430,6 +430,10 @@ def cmd_steady(cfg: RunConfig, args) -> int:
         diagnostics["full_method"] = res["full"].method
         diagnostics["full_residual"] = res["full"].residual
         diagnostics["full_iterations"] = res["full"].iterations
+        diagnostics["full_steady_iterations"] = (
+            res["full"].iterations - res["full"].probe_iterations)
+        diagnostics["full_probe_iterations"] = res["full"].probe_iterations
+        diagnostics["full_lu_nnz"] = res["full"].lu_nnz
         diagnostics["full_condition_estimate"] = res["full"].condition
         if args.compare:
             pops["compare_abs_diff"] = list(res["compare"])

@@ -8,7 +8,9 @@ LU of the uncoupled generator M (see build_full_liouvillian), so that the
 reduced model preconditions its own oracle (iterative steady states as in
 Nation, arXiv:1504.06768).  Each restart cycle is an Arnoldi cycle of this
 module, so a GMRES step costs one matrix-vector product, one triangular
-solve pair and four BLAS-2 products.
+solve pair and four BLAS-2 products.  The model conserves the parity of
+N_i + N_j (N the total excitation number) of each rho_ij: the steady state
+is solved in the even block, the uniqueness probe in each block apart.
 
 Both generators are written by index arithmetic from the occupation table,
 each entry once (_generator): column-stacked, vec(A X B) = (B^T kron A)
@@ -127,9 +129,10 @@ class SteadyState:
     populations: np.ndarray | None
     residual: float
     method: str
-    iterations: int = 0         # GMRES iterations, steady and probe solve
+    iterations: int = 0         # GMRES iterations, steady and probe solves
+    probe_iterations: int = 0   # of them in the probe solves
     condition: float | None = None  # 1-norm condition estimate (full solve)
-    lu_nnz: int | None = None   # nonzeros of the preconditioner's LU (full)
+    lu_nnz: int | None = None   # nonzeros of the preconditioner's LUs (full)
 
 
 @dataclass(frozen=True)
@@ -392,39 +395,59 @@ def reduced_steady_populations(config: SystemConfig,
                        method="recursion")
 
 
-def _hermitian_coordinates(d: int):
-    """Real coordinates of Hermitian d x d matrices: the d diagonal entries,
-    then Re and Im of the d(d-1)/2 strict-upper entries (np.triu_indices
-    order).  Returns the sparse map T from coordinates to the column-stacked
-    vec, and the vec indices of the diagonal and of the strict upper
-    triangle."""
-    i, j = np.triu_indices(d, 1)
-    m = i.size
-    diag = np.arange(d) * (d + 1)
-    upper, lower = i + j * d, j + i * d
-    re, im = d + np.arange(m), d + m + np.arange(m)
-    t = sp.csr_matrix(
-        (np.concatenate([np.ones(d + 2 * m), np.full(m, 1j), np.full(m, -1j)]),
-         (np.concatenate([diag, upper, lower, upper, lower]),
-          np.concatenate([np.arange(d), re, re, im, im]))),
-        shape=(d * d, d * d))
-    return t, diag, upper
+def _hermitian_coordinates(dims: tuple[int, ...]):
+    """Real coordinates of Hermitian matrices on factors of dimensions `dims`:
+    the diagonal entries, then Re and Im of the strict-upper entries
+    (np.triu_indices order), stably sorted by the parity of N_i + N_j (N the
+    total excitation number) of their entry rho_ij, even first.  Returns the
+    sparse map T from coordinates to the column-stacked vec; for each
+    coordinate its entry's vec index and whether it is an Im part; the number
+    of even coordinates; and for each coordinate its index before the sort."""
+    d = math.prod(dims)
+    parity = sum(np.unravel_index(np.arange(d), dims)) % 2
+    i, j = (np.concatenate([np.arange(d), k, k]) for k in np.triu_indices(d, 1))
+    odd = parity[i] != parity[j]
+    unsplit = np.argsort(odd, kind="stable")
+    i, j, imag = i[unsplit], j[unsplit], unsplit >= d * (d + 1) // 2
+    k, off, value = np.arange(d * d), i != j, np.where(imag, 1j, 1.0)
+    t = sp.csr_matrix((np.concatenate([value, value[off].conj()]),
+                       (np.concatenate([i + j * d, (j + i * d)[off]]),
+                        np.concatenate([k, k[off]]))), shape=(d * d, d * d))
+    return t, i + j * d, imag, d * d - int(odd.sum()), unsplit
 
 
-def _real_system(lsuper: sp.spmatrix, t, diag, upper,
+def _real_system(lsuper: sp.spmatrix, t, rows, imag, unit: float,
                  weight: float) -> sp.csr_matrix:
-    """The real n x n system of a Lindbladian in Hermitian coordinates: Re of
-    the diagonal rows of L T, with the trace row (every entry `weight`) in
-    place of the (0,0) row, stacked on Re and Im of its upper rows."""
-    d = diag.size
-    lt = (lsuper @ t).tocsr()
-    upper_rows = lt[upper]
-    trace_row = sp.csr_matrix((np.full(d, weight), np.arange(d), [0, d]),
-                              shape=(1, d * d))
-    a = sp.vstack([trace_row, lt[diag[1:]].real, upper_rows.real,
-                   upper_rows.imag], format="csr")
+    """The real n x n system of a Lindbladian L in Hermitian coordinates (see
+    _hermitian_coordinates): row k is Re of row rows[k] of L T / unit, or Im
+    where imag[k], but row 0 is the trace row: `weight` on the diagonal."""
+    d = math.isqrt(rows.size)
+    part = (lsuper @ t).tocsr()[rows[1:]]
+    data = np.where(np.repeat(imag[1:], np.diff(part.indptr)), part.data.imag,
+                    part.data.real) / unit
+    a = sp.csr_matrix((np.insert(data, 0, np.full(d, weight)),
+                       np.insert(part.indices, 0, np.arange(d)),
+                       np.insert(part.indptr + d, 0, 0)), shape=t.shape)
     a.eliminate_zeros()
     return a
+
+
+def _parity_blocks(r: sp.csr_matrix, r_m: sp.csr_matrix, even: int):
+    """The slices of the coordinates before and after `even`, each with its
+    diagonal blocks of R and R_M as CSR views; or all coordinates as one
+    block if there is no odd one or R or R_M has an entry across them."""
+    n, halves = r.shape[0], []
+    for a in (r,) if r_m is r else (r, r_m):
+        cut = a.indptr[even]
+        if (even == n or a.indices[:cut].max(initial=0) >= even
+                or a.indices[cut:].min(initial=n) < even):
+            return [(slice(0, n), r, r_m)]
+        halves.append((
+            sp.csr_matrix((a.data[:cut], a.indices[:cut], a.indptr[:even + 1]),
+                          shape=(even, even)),
+            sp.csr_matrix((a.data[cut:], a.indices[cut:] - even,
+                           a.indptr[even:] - cut), shape=(n - even, n - even))))
+    return list(zip((slice(0, even), slice(even, n)), halves[0], halves[-1]))
 
 
 def _arnoldi_cycle(apply, b: np.ndarray, atol: float, restart: int):
@@ -507,75 +530,78 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     A Lindbladian maps Hermitian matrices to Hermitian ones, so L T has real
     diagonal rows and its upper rows fix the lower ones: the real n x n
     system R stacks Re of the diagonal rows of L T on Re and Im of its upper
-    rows, with the trace row, weighted with max|L_ij|, in place of the (0,0)
-    row.  R_M is built from the uncoupled generator M (liou.uncoupled, or L
-    itself when that is None) in the same way.  Its sparse LU (natural order,
-    or COLAMD when M = L) preconditions restarted GMRES on R r = max|L_ij| e_0
-    (see _gmres for the stopping test).
+    rows, with a trace row in place of the (0,0) row, in units of u, the
+    power of two at or below max|L_ij| (so that no rate scale overflows);
+    R_M likewise from M (liou.uncoupled, or L when that is None).  GMRES,
+    preconditioned by the LU of R_M's block (natural order, or COLAMD when
+    M = L), solves each block of _parity_blocks on its own (see _gmres); the
+    steady state is R r = (max|L_ij| / u) e_0 on the block that holds e_0.
 
     Uniqueness: L(X^dagger) = L(X)^dagger, so the null space of L is closed
     under the adjoint, and a complex null space of dimension k has a
     Hermitian part of real dimension k.  R is therefore nonsingular exactly
-    when the null space of L is one-dimensional.  A second GMRES solve
-    R y = b, with b a fixed-seed random vector, gives the 1-norm condition
-    estimate |R|_1 |y|_1 / |b|_1.  An estimate above CONDITION_LIMIT, or a
-    singular R_M, raises DegenerateSteadyStateError.  A singular R makes b
-    inconsistent, so the estimate is judged even when that solve did not
-    converge.  A steady or probe solve that misses GMRES_TOL within its
-    budget raises SolverError; no unconverged rho is returned.  The
-    solution and the eigenvalue-clipped state are read back through T, so
-    rho is exactly Hermitian."""
-    d = liou.space.total_dim
-    lsuper = liou.superoperator
-    t, diag, upper = _hermitian_coordinates(d)
-    # the trace row is weighted with the largest entry of L, so that R, and
-    # the condition estimate, do not depend on the units of the rates
-    weight = float(np.abs(lsuper.data).max(initial=0.0))
-    r = _real_system(lsuper, t, diag, upper, weight)
-    r_m = r if liou.uncoupled is None else _real_system(liou.uncoupled, t,
-                                                         diag, upper, weight)
-    try:
-        # natural order suits an M with no mechanics-cavity term (fig2 mech 8:
-        # 33k nonzeros, 34k after COLAMD), not M = L (d = 320, n_bar 50: x2.9)
-        lu = spla.splu(r_m.tocsc(), permc_spec="COLAMD" if r_m is r
-                       else "NATURAL")
-    except RuntimeError:
-        raise DegenerateSteadyStateError(
-            "trace-constrained preconditioner is singular; the generator "
-            "null space is not one-dimensional") from None
-    abs_r = abs(r)
-    rhs = np.zeros(d * d)
-    rhs[0] = weight
-    x, steady_its, steady_error = _gmres(r, abs_r, lu, rhs)
-    probe = np.random.default_rng(PROBE_SEED).standard_normal(d * d)
-    y, probe_its, probe_error = _gmres(r, abs_r, lu, probe)
-    condition = float(spla.norm(r, 1) * np.abs(y).sum() / np.abs(probe).sum())
+    when the null space of L is one-dimensional, that is when each block is.
+    A GMRES solve R_k y_k = b_k per block, b a fixed-seed random vector,
+    gives the 1-norm condition estimate |R|_1 sum_k |y_k|_1 / |b|_1.  An
+    estimate above CONDITION_LIMIT, or a singular block of R_M, raises
+    DegenerateSteadyStateError; a singular R makes b inconsistent, so the
+    estimate is judged even when a probe solve did not converge.  Any solve
+    that misses GMRES_TOL within its budget raises SolverError.  The
+    solution is read back through T and the eigenvalue-clipped state
+    symmetrised, so rho is exactly Hermitian; its residual is in L's units."""
+    d, n = liou.space.total_dim, liou.dim
+    t, rows, imag, even, unsplit = _hermitian_coordinates(liou.space.dims)
+    big = float(np.abs(liou.superoperator.data).max(initial=0.0))
+    unit = math.ldexp(1.0, math.frexp(big)[1] - 1)
+    r = _real_system(liou.superoperator, t, rows, imag, unit, big / unit)
+    r_m = r if liou.uncoupled is None else _real_system(
+        liou.uncoupled, t, rows, imag, unit, big / unit)
+    rhs = big / unit * np.eye(1, n)[0]
+    probe = np.random.default_rng(PROBE_SEED).standard_normal(n)[unsplit]
+    solves, lu_nnz = [], 0
+    for at, r_k, r_mk in _parity_blocks(r, r_m, even):
+        try:
+            # natural order suits an M with no mechanics-cavity term (fig2 mech
+            # 8: 33k nonzeros, 34k after COLAMD), not M = L (d = 320: x2.9)
+            lu = spla.splu(r_mk.tocsc(), permc_spec="COLAMD"
+                           if liou.uncoupled is None else "NATURAL")
+        except RuntimeError:
+            raise DegenerateSteadyStateError(
+                "trace-constrained preconditioner is singular; the generator "
+                "null space is not one-dimensional") from None
+        lu_nnz += lu.nnz
+        abs_r = abs(r_k)
+        if not solves:
+            solves.append(("steady", *_gmres(r_k, abs_r, lu, rhs[at])))
+        solves.append(("probe", *_gmres(r_k, abs_r, lu, probe[at])))
+        del lu, abs_r  # free this block's LU before the next one's
+    x, probes = solves[0][1], solves[1:]
+    norm_1 = np.bincount(r.indices, np.abs(r.data), n).max()  # |R|_1
+    condition = float(norm_1 * sum(np.abs(y).sum() for _, y, _, _ in probes)
+                      / np.abs(probe).sum())
     if not condition <= CONDITION_LIMIT:
         raise DegenerateSteadyStateError(
             f"condition estimate {condition:.3e} of the trace-constrained "
             f"system exceeds {CONDITION_LIMIT:.0e}: null space is not "
             "one-dimensional")
-    for name, its, error in (("steady", steady_its, steady_error),
-                             ("probe", probe_its, probe_error)):
+    for name, _, its, error in solves:
         if not error <= GMRES_TOL:
             raise SolverError(
                 f"GMRES {name} solve did not converge: backward error "
                 f"{error:.3e} (tolerance {GMRES_TOL:.0e}) after {its} "
                 "iterations")
-    rho = (t @ x).reshape((d, d), order="F")
-
+    rho = (t @ np.pad(x, (0, n - x.size))).reshape((d, d), order="F")
     rho /= np.trace(rho).real
     w, v = np.linalg.eigh(rho)
     if w.min() < -1e-8:
         raise SolverError(
             f"steady state has negative eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    vec = ((v * w) @ v.conj().T).reshape(-1, order="F")
-    rho = (t @ np.concatenate([vec[diag].real, vec[upper].real,
-                               vec[upper].imag])).reshape((d, d), order="F")
-    rho /= np.trace(rho).real
-    residual = float(np.linalg.norm(lsuper @ rho.reshape(-1, order="F")))
-    dm = DensityMatrix(liou.space, rho)
-    return SteadyState(rho=dm, populations=None, residual=residual,
-                       method="gmres", iterations=steady_its + probe_its,
-                       condition=condition, lu_nnz=lu.nnz)
+    rho = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    rho = (rho + rho.conj().T) / np.trace(rho).real / 2
+    defect = liou.superoperator @ rho.reshape(-1, order="F")
+    residual = unit * float(np.linalg.norm(defect / unit))
+    return SteadyState(rho=DensityMatrix(liou.space, rho), populations=None,
+                       residual=residual, method="gmres",
+                       iterations=sum(its for _, _, its, _ in solves),
+                       probe_iterations=sum(its for _, _, its, _ in probes),
+                       condition=condition, lu_nnz=lu_nnz)

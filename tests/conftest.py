@@ -8,8 +8,9 @@ import scipy.sparse as sp
 from scipy.constants import hbar, k as kB
 
 from nanomech.config import parse_config
-from nanomech.lindblad import (LaserParams, SystemConfig, chain_rates,
-                               transition_rates)
+from nanomech.lindblad import (LaserParams, SystemConfig,
+                               _hermitian_coordinates, _parity_blocks,
+                               _real_system, chain_rates, transition_rates)
 
 TWO_PI = 2 * np.pi
 
@@ -39,6 +40,16 @@ def dense_generator(h, jumps):
         lsuper += (np.kron(c.conj(), c) - 0.5 * np.kron(eye, cdc)
                    - 0.5 * np.kron(cdc.T, eye))
     return lsuper
+
+
+def parity_block_count(dims, lsuper, uncoupled=None):
+    """How many blocks steady_state_solve factors and solves for the
+    generators L and M (M = L when None) on factors of dimensions `dims`."""
+    t, rows, imag, even, _unsplit = _hermitian_coordinates(dims)
+    r, r_m = (None if g is None else
+              _real_system(sp.csr_matrix(g), t, rows, imag, 1.0, 1.0)
+              for g in (lsuper, uncoupled))
+    return len(_parity_blocks(r, r if r_m is None else r_m, even))
 
 
 class QuadraticTestPotential:

@@ -206,14 +206,22 @@ def test_cli_steady_full_three_cavity_levels(tmp_path):
 
 
 def test_cli_steady_full_reference_device(tmp_path):
-    # fig2 at mech 8 (n = 4,096): the steady and the probe solve take 64
-    # GMRES steps together, and the full-state W(0,0) is the alternating
-    # sum of the full populations
+    # fig2 at mech 8 (n = 4,096): the steady solve takes 32 GMRES steps on
+    # the even-parity block, the probe 32 + 8 on the even and the odd block,
+    # and the full-state W(0,0) is the alternating sum of the full populations
     out = tmp_path / "out"
     assert main(["steady", "--config", str(CONFIG_PATH), "--full",
                  "--compare", "--out", str(out)]) == EXIT_OK
     solver = json.loads((out / "manifest.json").read_text())["solver"]
-    assert solver["full_iterations"] == pytest.approx(64, abs=2)
+    assert solver["full_steady_iterations"] == pytest.approx(32, abs=2)
+    assert solver["full_iterations"] == pytest.approx(72, abs=2)
+    assert solver["full_iterations"] == (solver["full_steady_iterations"]
+                                         + solver["full_probe_iterations"])
+    assert solver["full_lu_nnz"] == 34_990
+    # the probe's seeded vector, put in the order of the blocks, gives the
+    # estimate of the unsplit system
+    assert solver["full_condition_estimate"] == pytest.approx(2380.7107,
+                                                              rel=1e-7)
     pops = json.loads((out / "populations.json").read_text())
     assert pops["full_wigner_origin"] == wigner_origin(pops["full"])
     assert max(pops["compare_abs_diff"]) < 0.05

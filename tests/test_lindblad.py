@@ -17,7 +17,8 @@ from nanomech import lindblad
 from nanomech.lindblad import (CONDITION_LIMIT, DegenerateSteadyStateError,
                                LaserParams, Liouvillian, SolverError,
                                SystemConfig, TruncationError,
-                               _hermitian_coordinates, _lowering, _transpose,
+                               _hermitian_coordinates, _lowering,
+                               _parity_blocks, _real_system, _transpose,
                                build_full_hamiltonian, build_full_liouvillian,
                                build_reduced_generator, chain_rates,
                                level_rates, reduced_steady_populations,
@@ -26,7 +27,7 @@ from nanomech.lindblad import (CONDITION_LIMIT, DegenerateSteadyStateError,
 
 from conftest import (CONFIG_PATH, GAMMA_M, KAPPA, LAMBDA, N_BAR,
                       OMEGA_M_PRIME, dense_generator, kron_generators,
-                      kron_lift, quoted_system)
+                      kron_lift, parity_block_count, quoted_system)
 
 TWO_PI = 2 * np.pi
 
@@ -448,7 +449,9 @@ def test_full_solve_matches_direct_lu(g_scale):
     # trace-rowed system is the reference
     liou = build_full_liouvillian(fig2_scaled(8, g_scale))
     d = liou.space.total_dim
-    t, diag, upper = _hermitian_coordinates(d)
+    t = _hermitian_coordinates(liou.space.dims)[0]
+    i, j = np.triu_indices(d, 1)
+    diag, upper = np.arange(d) * (d + 1), i + j * d
     lt = (liou.superoperator @ t).tocsr()
     rows = lt[upper]
     trace_row = sp.csr_matrix(np.ones((1, d))) @ t[diag].real
@@ -527,6 +530,87 @@ def test_steady_state_does_not_depend_on_rate_units(scale):
     with pytest.raises(DegenerateSteadyStateError):
         steady_state_solve(Liouvillian(weak.space, scale * weak.superoperator,
                                        scale * weak.uncoupled))
+
+
+def decay_generator(scale):
+    """The decay |1> -> |0> of a two-level system at rate `scale`."""
+    lsuper = np.zeros((4, 4), dtype=complex)
+    lsuper[0, 3], lsuper[1, 1], lsuper[2, 2], lsuper[3, 3] = 1, -0.5, -0.5, -1
+    return Liouvillian(CompositeSpace((FockSpace(2, "mech"),)),
+                       sp.csr_matrix(scale * lsuper))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e160, 1e200])
+def test_steady_state_solve_at_extreme_rate_scales(scale):
+    # the solve runs in units of max|L_ij|: its probe solution and its
+    # backward-error norms neither overflow nor underflow (a RuntimeWarning
+    # fails the test) at any rate scale
+    ss = steady_state_solve(decay_generator(scale))
+    np.testing.assert_array_equal(ss.rho.matrix, [[1, 0], [0, 0]])
+    assert ss.condition == pytest.approx(
+        steady_state_solve(decay_generator(1.0)).condition, rel=1e-14)
+    assert ss.residual <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("dims", [(4,), (3, 2, 2)])
+def test_hermitian_coordinates_layout(dims):
+    # coordinate k of a Hermitian X is Re, or Im where imag[k], of its vec
+    # entry rows[k]; T maps the coordinates back to vec(X); the even
+    # coordinates come first, and unsplit[k] is k's index in the order
+    # diagonal, Re and Im of the upper triangle (np.triu_indices)
+    d = int(np.prod(dims))
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    x += x.conj().T
+    vec = x.reshape(-1, order="F")
+    t, rows, imag, even, unsplit = _hermitian_coordinates(dims)
+    coords = np.where(imag, vec[rows].imag, vec[rows].real)
+    np.testing.assert_array_equal(t @ coords, vec)
+    i, j = np.triu_indices(d, 1)
+    unsplit_coords = np.concatenate([x.diagonal().real, x[i, j].real,
+                                     x[i, j].imag])
+    np.testing.assert_array_equal(coords, unsplit_coords[unsplit])
+    n = sum(np.unravel_index(np.arange(d), dims)) % 2
+    parity = (n[rows % d] + n[rows // d]) % 2
+    assert not parity[:even].any() and parity[even:].all()
+    np.testing.assert_array_equal(rows[:d], np.arange(d) * (d + 1))
+
+
+def test_fig2_real_systems_split_by_parity():
+    # L and M conserve the parity of N_i + N_j, so neither R nor R_M has an
+    # entry across the even and the odd block, and both split into them
+    liou = build_full_liouvillian(fig2_system(4))
+    n = liou.dim
+    t, rows, imag, even, _unsplit = _hermitian_coordinates(liou.space.dims)
+    r, r_m = (_real_system(g, t, rows, imag, 1.0, 1.0)
+              for g in (liou.superoperator, liou.uncoupled))
+    blocks = _parity_blocks(r, r_m, even)
+    assert [block[0] for block in blocks] == [slice(0, even), slice(even, n)]
+    for k, a in enumerate((r, r_m)):
+        assert a[:even, even:].nnz == 0 and a[even:, :even].nnz == 0
+        assert a[:even, :even].nnz > 0 and a[even:, even:].nnz > 0
+        split = sp.block_diag([block[1 + k] for block in blocks])
+        assert (split != a).nnz == 0
+
+
+def test_parity_breaking_drive_is_solved_as_one_block():
+    # a linear mechanical drive F (b + b^dag) changes the phonon number by
+    # one and so breaks the parity L and M conserve: R mixes the blocks and
+    # is solved as one, with the parity-conserving M as its preconditioner
+    liou = build_full_liouvillian(small_driven(mech_dim=4, g=3.0e3, n_bar=0.2))
+    dims, d = liou.space.dims, liou.space.total_dim
+    b = kron_lift(sp.diags(np.sqrt(np.arange(1.0, 4.0)), 1), 0, dims)
+    drive = 2.0e5 * (b + b.T).toarray()
+    lsuper = liou.superoperator + sp.csr_matrix(dense_generator(drive, []))
+    assert parity_block_count(dims, lsuper, liou.uncoupled) == 1
+    ns = scipy.linalg.null_space(lsuper.toarray())
+    assert ns.shape == (d * d, 1)
+    oracle = ns[:, 0].reshape((d, d), order="F")
+    oracle /= np.trace(oracle)
+    ss = steady_state_solve(Liouvillian(liou.space, lsuper, liou.uncoupled))
+    np.testing.assert_allclose(ss.rho.matrix, oracle, rtol=0, atol=1e-10)
+    # the drive fills the odd block: <b> = tr(b rho) is not small
+    assert abs(np.trace(b @ ss.rho.matrix)) > 1e-3
 
 
 def test_thermal_chain_at_zero_kelvin_not_degenerate():

@@ -1,14 +1,17 @@
 """Property tests of the full steady-state solver over random Lindbladians:
 preconditioned GMRES in Hermitian coordinates against the dense null
 space, with the generator as its own preconditioner and with an inexact
-one; and its GMRES cycle against scipy's on random nonsymmetric systems."""
+one, and on generators that conserve the excitation parity, solved block by
+block; and its GMRES cycle against scipy's on random nonsymmetric systems."""
+
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,7 +19,7 @@ from nanomech.fock import CompositeSpace, FockSpace
 from nanomech.lindblad import (Liouvillian, _arnoldi_cycle,
                                steady_state_solve)
 
-from conftest import dense_generator
+from conftest import dense_generator, parity_block_count
 
 ENTRY = st.floats(-1.0, 1.0)
 
@@ -63,13 +66,14 @@ def one_dimensional_null_space(lsuper):
     return sv[-2] > 1e-5 * sv[0]
 
 
-def check_against_null_space(d, lsuper, uncoupled=None):
+def check_against_null_space(d, lsuper, uncoupled=None, dims=None):
     ns = scipy.linalg.null_space(lsuper)
     assert ns.shape == (d * d, 1)
     oracle = ns[:, 0].reshape((d, d), order="F")
     oracle /= np.trace(oracle)
 
-    space = CompositeSpace((FockSpace(d, "mech"),))
+    space = CompositeSpace(tuple(FockSpace(k, f"f{slot}")
+                                 for slot, k in enumerate(dims or (d,))))
     ss = steady_state_solve(Liouvillian(
         space, sp.csr_matrix(lsuper),
         None if uncoupled is None else sp.csr_matrix(uncoupled)))
@@ -81,6 +85,10 @@ def check_against_null_space(d, lsuper, uncoupled=None):
     assert ss.residual <= 1e-12 * np.abs(lsuper).max()
 
 
+# the decay of a two-level system at a rate of 1e-165: the probe solution
+# of 1e165 once overflowed the solver's norms
+@example((2, 1e-165 * dense_generator(np.zeros((2, 2)),
+                                       [np.array([[0.0, 1.0], [0.0, 0.0]])])))
 @settings(max_examples=60, deadline=None)
 @given(lindbladians())
 def test_steady_state_matches_null_space(generator):
@@ -97,6 +105,37 @@ def test_steady_state_with_inexact_uncoupled_generator(generators):
     # the preconditioner must itself have a unique steady state
     assume(one_dimensional_null_space(uncoupled))
     check_against_null_space(d, lsuper, uncoupled)
+
+
+@st.composite
+def parity_conserving_lindbladians(draw):
+    """A random generator on one or two factors, with or without an inexact
+    preconditioning generator as above, that conserves the parity of
+    N_i + N_j (N the total excitation number): H connects only states of
+    equal parity, and each jump only states of opposite parity, or only
+    states of equal parity."""
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=1, max_size=2)))
+    d = math.prod(dims)
+    parity = sum(np.unravel_index(np.arange(d), dims)) % 2
+    equal = parity[:, None] == parity[None, :]
+    h = draw(complex_matrices(d)) * equal
+    jumps = [draw(complex_matrices(d)) * (equal == draw(st.booleans()))
+             for _ in range(draw(st.integers(1, 2)))]
+    weights = [draw(st.floats(0.25, 2.0)) for _ in jumps]
+    uncoupled = dense_generator(h + h.conj().T,
+                                [w * c for w, c in zip(weights, jumps)])
+    return (dims, dense_generator(h + h.conj().T, jumps),
+            uncoupled if draw(st.booleans()) else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parity_conserving_lindbladians())
+def test_parity_conserving_steady_state_matches_null_space(generators):
+    dims, lsuper, uncoupled = generators
+    assume(one_dimensional_null_space(lsuper))
+    assume(uncoupled is None or one_dimensional_null_space(uncoupled))
+    assert parity_block_count(dims, lsuper, uncoupled) == 2
+    check_against_null_space(math.prod(dims), lsuper, uncoupled, dims)
 
 
 def scipy_cycle(a, b, atol, restart):
