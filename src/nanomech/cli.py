@@ -39,8 +39,9 @@ EXIT_PRECONDITION = 3
 EXIT_SOLVER = 4
 
 # steady --converge doubles the mechanical truncation, up to 320 levels,
-# until no population moves by 1e-3 or more
-CONVERGE_LEVELS, CONVERGE_DRIFT = 320, 1e-3
+# until no population moves by 1e-3 or more; with --full it then raises the
+# cavity photon number by one, up to 3, until no full population does
+CONVERGE_LEVELS, CONVERGE_PHOTONS, CONVERGE_DRIFT = 320, 3, 1e-3
 
 # exception class -> exit code and message prefix; the first match wins, so
 # BucklingError precedes its base DeviceError
@@ -235,7 +236,7 @@ def run_device(cfg: RunConfig):
 def _system_config(cfg: RunConfig, derived, mech_dim=None) -> SystemConfig:
     return SystemConfig.from_derived(
         derived, mech_dim or cfg.simulation.mech_truncation,
-        cfg.simulation.cavity_truncation)
+        cfg.simulation.cavity_photons)
 
 
 def run_steady(cfg: RunConfig, full=False, compare=False, converge=False):
@@ -268,9 +269,30 @@ def run_steady(cfg: RunConfig, full=False, compare=False, converge=False):
         "reduced": reduced, "wigner": wig, "mech_dim": mech_dim,
     }
     if full:
-        liou = build_full_liouvillian(sysc)
-        ss = steady_state_solve(liou)
+        # a drift needs a larger photon number to compare with
+        if converge and sysc.lasers and sysc.cavity_photons >= CONVERGE_PHOTONS:
+            raise TruncationError(
+                f"cavity_photons {sysc.cavity_photons} leaves --converge no "
+                f"larger photon number within the cap of {CONVERGE_PHOTONS}")
+        ss = steady_state_solve(build_full_liouvillian(sysc))
         full_pops = partial_trace(ss.rho, 0).populations()
+        if converge:
+            # with no laser there is no cavity
+            drift = np.inf if sysc.lasers else 0.0
+            while drift >= CONVERGE_DRIFT:
+                if sysc.cavity_photons >= CONVERGE_PHOTONS:
+                    raise TruncationError(
+                        "full populations have not settled within "
+                        f"{CONVERGE_PHOTONS} cavity photons: drift "
+                        f"{drift:.3e} at cavity_photons {sysc.cavity_photons}")
+                sysc = dataclasses.replace(
+                    sysc, cavity_photons=sysc.cavity_photons + 1)
+                ss = steady_state_solve(build_full_liouvillian(sysc))
+                smaller = full_pops
+                full_pops = partial_trace(ss.rho, 0).populations()
+                drift = float(np.max(np.abs(full_pops - smaller)))
+            result["cavity_drift"] = drift
+        result["system"] = sysc
         result["full"] = ss
         result["full_populations"] = full_pops
         if compare:
@@ -292,8 +314,7 @@ def run_spectrum(cfg: RunConfig, selftest=False):
     sysc = _system_config(cfg, derived)
     reduced = reduced_steady_populations(sysc)
     probe_sys = dataclasses.replace(
-        sysc, cavity_dims=(2,),
-        lasers=(LaserParams(g=probe.g, detuning=probe.detuning),))
+        sysc, lasers=(LaserParams(g=probe.g, detuning=probe.detuning),))
     drive_rates = transition_rates(sysc)
     probe_rates = transition_rates(probe_sys)
 
@@ -435,6 +456,9 @@ def cmd_steady(cfg: RunConfig, args) -> int:
         diagnostics["full_probe_iterations"] = res["full"].probe_iterations
         diagnostics["full_lu_nnz"] = res["full"].lu_nnz
         diagnostics["full_condition_estimate"] = res["full"].condition
+        diagnostics["full_cavity_photons"] = res["system"].cavity_photons
+        if args.converge:
+            diagnostics["full_cavity_drift"] = res["cavity_drift"]
         if args.compare:
             pops["compare_abs_diff"] = list(res["compare"])
     write_json(out / "populations.json", pops)

@@ -115,7 +115,7 @@ def parse_integer(value, path: str, least: int) -> int:
 @dataclass(frozen=True)
 class SimulationSection:
     mech_truncation: int = 10
-    cavity_truncation: int = 2
+    cavity_photons: int = 1     # photons in all cavities together
     wigner_half_width: float | None = None
     wigner_points: int = 121
     spectrum_span: float | None = None      # rad/s, centered on the probe
@@ -258,7 +258,7 @@ def _parse_electrode(d: dict, path: str) -> ElectrodeSpec:
 
 def _parse_simulation(d: dict, path: str) -> SimulationSection:
     kwargs = {}
-    for key, least in (("mech_truncation", 3), ("cavity_truncation", 2)):
+    for key, least in (("mech_truncation", 3), ("cavity_photons", 1)):
         if key in d:
             kwargs[key] = parse_integer(d[key], f"{path}.{key}", least)
     wg = d.get("wigner_grid", {})
@@ -389,7 +389,7 @@ CONFIG_SCHEMA = {
     },
     "simulation": {
         "mech_truncation": ">= 3 (default 10)",
-        "cavity_truncation": ">= 2 (default 2)",
+        "cavity_photons": ">= 1 (default 1): photons in all cavities together",
         "wigner_grid": {"half_width": "bare number > 0",
                         "points": "odd integer >= 3"},
         "spectrum_grid": {"span": "frequency around the probe, > 0",

@@ -21,7 +21,9 @@ class FockError(ValueError):
 
 @dataclass(frozen=True)
 class FockSpace:
-    """A single truncated bosonic mode with states |0>..|dim-1>."""
+    """A single truncated bosonic mode with states |0>..|dim-1>, or one
+    block of the states of several modes taken as one factor (the cavity
+    block of the full model, see lindblad.SystemConfig.space)."""
 
     dim: int
     label: str = "mode"

@@ -12,14 +12,18 @@ solve pair and four BLAS-2 products.  The model conserves the parity of
 N_i + N_j (N the total excitation number) of each rho_ij: the steady state
 is solved in the even block, the uniqueness probe in each block apart.
 
-Both generators are written by index arithmetic from the occupation table,
-each entry once (_generator): column-stacked, vec(A X B) = (B^T kron A)
-vec(X), as QuTiP's spre/spost (Johansson, Nation and Nori, Comput. Phys.
-Commun. 184, 1234 (2013)).
+The basis is the mechanics times one block of cavity states: the photon
+configurations (c_1..c_k) with sum_j c_j <= N (cavity_photons), QuTiP's
+excitation-number-restricted states (enr_fock, enr_destroy; Johansson,
+Nation and Nori, Comput. Phys. Commun. 184, 1234 (2013)).  Both generators
+are written by index arithmetic from its occupation table, each entry once
+(_generator): column-stacked, vec(A X B) = (B^T kron A) vec(X), as QuTiP's
+spre/spost.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +36,11 @@ from .device import transition_frequency
 from .fock import CompositeSpace, DensityMatrix, FockSpace
 
 TRACE_PRESERVATION_TOL = 1e-10
-DEFAULT_NNZ_CAP = 200_000_000    # < 2**31: CSR indices fit int32 (_assemble)
+# nonzeros of L and M together (_estimate_nnz, a bound fig2 meets exactly):
+# a full steady state peaks at about 92 B per nonzero (fig2 mech 32 and 64
+# with at most 2 photons), so this holds a solve near 3.7 GB; far below
+# 2**31, so CSR indices fit int32 (_assemble)
+DEFAULT_NNZ_CAP = 40_000_000
 # a trace-rowed system whose 1-norm condition estimate exceeds this has a
 # null space that is numerically not one-dimensional
 CONDITION_LIMIT = 1e12
@@ -71,7 +79,7 @@ class SystemConfig:
     """Mode structure and physical rates for generator construction."""
 
     mech_dim: int
-    cavity_dims: tuple[int, ...]
+    cavity_photons: int         # N: photons in all cavities together
     omega_m_prime: float
     lam: float
     gamma_m: float
@@ -82,25 +90,28 @@ class SystemConfig:
     def __post_init__(self):
         if self.mech_dim < 3:
             raise ValueError(f"mech truncation must be >= 3, got {self.mech_dim}")
-        if any(d < 2 for d in self.cavity_dims):
-            raise ValueError("cavity truncations must be >= 2")
-        if len(self.cavity_dims) != len(self.lasers):
-            raise ValueError("one cavity mode per laser required")
+        if self.cavity_photons < 1:
+            raise ValueError(
+                f"cavity photon number must be >= 1, got {self.cavity_photons}")
 
     @classmethod
     def from_derived(cls, derived, mech_dim: int,
-                     cavity_dim: int = 2) -> "SystemConfig":
+                     cavity_photons: int = 1) -> "SystemConfig":
         lasers = tuple(LaserParams(g=l.g, detuning=l.detuning)
                        for l in derived.lasers)
-        return cls(mech_dim=mech_dim,
-                   cavity_dims=(cavity_dim,) * len(lasers),
+        return cls(mech_dim=mech_dim, cavity_photons=cavity_photons,
                    omega_m_prime=derived.omega_m_prime, lam=derived.lam,
                    gamma_m=derived.gamma_m, n_bar=derived.n_bar,
                    kappa=derived.kappa, lasers=lasers)
 
     def space(self) -> CompositeSpace:
+        """The mechanics, then (with lasers) one factor for the cavity block,
+        one cavity mode per laser (see _occupations)."""
         factors = [FockSpace(self.mech_dim, "mech")]
-        factors += [FockSpace(d, f"cav{j}") for j, d in enumerate(self.cavity_dims)]
+        k = len(self.lasers)
+        if k:
+            factors.append(FockSpace(math.comb(self.cavity_photons + k, k),
+                                     "cav"))
         return CompositeSpace(tuple(factors))
 
 
@@ -108,6 +119,9 @@ class SystemConfig:
 class Liouvillian:
     space: CompositeSpace
     superoperator: sp.csr_matrix = field(repr=False)
+    # the total excitation number of each basis state, whose parity splits
+    # the steady-state solve (see _hermitian_coordinates)
+    excitations: np.ndarray = field(repr=False)
     # the uncoupled generator M that preconditions the steady-state solve
     # (see build_full_liouvillian); None means M = L
     uncoupled: sp.csr_matrix | None = field(default=None, repr=False)
@@ -154,42 +168,84 @@ class RateTable:
 ASSEMBLY_BLOCK = 1 << 16    # slot-table entries per block of rows (_assemble)
 
 
-def _lowering(dims: tuple[int, ...], slot: int, weights):
-    """sum_n weights[n-1] |..n-1..><..n..| on factor `slot` of the product
-    space with factor dimensions `dims` (first factor slowest), the identity
-    on the others, as a step (s, w): entries [i, i + s] = w[i], 0 on rows
-    with none; weights sqrt(n) give the annihilation operator.  Every model
-    operator is diagonal or a step on one or two factors (a product of
-    steps on different factors multiplies their row weights)."""
-    stride = math.prod(dims[slot + 1:])
-    n = np.arange(math.prod(dims)) // stride % dims[slot]
-    return stride, np.append(weights, 0.0)[n]
+def _occupations(config: SystemConfig) -> np.ndarray:
+    """The occupation table: row i holds the phonon number and the photon
+    numbers c_1..c_k of basis state i.  The cavity states are the
+    configurations with sum_j c_j <= cavity_photons in lexicographic order
+    (first cavity slowest), and the mechanics is the slowest mode, so the
+    rows are sorted."""
+    k, top = len(config.lasers), config.cavity_photons
+    photons = [c for c in itertools.product(range(top + 1), repeat=k)
+               if sum(c) <= top]
+    photons = np.array(photons, dtype=int).reshape(len(photons), k)
+    return np.column_stack((np.repeat(np.arange(config.mech_dim), len(photons)),
+                            np.tile(photons, (config.mech_dim, 1))))
 
 
-def _transpose(stride: int, w: np.ndarray):
-    """The transpose of a real step (the roll wraps only zero weights)."""
-    return -stride, np.concatenate((w[-stride:], w[:-stride]))
+def _lowering(table: np.ndarray, slot: int, weights):
+    """sum_n weights[n-1] |..n-1..><..n..| on mode `slot` of the basis whose
+    states are the rows of the sorted occupation table `table`, the identity
+    on the other modes and 0 where the raised state is not in the basis, as
+    a list of steps (s, w), one per offset s: entries [i, i + s] = w[i], 0
+    on rows with none; weights sqrt(n) give the annihilation operator.  The
+    mechanics has one step; a cavity has one per distance from a cavity
+    state to its raised state (QuTiP's enr_destroy).  Every model operator
+    is diagonal, steps on one mode, or the product of a mechanical and a
+    cavity step, whose row weights multiply (neither changes the other's
+    occupation)."""
+    dims = tuple(table.max(axis=0) + 2)     # codes keep the rows' order
+    codes = np.ravel_multi_index(table.T, dims)
+    raised = table.copy()
+    raised[:, slot] += 1
+    raised = np.ravel_multi_index(raised.T, dims)
+    target = np.searchsorted(codes, raised)
+    found = codes.take(target, mode="clip") == raised
+    w = np.where(found, np.append(weights, 0.0)[table[:, slot]], 0.0)
+    offsets = target - np.arange(len(table))
+    return [(int(s), np.where(offsets == s, w, 0.0))
+            for s in np.unique(offsets[found])]
+
+
+def _transpose(op):
+    """The transpose of a real operator given as steps (each roll wraps
+    only zero weights)."""
+    return [(-s, np.roll(w, s)) for s, w in op]
+
+
+def _product(v, rows=slice(None)):
+    """The given rows of a slot value v of _assemble: an array broadcasting
+    to m x d, or a pair (column, row) of an m x 1 and a 1 x d array, whose
+    outer product it is."""
+    if isinstance(v, tuple):
+        column, row = v
+        return column[rows] * row
+    return v[rows] if len(v) > 1 else v
 
 
 def _assemble(slots, m: int, d: int) -> sp.csr_matrix:
-    """The (m d) x (m d) CSR matrix whose row p = i + j d holds v[j, i] at
-    column p + s for each slot (s, v), s distinct, v broadcasting to m x d.
-    Rows are counted first and slots taken in the order of s, so each CSR
-    array is written once, sorted; adding 0.0 makes -0.0 parts +0.0."""
-    slots.sort(key=lambda slot: slot[0])
-    offsets = np.array([s for s, _ in slots], dtype=np.int32)
+    """The (m d) x (m d) CSR matrix whose row p = i + j d holds at column
+    p + s the sum of v[j, i] over the slots (s, v) of offset s (v as in
+    _product).  The slots of one offset must fill different entries, so
+    that no sum cancels and the row counts are exact.  Rows are counted
+    first and offsets taken in order, so each CSR array is written once,
+    sorted; adding 0.0 makes -0.0 parts +0.0."""
+    merged = {}
+    for s, v in slots:
+        merged.setdefault(s, []).append(v)
+    offsets, parts = zip(*sorted(merged.items()))
+    offsets = np.array(offsets, dtype=np.int32)
     indptr = np.zeros(m * d + 1, dtype=np.int32)
-    np.cumsum(sum(v != 0 for _, v in slots), out=indptr[1:])
+    np.cumsum(sum(_product(v) != 0 for vs in parts for v in vs),
+              out=indptr[1:])
     data = np.empty(indptr[-1], dtype=complex)
     indices = np.empty(indptr[-1], dtype=np.int32)
-    rows = max(1, ASSEMBLY_BLOCK // (d * len(slots)))
-    table = np.empty((min(rows, m), d, len(slots)), dtype=complex)
+    rows = max(1, ASSEMBLY_BLOCK // (d * len(parts)))
+    table = np.empty((min(rows, m), d, len(parts)), dtype=complex)
     for j in range(0, m, rows):
         block = table[:min(rows, m - j)]
-        for k, (_, v) in enumerate(slots):
-            # a 1 x d table is the same for every j
-            block[..., k] = v[j:j + rows] if len(v) > 1 else v
-        block = block.reshape(-1, len(slots))
+        for k, vs in enumerate(parts):
+            block[..., k] = sum(_product(v, slice(j, j + rows)) for v in vs)
+        block = block.reshape(-1, len(parts))
         at = np.flatnonzero(block != 0)
         start, stop = j * d, j * d + len(block)
         span = slice(indptr[start], indptr[stop])
@@ -201,62 +257,79 @@ def _assemble(slots, m: int, d: int) -> sp.csr_matrix:
 
 
 def _hamiltonian_parts(config: SystemConfig):
-    """The full Hamiltonian on the occupation table: the space, H's diagonal
-    (the anharmonic mechanics w_m' n + (lam/2) n (n - 1), detuned cavities),
-    the steps of the displaced linear coupling, H as CSR, the steps b, a_j."""
-    space = config.space()
-    dims, d = space.dims, space.total_dim
-    occupations = np.unravel_index(np.arange(d), dims)
-    n = occupations[0]
+    """The full Hamiltonian on the occupation table: the space, the table,
+    H's diagonal (the anharmonic mechanics w_m' n + (lam/2) n (n - 1),
+    detuned cavities), the steps of the displaced linear coupling, H as CSR,
+    and the operators b and a_j as steps."""
+    space, table = config.space(), _occupations(config)
+    n = table[:, 0]
     energy = config.omega_m_prime * n + 0.5 * config.lam * n * (n - 1)
     for j, laser in enumerate(config.lasers):
-        energy = energy + (-laser.detuning) * occupations[1 + j]
-    b = _lowering(dims, 0, np.sqrt(np.arange(1, dims[0])))
-    cavities = [_lowering(dims, 1 + j, np.sqrt(np.arange(1, dim)))
-                for j, dim in enumerate(dims[1:])]
-    # (g*/2 a_j + g/2 a_j^dag)(b + b^dag): four steps per laser
+        energy = energy + (-laser.detuning) * table[:, 1 + j]
+    b = _lowering(table, 0, np.sqrt(np.arange(1, config.mech_dim)))
+    photons = np.sqrt(np.arange(1, config.cavity_photons + 1))
+    cavities = [_lowering(table, 1 + j, photons)
+                for j in range(len(config.lasers))]
+    # (g*/2 a_j + g/2 a_j^dag)(b + b^dag): four steps per step of a_j
+    position = b + _transpose(b)
     coupling = [(s_a + s_b, (coef * w_a) * w_b)
                 for a, laser in zip(cavities, config.lasers, strict=True)
-                for (s_a, w_a), coef in ((a, np.conj(laser.g) / 2.0),
-                                         (_transpose(*a), laser.g / 2.0))
-                for s_b, w_b in (b, _transpose(*b))]
-    h = _assemble([(s, w[None, :]) for s, w in [(0, energy)] + coupling], 1, d)
+                for op, coef in ((a, np.conj(laser.g) / 2.0),
+                                 (_transpose(a), laser.g / 2.0))
+                for s_a, w_a in op
+                for s_b, w_b in position]
+    h = _assemble([(s, w[None, :]) for s, w in [(0, energy)] + coupling], 1,
+                  len(table))
     herm_defect = abs(h - h.conj().T).max()
     if herm_defect > 1e-12 * max(1.0, abs(h).max()):
         raise SolverError(f"Hamiltonian not Hermitian, defect {herm_defect:.3e}")
-    return space, energy, coupling, h, b, cavities
+    return space, table, energy, coupling, h, b, cavities
 
 
 def build_full_hamiltonian(config: SystemConfig) -> sp.csr_matrix:
     """Multi-mode Hamiltonian (in units of hbar): detuned cavities, the
     anharmonic mechanical mode, and the displaced linear coupling."""
-    return _hamiltonian_parts(config)[3]
+    return _hamiltonian_parts(config)[4]
 
 
 def _generator(energy, coupling, jumps) -> sp.csr_matrix:
     """The generator -i[H, .] + sum_c (c . c^dag - {c^dag c, .}/2) of
-    H = diag(energy) + the coupling steps, with real jump steps carrying the
-    square roots of their rates: column-stacked, I kron K + conj(K) kron I
-    + sum_c c kron c, K = -iH - sum_c c^dag c / 2, each c^dag c diagonal.
-    Row p = i + j d holds K[i, i'] at column i' + j d, conj(K[j, j']) at
-    i + j' d and c[j, j'] c[i, i'] at i' + j' d: slots at fixed offsets
-    (_assemble) that meet only in K[i, i] + conj(K[j, j]), as a coupling
-    step moves two factors, a jump one, and no two jumps make one step."""
+    H = diag(energy) + the coupling steps, with real jump operators, each a
+    list of steps carrying the square root of its rate: column-stacked,
+    I kron K + conj(K) kron I + sum_c c kron c, K = -iH - sum_c c^dag c / 2,
+    each c^dag c diagonal (no row of c holds two steps).  Row p = i + j d
+    holds K[i, i'] at column i' + j d, conj(K[j, j']) at i + j' d and
+    c[j, j'] c[i, i'] at i' + j' d: slots at fixed offsets (_assemble), one
+    per coupling step, per conjugate coupling step and per pair of steps of
+    a jump.  They meet in K[i, i] + conj(K[j, j]); apart from that, slots
+    share an offset only across lasers or cavity decays (a coupling step
+    moves two modes, a jump one, and steps of two cavities can be equally
+    long), and then fill different entries, as lowering or raising two
+    cavities never leads from one state to the same state."""
     d = energy.size
     k = -1j * energy
-    for s, w in jumps:
-        k = k - 0.5 * _transpose(s, w)[1] ** 2
-    slots = [(0, k + k.conj()[:, None])] + [(s * (d + 1), np.outer(w, w))
-                                            for s, w in jumps]
+    for jump in jumps:
+        for _s, w in _transpose(jump):
+            k = k - 0.5 * w ** 2
+    slots = [(0, k + k.conj()[:, None])]
+    slots += [(s_i + s_j * d, (w_j[:, None], w_i[None, :]))
+              for jump in jumps for s_i, w_i in jump for s_j, w_j in jump]
     for s, w in coupling:
         slots += [(s, -1j * w[None, :]), (s * d, (-1j * w).conj()[:, None])]
     return _assemble(slots, d, d)
 
 
 def _estimate_nnz(config: SystemConfig) -> int:
-    d = config.space().total_dim
-    # the no-jump and jump terms each contribute O(d * nnz_per_row * d)
-    return 8 * d * d * (2 + len(config.cavity_dims))
+    """Nonzeros of L and M together at most: two diagonals; 2 d entries per
+    off-diagonal entry of H, 4 (mech - 1) A per laser with A the cavity
+    states that hold a photon of that laser's cavity; nnz(c)^2 per jump,
+    mech A for each cavity decay (in L and M), (mech - 1) B for the two
+    thermal and the two chain jumps, with B the cavity states."""
+    k, top, mech = len(config.lasers), config.cavity_photons, config.mech_dim
+    block, lit = math.comb(top + k, k), math.comb(top - 1 + k, k)
+    d = mech * block
+    return (2 * d * d + 8 * k * (mech - 1) * lit * d
+            + 2 * k * (mech * lit) ** 2 + 4 * ((mech - 1) * block) ** 2)
 
 
 def build_full_liouvillian(config: SystemConfig,
@@ -277,13 +350,16 @@ def build_full_liouvillian(config: SystemConfig,
     if est > nnz_cap:
         raise MemoryError(
             f"estimated superoperator nonzeros {est} exceed cap {nnz_cap}")
-    space, energy, coupling, _h, (s_b, w_b), cavities = _hamiltonian_parts(config)
+    space, table, energy, coupling, _h, b, cavities = _hamiltonian_parts(config)
+
+    def scaled(op, rate):
+        return [(s, np.sqrt(rate) * w) for s, w in op]
+
     # the jumps L and M share: the cavity decay
-    cavity_jumps = [(s, np.sqrt(config.kappa) * w) for s, w in cavities]
+    cavity_jumps = [scaled(a, config.kappa) for a in cavities]
     # the thermal bath; a zero rate gives zero weights, which drop out
-    mech_jumps = [
-        (s_b, np.sqrt(config.gamma_m * (config.n_bar + 1.0)) * w_b),
-        _transpose(s_b, np.sqrt(config.gamma_m * config.n_bar) * w_b)]
+    mech_jumps = [scaled(b, config.gamma_m * (config.n_bar + 1.0)),
+                  _transpose(scaled(b, config.gamma_m * config.n_bar))]
     lsuper = _generator(energy, coupling, cavity_jumps + mech_jumps)
 
     # with no drive the chain's jump operators are the thermal dissipator's
@@ -293,11 +369,11 @@ def build_full_liouvillian(config: SystemConfig,
         up, down = chain_rates(transition_rates(config), config.gamma_m,
                                config.n_bar)
         n = np.arange(1, config.mech_dim)
-        chain_jumps = [_lowering(space.dims, 0, np.sqrt(n * down)),
-                       _transpose(*_lowering(space.dims, 0, np.sqrt(n * up)))]
+        chain_jumps = [_lowering(table, 0, np.sqrt(n * down)),
+                       _transpose(_lowering(table, 0, np.sqrt(n * up)))]
         uncoupled = _generator(energy, [], cavity_jumps + chain_jumps)
 
-    liou = Liouvillian(space, lsuper, uncoupled)
+    liou = Liouvillian(space, lsuper, table.sum(axis=1), uncoupled)
     defect = liou.trace_preservation_defect()
     scale = np.abs(lsuper.data).max(initial=1.0)
     if defect > TRACE_PRESERVATION_TOL * scale:
@@ -395,16 +471,17 @@ def reduced_steady_populations(config: SystemConfig,
                        method="recursion")
 
 
-def _hermitian_coordinates(dims: tuple[int, ...]):
-    """Real coordinates of Hermitian matrices on factors of dimensions `dims`:
-    the diagonal entries, then Re and Im of the strict-upper entries
-    (np.triu_indices order), stably sorted by the parity of N_i + N_j (N the
-    total excitation number) of their entry rho_ij, even first.  Returns the
-    sparse map T from coordinates to the column-stacked vec; for each
-    coordinate its entry's vec index and whether it is an Im part; the number
-    of even coordinates; and for each coordinate its index before the sort."""
-    d = math.prod(dims)
-    parity = sum(np.unravel_index(np.arange(d), dims)) % 2
+def _hermitian_coordinates(excitations: np.ndarray):
+    """Real coordinates of Hermitian matrices on the basis states whose total
+    excitation numbers N are `excitations`: the diagonal entries, then Re
+    and Im of the strict-upper entries (np.triu_indices order), stably
+    sorted by the parity of N_i + N_j of their entry rho_ij, even first.
+    Returns the sparse map T from coordinates to the column-stacked vec; for
+    each coordinate its entry's vec index and whether it is an Im part; the
+    number of even coordinates; and for each coordinate its index before
+    the sort."""
+    d = excitations.size
+    parity = excitations % 2
     i, j = (np.concatenate([np.arange(d), k, k]) for k in np.triu_indices(d, 1))
     odd = parity[i] != parity[j]
     unsplit = np.argsort(odd, kind="stable")
@@ -550,7 +627,7 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     solution is read back through T and the eigenvalue-clipped state
     symmetrised, so rho is exactly Hermitian; its residual is in L's units."""
     d, n = liou.space.total_dim, liou.dim
-    t, rows, imag, even, unsplit = _hermitian_coordinates(liou.space.dims)
+    t, rows, imag, even, unsplit = _hermitian_coordinates(liou.excitations)
     big = float(np.abs(liou.superoperator.data).max(initial=0.0))
     unit = math.ldexp(1.0, math.frexp(big)[1] - 1)
     r = _real_system(liou.superoperator, t, rows, imag, unit, big / unit)

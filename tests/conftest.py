@@ -8,7 +8,8 @@ import scipy.sparse as sp
 from scipy.constants import hbar, k as kB
 
 from nanomech.config import parse_config
-from nanomech.lindblad import (LaserParams, SystemConfig,
+from nanomech.fock import CompositeSpace, FockSpace
+from nanomech.lindblad import (LaserParams, Liouvillian, SystemConfig,
                                _hermitian_coordinates, _parity_blocks,
                                _real_system, chain_rates, transition_rates)
 
@@ -42,10 +43,17 @@ def dense_generator(h, jumps):
     return lsuper
 
 
-def parity_block_count(dims, lsuper, uncoupled=None):
+def product_excitations(dims):
+    """The total excitation number of each state of the product space with
+    factor dimensions `dims` (first factor slowest)."""
+    return sum(np.unravel_index(np.arange(math.prod(dims)), dims))
+
+
+def parity_block_count(excitations, lsuper, uncoupled=None):
     """How many blocks steady_state_solve factors and solves for the
-    generators L and M (M = L when None) on factors of dimensions `dims`."""
-    t, rows, imag, even, _unsplit = _hermitian_coordinates(dims)
+    generators L and M (M = L when None) on basis states of total excitation
+    numbers `excitations`."""
+    t, rows, imag, even, _unsplit = _hermitian_coordinates(excitations)
     r, r_m = (None if g is None else
               _real_system(sp.csr_matrix(g), t, rows, imag, 1.0, 1.0)
               for g in (lsuper, uncoupled))
@@ -91,23 +99,38 @@ def kron_generator(h, jumps):
     return out.tocsr()
 
 
-def kron_generators(cfg):
-    """The generators L and M of build_full_liouvillian (M is None with no
-    drive), each from sparse ladder operators, the Hamiltonian built from
-    their products and kron_generator."""
-    dims = (cfg.mech_dim, *cfg.cavity_dims)
-    occupations = np.unravel_index(np.arange(math.prod(dims)), dims)
-    n = occupations[0]
-    energy = cfg.omega_m_prime * n + 0.5 * cfg.lam * n * (n - 1)
-    for j, laser in enumerate(cfg.lasers):
-        energy = energy + (-laser.detuning) * occupations[1 + j]
-    h0 = sp.diags(energy, format="csr")
+def kron_ladders(cfg, levels=None):
+    """The sparse b and a_j of cfg on the product space of the mechanics and
+    `levels` levels per cavity (first factor slowest), and the occupation
+    table of its states.  With levels None: N + 1 levels per cavity (N =
+    cfg.cavity_photons), every operator sliced to the states with at most N
+    photons in all, the basis of build_full_liouvillian."""
+    top = cfg.cavity_photons
+    dims = (cfg.mech_dim,) + (levels or top + 1,) * len(cfg.lasers)
+    table = np.array(np.unravel_index(np.arange(math.prod(dims)), dims)).T
+    keep = (np.flatnonzero(table[:, 1:].sum(axis=1) <= top) if levels is None
+            else np.arange(len(table)))
 
     def lowering(slot, weights):
-        return kron_lift(sp.diags(weights, 1, dtype=complex), slot, dims)
+        op = kron_lift(sp.diags(weights, 1, dtype=complex), slot, dims)
+        return op[keep][:, keep]
 
     b, *cavities = [lowering(slot, np.sqrt(np.arange(1, dim)))
                     for slot, dim in enumerate(dims)]
+    return b, cavities, lowering, table[keep]
+
+
+def kron_liouvillian(cfg, levels=None):
+    """The generators L and M of build_full_liouvillian (M is None with no
+    drive) on the space of kron_ladders, each from its sparse ladder
+    operators, the Hamiltonian built from their products and
+    kron_generator."""
+    b, cavities, lowering, table = kron_ladders(cfg, levels)
+    n = table[:, 0]
+    energy = cfg.omega_m_prime * n + 0.5 * cfg.lam * n * (n - 1)
+    for j, laser in enumerate(cfg.lasers):
+        energy = energy + (-laser.detuning) * table[:, 1 + j]
+    h0 = sp.diags(energy, format="csr")
     h = h0
     for a, laser in zip(cavities, cfg.lasers, strict=True):
         h = h + ((np.conj(laser.g) / 2.0) * a
@@ -118,17 +141,22 @@ def kron_generators(cfg):
         thermal.append(np.sqrt(cfg.gamma_m * (cfg.n_bar + 1.0)) * b)
         if cfg.n_bar > 0:
             thermal.append(np.sqrt(cfg.gamma_m * cfg.n_bar) * b.T.tocsr())
+    factors = [FockSpace(cfg.mech_dim, "mech")]
+    if cfg.lasers:
+        factors.append(FockSpace(len(table) // cfg.mech_dim, "cav"))
+    space = CompositeSpace(tuple(factors))
+    lsuper = kron_generator(h, decay + thermal)
     if not cfg.lasers:
-        return kron_generator(h, decay + thermal), None
+        return Liouvillian(space, lsuper, table.sum(axis=1))
     up, down = chain_rates(transition_rates(cfg), cfg.gamma_m, cfg.n_bar)
     level = np.arange(1, cfg.mech_dim)
     chain = [lowering(0, np.sqrt(level * down)),
              lowering(0, np.sqrt(level * up)).T.tocsr()]
-    return (kron_generator(h, decay + thermal),
-            kron_generator(h0, decay + chain))
+    return Liouvillian(space, lsuper, table.sum(axis=1),
+                       kron_generator(h0, decay + chain))
 
 
-def quoted_system(mech_dim=8, cavity_dim=2, g_scale=1.0):
+def quoted_system(mech_dim=8, cavity_photons=1, g_scale=1.0):
     def delta(n):
         return OMEGA_M_PRIME + LAMBDA * (n - 1)
 
@@ -138,7 +166,7 @@ def quoted_system(mech_dim=8, cavity_dim=2, g_scale=1.0):
         LaserParams(g=g_scale * G_ABS, detuning=-delta(3)),
     )
     return SystemConfig(
-        mech_dim=mech_dim, cavity_dims=(cavity_dim,) * 3,
+        mech_dim=mech_dim, cavity_photons=cavity_photons,
         omega_m_prime=OMEGA_M_PRIME, lam=LAMBDA, gamma_m=GAMMA_M,
         n_bar=N_BAR, kappa=KAPPA, lasers=lasers)
 

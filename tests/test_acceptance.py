@@ -44,7 +44,7 @@ def fig2_derived():
 
 
 def derived_system(derived, mech_dim=8, g_scale=1.0):
-    sysc = SystemConfig.from_derived(derived, mech_dim=mech_dim, cavity_dim=2)
+    sysc = SystemConfig.from_derived(derived, mech_dim=mech_dim)
     if g_scale != 1.0:
         lasers = tuple(dataclasses.replace(l, g=g_scale * l.g)
                        for l in sysc.lasers)
@@ -59,7 +59,7 @@ def full_mech_populations(sysc):
 
 def test_criterion_1_thermal_fixed_point():
     n_bar = 0.5
-    cfg = SystemConfig(mech_dim=30, cavity_dims=(), omega_m_prime=1.0e6,
+    cfg = SystemConfig(mech_dim=30, cavity_photons=1, omega_m_prime=1.0e6,
                        lam=0.0, gamma_m=100.0, n_bar=n_bar, kappa=0.0,
                        lasers=())
     t0 = time.perf_counter()

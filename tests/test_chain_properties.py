@@ -37,7 +37,7 @@ def chains(draw):
 
 def solve_chain(table, gamma_m, n_bar):
     """The reduced model's recursion and Q for a given rate table."""
-    cfg = SystemConfig(mech_dim=table.n_max + 1, cavity_dims=(),
+    cfg = SystemConfig(mech_dim=table.n_max + 1, cavity_photons=1,
                        omega_m_prime=1.0, lam=1.0, gamma_m=gamma_m,
                        n_bar=n_bar, kappa=1.0, lasers=())
     with mock.patch.object(lindblad, "transition_rates", return_value=table):

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from nanomech import cli
 from nanomech.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION,
                           EXIT_REGIME, EXIT_SOLVER, SCHEMA_VERSION,
                           canonical_json, config_hash, format_float, main,
@@ -190,10 +191,10 @@ def test_cli_outputs_are_deterministic(tmp_path, command):
 
 
 def test_cli_steady_full_three_cavity_levels(tmp_path):
-    # three levels per cavity (n = 11,664): the preconditioned solve handles
-    # the size whose direct LU took minutes, and the manifest records it
+    # at most two photons in all three cavities (n = 1,600): P_1 of three
+    # levels per cavity (n = 11,664, 0.934580), and the manifest records it
     def mutate(raw):
-        raw["simulation"].update(mech_truncation=4, cavity_truncation=3)
+        raw["simulation"].update(mech_truncation=4, cavity_photons=2)
     out = tmp_path / "out"
     assert main(["steady", "--config", str(write_variant(tmp_path, mutate)),
                  "--full", "--out", str(out)]) == EXIT_OK
@@ -203,28 +204,68 @@ def test_cli_steady_full_three_cavity_levels(tmp_path):
     assert solver["full_method"] == "gmres"
     assert 2 <= solver["full_iterations"] <= 200
     assert 1.0 <= solver["full_condition_estimate"] <= 1e12
+    assert solver["full_cavity_photons"] == 2
 
 
 def test_cli_steady_full_reference_device(tmp_path):
-    # fig2 at mech 8 (n = 4,096): the steady solve takes 32 GMRES steps on
-    # the even-parity block, the probe 32 + 8 on the even and the odd block,
-    # and the full-state W(0,0) is the alternating sum of the full populations
+    # fig2 at mech 8 with at most one photon in all (n = 1,024): the steady
+    # solve takes 29 GMRES steps on the even-parity block, the probe 36 on
+    # the even and the odd block, and the full-state W(0,0) is the
+    # alternating sum of the full populations
     out = tmp_path / "out"
     assert main(["steady", "--config", str(CONFIG_PATH), "--full",
                  "--compare", "--out", str(out)]) == EXIT_OK
     solver = json.loads((out / "manifest.json").read_text())["solver"]
-    assert solver["full_steady_iterations"] == pytest.approx(32, abs=2)
-    assert solver["full_iterations"] == pytest.approx(72, abs=2)
+    assert solver["full_steady_iterations"] == pytest.approx(29, abs=2)
+    assert solver["full_iterations"] == pytest.approx(65, abs=2)
     assert solver["full_iterations"] == (solver["full_steady_iterations"]
                                          + solver["full_probe_iterations"])
-    assert solver["full_lu_nnz"] == 34_990
+    assert solver["full_lu_nnz"] == 6_939
+    assert solver["full_cavity_photons"] == 1
+    assert "full_cavity_drift" not in solver
     # the probe's seeded vector, put in the order of the blocks, gives the
     # estimate of the unsplit system
-    assert solver["full_condition_estimate"] == pytest.approx(2380.7107,
+    assert solver["full_condition_estimate"] == pytest.approx(2750.0714,
                                                               rel=1e-7)
     pops = json.loads((out / "populations.json").read_text())
     assert pops["full_wigner_origin"] == wigner_origin(pops["full"])
     assert max(pops["compare_abs_diff"]) < 0.05
+
+
+def test_cli_steady_full_converge_raises_cavity_photons(tmp_path):
+    # after the mechanics settles at 16 levels, one more photon moves the
+    # full populations by 5.3e-4, below 1e-3: the run ends at N = 2 and the
+    # manifest records N and that drift
+    out = tmp_path / "out"
+    assert main(["steady", "--config", str(CONFIG_PATH), "--full",
+                 "--converge", "--out", str(out)]) == EXIT_OK
+    pops = json.loads((out / "populations.json").read_text())
+    assert pops["mech_truncation"] == 16
+    assert pops["full"][1] == pytest.approx(0.933173, abs=1e-5)
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    assert solver["full_cavity_photons"] == 2
+    assert solver["full_cavity_drift"] == pytest.approx(5.33e-4, abs=1e-5)
+
+
+def test_cli_steady_full_converge_unsettled_at_photon_cap(tmp_path, capsys,
+                                                          monkeypatch):
+    # at 2 W per drive (|g|/kappa = 0.58) one more photon moves the full
+    # populations by 1.15e-3: with a cap of 2 photons they have not settled;
+    # a run that starts at the cap has no larger photon number to compare
+    # with and is refused before any full solve
+    monkeypatch.setattr(cli, "CONVERGE_PHOTONS", 2)
+    for photons, message in (
+            (1, "not settled within 2 cavity photons: drift 1.153e-03"),
+            (2, "cavity_photons 2 leaves --converge no larger photon number")):
+        def mutate(raw):
+            raw["simulation"]["cavity_photons"] = photons
+            for drive in raw["device"]["drives"]:
+                drive["power"] = "2 W"
+        out = tmp_path / "out"
+        assert main(["steady", "--config", str(write_variant(tmp_path, mutate)),
+                     "--full", "--converge", "--out", str(out)]) == EXIT_SOLVER
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_steady_converge(tmp_path):
@@ -458,6 +499,22 @@ def test_cli_unknown_config_key(tmp_path, capsys, section, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    # the per-cavity levels gave way to the photon number of all cavities
+    ("cavity_truncation", 2, "simulation.cavity_truncation: unknown config key"),
+    ("cavity_photons", 0, "simulation.cavity_photons: must be >= 1"),
+])
+def test_cli_cavity_space_config_errors(tmp_path, capsys, key, value, message):
+    path = write_variant(tmp_path,
+                         lambda raw: raw["simulation"].update({key: value}))
+    assert main(["steady", "--config", str(path), "--full",
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert message in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_non_finite_quantities(tmp_path, capsys):
     # a JSON number beyond the float range reads as inf: with no drives it
     # used to give gamma_m = 0 and all-NaN populations with exit 0
@@ -527,9 +584,11 @@ def test_cli_unresolved_spectrum_exit_code(tmp_path):
 
 
 def test_cli_solver_memory_guard_exit_code(tmp_path):
+    # at most 3 photons in all, as steady --full --converge can reach:
+    # d = 6,000, about 5e8 estimated nonzeros
     def mutate(raw):
         raw["simulation"]["mech_truncation"] = 300
-        raw["simulation"]["cavity_truncation"] = 3
+        raw["simulation"]["cavity_photons"] = 3
     path = write_variant(tmp_path, mutate)
     # the fixed Wigner grid is too narrow for 300 levels; that warning is
     # expected before the superoperator size guard fires

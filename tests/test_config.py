@@ -124,8 +124,8 @@ def test_invalid_truncations(headline_config_dict):
     with pytest.raises(ConfigError, match="mech_truncation"):
         parse_config(raw)
     raw["simulation"]["mech_truncation"] = 8
-    raw["simulation"]["cavity_truncation"] = 1
-    with pytest.raises(ConfigError, match="cavity_truncation"):
+    raw["simulation"]["cavity_photons"] = 0
+    with pytest.raises(ConfigError, match="cavity_photons"):
         parse_config(raw)
 
 
@@ -147,7 +147,7 @@ def test_invalid_grid_fields(headline_config_dict, grid, key, value):
 
 
 @pytest.mark.parametrize("section,key", [
-    ("simulation", "mech_truncation"), ("simulation", "cavity_truncation"),
+    ("simulation", "mech_truncation"), ("simulation", "cavity_photons"),
     ("simulation.wigner_grid", "points"), ("simulation.spectrum_grid", "points"),
 ])
 def test_integer_fields_reject_fractions(headline_config_dict, section, key):

@@ -18,7 +18,8 @@ from nanomech.lindblad import (CONDITION_LIMIT, DegenerateSteadyStateError,
                                LaserParams, Liouvillian, SolverError,
                                SystemConfig, TruncationError,
                                _hermitian_coordinates, _lowering,
-                               _parity_blocks, _real_system, _transpose,
+                               _occupations, _parity_blocks, _real_system,
+                               _transpose,
                                build_full_hamiltonian, build_full_liouvillian,
                                build_reduced_generator, chain_rates,
                                level_rates, reduced_steady_populations,
@@ -26,27 +27,41 @@ from nanomech.lindblad import (CONDITION_LIMIT, DegenerateSteadyStateError,
                                transition_rates)
 
 from conftest import (CONFIG_PATH, GAMMA_M, KAPPA, LAMBDA, N_BAR,
-                      OMEGA_M_PRIME, dense_generator, kron_generators,
-                      kron_lift, parity_block_count, quoted_system)
+                      OMEGA_M_PRIME, dense_generator, kron_ladders,
+                      kron_lift, kron_liouvillian, parity_block_count,
+                      product_excitations, quoted_system)
 
 TWO_PI = 2 * np.pi
 
 
 def mech_only(mech_dim=5, omega=1.0e6, lam=0.0, gamma_m=1.0e3, n_bar=0.0):
-    return SystemConfig(mech_dim=mech_dim, cavity_dims=(),
+    return SystemConfig(mech_dim=mech_dim, cavity_photons=1,
                         omega_m_prime=omega, lam=lam, gamma_m=gamma_m,
                         n_bar=n_bar, kappa=0.0, lasers=())
 
 
 def small_driven(mech_dim=4, g=2.0e3, detuning=None, kappa=5.0e4,
-                 lam=2.0e5, gamma_m=1.0, n_bar=0.1, cavity_dim=2):
+                 lam=2.0e5, gamma_m=1.0, n_bar=0.1, cavity_photons=1):
     omega = 5.0e6
     if detuning is None:
         detuning = -(omega + lam)     # red drive on the 1 -> 0 line
-    return SystemConfig(mech_dim=mech_dim, cavity_dims=(cavity_dim,),
+    return SystemConfig(mech_dim=mech_dim, cavity_photons=cavity_photons,
                         omega_m_prime=omega, lam=lam, gamma_m=gamma_m,
                         n_bar=n_bar, kappa=kappa,
                         lasers=(LaserParams(g=g, detuning=detuning),))
+
+
+def complex_lasers(k):
+    """k lasers of complex couplings, alternately red and blue detuned."""
+    return tuple(LaserParams(g=2.0e3 * np.exp(0.4j * (j + 1)),
+                             detuning=(-1) ** j * (5.0e6 + 2.0e5 * j))
+                 for j in range(k))
+
+
+def two_cavities(photons=1, mech_dim=4):
+    return SystemConfig(mech_dim=mech_dim, cavity_photons=photons,
+                        omega_m_prime=5.0e6, lam=2.0e5, gamma_m=5.0,
+                        n_bar=0.3, kappa=5.0e4, lasers=complex_lasers(2))
 
 
 # ---------------------------------------------------------------------------
@@ -55,26 +70,23 @@ def small_driven(mech_dim=4, g=2.0e3, detuning=None, kappa=5.0e4,
 def test_config_validation():
     with pytest.raises(ValueError):
         mech_only(mech_dim=2)
-    with pytest.raises(ValueError):
-        SystemConfig(mech_dim=4, cavity_dims=(2, 2), omega_m_prime=1.0,
-                     lam=0.0, gamma_m=0.0, n_bar=0.0, kappa=1.0,
-                     lasers=(LaserParams(1.0, 0.0),))
-    with pytest.raises(ValueError):
-        SystemConfig(mech_dim=4, cavity_dims=(1,), omega_m_prime=1.0,
-                     lam=0.0, gamma_m=0.0, n_bar=0.0, kappa=1.0,
-                     lasers=(LaserParams(1.0, 0.0),))
-    # a laser needs its cavity mode also when there are no cavities at all
-    with pytest.raises(ValueError, match="one cavity mode per laser"):
-        SystemConfig(mech_dim=4, cavity_dims=(), omega_m_prime=1.0,
-                     lam=0.0, gamma_m=0.0, n_bar=0.0, kappa=1.0,
-                     lasers=(LaserParams(1.0, 0.0),))
+    # the cavity block holds at least the one-photon states, also with no
+    # laser at all
+    for lasers in ((LaserParams(1.0, 0.0),), ()):
+        with pytest.raises(ValueError, match="cavity photon number"):
+            SystemConfig(mech_dim=4, cavity_photons=0, omega_m_prime=1.0,
+                         lam=0.0, gamma_m=0.0, n_bar=0.0, kappa=1.0,
+                         lasers=lasers)
 
 
 def test_space_layout():
-    cfg = quoted_system(mech_dim=6, cavity_dim=3)
+    # the mechanics, then the photon configurations of the three cavities
+    # with at most two photons in all
+    cfg = quoted_system(mech_dim=6, cavity_photons=2)
     space = cfg.space()
-    assert space.dims == (6, 3, 3, 3)
-    assert space.factors[0].label == "mech"
+    assert space.dims == (6, 10)
+    assert [f.label for f in space.factors] == ["mech", "cav"]
+    assert mech_only().space().dims == (5,)
     delta = transition_rates(cfg).delta
     assert delta[0] == pytest.approx(OMEGA_M_PRIME)
     assert delta[2] == pytest.approx(OMEGA_M_PRIME + 2 * LAMBDA)
@@ -95,7 +107,7 @@ def test_full_hamiltonian_against_hand_built_matrix():
     # one cavity of dim 2, mech dim 3, real coupling: build the 6x6 matrix
     # by hand in the same lexicographic ordering and compare
     g, det, omega, lam = 700.0, 1.3e4, 1.0e5, 4.0e3
-    cfg = SystemConfig(mech_dim=3, cavity_dims=(2,), omega_m_prime=omega,
+    cfg = SystemConfig(mech_dim=3, cavity_photons=1, omega_m_prime=omega,
                        lam=lam, gamma_m=0.0, n_bar=0.0, kappa=1.0,
                        lasers=(LaserParams(g=g, detuning=det),))
     h = build_full_hamiltonian(cfg).toarray()
@@ -130,7 +142,7 @@ def test_full_hamiltonian_hermitian_with_complex_coupling():
 
 
 def test_liouvillian_trace_preservation():
-    cfg = quoted_system(mech_dim=4, cavity_dim=2)
+    cfg = quoted_system(mech_dim=4)
     liou = build_full_liouvillian(cfg)
     scale = abs(liou.superoperator).max()
     assert liou.trace_preservation_defect() <= 1e-10 * scale
@@ -146,16 +158,24 @@ def step_matrix(stride, w):
 
 @pytest.mark.parametrize("slot", range(4))
 def test_lowering_matches_kron_per_factor(slot, rng):
-    # reference: one Kronecker product per factor, identities elsewhere, for
-    # the annihilation weights sqrt(n) and for positive weights like those
-    # of the chain jumps; the transposed step is the creation operator
-    dims = (4, 2, 3, 2)
-    n = np.arange(1, dims[slot])
+    # reference: one Kronecker product per mode on the product space of mech
+    # 4 and 3 levels per cavity, identities elsewhere, sliced to the states
+    # with at most 2 photons in all, for the annihilation weights sqrt(n)
+    # and for positive weights like those of the chain jumps; the transposed
+    # steps are the creation operator.  On three cavities a_1 has the steps
+    # 3, 5 and 6, a_2 the steps 2 and 3 and a_3 the step 1.
+    cfg = quoted_system(mech_dim=4, cavity_photons=2)
+    _b, _cavities, lowering, table = kron_ladders(cfg)
+    np.testing.assert_array_equal(_occupations(cfg), table)
+    n = np.arange(1, 4 if slot == 0 else 3)
     for weights in (np.sqrt(n), rng.uniform(0.1, 10.0, n.size)):
-        ref = kron_lift(sp.diags(weights, 1, dtype=complex), slot, dims)
-        step = _lowering(dims, slot, weights)
-        for m, r in ((step_matrix(*step), ref),
-                     (step_matrix(*_transpose(*step)), ref.T.tocsr())):
+        ref = lowering(slot, weights)
+        op = _lowering(table, slot, weights)
+        assert [s for s, _w in op] == [[10], [3, 5, 6], [2, 3], [1]][slot]
+        for m, r in ((sum(step_matrix(*step) for step in op), ref),
+                     (sum(step_matrix(*step) for step in _transpose(op)),
+                      ref.T.tocsr())):
+            m.sort_indices()
             np.testing.assert_array_equal(m.indptr, r.indptr)
             np.testing.assert_array_equal(m.indices, r.indices)
             np.testing.assert_array_equal(m.data, r.data)
@@ -163,7 +183,7 @@ def test_lowering_matches_kron_per_factor(slot, rng):
 
 def closed_system():
     # no dissipation at all: the generator is -i [H, .]
-    return SystemConfig(mech_dim=3, cavity_dims=(2,), omega_m_prime=1.0e5,
+    return SystemConfig(mech_dim=3, cavity_photons=1, omega_m_prime=1.0e5,
                         lam=3.0e3, gamma_m=0.0, n_bar=0.0, kappa=0.0,
                         lasers=(LaserParams(g=500.0, detuning=9.0e4),))
 
@@ -174,32 +194,47 @@ def closed_system():
     lambda: fig2_system(4),
     lambda: fig2_system(8),
     lambda: fig2_scaled(4, 0.0),
+    # three cavities with at most 2 or 3 photons: steps of different lasers
+    # and step pairs of different cavity decays share offsets
+    lambda: fig2_system(4, photons=2),
+    lambda: fig2_system(3, photons=3),
+    lambda: dataclasses.replace(quoted_system(mech_dim=3, cavity_photons=2),
+                                lasers=complex_lasers(3)),
+    lambda: two_cavities(photons=2),
     # its diagonal entries K_ii + conj(K_ii) are exact zeros and dropped
     closed_system,
-    lambda: small_driven(mech_dim=4, g=1.0e3 * np.exp(0.7j), cavity_dim=3),
+    # one cavity: at most M photons are M + 1 levels
+    lambda: small_driven(mech_dim=4, g=1.0e3 * np.exp(0.7j), cavity_photons=2),
+    lambda: small_driven(mech_dim=3, g=1.0e3j, cavity_photons=4),
     lambda: mech_only(mech_dim=30, gamma_m=100.0, n_bar=0.5),
     lambda: small_driven(g=0.0, gamma_m=0.0),
-], ids=["fig2_mech4", "fig2_mech8", "fig2_mech4_g0", "closed",
-        "complex_g_3_levels", "chain30", "cavity_decay_gamma0"])
+], ids=["fig2_mech4", "fig2_mech8", "fig2_mech4_g0", "fig2_mech4_N2",
+        "fig2_mech3_N3", "three_cavities_complex_g_N2", "two_cavities_N2",
+        "closed", "complex_g_3_levels", "one_cavity_5_levels", "chain30",
+        "cavity_decay_gamma0"])
 def test_liouvillian_assembly_matches_kron_sums(make, block, monkeypatch):
-    # L and M against the sparse Kronecker sums of conftest.kron_generators:
-    # the same sparsity (the sums drop exact zeros), int32 indices in
-    # canonical form and data within 1e-12 max|L|, also when the slot table
-    # is written one row j at a time
+    # L and M against the sparse Kronecker sums of conftest.kron_liouvillian
+    # (N + 1 levels per cavity, every operator sliced to the states with at
+    # most N photons in all): the same sparsity (the sums drop exact zeros),
+    # int32 indices in canonical form and data within 1e-12 max|L|, also
+    # when the slot table is written one row j at a time
     monkeypatch.setattr(lindblad, "ASSEMBLY_BLOCK", block)
     cfg = make()
     liou = build_full_liouvillian(cfg)
-    ref_l, ref_m = kron_generators(cfg)
+    ref = kron_liouvillian(cfg)
+    ref_l, ref_m = ref.superoperator, ref.uncoupled
+    assert liou.space == ref.space
+    np.testing.assert_array_equal(liou.excitations, ref.excitations)
     assert (liou.uncoupled is None) == (ref_m is None) == (not cfg.lasers)
     scale = abs(ref_l).max()
-    for m, ref in ((liou.superoperator, ref_l), (liou.uncoupled, ref_m)):
-        if ref is None:
+    for m, r in ((liou.superoperator, ref_l), (liou.uncoupled, ref_m)):
+        if r is None:
             continue
         assert m.indices.dtype == m.indptr.dtype == np.int32
         assert m.has_canonical_format
-        np.testing.assert_array_equal(m.indptr, ref.indptr)
-        np.testing.assert_array_equal(m.indices, ref.indices)
-        np.testing.assert_allclose(m.data, ref.data, rtol=0,
+        np.testing.assert_array_equal(m.indptr, r.indptr)
+        np.testing.assert_array_equal(m.indices, r.indices)
+        np.testing.assert_allclose(m.data, r.data, rtol=0,
                                    atol=1e-12 * scale)
 
 
@@ -221,14 +256,15 @@ def test_liouvillian_build_memory_stays_flat():
 
 @st.composite
 def small_systems(draw):
-    """Systems of mech 3-12 and 0-3 cavities of 2-3 levels, with and without
-    coupling, mechanical damping and thermal occupation."""
-    cavity_dims = tuple(draw(st.lists(st.integers(2, 3), max_size=3)))
+    """Systems of mech 3-12 and 0-3 cavities with at most 1-3 photons in
+    all, with and without (real or imaginary) coupling, mechanical damping
+    and thermal occupation."""
     lasers = tuple(LaserParams(g=draw(st.sampled_from([0.0, 2.0e3, 3.0e3j])),
                                detuning=draw(st.sampled_from([-5.2e6, 5.4e6])))
-                   for _ in cavity_dims)
+                   for _ in range(draw(st.integers(0, 3))))
     return SystemConfig(
-        mech_dim=draw(st.integers(3, 12)), cavity_dims=cavity_dims,
+        mech_dim=draw(st.integers(3, 12)),
+        cavity_photons=draw(st.integers(1, 3)),
         omega_m_prime=5.0e6, lam=2.0e5,
         gamma_m=draw(st.sampled_from([0.0, 5.0])),
         n_bar=draw(st.sampled_from([0.0, 0.3])), kappa=5.0e4, lasers=lasers)
@@ -250,29 +286,25 @@ def test_liouvillian_assembly_matches_dense_kronecker_sums():
     # jumps sqrt(gamma (n_bar + 1)) b and sqrt(gamma n_bar) b^dag, M has H at
     # g_j = 0 and the reduced chain's jumps sum_n sqrt(n down_n) |n-1><n| and
     # sum_n sqrt(n up_n) |n><n-1|; both have the cavity decays sqrt(kappa) a_j.
-    # Inputs: fig2 at mech 4 (n = 1,024), and one driven 3-level cavity
-    # (d = 9), whose ladder has the entry sqrt(2)
-    def lifted(op, slot):
-        out = np.ones((1, 1))
-        for k, dim in enumerate(dims):
-            out = np.kron(out, op if k == slot else np.eye(dim))
-        return out
-
-    for cfg in (fig2_system(4), small_driven(mech_dim=3, cavity_dim=3)):
+    # The ladder operators are conftest's, sliced to the states with at most
+    # N photons in all.  Inputs: fig2 at mech 4 (n = 256), fig2 at mech 3
+    # with N <= 2 (n = 900), and one driven cavity with N <= 2 (d = 9), whose
+    # ladder has the entry sqrt(2)
+    for cfg in (fig2_system(4), fig2_system(3, photons=2),
+                small_driven(mech_dim=3, cavity_photons=2)):
         liou = build_full_liouvillian(cfg)
-        dims = liou.space.dims
         n = np.arange(1, cfg.mech_dim)
-        b = lifted(np.diag(np.sqrt(n), 1), 0)
-        cavities = [np.sqrt(cfg.kappa) * lifted(np.diag(np.sqrt(
-            np.arange(1, dim)), 1), 1 + j) for j, dim in enumerate(dims[1:])]
+        b, cavities, lowering, _table = kron_ladders(cfg)
+        b = b.toarray()
+        cavities = [np.sqrt(cfg.kappa) * a.toarray() for a in cavities]
         h = build_full_hamiltonian(cfg).toarray()
         h0 = build_full_hamiltonian(dataclasses.replace(cfg, lasers=tuple(
             dataclasses.replace(l, g=0.0) for l in cfg.lasers))).toarray()
         up, down = chain_rates(transition_rates(cfg), cfg.gamma_m, cfg.n_bar)
         thermal = [np.sqrt(cfg.gamma_m * (cfg.n_bar + 1.0)) * b,
                    np.sqrt(cfg.gamma_m * cfg.n_bar) * b.conj().T]
-        chain = [lifted(np.diag(np.sqrt(n * down), 1), 0),
-                 lifted(np.diag(np.sqrt(n * up), -1), 0)]
+        chain = [lowering(0, np.sqrt(n * down)).toarray(),
+                 lowering(0, np.sqrt(n * up)).T.toarray()]
         lsuper = dense_generator(h, cavities + thermal)
         scale = np.abs(lsuper).max()
         np.testing.assert_allclose(liou.superoperator.toarray(), lsuper,
@@ -293,9 +325,15 @@ def test_liouvillian_preserves_hermiticity(rng):
 
 
 def test_liouvillian_memory_guard():
-    cfg = quoted_system(mech_dim=8, cavity_dim=2)
+    cfg = quoted_system(mech_dim=8)
     with pytest.raises(MemoryError):
         build_full_liouvillian(cfg, nnz_cap=1000)
+    # steady --full --converge can reach fig2 at 256 levels and 2 photons:
+    # 1.1e8 nonzeros, about 10 GB, is refused up front; 128 levels (2.7e7,
+    # about 2.5 GB) is not
+    cap = lindblad.DEFAULT_NNZ_CAP
+    assert lindblad._estimate_nnz(quoted_system(256, cavity_photons=2)) > cap
+    assert lindblad._estimate_nnz(quoted_system(128, cavity_photons=2)) <= cap
 
 
 def test_closed_system_spectrum_is_imaginary():
@@ -394,7 +432,7 @@ def test_reduced_truncation_error_thermal_tail():
 def test_thermal_fixed_point_small():
     # decoupled mech + cavity: Gibbs state for the mechanics, vacuum cavity
     n_bar = 0.4
-    cfg = SystemConfig(mech_dim=7, cavity_dims=(2,), omega_m_prime=1.0e6,
+    cfg = SystemConfig(mech_dim=7, cavity_photons=1, omega_m_prime=1.0e6,
                        lam=0.0, gamma_m=100.0, n_bar=n_bar, kappa=1.0e5,
                        lasers=(LaserParams(g=0.0, detuning=5.0e5),))
     ss = steady_state_solve(build_full_liouvillian(cfg))
@@ -407,11 +445,11 @@ def test_thermal_fixed_point_small():
     assert cav[0] == pytest.approx(1.0, abs=1e-8)
 
 
-def fig2_system(mech_dim):
+def fig2_system(mech_dim, photons=None):
     cfg = parse_config(json.loads(CONFIG_PATH.read_text()))
     derived, _report = run_device(cfg)
-    return SystemConfig.from_derived(derived, mech_dim,
-                                     cfg.simulation.cavity_truncation)
+    return SystemConfig.from_derived(
+        derived, mech_dim, photons or cfg.simulation.cavity_photons)
 
 
 def fig2_scaled(mech_dim, g_scale):
@@ -449,7 +487,7 @@ def test_full_solve_matches_direct_lu(g_scale):
     # trace-rowed system is the reference
     liou = build_full_liouvillian(fig2_scaled(8, g_scale))
     d = liou.space.total_dim
-    t = _hermitian_coordinates(liou.space.dims)[0]
+    t = _hermitian_coordinates(liou.excitations)[0]
     i, j = np.triu_indices(d, 1)
     diag, upper = np.arange(d) * (d + 1), i + j * d
     lt = (liou.superoperator @ t).tocsr()
@@ -470,14 +508,15 @@ def test_uncoupled_generator_holds_the_reduced_chain():
     # reduced chain's populations
     cfg = fig2_system(6)
     liou = build_full_liouvillian(cfg)
-    ss = steady_state_solve(Liouvillian(liou.space, liou.uncoupled))
+    ss = steady_state_solve(dataclasses.replace(
+        liou, superoperator=liou.uncoupled, uncoupled=None))
     np.testing.assert_allclose(
         partial_trace(ss.rho, 0).populations(),
         reduced_steady_populations(cfg, tail_check=False).populations,
         rtol=0, atol=1e-10)
-    for cavity in (1, 2, 3):
-        assert partial_trace(ss.rho, cavity).populations()[0] == \
-            pytest.approx(1.0, abs=1e-12)
+    # the first cavity state is the vacuum of all three
+    assert partial_trace(ss.rho, 1).populations()[0] == \
+        pytest.approx(1.0, abs=1e-12)
 
 
 def test_gmres_budget_overrun_is_a_solver_error(monkeypatch):
@@ -505,7 +544,7 @@ def test_steady_state_residual_and_validity():
 @pytest.mark.parametrize("liou", [
     # every population of a 3-level system is conserved separately
     Liouvillian(CompositeSpace((FockSpace(3, "mech"),)),
-                sp.csr_matrix((9, 9), dtype=complex)),
+                sp.csr_matrix((9, 9), dtype=complex), np.arange(3)),
     # closed system: every Fock projector is stationary
     build_full_liouvillian(mech_only(mech_dim=4, lam=2.0e5, gamma_m=0.0)),
     # the mechanics barely touches its bath and not the cavity
@@ -521,15 +560,16 @@ def test_steady_state_does_not_depend_on_rate_units(scale):
     # a change of the unit of time rescales L (and M); neither the solution
     # nor the uniqueness test may depend on it
     liou = build_full_liouvillian(small_driven(mech_dim=4, g=3.0e3, n_bar=0.2))
-    scaled = Liouvillian(liou.space, scale * liou.superoperator,
-                         scale * liou.uncoupled)
+    scaled = dataclasses.replace(liou, superoperator=scale * liou.superoperator,
+                                 uncoupled=scale * liou.uncoupled)
     np.testing.assert_allclose(steady_state_solve(scaled).rho.matrix,
                                steady_state_solve(liou).rho.matrix,
                                rtol=0, atol=1e-12)
     weak = build_full_liouvillian(small_driven(g=0.0, gamma_m=1e-9))
     with pytest.raises(DegenerateSteadyStateError):
-        steady_state_solve(Liouvillian(weak.space, scale * weak.superoperator,
-                                       scale * weak.uncoupled))
+        steady_state_solve(dataclasses.replace(
+            weak, superoperator=scale * weak.superoperator,
+            uncoupled=scale * weak.uncoupled))
 
 
 def decay_generator(scale):
@@ -537,7 +577,7 @@ def decay_generator(scale):
     lsuper = np.zeros((4, 4), dtype=complex)
     lsuper[0, 3], lsuper[1, 1], lsuper[2, 2], lsuper[3, 3] = 1, -0.5, -0.5, -1
     return Liouvillian(CompositeSpace((FockSpace(2, "mech"),)),
-                       sp.csr_matrix(scale * lsuper))
+                       sp.csr_matrix(scale * lsuper), np.arange(2))
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e160, 1e200])
@@ -563,25 +603,24 @@ def test_hermitian_coordinates_layout(dims):
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     x += x.conj().T
     vec = x.reshape(-1, order="F")
-    t, rows, imag, even, unsplit = _hermitian_coordinates(dims)
+    n = product_excitations(dims)
+    t, rows, imag, even, unsplit = _hermitian_coordinates(n)
     coords = np.where(imag, vec[rows].imag, vec[rows].real)
     np.testing.assert_array_equal(t @ coords, vec)
     i, j = np.triu_indices(d, 1)
     unsplit_coords = np.concatenate([x.diagonal().real, x[i, j].real,
                                      x[i, j].imag])
     np.testing.assert_array_equal(coords, unsplit_coords[unsplit])
-    n = sum(np.unravel_index(np.arange(d), dims)) % 2
     parity = (n[rows % d] + n[rows // d]) % 2
     assert not parity[:even].any() and parity[even:].all()
     np.testing.assert_array_equal(rows[:d], np.arange(d) * (d + 1))
 
 
-def test_fig2_real_systems_split_by_parity():
-    # L and M conserve the parity of N_i + N_j, so neither R nor R_M has an
-    # entry across the even and the odd block, and both split into them
-    liou = build_full_liouvillian(fig2_system(4))
+def assert_splits_by_parity(liou):
+    """Neither R nor R_M of liou has an entry across the even and the odd
+    block, and _parity_blocks splits both into them."""
     n = liou.dim
-    t, rows, imag, even, _unsplit = _hermitian_coordinates(liou.space.dims)
+    t, rows, imag, even, _unsplit = _hermitian_coordinates(liou.excitations)
     r, r_m = (_real_system(g, t, rows, imag, 1.0, 1.0)
               for g in (liou.superoperator, liou.uncoupled))
     blocks = _parity_blocks(r, r_m, even)
@@ -593,6 +632,17 @@ def test_fig2_real_systems_split_by_parity():
         assert (split != a).nnz == 0
 
 
+def test_fig2_real_systems_split_by_parity():
+    # L and M conserve the parity of N_i + N_j (N = phonons + photons)
+    assert_splits_by_parity(build_full_liouvillian(fig2_system(4)))
+
+
+def test_fig2_real_systems_split_by_parity_with_two_photons():
+    # also where a cavity ladder has several steps (three cavities with at
+    # most two photons in all)
+    assert_splits_by_parity(build_full_liouvillian(fig2_system(4, photons=2)))
+
+
 def test_parity_breaking_drive_is_solved_as_one_block():
     # a linear mechanical drive F (b + b^dag) changes the phonon number by
     # one and so breaks the parity L and M conserve: R mixes the blocks and
@@ -602,12 +652,12 @@ def test_parity_breaking_drive_is_solved_as_one_block():
     b = kron_lift(sp.diags(np.sqrt(np.arange(1.0, 4.0)), 1), 0, dims)
     drive = 2.0e5 * (b + b.T).toarray()
     lsuper = liou.superoperator + sp.csr_matrix(dense_generator(drive, []))
-    assert parity_block_count(dims, lsuper, liou.uncoupled) == 1
+    assert parity_block_count(liou.excitations, lsuper, liou.uncoupled) == 1
     ns = scipy.linalg.null_space(lsuper.toarray())
     assert ns.shape == (d * d, 1)
     oracle = ns[:, 0].reshape((d, d), order="F")
     oracle /= np.trace(oracle)
-    ss = steady_state_solve(Liouvillian(liou.space, lsuper, liou.uncoupled))
+    ss = steady_state_solve(dataclasses.replace(liou, superoperator=lsuper))
     np.testing.assert_allclose(ss.rho.matrix, oracle, rtol=0, atol=1e-10)
     # the drive fills the odd block: <b> = tr(b rho) is not small
     assert abs(np.trace(b @ ss.rho.matrix)) > 1e-3
@@ -638,7 +688,7 @@ def test_undriven_chain_preconditioner_fill_is_bounded():
 def test_cavity_relabeling_covariance():
     # swapping the two drive lasers permutes the cavity factors but cannot
     # change the mechanical steady state
-    base = dict(mech_dim=4, cavity_dims=(2, 2), omega_m_prime=5.0e6,
+    base = dict(mech_dim=4, cavity_photons=1, omega_m_prime=5.0e6,
                 lam=2.0e5, gamma_m=5.0, n_bar=0.3, kappa=5.0e4)
     l1 = LaserParams(g=2.0e3, detuning=5.2e6)
     l2 = LaserParams(g=1.5e3, detuning=-5.4e6)
@@ -680,7 +730,7 @@ def evolve(liou, rho0, times):
 def test_time_evolve_cavity_decay():
     # g = 0, gamma_m = 0: photon number decays as e^(-kappa t)
     kappa = 1.0e4
-    cfg = SystemConfig(mech_dim=3, cavity_dims=(3,), omega_m_prime=1.0e5,
+    cfg = SystemConfig(mech_dim=3, cavity_photons=2, omega_m_prime=1.0e5,
                        lam=0.0, gamma_m=0.0, n_bar=0.0, kappa=kappa,
                        lasers=(LaserParams(g=0.0, detuning=0.0),))
     liou = build_full_liouvillian(cfg)
@@ -698,7 +748,7 @@ def test_time_evolve_cavity_decay():
 def test_time_evolve_approaches_steady_state():
     # fast-relaxing toy system: the distance to the steady state must
     # shrink substantially over a few relaxation times
-    cfg = SystemConfig(mech_dim=4, cavity_dims=(2,), omega_m_prime=1.0e5,
+    cfg = SystemConfig(mech_dim=4, cavity_photons=1, omega_m_prime=1.0e5,
                        lam=3.0e4, gamma_m=400.0, n_bar=0.2, kappa=3.0e4,
                        lasers=(LaserParams(g=6.0e3, detuning=-1.0e5),))
     liou = build_full_liouvillian(cfg)
@@ -710,3 +760,15 @@ def test_time_evolve_approaches_steady_state():
     d0 = np.max(np.abs(rho0 - target))
     d1 = np.max(np.abs(final - target))
     assert d1 < d0 / 3.0
+
+
+def test_two_photons_match_three_levels_per_cavity():
+    # fig2 at mech 4: the three cavities with at most two photons in all (10
+    # states) against three levels each (27 states, conftest's product
+    # space) agree in the mechanical populations
+    cfg = fig2_system(4, photons=2)
+    enr = steady_state_solve(build_full_liouvillian(cfg))
+    product = steady_state_solve(kron_liouvillian(cfg, levels=3))
+    assert product.rho.matrix.shape == (4 * 27, 4 * 27)
+    p, q = (partial_trace(ss.rho, 0).populations() for ss in (enr, product))
+    assert np.max(np.abs(p - q)) < 1e-4

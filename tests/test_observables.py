@@ -161,7 +161,7 @@ def probe_system(power_scale=1.0, mech_dim=8):
     base = quoted_system(mech_dim=mech_dim)
     probe_g = 2.0e2 * np.sqrt(power_scale)
     return base, SystemConfig(
-        mech_dim=mech_dim, cavity_dims=(2,),
+        mech_dim=mech_dim, cavity_photons=1,
         omega_m_prime=base.omega_m_prime, lam=base.lam,
         gamma_m=base.gamma_m, n_bar=base.n_bar, kappa=base.kappa,
         lasers=(LaserParams(g=probe_g, detuning=0.0),))
@@ -265,7 +265,7 @@ def test_overlapping_lines_flagged():
     drive, probe = probe_system()
     # shrink the anharmonic splitting far below the linewidths
     squeezed = SystemConfig(
-        mech_dim=drive.mech_dim, cavity_dims=drive.cavity_dims,
+        mech_dim=drive.mech_dim, cavity_photons=drive.cavity_photons,
         omega_m_prime=drive.omega_m_prime, lam=drive.lam * 1e-3,
         gamma_m=drive.gamma_m, n_bar=drive.n_bar, kappa=drive.kappa,
         lasers=drive.lasers)
@@ -283,7 +283,7 @@ def test_overlapping_lines_flagged():
 def test_detuned_probe_flagged():
     drive, _ = probe_system()
     detuned_probe = SystemConfig(
-        mech_dim=drive.mech_dim, cavity_dims=(2,),
+        mech_dim=drive.mech_dim, cavity_photons=1,
         omega_m_prime=drive.omega_m_prime, lam=drive.lam,
         gamma_m=drive.gamma_m, n_bar=drive.n_bar, kappa=drive.kappa,
         lasers=(LaserParams(g=2.0e2, detuning=3.0 * drive.kappa),))

@@ -19,7 +19,8 @@ from nanomech.fock import CompositeSpace, FockSpace
 from nanomech.lindblad import (Liouvillian, _arnoldi_cycle,
                                steady_state_solve)
 
-from conftest import dense_generator, parity_block_count
+from conftest import (dense_generator, parity_block_count,
+                      product_excitations)
 
 ENTRY = st.floats(-1.0, 1.0)
 
@@ -75,7 +76,7 @@ def check_against_null_space(d, lsuper, uncoupled=None, dims=None):
     space = CompositeSpace(tuple(FockSpace(k, f"f{slot}")
                                  for slot, k in enumerate(dims or (d,))))
     ss = steady_state_solve(Liouvillian(
-        space, sp.csr_matrix(lsuper),
+        space, sp.csr_matrix(lsuper), product_excitations(space.dims),
         None if uncoupled is None else sp.csr_matrix(uncoupled)))
     rho = ss.rho.matrix
     np.testing.assert_allclose(rho, oracle, rtol=0, atol=1e-10)
@@ -134,7 +135,8 @@ def test_parity_conserving_steady_state_matches_null_space(generators):
     dims, lsuper, uncoupled = generators
     assume(one_dimensional_null_space(lsuper))
     assume(uncoupled is None or one_dimensional_null_space(uncoupled))
-    assert parity_block_count(dims, lsuper, uncoupled) == 2
+    assert parity_block_count(product_excitations(dims), lsuper,
+                              uncoupled) == 2
     check_against_null_space(math.prod(dims), lsuper, uncoupled, dims)
 
 
