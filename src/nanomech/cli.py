@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -186,12 +187,13 @@ def _csv_text(cell: str) -> str:
 
 
 def _csv_cells(column):
-    """The text of every cell of one column block.
+    """The text of every cell of one column block or table of values.
 
     A float64 array is formatted once per distinct bit pattern (so -0.0 and
     0.0 stay apart) by one "%.17g" template, which for a finite value is
-    `format_float` exactly; non-finite values go through `format_float`.  Other columns are formatted cell by
-    cell: floats by `format_float`, anything else as quoted text."""
+    `format_float` exactly; non-finite values go through `format_float`.
+    Other columns are formatted cell by cell: floats by `format_float`,
+    anything else as quoted text."""
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
         bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
         values = bits.view(np.float64)
@@ -207,14 +209,20 @@ def write_csv(path: Path, header: list[str], columns):
     """Write a `# schema:` comment line, the header, then one row per index
     of `columns`, which holds one equally long column per header name.
 
+    A column is an array or list of cells, or a pair (values, index): a
+    float64 array and one index into it per row.  The values of a pair are
+    formatted once per file; other columns are formatted block by block.
     Float cells have the 17 significant digits of `format_float`, as in the
     JSON files; text cells are quoted per RFC 4180 when needed.  Rows are
-    formatted and written in blocks of CSV_BLOCK_ROWS."""
+    written in blocks of CSV_BLOCK_ROWS."""
+    columns = [(_csv_cells(c[0]), c[1]) if isinstance(c, tuple) else (None, c)
+               for c in columns]
     with path.open("w") as f:
         f.write(f"# schema: {SCHEMA_VERSION}\n{','.join(header)}\n")
-        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            cells = [_csv_cells(c[start:start + CSV_BLOCK_ROWS])
-                     for c in columns]
+        for start in range(0, len(columns[0][1]), CSV_BLOCK_ROWS):
+            cells = [_csv_cells(c[start:start + CSV_BLOCK_ROWS]) if t is None
+                     else t[c[start:start + CSV_BLOCK_ROWS]]
+                     for t, c in columns]
             f.write("\n".join(map(",".join, zip(*cells, strict=True)))
                     + "\n")
 
@@ -429,10 +437,13 @@ def cmd_validate(cfg: RunConfig, args) -> int:
 
 
 def _wigner_columns(wig):
-    """The x, p and W columns of wigner.csv, p-major: row k is
-    (x[k % nx], p[k // nx], W[k // nx, k % nx])."""
-    return [np.tile(wig.x, wig.p.size), np.repeat(wig.p, wig.x.size),
-            wig.values.ravel()]
+    """The x, p and W columns of wigner.csv as (values, index) pairs,
+    p-major: row k is (x[k % nx], p[k // nx], W[k // nx, k % nx])."""
+    bits, inverse = np.unique(wig.values.ravel().view(np.int64),
+                              return_inverse=True)
+    return [(wig.x, np.tile(np.arange(wig.x.size), wig.p.size)),
+            (wig.p, np.repeat(np.arange(wig.p.size), wig.x.size)),
+            (bits.view(np.float64), inverse)]
 
 
 def cmd_steady(cfg: RunConfig, args) -> int:
@@ -529,7 +540,9 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     return next((r["exit_code"] for r in rows if "error" in r), EXIT_OK)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call of the process."""
     ap = argparse.ArgumentParser(
         prog="nanomech",
         description="Steady-state Fock-state preparation of a softened "

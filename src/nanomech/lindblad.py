@@ -259,8 +259,8 @@ def _assemble(slots, m: int, d: int) -> sp.csr_matrix:
 def _hamiltonian_parts(config: SystemConfig):
     """The full Hamiltonian on the occupation table: the space, the table,
     H's diagonal (the anharmonic mechanics w_m' n + (lam/2) n (n - 1),
-    detuned cavities), the steps of the displaced linear coupling, H as CSR,
-    and the operators b and a_j as steps."""
+    detuned cavities), the steps of the displaced linear coupling, and the
+    operators b and a_j as steps."""
     space, table = config.space(), _occupations(config)
     n = table[:, 0]
     energy = config.omega_m_prime * n + 0.5 * config.lam * n * (n - 1)
@@ -278,18 +278,19 @@ def _hamiltonian_parts(config: SystemConfig):
                                  (_transpose(a), laser.g / 2.0))
                 for s_a, w_a in op
                 for s_b, w_b in position]
-    h = _assemble([(s, w[None, :]) for s, w in [(0, energy)] + coupling], 1,
-                  len(table))
-    herm_defect = abs(h - h.conj().T).max()
-    if herm_defect > 1e-12 * max(1.0, abs(h).max()):
-        raise SolverError(f"Hamiltonian not Hermitian, defect {herm_defect:.3e}")
-    return space, table, energy, coupling, h, b, cavities
+    return space, table, energy, coupling, b, cavities
 
 
 def build_full_hamiltonian(config: SystemConfig) -> sp.csr_matrix:
     """Multi-mode Hamiltonian (in units of hbar): detuned cavities, the
     anharmonic mechanical mode, and the displaced linear coupling."""
-    return _hamiltonian_parts(config)[4]
+    _space, table, energy, coupling, _b, _cavities = _hamiltonian_parts(config)
+    h = _assemble([(s, w[None, :]) for s, w in [(0, energy)] + coupling], 1,
+                  len(table))
+    herm_defect = abs(h - h.conj().T).max()
+    if herm_defect > 1e-12 * max(1.0, abs(h).max()):
+        raise SolverError(f"Hamiltonian not Hermitian, defect {herm_defect:.3e}")
+    return h
 
 
 def _generator(energy, coupling, jumps) -> sp.csr_matrix:
@@ -350,7 +351,7 @@ def build_full_liouvillian(config: SystemConfig,
     if est > nnz_cap:
         raise MemoryError(
             f"estimated superoperator nonzeros {est} exceed cap {nnz_cap}")
-    space, table, energy, coupling, _h, b, cavities = _hamiltonian_parts(config)
+    space, table, energy, coupling, b, cavities = _hamiltonian_parts(config)
 
     def scaled(op, rate):
         return [(s, np.sqrt(rate) * w) for s, w in op]

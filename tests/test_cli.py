@@ -170,6 +170,24 @@ def test_cli_steady_outputs_and_determinism(tmp_path):
     assert len(wigner_lines) == 2 + 101 * 101
 
 
+def test_cli_main_calls_in_one_process_are_independent(tmp_path, capsys):
+    # the parser is built once per process: no option of one call, and no
+    # usage error, carries over to the next
+    def steady(*options, out):
+        return main(["steady", *options, "--config", str(CONFIG_PATH),
+                     "--out", str(tmp_path / out)])
+
+    def populations(out):
+        return json.loads((tmp_path / out / "populations.json").read_text())
+
+    assert steady("--full", out="a") == EXIT_OK
+    assert steady(out="b") == EXIT_OK
+    assert "full" in populations("a") and "full" not in populations("b")
+    assert steady("--no-such-option", out="c") == EXIT_CONFIG
+    assert "usage:" in capsys.readouterr().err
+    assert steady(out="c") == EXIT_OK
+
+
 @pytest.mark.parametrize("command", [["spectrum", "--selftest"],
                                      ["steady", "--full", "--compare"]],
                          ids=["spectrum_selftest", "steady_full_compare"])

@@ -141,6 +141,24 @@ def test_full_hamiltonian_hermitian_with_complex_coupling():
     np.testing.assert_allclose(h, h.conj().T, atol=1e-9)
 
 
+@settings(max_examples=30, deadline=None)
+@given(mech_dim=st.integers(3, 8), photons=st.integers(1, 3),
+       couplings=st.lists(st.tuples(st.floats(1.0e2, 1.0e4),
+                                    st.floats(-np.pi, np.pi)),
+                          min_size=1, max_size=3))
+def test_full_hamiltonian_hermitian_on_drawn_systems(mech_dim, photons,
+                                                     couplings):
+    # complex couplings of any phase, 1-3 cavities, 1-3 photons in all
+    lasers = tuple(LaserParams(g=mag * np.exp(1j * phase),
+                               detuning=(-1) ** j * (5.0e6 + 2.0e5 * j))
+                   for j, (mag, phase) in enumerate(couplings))
+    cfg = SystemConfig(mech_dim=mech_dim, cavity_photons=photons,
+                       omega_m_prime=5.0e6, lam=2.0e5, gamma_m=1.0,
+                       n_bar=0.1, kappa=5.0e4, lasers=lasers)
+    h = build_full_hamiltonian(cfg).toarray()
+    assert np.abs(h - h.conj().T).max() <= 1e-12 * np.abs(h).max()
+
+
 def test_liouvillian_trace_preservation():
     cfg = quoted_system(mech_dim=4)
     liou = build_full_liouvillian(cfg)
