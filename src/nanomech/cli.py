@@ -31,7 +31,8 @@ from .lindblad import (LaserParams, SolverError, SystemConfig,
                        transition_rates)
 from .observables import (SpectrumInversionError, default_grid,
                           populations_from_spectrum, power_spectrum,
-                          wigner_from_populations, wigner_origin)
+                          symmetric_grid, wigner_from_populations,
+                          wigner_origin)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -104,6 +105,145 @@ def format_float(v: float) -> str:
     if v in (float("inf"), float("-inf")):
         return json.dumps(str(v))
     return f"{v:.17g}"
+
+
+# format_floats writes "%.17g" in numpy.  For a = |v| in FLOAT_RANGE it finds
+# the decimal exponent k, 10^k <= a < 10^(k+1), and N = round(a 10^(16-k)) in
+# [10^16, 10^17]; the text is N's digits and k as "%g" lays them out.  A power
+# of ten is a pair hi + lo of doubles, hi the nearest to 10^e and lo the
+# nearest to the rest, so |hi + lo - 10^e| <= 2^-106 10^e.  a 10^(16-k) is
+# Dekker's exact product a hi = p + err (Numer. Math. 18, 224 (1971)) plus
+# a lo: p >= 2^53 is an integer, and the low part err + a lo, below 20 in
+# size, is within 4e-15 of exact (2^-106 of 10^17, plus the roundings of
+# a lo and of the sum).  Where its fraction lies within TIE_MARGIN of 1/2 the
+# rounding may be a tie, and the value goes to format_float, as do 0.0,
+# non-finite values and values outside FLOAT_RANGE.
+FLOAT_RANGE = (1e-280, 1e280)
+TIE_MARGIN = 2.0 ** -40
+_POW_MIN = -300           # the power table holds 10^e for e in [-300, 300]
+_SPLIT = 2.0 ** 27 + 1    # Veltkamp's constant: splits a double in two halves
+_FLOAT_WIDTH = 25         # "-1.2345678901234567e-100" and a space
+# a source row of format_floats, 28 bytes: N as 20 digits ("000" and N's
+# 17), the exponent's sign and 2-3 digits padded to 4, then "-.e "; byte 0
+# always holds "0"
+_MINUS, _POINT, _E, _SPACE = 24, 25, 26, 27
+# layouts per sign: 17 (one per s) for each x in -4..16 and for e-notation
+# with 2 and with 3 exponent digits
+_LAYOUTS = 23 * 17
+
+
+def _float_layout(neg: bool, x: int, s: int) -> list[int]:
+    """Source-row positions of the "%.17g" text of a value of sign `neg`,
+    decimal exponent x (after rounding) and s significant digits, padded
+    with spaces to _FLOAT_WIDTH: fixed notation for -4 <= x < 17, else
+    e-notation with at least two exponent digits."""
+    digits = list(range(3, 20))
+    out = [_MINUS] if neg else []
+    if 0 <= x < 17:
+        out += digits[:x + 1]
+        if s > x + 1:
+            out += [_POINT, *digits[x + 1:s]]
+    elif -4 <= x < 0:
+        out += [0, _POINT, *[0] * (-x - 1), *digits[:s]]
+    else:
+        out += digits[:1] + ([_POINT, *digits[1:s]] if s > 1 else [])
+        out += [_E, 20, 21, 22] + ([23] if abs(x) >= 100 else [])
+    return out + [_SPACE] * (_FLOAT_WIDTH - len(out))
+
+
+@functools.cache
+def _float_tables():
+    """The tables of format_floats, built on its first call: 10^e for e in
+    [-300, 300] as hi and lo, the least double at or above it, and hi's two
+    halves; the text of 0000..9999 as uint32 and its digits before trailing
+    zeros; the exponent texts as uint32; the four marks "-.e "; and the
+    layouts of _float_layout as void rows of intp, with the layout of each
+    exponent and digit count."""
+    hi, lo = [], []
+    for e in range(_POW_MIN, 1 - _POW_MIN):
+        h = float(10 ** e) if e >= 0 else 1 / 10 ** -e
+        num, den = h.as_integer_ratio()
+        ten = 10 ** abs(e)
+        hi.append(h)               # 10^e - h, rounded once
+        lo.append((ten * den - num) / den if e >= 0
+                  else (den - num * ten) / (den * ten))
+    hi, lo = np.array(hi), np.array(lo)
+    t = _SPLIT * hi
+    high = t - (t - hi)
+    chunk = np.arange(10000)
+    text = (chunk[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    sig = np.where(chunk > 0, 4 - (text[:, ::-1] != ord("0")).argmax(axis=1), 0)
+    exps = "".join(f"{x:+03d}".ljust(4) for x in range(_POW_MIN, 1 - _POW_MIN))
+    layouts = np.array([_float_layout(neg, x, s) for neg in (False, True)
+                        for x in (*range(-4, 17), -5, -100)
+                        for s in range(1, 18)], dtype=np.intp)
+    # the layout of x - _POW_MIN and s, at 18 (x - _POW_MIN) + s
+    x = np.arange(_POW_MIN, 1 - _POW_MIN)[:, None]
+    layout_of = (np.where((x >= -4) & (x < 17), x + 4, 21 + (abs(x) >= 100))
+                 * 17 + np.arange(-1, 17)).ravel()
+    return (hi, lo, np.where(lo > 0, np.nextafter(hi, np.inf), hi), high,
+            hi - high, text.view(np.uint32).ravel(), sig,
+            np.frombuffer(exps.encode(), np.uint32),
+            np.frombuffer(b"-.e ", np.uint32)[0], layout_of,
+            layouts.view(f"V{layouts.itemsize * _FLOAT_WIDTH}").ravel())
+
+
+def format_floats(values: np.ndarray) -> list[str]:
+    """format_float of each value of a 1-D float64 array, computed in numpy
+    CSV_BLOCK_ROWS values at a time, so that its temporaries (about 0.5 kB
+    per value) stay bounded (see the comment above FLOAT_RANGE)."""
+    text = []
+    for start in range(0, values.size, CSV_BLOCK_ROWS):
+        text += _format_block(values[start:start + CSV_BLOCK_ROWS])
+    return text
+
+
+def _format_block(values: np.ndarray) -> list[str]:
+    """format_floats of one block."""
+    (hi, lo, least, high, low_half, chunks, sig, exps, marks, layout_of,
+     layouts) = _float_tables()
+    m = values.size
+    a = np.abs(values)
+    fast = (a >= FLOAT_RANGE[0]) & (a < FLOAT_RANGE[1])
+    a[~fast] = 1.0
+    # k - _POW_MIN: log10 is within one of k, and comparisons with the
+    # least double at or above 10^e settle it exactly
+    k0 = np.floor(np.log10(a)).astype(np.intp) - _POW_MIN
+    k = k0 - 1 + (a >= least.take(k0)) + (a >= least.take(k0 + 1))
+    q = 16 - 2 * _POW_MIN - k          # the index of 10^(16 - k)
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    bh, bl = high.take(q), low_half.take(q)
+    p = a * hi.take(q)
+    low = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo.take(q)
+    whole = np.floor(low)
+    low -= whole
+    slow = ~fast | (np.abs(low - 0.5) <= TIE_MARGIN)
+    n = p.astype(np.int64) + whole.astype(np.int64) + (low > 0.5)
+    carry = n == 10 ** 17
+    n[carry] = 10 ** 16
+    k += carry                         # x - _POW_MIN, x the "%g" exponent
+    top, bottom = np.divmod(n, 10 ** 8)
+    d0, rest = np.divmod(top.astype(np.int32), 10 ** 8)
+    c1, c2 = np.divmod(rest, 10 ** 4)
+    c3, c4 = np.divmod(bottom.astype(np.int32), 10 ** 4)
+    src = np.empty((m, 7), np.uint32)
+    for j, c in enumerate((d0, c1, c2, c3, c4)):
+        src[:, j] = chunks.take(c)
+    src[:, 5] = exps.take(k)
+    src[:, 6] = marks
+    # s, the significant digits: the last nonzero 4-digit chunk decides
+    s = np.where(c4, 13 + sig.take(c4), np.where(
+        c3, 9 + sig.take(c3), np.where(c2, 5 + sig.take(c2),
+                                       1 + sig.take(c1))))
+    layout = layout_of.take(k * 18 + s) + _LAYOUTS * np.signbit(values)
+    at = layouts.take(layout).view(np.intp).reshape(m, _FLOAT_WIDTH)
+    at += np.arange(0, src.nbytes, src.strides[0])[:, None]
+    text = src.view(np.uint8).ravel().take(at).tobytes().decode().split()
+    for i in np.flatnonzero(slow):
+        text[i] = format_float(float(values[i]))
+    return text
 
 
 def canonical_json(obj) -> str:
@@ -186,21 +326,12 @@ def _csv_text(cell: str) -> str:
     return cell
 
 
-def _csv_cells(column):
-    """The text of every cell of one column block or table of values.
-
-    A float64 array is formatted once per distinct bit pattern (so -0.0 and
-    0.0 stay apart) by one "%.17g" template, which for a finite value is
-    `format_float` exactly; non-finite values go through `format_float`.
-    Other columns are formatted cell by cell: floats by `format_float`,
-    anything else as quoted text."""
+def _csv_cells(column) -> list[str]:
+    """The text of every cell of one column block or table of values: a
+    float64 array by `format_floats`, other columns cell by cell, floats by
+    `format_float` and anything else as quoted text."""
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        values = bits.view(np.float64)
-        text = ((",%.17g" * values.size)[1:] % tuple(values.tolist())).split(",")
-        for k in np.flatnonzero(~np.isfinite(values)):
-            text[k] = format_float(float(values[k]))
-        return np.array(text, dtype=object)[inverse]
+        return format_floats(column)
     return [format_float(float(v)) if isinstance(v, (float, np.floating))
             else _csv_text(str(v)) for v in column]
 
@@ -210,19 +341,27 @@ def write_csv(path: Path, header: list[str], columns):
     of `columns`, which holds one equally long column per header name.
 
     A column is an array or list of cells, or a pair (values, index): a
-    float64 array and one index into it per row.  The values of a pair are
-    formatted once per file; other columns are formatted block by block.
-    Float cells have the 17 significant digits of `format_float`, as in the
-    JSON files; text cells are quoted per RFC 4180 when needed.  Rows are
-    written in blocks of CSV_BLOCK_ROWS."""
-    columns = [(_csv_cells(c[0]), c[1]) if isinstance(c, tuple) else (None, c)
-               for c in columns]
+    float64 array and one index in [0, len(values)) into it per row.  The
+    values of all pairs are formatted in one call per file; other columns
+    are formatted block by block.  Float cells have the 17 significant
+    digits of `format_float`, as in the JSON files; text cells are quoted
+    per RFC 4180 when needed.  Rows are written in blocks of
+    CSV_BLOCK_ROWS."""
+    tables, blocks = [], []
+    for c in columns:
+        if isinstance(c, tuple):     # its index, shifted to its values' place
+            blocks.append((True, sum(map(len, tables)) + np.asarray(c[1])))
+            tables.append(c[0])
+        else:
+            blocks.append((False, c))
+    text = np.array(_csv_cells(np.concatenate(tables)) if tables else [],
+                    dtype=object)
     with path.open("w") as f:
         f.write(f"# schema: {SCHEMA_VERSION}\n{','.join(header)}\n")
-        for start in range(0, len(columns[0][1]), CSV_BLOCK_ROWS):
-            cells = [_csv_cells(c[start:start + CSV_BLOCK_ROWS]) if t is None
-                     else t[c[start:start + CSV_BLOCK_ROWS]]
-                     for t, c in columns]
+        for start in range(0, len(blocks[0][1]), CSV_BLOCK_ROWS):
+            stop = start + CSV_BLOCK_ROWS
+            cells = [text[c[start:stop]] if paired else _csv_cells(c[start:stop])
+                     for paired, c in blocks]
             f.write("\n".join(map(",".join, zip(*cells, strict=True)))
                     + "\n")
 
@@ -270,7 +409,7 @@ def run_steady(cfg: RunConfig, full=False, compare=False, converge=False):
         report = _regime_check(cfg, derived, mech_dim)
     half, points = cfg.simulation.wigner_half_width, cfg.simulation.wigner_points
     x = (default_grid(mech_dim, points)[0] if half is None
-         else np.linspace(-half, half, points))
+         else symmetric_grid(half, points))
     wig = wigner_from_populations(reduced.populations, x, x)
     result = {
         "derived": derived, "report": report, "system": sysc,

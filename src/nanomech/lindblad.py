@@ -625,8 +625,11 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     DegenerateSteadyStateError; a singular R makes b inconsistent, so the
     estimate is judged even when a probe solve did not converge.  Any solve
     that misses GMRES_TOL within its budget raises SolverError.  The
-    solution is read back through T and the eigenvalue-clipped state
-    symmetrised, so rho is exactly Hermitian; its residual is in L's units."""
+    solution is read back through T.  A smallest eigenvalue below -1e-8
+    raises SolverError; a negative one above it is clipped to 0 by eigh,
+    which runs only then (fig2's states are positive definite).  The state
+    is symmetrised, so rho is exactly Hermitian; its residual is in L's
+    units."""
     d, n = liou.space.total_dim, liou.dim
     t, rows, imag, even, unsplit = _hermitian_coordinates(liou.excitations)
     big = float(np.abs(liou.superoperator.data).max(initial=0.0))
@@ -670,11 +673,13 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
                 "iterations")
     rho = (t @ np.pad(x, (0, n - x.size))).reshape((d, d), order="F")
     rho /= np.trace(rho).real
-    w, v = np.linalg.eigh(rho)
-    if w.min() < -1e-8:
+    smallest = np.linalg.eigvalsh(rho)[0]
+    if smallest < -1e-8:
         raise SolverError(
-            f"steady state has negative eigenvalue {w.min():.3e}")
-    rho = (v * np.clip(w, 0.0, None)) @ v.conj().T
+            f"steady state has negative eigenvalue {smallest:.3e}")
+    if smallest < 0:
+        w, v = np.linalg.eigh(rho)
+        rho = (v * np.clip(w, 0.0, None)) @ v.conj().T
     rho = (rho + rho.conj().T) / np.trace(rho).real / 2
     defect = liou.superoperator @ rho.reshape(-1, order="F")
     residual = unit * float(np.linalg.norm(defect / unit))

@@ -165,10 +165,20 @@ def wigner_from_density_matrix(rho: DensityMatrix, x, p,
     return _wigner_data(diagonals, x, p, check_norm)
 
 
+def symmetric_grid(half_width: float, points: int) -> np.ndarray:
+    """`points` values from -half_width to half_width, evenly spaced and
+    exactly antisymmetric: x[::-1] == -x bit for bit, with 0.0 in the middle
+    of an odd grid.  W from populations, a function of x^2 + p^2, then has
+    the grid's 8-fold symmetry bit for bit.  Halving before subtracting
+    keeps the ends finite for any half_width that linspace can span."""
+    x = np.linspace(-half_width, half_width, points)
+    return x / 2 - x[::-1] / 2
+
+
 def default_grid(mech_dim: int, points: int = 121):
-    """Symmetric quadrature grid wide enough for the normalization check."""
-    r = 4.0 + np.sqrt(mech_dim)
-    x = np.linspace(-r, r, points)
+    """Antisymmetric quadrature grid (see symmetric_grid) wide enough for the
+    normalization check; x and p are equal."""
+    x = symmetric_grid(4.0 + np.sqrt(mech_dim), points)
     return x, x.copy()
 
 

@@ -1,19 +1,27 @@
 """Property tests of the column-wise CSV writer against the per-cell loop it
-replaced, and of the column layout of wigner.csv."""
+replaced, of its vectorised float formatter against `format_float`, and of
+the grid and column layout of wigner.csv."""
 
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from nanomech.cli import (CSV_BLOCK_ROWS, EXIT_OK, SCHEMA_VERSION,
-                          _wigner_columns, format_float, main, run_steady,
-                          write_csv)
+import nanomech
+from nanomech import cli
+from nanomech.cli import (CSV_BLOCK_ROWS, EXIT_OK, FLOAT_RANGE,
+                          SCHEMA_VERSION, _wigner_columns, format_float,
+                          format_floats, main, run_steady, write_csv)
 from nanomech.config import parse_config
 from nanomech.observables import WignerData
 
@@ -191,3 +199,143 @@ def test_wigner_columns_layout_on_asymmetric_grid():
     for k in range(x.size * p.size):
         i, j = divmod(k, x.size)
         assert (xs[k], ps[k], ws[k]) == (x[j], p[i], values[i, j])
+
+
+# ---------------------------------------------------------------------------
+# format_floats: "%.17g" in numpy, with format_float as its exact fallback
+
+def assert_formats_like_format_float(values):
+    got = format_floats(values)
+    want = [format_float(float(v)) for v in values]
+    same = got == want
+    assert same, next((v, a, b) for v, a, b in zip(values, got, want) if a != b)
+
+
+def test_format_floats_random_bit_patterns():
+    # fresh patterns on every run; the seed is in the failure message
+    seed = np.random.SeedSequence().entropy
+    rng = np.random.default_rng(seed)
+    values = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                          size=200_000, dtype=np.int64, endpoint=True)
+    values = values.view(np.float64)
+    got = format_floats(values)
+    bad = [(v, a) for v, a in zip(values, got) if a != format_float(float(v))]
+    assert not bad, (seed, bad[:5])
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.integers(0, 60),
+              elements=st.floats(allow_nan=True, allow_infinity=True,
+                                 allow_subnormal=True)))
+def test_format_floats_matches_format_float(values):
+    assert_formats_like_format_float(values)
+
+
+def constructed_ties():
+    """Doubles N 2^-j, N odd, whose 18th significant digit is their last
+    one, a 5: "%.17g" rounds each of them half to even."""
+    rng = np.random.default_rng(11)
+    ties = []
+    for j in range(2, 18):
+        lo, hi = 10 ** (17 - j) * 2**j, min(10 ** (18 - j) * 2**j, 2**53)
+        odd = rng.integers(lo // 2, hi // 2, size=40) * 2 + 1
+        ties += [int(n) / 2**j for n in odd]
+    ties += [1125899906842624.25, 1125899906842624.75]
+    return np.array(ties + [-t for t in ties])
+
+
+def test_format_floats_ties_go_through_format_float(monkeypatch):
+    ties = constructed_ties()
+    assert format_floats(np.array([1125899906842624.25])) == [
+        "1125899906842624.2"]
+    assert_formats_like_format_float(ties)
+    seen = []
+
+    def spy(v):
+        seen.append(v)
+        return format_float(v)
+
+    monkeypatch.setattr(cli, "format_float", spy)
+    format_floats(ties)
+    assert sorted(seen) == sorted(ties.tolist())
+
+
+def test_format_floats_powers_of_ten_and_range_edges():
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    edges = np.array([*FLOAT_RANGE, 1e-281, 1e281, 1e-279, 1e279])
+    near = []
+    for v in (powers, edges):
+        down = up = v
+        for _ in range(2):
+            down, up = np.nextafter(down, 0.0), np.nextafter(up, np.inf)
+            near += [down, up]
+    values = np.concatenate([powers, edges, *near])
+    assert_formats_like_format_float(np.concatenate([values, -values]))
+
+
+def test_format_floats_special_values():
+    rng = np.random.default_rng(5)
+    subnormal = rng.integers(1, 2**52, size=200).view(np.float64)
+    assert_formats_like_format_float(np.concatenate(
+        [SPECIAL, NAN_PAYLOAD, subnormal, -subnormal, [np.finfo(float).max,
+         -np.finfo(float).max, np.finfo(float).tiny, np.finfo(float).eps]]))
+    assert format_floats(np.array([0.0, -0.0, np.inf, -np.inf, np.nan])) == [
+        "0", "-0", '"inf"', '"-inf"', '"nan"']
+
+
+def test_format_floats_formats_fig2_outputs_without_fallback(monkeypatch):
+    # the values of fig2's wigner.csv take the vectorised path, apart from
+    # the 0.0 in the middle of the x and p grids
+    wig = run_steady(parse_config(json.loads(CONFIG_PATH.read_text())))[
+        "wigner"]
+    values = np.concatenate([table for table, _ in _wigner_columns(wig)])
+    want = [format_float(float(v)) for v in values]
+    seen = []
+
+    def spy(v):
+        seen.append(v)
+        return format_float(v)
+
+    monkeypatch.setattr(cli, "format_float", spy)
+    assert format_floats(values) == want
+    assert seen == [0.0, 0.0]
+
+
+def test_setup_does_not_build_the_formatter_tables():
+    # the benchmark's set-up code (import, load the config, run_device)
+    # leaves the formatter's tables to the first CSV written
+    code = ("import nanomech.cli as cli; "
+            "cli.run_device(cli.load_config('configs/fig2.json')); "
+            "print(cli._float_tables.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(Path(nanomech.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], cwd=CONFIG_PATH.parents[1],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
+# ---------------------------------------------------------------------------
+# the Wigner grid: exactly antisymmetric, so W is exactly symmetric
+
+@pytest.mark.filterwarnings("ignore:Wigner grid integral")
+@pytest.mark.parametrize("grid, points", [("fig2", 101), ("default", 121),
+                                          ("three", 3)])
+def test_wigner_grid_and_values_are_exactly_symmetric(grid, points):
+    raw = json.loads(CONFIG_PATH.read_text())
+    if grid == "default":
+        del raw["simulation"]["wigner_grid"]
+    elif grid == "three":
+        raw["simulation"]["wigner_grid"]["points"] = 3
+    wig = run_steady(parse_config(raw))["wigner"]
+    x, w = wig.x, wig.values
+    assert x.size == points and np.array_equal(x, wig.p)
+    bits = x.view(np.int64)
+    assert np.array_equal(x[::-1], -x)
+    assert x[points // 2] == 0.0 and not np.signbit(x[points // 2])
+    assert np.array_equal(np.delete(bits[::-1], points // 2),
+                          np.delete((-x).view(np.int64), points // 2))
+    wbits = w.view(np.int64)
+    for image in (w[::-1], w[:, ::-1], w.T):
+        assert np.array_equal(image.view(np.int64), wbits)
+    if grid == "fig2":
+        # the W table of wigner.csv: 3,819 values on np.linspace's grid
+        assert np.unique(wbits).size <= 1300
