@@ -24,7 +24,6 @@ from .config import (CONFIG_SCHEMA, ConfigError, RunConfig, load_config,
                      parse_config)
 from .device import (POLARIZABILITY_UNIT, BucklingError, DeviceError,
                      derive_parameters, regime_check)
-from .fock import partial_trace
 from .lindblad import (LaserParams, SolverError, SystemConfig,
                        TruncationError, build_full_liouvillian,
                        reduced_steady_populations, steady_state_solve,
@@ -422,7 +421,6 @@ def run_steady(cfg: RunConfig, full=False, compare=False, converge=False):
                 f"cavity_photons {sysc.cavity_photons} leaves --converge no "
                 f"larger photon number within the cap of {CONVERGE_PHOTONS}")
         ss = steady_state_solve(build_full_liouvillian(sysc))
-        full_pops = partial_trace(ss.rho, 0).populations()
         if converge:
             # with no laser there is no cavity
             drift = np.inf if sysc.lasers else 0.0
@@ -434,17 +432,16 @@ def run_steady(cfg: RunConfig, full=False, compare=False, converge=False):
                         f"{drift:.3e} at cavity_photons {sysc.cavity_photons}")
                 sysc = dataclasses.replace(
                     sysc, cavity_photons=sysc.cavity_photons + 1)
+                smaller = ss.populations
                 ss = steady_state_solve(build_full_liouvillian(sysc))
-                smaller = full_pops
-                full_pops = partial_trace(ss.rho, 0).populations()
-                drift = float(np.max(np.abs(full_pops - smaller)))
+                drift = float(np.max(np.abs(ss.populations - smaller)))
             result["cavity_drift"] = drift
         result["system"] = sysc
         result["full"] = ss
-        result["full_populations"] = full_pops
         if compare:
-            n = min(full_pops.size, reduced.populations.size)
-            result["compare"] = np.abs(full_pops[:n] - reduced.populations[:n])
+            n = min(ss.populations.size, reduced.populations.size)
+            result["compare"] = np.abs(ss.populations[:n]
+                                       - reduced.populations[:n])
     return result
 
 
@@ -586,6 +583,8 @@ def _wigner_columns(wig):
 
 
 def cmd_steady(cfg: RunConfig, args) -> int:
+    if args.compare and not args.full:
+        raise ConfigError("--compare", "needs --full")
     res = run_steady(cfg, full=args.full, compare=args.compare,
                      converge=args.converge)
     out = _outdir(cfg, args)
@@ -596,8 +595,8 @@ def cmd_steady(cfg: RunConfig, args) -> int:
     diagnostics = {"command": "steady",
                    "reduced_residual": res["reduced"].residual}
     if args.full:
-        pops["full"] = list(res["full_populations"])
-        pops["full_wigner_origin"] = wigner_origin(res["full_populations"])
+        pops["full"] = list(res["full"].populations)
+        pops["full_wigner_origin"] = wigner_origin(res["full"].populations)
         diagnostics["full_method"] = res["full"].method
         diagnostics["full_residual"] = res["full"].residual
         diagnostics["full_iterations"] = res["full"].iterations
@@ -618,7 +617,7 @@ def cmd_steady(cfg: RunConfig, args) -> int:
     p = res["reduced"].populations
     print(f"P = {np.array2string(p[:6], precision=4)}")
     print(f"W(0,0) = {wig.origin_value:.4f}  (min {wig.min_value:.4f})")
-    if args.compare and args.full:
+    if args.compare:
         print(f"max |P_full - P_reduced| = {np.max(res['compare']):.4f}")
     return EXIT_OK
 
@@ -700,7 +699,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_steady.add_argument("--full", action="store_true",
                           help="also solve the full master equation")
     p_steady.add_argument("--compare", action="store_true",
-                          help="per-level full-vs-reduced difference table")
+                          help="per-level full-vs-reduced difference table "
+                               "(needs --full)")
     p_steady.add_argument("--converge", action="store_true",
                           help="double the truncation until populations settle")
     p_spec = sub.add_parser("spectrum", parents=[common],

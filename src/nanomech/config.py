@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .device import (POLARIZABILITY_UNIT, BeamSpec, CavitySpec, DeviceError,
-                     DriveSpec, ElectrodeSpec, GaussianTipField, SofteningSpec)
+                     DriveSpec, ElectrodeSpec, GaussianTipField, SofteningSpec,
+                     symbolic_detuning)
 
 TWO_PI = 2 * np.pi
 
@@ -232,6 +233,10 @@ def _parse_cavity(d: dict, path: str) -> CavitySpec:
 def _parse_drive(d: dict, path: str) -> DriveSpec:
     det = _get(d, "detuning", path)
     if isinstance(det, str) and "delta_" in det:
+        try:
+            symbolic_detuning(det)
+        except DeviceError as exc:
+            raise ConfigError(f"{path}.detuning", str(exc)) from None
         detuning = det
     else:
         detuning = parse_quantity(det, "frequency", f"{path}.detuning")
@@ -292,12 +297,17 @@ def _parse_simulation(d: dict, path: str) -> SimulationSection:
 
 def _reject_unknown_keys(data, schema, path: str):
     """Raise ConfigError at the dotted path of the first key that
-    CONFIG_SCHEMA does not list; values of the wrong type are left to the
-    section parsers."""
-    if isinstance(schema, list) and isinstance(data, list):
+    CONFIG_SCHEMA does not list, or of the first section that is not the
+    JSON object or array the schema has there; leaf values of the wrong
+    type are left to the section parsers."""
+    if isinstance(schema, list):
+        if not isinstance(data, list):
+            raise ConfigError(path, "expected a JSON array")
         for i, item in enumerate(data):
             _reject_unknown_keys(item, schema[0], f"{path}[{i}]")
-    elif isinstance(schema, dict) and isinstance(data, dict):
+    elif isinstance(schema, dict):
+        if not isinstance(data, dict):
+            raise ConfigError(path or "<root>", "expected a JSON object")
         for key, value in data.items():
             sub = f"{path}.{key}" if path else key
             if key not in schema:
@@ -307,18 +317,13 @@ def _reject_unknown_keys(data, schema, path: str):
 
 
 def parse_config(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
     _reject_unknown_keys(data, CONFIG_SCHEMA, "")
     dev = _get(data, "device", "<root>")
     beam = _parse_beam(_get(dev, "beam", "device"), "device.beam")
     softening = _parse_softening(_get(dev, "softening", "device"), "device.softening")
     cavity = _parse_cavity(_get(dev, "cavity", "device"), "device.cavity")
-    drives_raw = _get(dev, "drives", "device")
-    if not isinstance(drives_raw, list):
-        raise ConfigError("device.drives", "expected a list")
     drives = tuple(_parse_drive(d, f"device.drives[{i}]")
-                   for i, d in enumerate(drives_raw))
+                   for i, d in enumerate(_get(dev, "drives", "device")))
     temperature = _quantity(dev, "temperature", "temperature", "device")
     probe = None
     if "probe" in dev:
@@ -329,6 +334,8 @@ def parse_config(data: dict) -> RunConfig:
     simulation = _parse_simulation(data.get("simulation", {}), "simulation")
     output = OutputSection(
         directory=data.get("output", {}).get("directory", "out"))
+    if not isinstance(output.directory, str):
+        raise ConfigError("output.directory", "expected a path string")
     return RunConfig(beam=beam, softening=softening, cavity=cavity,
                      drives=drives, temperature=temperature, probe=probe,
                      electrode=electrode, simulation=simulation, output=output,

@@ -428,21 +428,27 @@ class DerivedParams:
         return max((abs(l.g) for l in self.lasers), default=0.0)
 
 
+def symbolic_detuning(spec: str) -> tuple[float, int]:
+    """The sign and the line n >= 1 of a "+delta_n"/"-delta_n" string."""
+    s = spec.strip().replace(" ", "")
+    sign = -1.0 if s.startswith("-") else 1.0
+    if s.startswith(("+", "-")):
+        s = s[1:]
+    head, _, digits = s.partition("delta_")
+    if head or not digits.isdecimal():
+        raise DeviceError(f"cannot parse symbolic detuning {spec!r}")
+    n = int(digits)
+    if n < 1:
+        raise DeviceError(f"symbolic detuning {spec!r}: delta_n defined for "
+                          "n >= 1")
+    return sign, n
+
+
 def resolve_detuning(spec: float | str, derived_delta) -> float:
     """Resolve a symbolic "+delta_n"/"-delta_n" detuning string."""
     if not isinstance(spec, str):
         return float(spec)
-    s = spec.strip().replace(" ", "")
-    sign = 1.0
-    if s.startswith(("+", "-")):
-        sign = -1.0 if s[0] == "-" else 1.0
-        s = s[1:]
-    if not s.startswith("delta_"):
-        raise DeviceError(f"cannot parse symbolic detuning {spec!r}")
-    try:
-        n = int(s[len("delta_"):])
-    except ValueError:
-        raise DeviceError(f"cannot parse symbolic detuning {spec!r}") from None
+    sign, n = symbolic_detuning(spec)
     return sign * derived_delta(n)
 
 

@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
 
 from .device import transition_frequency
-from .fock import CompositeSpace, DensityMatrix, FockSpace
+from .fock import DensityMatrix, partial_trace
 
 TRACE_PRESERVATION_TOL = 1e-10
 # nonzeros of L and M together (_estimate_nnz, a bound fig2 meets exactly):
@@ -104,20 +104,17 @@ class SystemConfig:
                    gamma_m=derived.gamma_m, n_bar=derived.n_bar,
                    kappa=derived.kappa, lasers=lasers)
 
-    def space(self) -> CompositeSpace:
-        """The mechanics, then (with lasers) one factor for the cavity block,
-        one cavity mode per laser (see _occupations)."""
-        factors = [FockSpace(self.mech_dim, "mech")]
+    def dims(self) -> tuple[int, ...]:
+        """The factor dimensions: the mechanics, then (with lasers) the
+        cavity block, one cavity mode per laser (see _occupations)."""
         k = len(self.lasers)
-        if k:
-            factors.append(FockSpace(math.comb(self.cavity_photons + k, k),
-                                     "cav"))
-        return CompositeSpace(tuple(factors))
+        cavities = (math.comb(self.cavity_photons + k, k),) if k else ()
+        return (self.mech_dim, *cavities)
 
 
 @dataclass(frozen=True)
 class Liouvillian:
-    space: CompositeSpace
+    dims: tuple[int, ...]
     superoperator: sp.csr_matrix = field(repr=False)
     # the total excitation number of each basis state, whose parity splits
     # the steady-state solve (see _hermitian_coordinates)
@@ -133,20 +130,20 @@ class Liouvillian:
     def trace_preservation_defect(self) -> float:
         """Norm of L^dagger applied to the identity (should vanish), up to a
         conjugation the sum of L's rows at the diagonal entries of vec(I)."""
-        d = self.space.total_dim
+        d = self.excitations.size
         return float(np.abs(self.superoperator[::d + 1].sum(axis=0)).max())
 
 
 @dataclass(frozen=True)
 class SteadyState:
-    rho: DensityMatrix | None
-    populations: np.ndarray | None
+    populations: np.ndarray     # of the mechanics
     residual: float
     method: str
     iterations: int = 0         # GMRES iterations, steady and probe solves
     probe_iterations: int = 0   # of them in the probe solves
     condition: float | None = None  # 1-norm condition estimate (full solve)
     lu_nnz: int | None = None   # nonzeros of the preconditioner's LUs (full)
+    rho: DensityMatrix | None = None  # the full state (full solve)
 
 
 @dataclass(frozen=True)
@@ -257,11 +254,11 @@ def _assemble(slots, m: int, d: int) -> sp.csr_matrix:
 
 
 def _hamiltonian_parts(config: SystemConfig):
-    """The full Hamiltonian on the occupation table: the space, the table,
-    H's diagonal (the anharmonic mechanics w_m' n + (lam/2) n (n - 1),
-    detuned cavities), the steps of the displaced linear coupling, and the
+    """The full Hamiltonian on the occupation table: the table, H's diagonal
+    (the anharmonic mechanics w_m' n + (lam/2) n (n - 1), detuned
+    cavities), the steps of the displaced linear coupling, and the
     operators b and a_j as steps."""
-    space, table = config.space(), _occupations(config)
+    table = _occupations(config)
     n = table[:, 0]
     energy = config.omega_m_prime * n + 0.5 * config.lam * n * (n - 1)
     for j, laser in enumerate(config.lasers):
@@ -278,13 +275,13 @@ def _hamiltonian_parts(config: SystemConfig):
                                  (_transpose(a), laser.g / 2.0))
                 for s_a, w_a in op
                 for s_b, w_b in position]
-    return space, table, energy, coupling, b, cavities
+    return table, energy, coupling, b, cavities
 
 
 def build_full_hamiltonian(config: SystemConfig) -> sp.csr_matrix:
     """Multi-mode Hamiltonian (in units of hbar): detuned cavities, the
     anharmonic mechanical mode, and the displaced linear coupling."""
-    _space, table, energy, coupling, _b, _cavities = _hamiltonian_parts(config)
+    table, energy, coupling, _b, _cavities = _hamiltonian_parts(config)
     h = _assemble([(s, w[None, :]) for s, w in [(0, energy)] + coupling], 1,
                   len(table))
     herm_defect = abs(h - h.conj().T).max()
@@ -351,7 +348,7 @@ def build_full_liouvillian(config: SystemConfig,
     if est > nnz_cap:
         raise MemoryError(
             f"estimated superoperator nonzeros {est} exceed cap {nnz_cap}")
-    space, table, energy, coupling, b, cavities = _hamiltonian_parts(config)
+    table, energy, coupling, b, cavities = _hamiltonian_parts(config)
 
     def scaled(op, rate):
         return [(s, np.sqrt(rate) * w) for s, w in op]
@@ -374,7 +371,7 @@ def build_full_liouvillian(config: SystemConfig,
                        _transpose(_lowering(table, 0, np.sqrt(n * up)))]
         uncoupled = _generator(energy, [], cavity_jumps + chain_jumps)
 
-    liou = Liouvillian(space, lsuper, table.sum(axis=1), uncoupled)
+    liou = Liouvillian(config.dims(), lsuper, table.sum(axis=1), uncoupled)
     defect = liou.trace_preservation_defect()
     scale = np.abs(lsuper.data).max(initial=1.0)
     if defect > TRACE_PRESERVATION_TOL * scale:
@@ -468,8 +465,7 @@ def reduced_steady_populations(config: SystemConfig,
             f"top-level population {p[-1]:.3e} is not negligible "
             f"(max {p.max():.3e}); increase the truncation")
     residual = float(np.linalg.norm(rate_matrix(up, down) @ p.astype(complex)))
-    return SteadyState(rho=None, populations=p, residual=residual,
-                       method="recursion")
+    return SteadyState(populations=p, residual=residual, method="recursion")
 
 
 def _hermitian_coordinates(excitations: np.ndarray):
@@ -629,8 +625,8 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     raises SolverError; a negative one above it is clipped to 0 by eigh,
     which runs only then (fig2's states are positive definite).  The state
     is symmetrised, so rho is exactly Hermitian; its residual is in L's
-    units."""
-    d, n = liou.space.total_dim, liou.dim
+    units, and the populations are its mechanics' (the partial trace)."""
+    d, n = liou.excitations.size, liou.dim
     t, rows, imag, even, unsplit = _hermitian_coordinates(liou.excitations)
     big = float(np.abs(liou.superoperator.data).max(initial=0.0))
     unit = math.ldexp(1.0, math.frexp(big)[1] - 1)
@@ -683,8 +679,9 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     rho = (rho + rho.conj().T) / np.trace(rho).real / 2
     defect = liou.superoperator @ rho.reshape(-1, order="F")
     residual = unit * float(np.linalg.norm(defect / unit))
-    return SteadyState(rho=DensityMatrix(liou.space, rho), populations=None,
+    rho = DensityMatrix(liou.dims, rho)
+    return SteadyState(populations=partial_trace(rho, 0).populations(),
                        residual=residual, method="gmres",
                        iterations=sum(its for _, _, its, _ in solves),
                        probe_iterations=sum(its for _, _, its, _ in probes),
-                       condition=condition, lu_nnz=lu_nnz)
+                       condition=condition, lu_nnz=lu_nnz, rho=rho)

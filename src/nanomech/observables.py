@@ -154,7 +154,7 @@ def wigner_from_density_matrix(rho: DensityMatrix, x, p,
     """Wigner function of a general single-mode state,
     W(alpha) = (2/pi) Tr[rho D(alpha) (-1)^(b+ b) D(alpha)^+]; agrees with
     the population path for diagonal states."""
-    if len(rho.space.factors) != 1:
+    if len(rho.dims) != 1:
         raise ValueError("single-mode density matrix required")
     m = rho.matrix
     nrm = np.linalg.norm(m)

@@ -8,7 +8,6 @@ import scipy.sparse as sp
 from scipy.constants import hbar, k as kB
 
 from nanomech.config import parse_config
-from nanomech.fock import CompositeSpace, FockSpace
 from nanomech.lindblad import (LaserParams, Liouvillian, SystemConfig,
                                _hermitian_coordinates, _parity_blocks,
                                _real_system, chain_rates, transition_rates)
@@ -141,18 +140,16 @@ def kron_liouvillian(cfg, levels=None):
         thermal.append(np.sqrt(cfg.gamma_m * (cfg.n_bar + 1.0)) * b)
         if cfg.n_bar > 0:
             thermal.append(np.sqrt(cfg.gamma_m * cfg.n_bar) * b.T.tocsr())
-    factors = [FockSpace(cfg.mech_dim, "mech")]
-    if cfg.lasers:
-        factors.append(FockSpace(len(table) // cfg.mech_dim, "cav"))
-    space = CompositeSpace(tuple(factors))
+    dims = (cfg.mech_dim,) + ((len(table) // cfg.mech_dim,) if cfg.lasers
+                              else ())
     lsuper = kron_generator(h, decay + thermal)
     if not cfg.lasers:
-        return Liouvillian(space, lsuper, table.sum(axis=1))
+        return Liouvillian(dims, lsuper, table.sum(axis=1))
     up, down = chain_rates(transition_rates(cfg), cfg.gamma_m, cfg.n_bar)
     level = np.arange(1, cfg.mech_dim)
     chain = [lowering(0, np.sqrt(level * down)),
              lowering(0, np.sqrt(level * up)).T.tocsr()]
-    return Liouvillian(space, lsuper, table.sum(axis=1),
+    return Liouvillian(dims, lsuper, table.sum(axis=1),
                        kron_generator(h0, decay + chain))
 
 

@@ -10,7 +10,8 @@ from nanomech.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION,
                           canonical_json, config_hash, format_float, main,
                           run_device, run_spectrum, run_steady, run_sweep,
                           set_config_path, write_csv)
-from nanomech.config import ConfigError, load_config, parse_config
+from nanomech.config import (CONFIG_SCHEMA, ConfigError, load_config,
+                             parse_config)
 from nanomech.observables import wigner_origin
 
 from conftest import CONFIG_PATH
@@ -499,7 +500,9 @@ def test_cli_symbolic_detuning_below_first_line(tmp_path, capsys):
     path = write_variant(tmp_path, mutate)
     assert main(["device", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert "delta_n defined for n >= 1" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: device.drives[0].detuning: symbolic detuning "
+        "'+delta_0': delta_n defined for n >= 1"]
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -530,6 +533,91 @@ def test_cli_cavity_space_config_errors(tmp_path, capsys, key, value, message):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert message in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def schema_sections(schema=CONFIG_SCHEMA, keys=()):
+    """(keys, type) of every JSON object and array CONFIG_SCHEMA holds, the
+    keys leading to it from the root (0 for the item of an array)."""
+    if isinstance(schema, dict):
+        yield keys, dict
+        for key, sub in schema.items():
+            yield from schema_sections(sub, keys + (key,))
+    elif isinstance(schema, list):
+        yield keys, list
+        yield from schema_sections(schema[0], keys + (0,))
+
+
+def dotted(keys):
+    """The config path of `keys` as a ConfigError names it."""
+    text = ""
+    for k in keys:
+        text += f"[{k}]" if isinstance(k, int) else f".{k}" if text else k
+    return text or "<root>"
+
+
+@pytest.mark.parametrize("keys, value", [
+    (keys, value) for keys, kind in schema_sections()
+    for value in (5, "x", {} if kind is list else [])],
+    ids=lambda v: dotted(v) if isinstance(v, tuple) else json.dumps(v))
+def test_cli_config_section_of_wrong_type(tmp_path, capsys, keys, value):
+    # a section that is not the JSON object or array of the schema used to
+    # escape main() as a TypeError or AttributeError
+    raw = json.loads(CONFIG_PATH.read_text())
+    if keys:
+        node = raw
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = value
+    else:
+        raw = value
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(raw))
+    assert main(["steady", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: {dotted(keys)}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_output_directory_must_be_text(tmp_path, capsys, monkeypatch):
+    path = write_variant(tmp_path,
+                         lambda raw: raw["output"].update(directory=5))
+    monkeypatch.chdir(tmp_path)
+    assert main(["device", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: output.directory: expected a path string"]
+    assert [p.name for p in tmp_path.iterdir()] == ["variant.json"]
+
+
+@pytest.mark.parametrize("section, detuning, message", [
+    ("drives", "+delta_x", "cannot parse symbolic detuning '+delta_x'"),
+    ("drives", "delta_1 GHz", "cannot parse symbolic detuning 'delta_1 GHz'"),
+    ("probe", "-delta_0", "symbolic detuning '-delta_0': delta_n defined "
+                          "for n >= 1"),
+])
+def test_cli_symbolic_detuning_errors_name_their_field(tmp_path, capsys,
+                                                       section, detuning,
+                                                       message):
+    def mutate(raw):
+        drive = raw["device"][section]
+        (drive[0] if section == "drives" else drive)["detuning"] = detuning
+    path = write_variant(tmp_path, mutate)
+    assert main(["validate", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    field = "device.drives[0]" if section == "drives" else "device.probe"
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {field}.detuning: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_steady_compare_needs_full(tmp_path, capsys):
+    # used to be ignored with exit 0
+    assert main(["steady", "--config", str(CONFIG_PATH), "--compare",
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: --compare: needs --full"]
     assert not (tmp_path / "out").exists()
 
 

@@ -12,7 +12,7 @@ from scipy.sparse.linalg import expm_multiply, splu
 
 from nanomech.cli import run_device
 from nanomech.config import parse_config
-from nanomech.fock import CompositeSpace, FockSpace, partial_trace
+from nanomech.fock import partial_trace
 from nanomech import lindblad
 from nanomech.lindblad import (CONDITION_LIMIT, DegenerateSteadyStateError,
                                LaserParams, Liouvillian, SolverError,
@@ -83,10 +83,8 @@ def test_space_layout():
     # the mechanics, then the photon configurations of the three cavities
     # with at most two photons in all
     cfg = quoted_system(mech_dim=6, cavity_photons=2)
-    space = cfg.space()
-    assert space.dims == (6, 10)
-    assert [f.label for f in space.factors] == ["mech", "cav"]
-    assert mech_only().space().dims == (5,)
+    assert cfg.dims() == (6, 10)
+    assert mech_only().dims() == (5,)
     delta = transition_rates(cfg).delta
     assert delta[0] == pytest.approx(OMEGA_M_PRIME)
     assert delta[2] == pytest.approx(OMEGA_M_PRIME + 2 * LAMBDA)
@@ -241,7 +239,7 @@ def test_liouvillian_assembly_matches_kron_sums(make, block, monkeypatch):
     liou = build_full_liouvillian(cfg)
     ref = kron_liouvillian(cfg)
     ref_l, ref_m = ref.superoperator, ref.uncoupled
-    assert liou.space == ref.space
+    assert liou.dims == ref.dims
     np.testing.assert_array_equal(liou.excitations, ref.excitations)
     assert (liou.uncoupled is None) == (ref_m is None) == (not cfg.lasers)
     scale = abs(ref_l).max()
@@ -335,7 +333,7 @@ def test_liouvillian_assembly_matches_dense_kronecker_sums():
 def test_liouvillian_preserves_hermiticity(rng):
     cfg = small_driven()
     liou = build_full_liouvillian(cfg)
-    d = liou.space.total_dim
+    d = liou.excitations.size
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = m + m.conj().T
     dm = (liou.superoperator @ m.reshape(-1, order="F")).reshape((d, d), order="F")
@@ -454,7 +452,7 @@ def test_thermal_fixed_point_small():
                        lam=0.0, gamma_m=100.0, n_bar=n_bar, kappa=1.0e5,
                        lasers=(LaserParams(g=0.0, detuning=5.0e5),))
     ss = steady_state_solve(build_full_liouvillian(cfg))
-    pops = partial_trace(ss.rho, 0).populations()
+    pops = ss.populations
     ratio = n_bar / (n_bar + 1.0)
     expected = ratio ** np.arange(7)
     expected /= expected.sum()
@@ -486,7 +484,7 @@ def fig2_scaled(mech_dim, g_scale):
 def test_full_solve_matches_null_space(make):
     # exact oracle: the null space of the dense generator
     liou = build_full_liouvillian(make())
-    d = liou.space.total_dim
+    d = liou.excitations.size
     ns = scipy.linalg.null_space(liou.superoperator.toarray())
     assert ns.shape == (d * d, 1)
     oracle = ns[:, 0].reshape((d, d), order="F")
@@ -504,7 +502,7 @@ def test_full_solve_matches_direct_lu(g_scale):
     # regime validator's fail line): the direct sparse LU of the same real
     # trace-rowed system is the reference
     liou = build_full_liouvillian(fig2_scaled(8, g_scale))
-    d = liou.space.total_dim
+    d = liou.excitations.size
     t = _hermitian_coordinates(liou.excitations)[0]
     i, j = np.triu_indices(d, 1)
     diag, upper = np.arange(d) * (d + 1), i + j * d
@@ -529,7 +527,7 @@ def test_uncoupled_generator_holds_the_reduced_chain():
     ss = steady_state_solve(dataclasses.replace(
         liou, superoperator=liou.uncoupled, uncoupled=None))
     np.testing.assert_allclose(
-        partial_trace(ss.rho, 0).populations(),
+        ss.populations,
         reduced_steady_populations(cfg, tail_check=False).populations,
         rtol=0, atol=1e-10)
     # the first cavity state is the vacuum of all three
@@ -561,7 +559,7 @@ def test_steady_state_residual_and_validity():
 
 @pytest.mark.parametrize("liou", [
     # every population of a 3-level system is conserved separately
-    Liouvillian(CompositeSpace((FockSpace(3, "mech"),)),
+    Liouvillian((3,),
                 sp.csr_matrix((9, 9), dtype=complex), np.arange(3)),
     # closed system: every Fock projector is stationary
     build_full_liouvillian(mech_only(mech_dim=4, lam=2.0e5, gamma_m=0.0)),
@@ -594,7 +592,7 @@ def decay_generator(scale):
     """The decay |1> -> |0> of a two-level system at rate `scale`."""
     lsuper = np.zeros((4, 4), dtype=complex)
     lsuper[0, 3], lsuper[1, 1], lsuper[2, 2], lsuper[3, 3] = 1, -0.5, -0.5, -1
-    return Liouvillian(CompositeSpace((FockSpace(2, "mech"),)),
+    return Liouvillian((2,),
                        sp.csr_matrix(scale * lsuper), np.arange(2))
 
 
@@ -666,7 +664,7 @@ def test_parity_breaking_drive_is_solved_as_one_block():
     # one and so breaks the parity L and M conserve: R mixes the blocks and
     # is solved as one, with the parity-conserving M as its preconditioner
     liou = build_full_liouvillian(small_driven(mech_dim=4, g=3.0e3, n_bar=0.2))
-    dims, d = liou.space.dims, liou.space.total_dim
+    dims, d = liou.dims, liou.excitations.size
     b = kron_lift(sp.diags(np.sqrt(np.arange(1.0, 4.0)), 1), 0, dims)
     drive = 2.0e5 * (b + b.T).toarray()
     lsuper = liou.superoperator + sp.csr_matrix(dense_generator(drive, []))
@@ -725,9 +723,34 @@ def test_adiabatic_limit_agreement(g_frac, tol):
     cfg = small_driven(mech_dim=5, g=g_frac * kappa, kappa=kappa,
                        lam=2.0e5, gamma_m=0.01, n_bar=0.2)
     full = steady_state_solve(build_full_liouvillian(cfg))
-    full_p = partial_trace(full.rho, 0).populations()
+    full_p = full.populations
     red_p = reduced_steady_populations(cfg, tail_check=False).populations
     assert np.max(np.abs(full_p - red_p)) < tol
+
+
+COUPLING = st.floats(-4.0e3, 4.0e3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(mech_dim=st.integers(3, 5), photons=st.integers(1, 2),
+       couplings=st.lists(st.builds(complex, COUPLING, COUPLING),
+                          min_size=1, max_size=2),
+       n_bar=st.floats(0.0, 0.5))
+def test_steady_state_populations_are_the_mechanics(mech_dim, photons,
+                                                    couplings, n_bar):
+    # both solvers return the mechanical populations; only the full one
+    # carries the state they come from
+    cfg = SystemConfig(
+        mech_dim=mech_dim, cavity_photons=photons, omega_m_prime=5.0e6,
+        lam=2.0e5, gamma_m=1.0, n_bar=n_bar, kappa=5.0e4,
+        lasers=tuple(LaserParams(g=g, detuning=(-1) ** j * (5.0e6 + 2.0e5 * j))
+                     for j, g in enumerate(couplings)))
+    ss = steady_state_solve(build_full_liouvillian(cfg))
+    diagonal = ss.rho.matrix.diagonal().real
+    traced = diagonal.reshape(ss.rho.dims[0], -1).sum(axis=1)
+    np.testing.assert_allclose(ss.populations, traced, rtol=0, atol=1e-15)
+    assert ss.populations.sum() == pytest.approx(1.0, rel=0, abs=1e-12)
+    assert reduced_steady_populations(cfg, tail_check=False).rho is None
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +758,7 @@ def test_adiabatic_limit_agreement(g_frac, tol):
 
 def evolve(liou, rho0, times):
     """rho(t) = exp(t L) rho0 at evenly spaced times, each of unit trace."""
-    d = liou.space.total_dim
+    d = liou.excitations.size
     vecs = expm_multiply(liou.superoperator, rho0.reshape(-1, order="F"),
                          start=times[0], stop=times[-1], num=len(times),
                          endpoint=True)
@@ -752,8 +775,8 @@ def test_time_evolve_cavity_decay():
                        lam=0.0, gamma_m=0.0, n_bar=0.0, kappa=kappa,
                        lasers=(LaserParams(g=0.0, detuning=0.0),))
     liou = build_full_liouvillian(cfg)
-    space = liou.space
-    rho0 = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    d = liou.excitations.size
+    rho0 = np.zeros((d, d), dtype=complex)
     rho0[1, 1] = 1.0              # |0, 1>: no phonon, one photon
     times = np.linspace(0.0, 3.0 / kappa, 7)
     n_cav = np.kron(np.eye(3), np.diag(np.arange(3.0)))
@@ -788,5 +811,5 @@ def test_two_photons_match_three_levels_per_cavity():
     enr = steady_state_solve(build_full_liouvillian(cfg))
     product = steady_state_solve(kron_liouvillian(cfg, levels=3))
     assert product.rho.matrix.shape == (4 * 27, 4 * 27)
-    p, q = (partial_trace(ss.rho, 0).populations() for ss in (enr, product))
+    p, q = enr.populations, product.populations
     assert np.max(np.abs(p - q)) < 1e-4

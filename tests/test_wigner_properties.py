@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
-from nanomech.fock import DensityMatrix, FockSpace
+from nanomech.fock import DensityMatrix
 from nanomech.observables import (WIGNER_BOUND, wigner_from_density_matrix,
                                   wigner_from_populations, wigner_origin)
 
@@ -36,7 +36,7 @@ def density_matrices(draw, max_dim):
     trace = np.trace(rho).real
     if trace < 1e-6:
         rho, trace = np.eye(d, dtype=complex), d
-    return DensityMatrix(FockSpace(d, "m"), rho / trace)
+    return DensityMatrix((d,), rho / trace)
 
 
 def oracle(rho, alpha, pad=40):
