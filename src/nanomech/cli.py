@@ -30,8 +30,8 @@ from .lindblad import (LaserParams, SolverError, SystemConfig,
                        transition_rates)
 from .observables import (SpectrumInversionError, default_grid,
                           populations_from_spectrum, power_spectrum,
-                          symmetric_grid, wigner_from_populations,
-                          wigner_origin)
+                          sideband_grid, sideband_lines, symmetric_grid,
+                          wigner_from_populations, wigner_origin)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -462,11 +462,20 @@ def run_spectrum(cfg: RunConfig, selftest=False):
     drive_rates = transition_rates(sysc)
     probe_rates = transition_rates(probe_sys)
 
-    n_lines = min(4, sysc.mech_dim - 2)
+    delta, gam = sideband_lines(drive_rates, probe_rates, sysc.gamma_m,
+                                sysc.n_bar, reduced.populations.size)
     span = cfg.simulation.spectrum_span
     if span is None:
-        span = 2.0 * (drive_rates.delta[n_lines - 1] + 3.0 * sysc.lam)
-    freqs = np.linspace(-span / 2.0, span / 2.0, cfg.simulation.spectrum_points)
+        # every line the readout reads, and 3 splittings beyond the outermost
+        span = 2.0 * (np.abs(delta).max() + 3.0 * abs(sysc.lam))
+    elif np.abs(delta).max() > span / 2.0:
+        n = int(np.argmax(np.abs(delta) > span / 2.0)) + 1
+        raise SpectrumInversionError(
+            f"sideband line n={n} at +-{abs(delta[n - 1]):.6e} rad/s lies "
+            f"outside simulation.spectrum_grid.span = {span:.6e} rad/s "
+            f"(+-{span / 2.0:.6e}); widen the span or leave it unset")
+    freqs = sideband_grid(np.concatenate([-delta, delta]), np.tile(gam, 2),
+                          span, cfg.simulation.spectrum_points)
     spec = power_spectrum(
         reduced.populations, drive_rates, probe_rates, 0.0, freqs,
         sysc.gamma_m, sysc.n_bar)

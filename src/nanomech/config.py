@@ -120,7 +120,7 @@ class SimulationSection:
     wigner_half_width: float | None = None
     wigner_points: int = 121
     spectrum_span: float | None = None      # rad/s, centered on the probe
-    spectrum_points: int = 20001
+    spectrum_points: int = 2001         # background; line windows added
     pass_ratio: float = 0.1
     warn_ratio: float = 0.5
 
@@ -399,8 +399,12 @@ CONFIG_SCHEMA = {
         "cavity_photons": ">= 1 (default 1): photons in all cavities together",
         "wigner_grid": {"half_width": "bare number > 0",
                         "points": "odd integer >= 3"},
-        "spectrum_grid": {"span": "frequency around the probe, > 0",
-                          "points": "integer >= 3"},
+        "spectrum_grid": {"span": "frequency around the probe, > 0; "
+                                  "default: the outermost line + 3 lambda",
+                          "points": "integer >= 3 (default 2001): evenly "
+                                    "spaced background points; a window "
+                                    "of Gamma_n/10 steps is added around "
+                                    "each sideband line"},
         "regime_thresholds": {"pass": 0.1, "warn": 0.5},
     },
     "output": {"directory": "path"},

@@ -207,6 +207,50 @@ def linewidths(rates: RateTable, gamma_m: float, n_bar: float,
     return out[1:k] + out[:n_max]
 
 
+def sideband_lines(drive_rates: RateTable, probe_rates: RateTable,
+                   gamma_m: float, n_bar: float, n_levels: int):
+    """Offsets delta_n from the probe and widths Gamma_n of the sideband
+    lines n = 1..n_lines that power_spectrum draws for n_levels populations,
+    n_lines = min(n_levels - 1, probe n_max, drive n_max - 1)."""
+    n_lines = min(n_levels - 1, probe_rates.n_max, drive_rates.n_max - 1)
+    gam = linewidths(drive_rates, gamma_m, n_bar, n_max=n_lines,
+                     probe_rates=probe_rates)
+    return drive_rates.delta[:n_lines], gam
+
+
+def sideband_grid(centers, widths, span: float, points: int) -> np.ndarray:
+    """Frequency grid for Lorentzian lines at `centers` with widths Gamma:
+    `points` evenly spaced background values over [-span/2, span/2], and
+    around each line a window spaced Gamma/10 over +-min(4 Gamma, half the
+    distance to the nearest other centre), clipped to the span.  Background
+    values inside a window are dropped, so every window stays evenly spaced,
+    as _interp_peak's three-point formula assumes, and no two windows
+    overlap.  A line inside the span whose neighbours are at least
+    1.2 Gamma away has its Gamma/2 readout window, and one step beyond it,
+    inside its own window.  Returns the sorted union without duplicates."""
+    centers = np.asarray(centers, dtype=float)
+    widths = np.asarray(widths, dtype=float)
+    half = span / 2.0
+    reach = 4.0 * widths
+    if centers.size > 1:
+        order = np.argsort(centers)
+        gaps = np.diff(centers[order])
+        nearest = np.empty_like(centers)
+        nearest[order] = np.minimum(np.append(np.inf, gaps),
+                                    np.append(gaps, np.inf))
+        reach = np.minimum(reach, nearest / 2.0)
+    background = np.linspace(-half, half, points)
+    keep = np.ones(points, dtype=bool)
+    pieces = []
+    for c, r, step in zip(centers, reach, widths / 10.0):
+        keep[np.searchsorted(background, c - r):
+             np.searchsorted(background, c + r, side="right")] = False
+        k = np.floor(r / step)
+        window = c + step * np.arange(-k, k + 1)
+        pieces.append(window[np.abs(window) <= half])
+    return np.unique(np.concatenate([background[keep], *pieces]))
+
+
 def power_spectrum(populations, drive_rates: RateTable,
                    probe_rates: RateTable, omega_probe: float,
                    frequencies: np.ndarray, gamma_m: float,
@@ -218,18 +262,18 @@ def power_spectrum(populations, drive_rates: RateTable,
     The probe's own rates broaden the lines.  The overall scale is
     arbitrary; only ratios are physical."""
     pn = np.asarray(populations, dtype=float)
-    n_lines = min(pn.size - 1, probe_rates.n_max, drive_rates.n_max - 1)
     freqs = np.asarray(frequencies, dtype=float)
-    gam = linewidths(drive_rates, gamma_m, n_bar, n_max=n_lines,
-                     probe_rates=probe_rates)
+    delta, gam = sideband_lines(drive_rates, probe_rates, gamma_m, n_bar,
+                                pn.size)
+    n_lines = gam.size
     a_plus, a_minus = (probe_rates.a_plus.sum(axis=1),
                        probe_rates.a_minus.sum(axis=1))
     values = np.zeros_like(freqs)
     peaks = []
     for n in range(1, n_lines + 1):
         g_n = gam[n - 1]
-        w_plus = omega_probe + drive_rates.delta[n - 1]
-        w_minus = omega_probe - drive_rates.delta[n - 1]
+        w_plus = omega_probe + delta[n - 1]
+        w_minus = omega_probe - delta[n - 1]
         up = n * g_n * a_minus[n - 1] * pn[n]
         lo = n * g_n * a_plus[n - 1] * pn[n - 1]
         values += up / ((freqs - w_plus) ** 2 + g_n**2 / 4.0)

@@ -415,7 +415,80 @@ def test_cli_spectrum_outputs(tmp_path):
     assert peaks["recovered_populations"][1] > 0.9
     spec_lines = (out / "spectrum.csv").read_text().splitlines()
     assert spec_lines[1] == "omega_minus_omegaL,S"
-    assert len(spec_lines) == 2 + 40001
+    # 2,001 background points, less those inside the 12 line windows, plus
+    # the windows' points
+    assert 2001 < len(spec_lines) - 2 <= 3000
+    freqs = np.array([float(line.split(",")[0]) for line in spec_lines[2:]])
+    assert np.all(np.diff(freqs) > 0)
+
+
+def readout_points(count=8, seed=1801):
+    """fig2 and `count` device points drawn in the benchmark readout
+    sweep's ranges: zeta 3.6-4.0, 0.8-1.4 W per drive, 10-40 mK."""
+    rng = np.random.default_rng(seed)
+    points = [None]
+    for _ in range(count):
+        points.append((rng.uniform(3.6, 4.0), rng.uniform(0.8, 1.4),
+                       rng.uniform(10.0, 40.0)))
+    return points
+
+
+@pytest.mark.parametrize("point", readout_points(),
+                         ids=["fig2", *(f"drawn{k}" for k in range(8))])
+def test_cli_spectrum_matches_dense_readout(tmp_path, monkeypatch, point):
+    # the line-window grid reads the same populations and self-test error
+    # as a dense 40,001-point uniform grid over the same span
+    def mutate(raw):
+        if point is not None:
+            zeta, power, temperature = point
+            raw["device"]["softening"]["zeta"] = zeta
+            for drive in raw["device"]["drives"]:
+                drive["power"] = f"{power!r} W"
+            raw["device"]["temperature"] = f"{temperature!r} mK"
+    path = str(write_variant(tmp_path, mutate))
+
+    def readout(name):
+        out = tmp_path / name
+        assert main(["spectrum", "--config", path, "--out", str(out),
+                     "--selftest"]) == EXIT_OK
+        return json.loads((out / "peaks.json").read_text())
+
+    windows = readout("windows")
+    monkeypatch.setattr(cli, "sideband_grid",
+                        lambda _c, _w, span, _p: np.linspace(
+                            -span / 2, span / 2, 40001))
+    dense = readout("dense")
+    np.testing.assert_allclose(windows["recovered_populations"],
+                               dense["recovered_populations"], atol=1e-5)
+    assert windows["selftest_max_error"] == pytest.approx(
+        dense["selftest_max_error"], abs=1e-4)
+
+
+def test_cli_spectrum_line_outside_span(tmp_path, capsys):
+    # +-2.5e7 rad/s misses every line (the first at +-3.37e7); this used to
+    # exit 3 with "refine the frequency grid", which no grid could mend
+    path = write_variant(tmp_path, lambda raw: raw["simulation"].update(
+        spectrum_grid={"span": "5e7 rad/s"}))
+    assert main(["spectrum", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "3.374363e+07" in err[0]
+    assert "simulation.spectrum_grid.span" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_spectrum_default_truncation(tmp_path):
+    # at the default 10 levels the readout reads 8 lines; the default span
+    # used to cover only the first 4 plus 3 lambda and missed line 8
+    path = write_variant(tmp_path, lambda raw: raw["simulation"].pop(
+        "mech_truncation"))
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(path), "--out", str(out),
+                 "--selftest"]) == EXIT_OK
+    peaks = json.loads((out / "peaks.json").read_text())
+    assert max(pk["n"] for pk in peaks["peaks"]) == 8
+    assert len(peaks["recovered_populations"]) == 9
 
 
 def test_cli_sweep_failed_points_set_exit_code(tmp_path, capsys):

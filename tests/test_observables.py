@@ -9,8 +9,9 @@ from nanomech.fock import DensityMatrix
 from nanomech.lindblad import (RateTable, SystemConfig, LaserParams,
                                reduced_steady_populations, transition_rates)
 from nanomech.observables import (WIGNER_BOUND, SpectrumInversionError,
-                                  default_grid, linewidths,
+                                  _interp_peak, default_grid, linewidths,
                                   populations_from_spectrum, power_spectrum,
+                                  sideband_grid, sideband_lines,
                                   wigner_from_density_matrix,
                                   wigner_from_populations, wigner_origin)
 
@@ -334,3 +335,99 @@ def test_interp_peak_needs_grid_points():
                           GAMMA_M, N_BAR)
     with pytest.raises(SpectrumInversionError):
         populations_from_spectrum(spec)
+
+
+# ---------------------------------------------------------------------------
+# the sideband frequency grid
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def line_sets(draw):
+    """Lines in random order, each at least 1.25 of the wider width from its
+    neighbour (so many +-4 Gamma windows overlap), with heights over six
+    decades, and a span whose edge falls within a few widths of one line."""
+    n = draw(st.integers(1, 8))
+    widths = np.array(draw(st.lists(st.floats(1.0, 1e5), min_size=n,
+                                    max_size=n)))
+    mult = draw(st.lists(st.floats(1.25, 12.0), min_size=n - 1,
+                         max_size=n - 1))
+    gaps = np.array(mult) * np.maximum(widths[:-1], widths[1:])
+    centers = draw(st.floats(-1e7, 1e7)) + np.concatenate([[0.0],
+                                                          np.cumsum(gaps)])
+    heights = 10.0 ** np.array(draw(st.lists(st.floats(0.0, 6.0),
+                                             min_size=n, max_size=n)))
+    edge = draw(st.integers(0, n - 1))
+    half = abs(centers[edge]) + draw(st.floats(-2.0, 3.0)) * widths[edge]
+    # a span narrower than a line leaves that line too few points anyway
+    assume(2.0 * half >= widths.max())
+    order = draw(st.permutations(range(n)))
+    return (centers[order], widths[order], heights[order], 2.0 * half,
+            draw(st.integers(3, 500)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(line_sets())
+def test_sideband_grid_properties(lines):
+    centers, widths, heights, span, points = lines
+    f = sideband_grid(centers, widths, span, points)
+    assert np.all(np.diff(f) > 0)
+    assert f[0] >= -span / 2 and f[-1] <= span / 2
+    values = sum(h * (g / 2) ** 2 / ((f - c) ** 2 + (g / 2) ** 2)
+                 for c, g, h in zip(centers, widths, heights))
+    for c, g in zip(centers, widths):
+        step = g / 10
+        tol = 8 * EPS * (abs(c) + g)
+        # evenly spaced over Gamma/2 and one step beyond, on both sides
+        near = f[np.abs(f - c) <= g / 2 + step + tol]
+        assert np.all(np.abs(np.diff(near) - step) <= tol)
+        if abs(c) > span / 2:
+            continue
+        inside = np.flatnonzero(np.abs(f - c) <= g / 2)
+        assert inside.size >= 3
+        # the masked maximum, at the centre or pulled to the edge of the
+        # Gamma/2 mask by a taller neighbour, has evenly spaced neighbours
+        k = inside[np.argmax(values[inside])]
+        if 0 < k < f.size - 1:
+            assert abs(f[k + 1] - f[k] - step) <= tol
+            assert abs(f[k] - f[k - 1] - step) <= tol
+
+
+def test_sideband_grid_peak_at_clipped_window_edge():
+    # a weak line at 0 (Gamma 1) and a line 1e6 times taller 1.3 away
+    # (Gamma 0.9): both windows are clipped to +-0.65, so the weak line's
+    # points stop at 0.6 and the tall one's start at 0.67, and S rises
+    # across the weak line's whole Gamma/2 mask
+    centers, widths = np.array([0.0, 1.3]), np.array([1.0, 0.9])
+    f = sideband_grid(centers, widths, span=10.0, points=11)
+    values = (0.25 / (f ** 2 + 0.25)
+              + 1e6 * 0.2025 / ((f - 1.3) ** 2 + 0.2025))
+    inside = np.flatnonzero(np.abs(f) <= 0.5)
+    k = inside[np.argmax(values[inside])]
+    assert f[k] == pytest.approx(0.5)
+    # the maximum's right neighbour is the clipped window's last point
+    np.testing.assert_allclose(f[k - 1:k + 3] - f[k],
+                               [-0.1, 0.0, 0.1, 1.3 - 7 * 0.09 - 0.5],
+                               atol=1e-12)
+    # the three evenly spaced values lie on the tall line's convex tail, so
+    # the readout keeps the sampled maximum rather than extrapolating
+    y0, y1, y2 = values[k - 1:k + 2]
+    assert y0 - 2 * y1 + y2 > 0
+    assert _interp_peak(f, values, 0.0, 0.5) == y1
+
+
+def test_sideband_grid_from_the_spectrum_lines():
+    # one window per line power_spectrum draws, with its widths
+    drive, probe = probe_system()
+    dr, pr = transition_rates(drive), transition_rates(probe)
+    pn = reduced_steady_populations(drive).populations
+    delta, gam = sideband_lines(dr, pr, GAMMA_M, N_BAR, pn.size)
+    span = 2.0 * (delta[-1] + 3.0 * drive.lam)
+    f = sideband_grid(np.concatenate([-delta, delta]), np.tile(gam, 2),
+                      span, 2001)
+    spec = power_spectrum(pn, dr, pr, 0.0, f, GAMMA_M, N_BAR)
+    assert len(spec.peaks) == 2 * delta.size
+    for pk in spec.peaks:
+        assert pk.linewidth == gam[pk.n - 1]
+        assert np.sum(np.abs(f - pk.position) <= pk.linewidth / 2) >= 9
