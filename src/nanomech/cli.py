@@ -407,7 +407,7 @@ def run_steady(cfg: RunConfig, full=False, compare=False, converge=False):
         reduced = reduced_steady_populations(sysc)
         report = _regime_check(cfg, derived, mech_dim)
     half, points = cfg.simulation.wigner_half_width, cfg.simulation.wigner_points
-    x = (default_grid(mech_dim, points)[0] if half is None
+    x = (default_grid(mech_dim, points) if half is None
          else symmetric_grid(half, points))
     wig = wigner_from_populations(reduced.populations, x, x)
     result = {
@@ -439,9 +439,7 @@ def run_steady(cfg: RunConfig, full=False, compare=False, converge=False):
         result["system"] = sysc
         result["full"] = ss
         if compare:
-            n = min(ss.populations.size, reduced.populations.size)
-            result["compare"] = np.abs(ss.populations[:n]
-                                       - reduced.populations[:n])
+            result["compare"] = np.abs(ss.populations - reduced.populations)
     return result
 
 
@@ -476,9 +474,8 @@ def run_spectrum(cfg: RunConfig, selftest=False):
             f"(+-{span / 2.0:.6e}); widen the span or leave it unset")
     freqs = sideband_grid(np.concatenate([-delta, delta]), np.tile(gam, 2),
                           span, cfg.simulation.spectrum_points)
-    spec = power_spectrum(
-        reduced.populations, drive_rates, probe_rates, 0.0, freqs,
-        sysc.gamma_m, sysc.n_bar)
+    spec = power_spectrum(reduced.populations, drive_rates, probe_rates, freqs,
+                          sysc.gamma_m, sysc.n_bar)
     recovered, sigma = populations_from_spectrum(spec)
     result = {
         "derived": derived, "report": report, "system": sysc,
@@ -488,7 +485,7 @@ def run_spectrum(cfg: RunConfig, selftest=False):
     }
     if selftest:
         p_test = np.array([0.05, 0.9, 0.05])
-        spec_t = power_spectrum(p_test, drive_rates, probe_rates, 0.0, freqs,
+        spec_t = power_spectrum(p_test, drive_rates, probe_rates, freqs,
                                 sysc.gamma_m, sysc.n_bar)
         rec_t, _ = populations_from_spectrum(spec_t, n_levels=2)
         result["selftest_error"] = float(np.max(np.abs(rec_t - p_test)))

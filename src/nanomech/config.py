@@ -113,6 +113,12 @@ def parse_integer(value, path: str, least: int) -> int:
     return int(num)
 
 
+# the largest simulation.wigner_grid.points: `steady` peaks at about 72 B
+# per grid point (tracemalloc, fig2 at 1,001 points: 72 MB), so 7,001 points
+# hold it near 3.5 GB, within the 3.7 GB of a full solve at DEFAULT_NNZ_CAP
+MAX_WIGNER_POINTS = 7001
+
+
 @dataclass(frozen=True)
 class SimulationSection:
     mech_truncation: int = 10
@@ -144,12 +150,18 @@ class RunConfig:
     raw: dict = field(default_factory=dict, repr=False)
 
 
-def _get(d: dict, key: str, path: str, required=True, default=None):
-    if key in d:
-        return d[key]
-    if required:
+def _get(d: dict, key: str, path: str):
+    if key not in d:
         raise ConfigError(f"{path}.{key}", "missing required field")
-    return default
+    return d[key]
+
+
+def _spec(make, path: str, **kwargs):
+    """make(**kwargs), with a DeviceError refused at the config path."""
+    try:
+        return make(**kwargs)
+    except DeviceError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def _quantity(d: dict, key: str, dimension: str, path: str) -> float:
@@ -174,16 +186,14 @@ def _parse_beam(d: dict, path: str) -> BeamSpec:
     if "linear_mass_density" in d:
         kwargs["linear_mass_density"] = _quantity(
             d, "linear_mass_density", "linear_density", path)
-    try:
-        return BeamSpec(**kwargs)
-    except DeviceError as exc:
-        raise ConfigError(path, str(exc)) from None
+    return _spec(BeamSpec, path, **kwargs)
 
 
 def _parse_field_model(d: dict, path: str):
     kind = _get(d, "type", path)
     if kind == "gaussian_tip":
-        return GaussianTipField(
+        return _spec(
+            GaussianTipField, path,
             e_par_peak=_quantity(d, "e_par_peak", "field", path),
             e_perp_peak=parse_quantity(d.get("e_perp_peak", "0 V/m"), "field",
                                        f"{path}.e_perp_peak"),
@@ -203,10 +213,7 @@ def _parse_softening(d: dict, path: str) -> SofteningSpec:
     for key in ("alpha_par", "alpha_perp"):
         if key in d:
             kwargs[key] = _quantity(d, key, "polarizability", path)
-    try:
-        return SofteningSpec(**kwargs)
-    except DeviceError as exc:
-        raise ConfigError(path, str(exc)) from None
+    return _spec(SofteningSpec, path, **kwargs)
 
 
 def _parse_cavity(d: dict, path: str) -> CavitySpec:
@@ -224,19 +231,13 @@ def _parse_cavity(d: dict, path: str) -> CavitySpec:
         # stored as an inverse length; accept a decay length instead
         kwargs["evanescent_decay"] = 1.0 / _quantity(
             d, "evanescent_decay", "length", path)
-    try:
-        return CavitySpec(**kwargs)
-    except DeviceError as exc:
-        raise ConfigError(path, str(exc)) from None
+    return _spec(CavitySpec, path, **kwargs)
 
 
 def _parse_drive(d: dict, path: str) -> DriveSpec:
     det = _get(d, "detuning", path)
     if isinstance(det, str) and "delta_" in det:
-        try:
-            symbolic_detuning(det)
-        except DeviceError as exc:
-            raise ConfigError(f"{path}.detuning", str(exc)) from None
+        _spec(symbolic_detuning, f"{path}.detuning", spec=det)
         detuning = det
     else:
         detuning = parse_quantity(det, "frequency", f"{path}.detuning")
@@ -245,20 +246,15 @@ def _parse_drive(d: dict, path: str) -> DriveSpec:
         detuning=detuning)
     if "laser_frequency" in d:
         kwargs["laser_frequency"] = _quantity(d, "laser_frequency", "frequency", path)
-    try:
-        return DriveSpec(**kwargs)
-    except DeviceError as exc:
-        raise ConfigError(path, str(exc)) from None
+    return _spec(DriveSpec, path, **kwargs)
 
 
 def _parse_electrode(d: dict, path: str) -> ElectrodeSpec:
-    try:
-        return ElectrodeSpec(
-            diameter=_quantity(d, "diameter", "length", path),
-            conductivity_2d=_quantity(d, "conductivity_2d", "conductance", path),
-            misalignment=_quantity(d, "misalignment", "angle", path))
-    except DeviceError as exc:
-        raise ConfigError(path, str(exc)) from None
+    return _spec(
+        ElectrodeSpec, path,
+        diameter=_quantity(d, "diameter", "length", path),
+        conductivity_2d=_quantity(d, "conductivity_2d", "conductance", path),
+        misalignment=_quantity(d, "misalignment", "angle", path))
 
 
 def _parse_simulation(d: dict, path: str) -> SimulationSection:
@@ -276,6 +272,9 @@ def _parse_simulation(d: dict, path: str) -> SimulationSection:
         # an even grid has no point at the origin, where W is most negative
         if kwargs["wigner_points"] % 2 == 0:
             raise ConfigError(f"{path}.wigner_grid.points", "must be odd")
+        if kwargs["wigner_points"] > MAX_WIGNER_POINTS:
+            raise ConfigError(f"{path}.wigner_grid.points",
+                              f"must be <= {MAX_WIGNER_POINTS}")
     sg = d.get("spectrum_grid", {})
     if "span" in sg:
         kwargs["spectrum_span"] = _quantity(sg, "span", "frequency",
@@ -332,8 +331,8 @@ def parse_config(data: dict) -> RunConfig:
     if "electrode" in dev:
         electrode = _parse_electrode(dev["electrode"], "device.electrode")
     simulation = _parse_simulation(data.get("simulation", {}), "simulation")
-    output = OutputSection(
-        directory=data.get("output", {}).get("directory", "out"))
+    output = OutputSection(directory=data.get("output", {}).get(
+        "directory", OutputSection.directory))
     if not isinstance(output.directory, str):
         raise ConfigError("output.directory", "expected a path string")
     return RunConfig(beam=beam, softening=softening, cavity=cavity,
@@ -395,17 +394,21 @@ CONFIG_SCHEMA = {
         "temperature": "e.g. \"20 mK\"",
     },
     "simulation": {
-        "mech_truncation": ">= 3 (default 10)",
-        "cavity_photons": ">= 1 (default 1): photons in all cavities together",
+        "mech_truncation":
+            f">= 3 (default {SimulationSection.mech_truncation})",
+        "cavity_photons": f">= 1 (default {SimulationSection.cavity_photons}"
+                          "): photons in all cavities together",
         "wigner_grid": {"half_width": "bare number > 0",
                         "points": "odd integer >= 3"},
         "spectrum_grid": {"span": "frequency around the probe, > 0; "
                                   "default: the outermost line + 3 lambda",
-                          "points": "integer >= 3 (default 2001): evenly "
-                                    "spaced background points; a window "
-                                    "of Gamma_n/10 steps is added around "
-                                    "each sideband line"},
-        "regime_thresholds": {"pass": 0.1, "warn": 0.5},
+                          "points": "integer >= 3 (default "
+                                    f"{SimulationSection.spectrum_points}): "
+                                    "evenly spaced background points; a "
+                                    "window of Gamma_n/10 steps is added "
+                                    "around each sideband line"},
+        "regime_thresholds": {"pass": SimulationSection.pass_ratio,
+                              "warn": SimulationSection.warn_ratio},
     },
     "output": {"directory": "path"},
 }

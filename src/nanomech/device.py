@@ -330,12 +330,10 @@ def cavity_linewidth(cavity: CavitySpec) -> float:
 
 
 def coupling_G0(cavity: CavitySpec, alpha_par: float, beam_length: float,
-                omega_j: float | None = None) -> float:
+                omega_j: float) -> float:
     """Dispersive frequency pull per deflection (order-of-magnitude estimate)
     for a dielectric beam in the evanescent field of a whispering-gallery
-    mode, including the TE-mode placement correction."""
-    if omega_j is None:
-        omega_j = cavity.resonance_frequency
+    mode driven at omega_j, including the TE-mode placement correction."""
     kp = cavity.kappa_perp
     correction = 0.17 / np.sqrt(kp * (cavity.gap + cavity.waist))
     return (omega_j
@@ -359,7 +357,7 @@ def enhanced_coupling(g0: float, alpha: complex, x_zpm: float) -> complex:
 
 
 def degraded_finesse(cavity: CavitySpec, electrode: ElectrodeSpec,
-                     photon_number: float = 0.0, omega_L: float | None = None):
+                     omega_L: float, photon_number: float = 0.0):
     """Finesse after electrode absorption.
 
     Returns (finesse, absorption_ratio Pa/Pc, absorbed_power) where the
@@ -372,8 +370,6 @@ def degraded_finesse(cavity: CavitySpec, electrode: ElectrodeSpec,
              * np.exp(-2.0 * kp * cavity.gap)
              * np.sin(electrode.misalignment))
     finesse = 1.0 / (1.0 / cavity.bare_finesse + ratio / 2.0)
-    if omega_L is None:
-        omega_L = cavity.resonance_frequency
     circulating = photon_number * hbar * omega_L * C_LIGHT / (
         cavity.refractive_index * cavity.round_trip_length)
     return finesse, ratio, ratio * circulating
@@ -521,8 +517,8 @@ class ValidationReport:
         }
 
 
-def regime_check(derived: DerivedParams, n_max: int,
-                 pass_ratio: float = 0.1, warn_ratio: float = 0.5) -> ValidationReport:
+def regime_check(derived: DerivedParams, n_max: int, pass_ratio: float,
+                 warn_ratio: float) -> ValidationReport:
     """Evaluate the validity inequalities of the model; each 'much less than'
     is graded by the ratio of the two sides (<= pass_ratio passes,
     <= warn_ratio warns, above fails)."""

@@ -96,7 +96,7 @@ class SystemConfig:
 
     @classmethod
     def from_derived(cls, derived, mech_dim: int,
-                     cavity_photons: int = 1) -> "SystemConfig":
+                     cavity_photons: int) -> "SystemConfig":
         lasers = tuple(LaserParams(g=l.g, detuning=l.detuning)
                        for l in derived.lasers)
         return cls(mech_dim=mech_dim, cavity_photons=cavity_photons,
@@ -330,8 +330,7 @@ def _estimate_nnz(config: SystemConfig) -> int:
             + 2 * k * (mech * lit) ** 2 + 4 * ((mech - 1) * block) ** 2)
 
 
-def build_full_liouvillian(config: SystemConfig,
-                           nnz_cap: int = DEFAULT_NNZ_CAP) -> Liouvillian:
+def build_full_liouvillian(config: SystemConfig) -> Liouvillian:
     """Sparse superoperator L for the full master equation: coherent part plus
     cavity decay and the thermal mechanical dissipator.
 
@@ -345,9 +344,9 @@ def build_full_liouvillian(config: SystemConfig,
     state whenever the chain has one, also at gamma_m = 0, where L with
     g_j = 0 alone would be singular."""
     est = _estimate_nnz(config)
-    if est > nnz_cap:
-        raise MemoryError(
-            f"estimated superoperator nonzeros {est} exceed cap {nnz_cap}")
+    if est > DEFAULT_NNZ_CAP:
+        raise MemoryError(f"estimated superoperator nonzeros {est} exceed "
+                          f"cap {DEFAULT_NNZ_CAP}")
     table, energy, coupling, b, cavities = _hamiltonian_parts(config)
 
     def scaled(op, rate):

@@ -32,7 +32,6 @@ class WignerData:
     values: np.ndarray          # shape (len(p), len(x))
     origin_value: float
     min_value: float
-    min_location: tuple[float, float]
 
     def grid_integral(self) -> float:
         return float(np.trapezoid(np.trapezoid(self.values, self.x, axis=1), self.p))
@@ -53,7 +52,6 @@ class SpectrumData:
     frequencies: np.ndarray
     values: np.ndarray
     peaks: tuple[SpectrumPeak, ...]
-    omega_probe: float
     resolvable: bool
     probe_resonant: bool = True
 
@@ -127,11 +125,9 @@ def _wigner_data(diagonals, x, p, check_norm) -> WignerData:
     if not np.isfinite(w).all():
         raise SolverError(f"Wigner series overflows at {np.sum(~np.isfinite(w))}"
                           f" of {w.size} grid points")
-    idx = np.unravel_index(np.argmin(w), w.shape)
-    data = WignerData(
-        x=x, p=p, values=w, origin_value=wigner_origin(diagonals[0]),
-        min_value=float(w[idx]),
-        min_location=(float(x[idx[1]]), float(p[idx[0]])))
+    data = WignerData(x=x, p=p, values=w,
+                      origin_value=wigner_origin(diagonals[0]),
+                      min_value=float(w.min()))
     if check_norm:
         norm = data.grid_integral()
         if abs(norm - 1.0) > 1e-3:
@@ -175,18 +171,16 @@ def symmetric_grid(half_width: float, points: int) -> np.ndarray:
     return x / 2 - x[::-1] / 2
 
 
-def default_grid(mech_dim: int, points: int = 121):
-    """Antisymmetric quadrature grid (see symmetric_grid) wide enough for the
-    normalization check; x and p are equal."""
-    x = symmetric_grid(4.0 + np.sqrt(mech_dim), points)
-    return x, x.copy()
+def default_grid(mech_dim: int, points: int) -> np.ndarray:
+    """Antisymmetric quadrature grid (see symmetric_grid) for x and p alike,
+    wide enough for the normalization check."""
+    return symmetric_grid(4.0 + np.sqrt(mech_dim), points)
 
 
 # ---------------------------------------------------------------------------
 # spectra
 
-def linewidths(rates: RateTable, gamma_m: float, n_bar: float,
-               n_max: int | None = None,
+def linewidths(rates: RateTable, gamma_m: float, n_bar: float, n_max: int,
                probe_rates: RateTable | None = None) -> np.ndarray:
     """Sideband linewidths Gamma_n for n = 1..n_max:
     Gamma_n = n [A-^n + A+^n + gamma (2 n_bar + 1)]
@@ -194,8 +188,6 @@ def linewidths(rates: RateTable, gamma_m: float, n_bar: float,
             + (n+1) [A+^(n+1) + gamma n_bar]
     with A summed over all lasers (and the probe when supplied), i.e. the
     sum of the chain's total rates out of levels n and n-1."""
-    if n_max is None:
-        n_max = rates.n_max - 1
     if n_max + 1 > rates.n_max:
         raise ValueError("rate table must cover n_max + 1")
     k = n_max + 1
@@ -252,11 +244,10 @@ def sideband_grid(centers, widths, span: float, points: int) -> np.ndarray:
 
 
 def power_spectrum(populations, drive_rates: RateTable,
-                   probe_rates: RateTable, omega_probe: float,
-                   frequencies: np.ndarray, gamma_m: float,
-                   n_bar: float) -> SpectrumData:
-    """Probe output sideband spectrum: a Lorentzian pair at w_L +- delta_n per
-    phonon line,
+                   probe_rates: RateTable, frequencies: np.ndarray,
+                   gamma_m: float, n_bar: float) -> SpectrumData:
+    """Probe output sideband spectrum, at frequencies measured from the probe
+    laser w_L: a Lorentzian pair at w_n+- = +-delta_n per phonon line,
     S(w) = sum_n n Gamma_n [A-^n P_n / ((w - w_n+)^2 + Gamma_n^2/4)
                           + A+^n P_(n-1) / ((w - w_n-)^2 + Gamma_n^2/4)].
     The probe's own rates broaden the lines.  The overall scale is
@@ -272,8 +263,7 @@ def power_spectrum(populations, drive_rates: RateTable,
     peaks = []
     for n in range(1, n_lines + 1):
         g_n = gam[n - 1]
-        w_plus = omega_probe + delta[n - 1]
-        w_minus = omega_probe - delta[n - 1]
+        w_plus, w_minus = delta[n - 1], -delta[n - 1]
         up = n * g_n * a_minus[n - 1] * pn[n]
         lo = n * g_n * a_plus[n - 1] * pn[n - 1]
         values += up / ((freqs - w_plus) ** 2 + g_n**2 / 4.0)
@@ -298,8 +288,7 @@ def power_spectrum(populations, drive_rates: RateTable,
         warnings.warn(f"probe rate asymmetry {asym:.3f}: probe is not "
                       "resonant, peak ratios are biased", stacklevel=2)
     return SpectrumData(frequencies=freqs, values=values, peaks=tuple(peaks),
-                        omega_probe=omega_probe, resolvable=resolvable,
-                        probe_resonant=resonant)
+                        resolvable=resolvable, probe_resonant=resonant)
 
 
 def _interp_peak(freqs: np.ndarray, values: np.ndarray, center: float,

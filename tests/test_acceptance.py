@@ -26,7 +26,7 @@ from nanomech.observables import (WIGNER_BOUND, linewidths,
 
 from conftest import (CONFIG_PATH, GAMMA_M, N_BAR, QuadraticTestPotential,
                       quoted_system)
-from test_device import cnt_beam
+from test_device import THRESHOLDS, cnt_beam
 from test_observables import probe_system, spectrum_grid
 
 TWO_PI = 2 * np.pi
@@ -44,7 +44,8 @@ def fig2_derived():
 
 
 def derived_system(derived, mech_dim=8, g_scale=1.0):
-    sysc = SystemConfig.from_derived(derived, mech_dim=mech_dim)
+    sysc = SystemConfig.from_derived(derived, mech_dim=mech_dim,
+                                     cavity_photons=1)
     if g_scale != 1.0:
         lasers = tuple(dataclasses.replace(l, g=g_scale * l.g)
                        for l in sysc.lasers)
@@ -152,7 +153,7 @@ def test_criterion_6_spectrum_round_trip():
     for pn in ([0.05, 0.90, 0.05], [0.6, 0.25, 0.1, 0.05],
                [0.1, 0.3, 0.35, 0.15, 0.1]):
         pn = np.array(pn)
-        spec = power_spectrum(pn, drive_rates, probe_rates, 0.0, freqs,
+        spec = power_spectrum(pn, drive_rates, probe_rates, freqs,
                               GAMMA_M, N_BAR)
         rec, _ = populations_from_spectrum(spec, n_levels=pn.size - 1)
         worst = max(worst, float(np.max(np.abs(rec - pn))))
@@ -192,7 +193,7 @@ def test_criterion_7_softening_boundary():
 
 def test_criterion_8_regime_validator():
     derived, _ = fig2_derived()
-    base = regime_check(derived, n_max=8)
+    base = regime_check(derived, n_max=8, **THRESHOLDS)
 
     def mutate(**kwargs):
         lasers = derived.lasers
@@ -201,7 +202,8 @@ def test_criterion_8_regime_validator():
             lasers = tuple(dataclasses.replace(l, g=scale * l.g)
                            for l in lasers)
         return regime_check(dataclasses.replace(derived, lasers=lasers,
-                                                **kwargs), n_max=8)
+                                                **kwargs), n_max=8,
+                            **THRESHOLDS)
 
     failing = lambda rep: {c.name for c in rep.checks if c.status == "fail"}
     rep_kappa = mutate(kappa=derived.omega_m)

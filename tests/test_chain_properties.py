@@ -94,10 +94,11 @@ def three_term_linewidths(table, gamma_m, n_bar, probe=None):
 def test_linewidths_match_three_term_formula(chain, data):
     table, gamma_m, n_bar = chain
     probe = data.draw(rate_tables(table.n_max, n_lasers=1))
-    np.testing.assert_allclose(linewidths(table, gamma_m, n_bar),
+    n_max = table.n_max - 1
+    np.testing.assert_allclose(linewidths(table, gamma_m, n_bar, n_max),
                                three_term_linewidths(table, gamma_m, n_bar),
                                rtol=1e-12, atol=0)
     np.testing.assert_allclose(
-        linewidths(table, gamma_m, n_bar, probe_rates=probe),
+        linewidths(table, gamma_m, n_bar, n_max, probe_rates=probe),
         three_term_linewidths(table, gamma_m, n_bar, probe), rtol=1e-12,
         atol=0)

@@ -404,6 +404,25 @@ def test_cli_field_model_failures_are_config_errors(tmp_path, capsys, peak,
     assert [r["exit_code"] for r in rows] == [EXIT_CONFIG] * 2
 
 
+@pytest.mark.parametrize("key, value", [("width", "0 um"),
+                                        ("gradient_scale", "0 nm")])
+def test_cli_field_model_spec_errors_name_their_path(tmp_path, capsys, key,
+                                                     value):
+    def mutate(raw):
+        model = {"type": "gaussian_tip", "e_par_peak": "1.2e7 V/m",
+                 "center": "0.5 um", "width": "50 nm", "gradient_scale": "20 nm"}
+        model[key] = value
+        raw["device"]["softening"] = {"field_model": model,
+                                      "alpha_par": "142 4pi_eps0_A2"}
+    path = write_variant(tmp_path, mutate)
+    assert main(["device", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: device.softening.field_model: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_spectrum_outputs(tmp_path):
     out = tmp_path / "out"
     assert main(["spectrum", "--config", str(CONFIG_PATH),

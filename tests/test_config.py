@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from nanomech.config import (ConfigError, load_config, parse_config,
-                             parse_quantity)
+from nanomech.config import (MAX_WIGNER_POINTS, ConfigError, load_config,
+                             parse_config, parse_quantity)
 from nanomech.device import POLARIZABILITY_UNIT, GaussianTipField
 
 TWO_PI = 2 * np.pi
@@ -132,6 +132,7 @@ def test_invalid_truncations(headline_config_dict):
 @pytest.mark.parametrize("grid, key, value", [
     ("wigner_grid", "points", 0), ("wigner_grid", "points", -3),
     ("wigner_grid", "points", 2), ("wigner_grid", "points", 100),
+    ("wigner_grid", "points", MAX_WIGNER_POINTS + 2),
     ("wigner_grid", "half_width", 0),
     ("wigner_grid", "half_width", -7), ("spectrum_grid", "points", 0),
     ("spectrum_grid", "span", "0 Hz"), ("spectrum_grid", "span", "-1 MHz"),
@@ -144,6 +145,13 @@ def test_invalid_grid_fields(headline_config_dict, grid, key, value):
     with pytest.raises(ConfigError) as exc:
         parse_config(raw)
     assert exc.value.path == f"simulation.{grid}.{key}"
+
+
+def test_wigner_grid_points_bound_parses(headline_config_dict):
+    # one past the bound is refused above; neither grid is allocated
+    raw = json.loads(json.dumps(headline_config_dict))
+    raw["simulation"]["wigner_grid"]["points"] = MAX_WIGNER_POINTS
+    assert parse_config(raw).simulation.wigner_points == MAX_WIGNER_POINTS
 
 
 @pytest.mark.parametrize("section,key", [

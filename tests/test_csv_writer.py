@@ -193,7 +193,7 @@ def test_wigner_columns_layout_on_asymmetric_grid():
     p = np.array([-1.0, 0.5, 4.0])
     values = rng.standard_normal((x.size, p.size)).T   # (len(p), len(x)), F order
     wig = WignerData(x=x, p=p, values=values, origin_value=0.0,
-                     min_value=float(values.min()), min_location=(0.0, 0.0))
+                     min_value=float(values.min()))
     xs, ps, ws = (table[index] for table, index in _wigner_columns(wig))
     assert len(xs) == len(ps) == len(ws) == x.size * p.size
     for k in range(x.size * p.size):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.constants import hbar, k as kB
 
+from nanomech.config import SimulationSection
 from nanomech.device import (POLARIZABILITY_UNIT, BeamSpec, BucklingError,
                              CavitySpec, DeviceError, DriveSpec,
                              ElectrodeSpec, GaussianTipField, SofteningSpec,
@@ -220,8 +221,10 @@ def test_cavity_linewidth_finesse_scaling():
 
 def test_coupling_vanishes_far_from_surface():
     cav = toroid_cavity()
-    near = coupling_G0(cav, 142 * POLARIZABILITY_UNIT, 1e-6)
-    far = coupling_G0(toroid_cavity(gap=1e-6), 142 * POLARIZABILITY_UNIT, 1e-6)
+    wl = cav.resonance_frequency
+    near = coupling_G0(cav, 142 * POLARIZABILITY_UNIT, 1e-6, wl)
+    far = coupling_G0(toroid_cavity(gap=1e-6), 142 * POLARIZABILITY_UNIT,
+                      1e-6, wl)
     assert near > 0
     # exp(-2 kappa_perp d) suppression: ~5 orders of magnitude over ~1 um
     assert far < 1e-4 * near
@@ -234,7 +237,8 @@ def test_enhanced_coupling_reference_magnitude():
     beam = cnt_beam()
     wm = base_frequency(beam) / 4.0
     x = zero_point_motion(beam.mass, wm)
-    g0 = coupling_G0(cav, 142 * POLARIZABILITY_UNIT, beam.length)
+    g0 = coupling_G0(cav, 142 * POLARIZABILITY_UNIT, beam.length,
+                     cav.resonance_frequency)
     drive = DriveSpec(input_power=1.2, detuning=0.0)
     alpha = cavity_amplitude(drive, wm, cavity_linewidth(cav), 0.1,
                              cav.resonance_frequency)
@@ -246,8 +250,8 @@ def test_enhanced_coupling_reference_magnitude():
 def test_enhanced_coupling_power_scaling():
     cav = toroid_cavity()
     kap = cavity_linewidth(cav)
-    g0 = coupling_G0(cav, 142 * POLARIZABILITY_UNIT, 1e-6)
     wl = cav.resonance_frequency
+    g0 = coupling_G0(cav, 142 * POLARIZABILITY_UNIT, 1e-6, wl)
     a1 = cavity_amplitude(DriveSpec(1.0, 0.0), 1e6, kap, 0.1, wl)
     a4 = cavity_amplitude(DriveSpec(4.0, 0.0), 1e6, kap, 0.1, wl)
     g1, g4 = (enhanced_coupling(g0, a, 1e-12) for a in (a1, a4))
@@ -267,13 +271,13 @@ def test_cavity_photon_number_on_resonance():
 def test_degraded_finesse_limits():
     cav = toroid_cavity()
     clean = ElectrodeSpec(diameter=10e-9, conductivity_2d=0.0, misalignment=0.0)
-    f_clean, ratio, _ = degraded_finesse(cav, clean)
+    f_clean, ratio, _ = degraded_finesse(cav, clean, cav.resonance_frequency)
     assert f_clean == pytest.approx(cav.bare_finesse)
     assert ratio == 0.0
     lossy = ElectrodeSpec(diameter=10e-9, conductivity_2d=2e-5,
                           misalignment=np.pi / 180.0)
-    f_lossy, ratio_l, absorbed = degraded_finesse(cav, lossy,
-                                                  photon_number=1e9)
+    f_lossy, ratio_l, absorbed = degraded_finesse(
+        cav, lossy, cav.resonance_frequency, photon_number=1e9)
     assert 0 < f_lossy <= cav.bare_finesse
     assert ratio_l > 0
     assert absorbed > 0
@@ -348,13 +352,18 @@ def test_delta_n_validation(reference_derived):
         reference_derived.delta_n(0)
 
 
+# the regime thresholds of a config that sets none
+THRESHOLDS = dict(pass_ratio=SimulationSection.pass_ratio,
+                  warn_ratio=SimulationSection.warn_ratio)
+
+
 def check(report, name):
     """The regime check of `report` called `name`."""
     return next(c for c in report.checks if c.name == name)
 
 
 def test_regime_report_reference_point(reference_derived):
-    report = regime_check(reference_derived, n_max=8)
+    report = regime_check(reference_derived, n_max=8, **THRESHOLDS)
     assert report.ok
     assert not check(report, "resolved_sideband").status == "fail"
     assert check(report, "resolved_sideband").ratio == pytest.approx(
@@ -366,9 +375,10 @@ def test_regime_report_reference_point(reference_derived):
 def test_regime_report_truncation_dependence(reference_derived):
     # the rotating-wave ratio grows as n^2; a generous truncation pushes it
     # past the failure threshold
-    assert check(regime_check(reference_derived, n_max=6), "rwa").ratio == \
-        pytest.approx(0.25, abs=0.02)
-    assert check(regime_check(reference_derived, n_max=12), "rwa").status == "fail"
+    assert check(regime_check(reference_derived, n_max=6, **THRESHOLDS),
+                 "rwa").ratio == pytest.approx(0.25, abs=0.02)
+    assert check(regime_check(reference_derived, n_max=12, **THRESHOLDS),
+                 "rwa").status == "fail"
 
 
 def test_regime_check_thresholds(reference_derived):
@@ -381,7 +391,7 @@ def test_regime_check_thresholds(reference_derived):
 
 
 def test_report_serialization(reference_derived):
-    d = regime_check(reference_derived, n_max=8).to_dict()
+    d = regime_check(reference_derived, n_max=8, **THRESHOLDS).to_dict()
     assert set(c["name"] for c in d["checks"]) == {
         "rwa", "resolved_sideband", "backaction_dominance",
         "adiabatic_elimination", "strong_nonlinearity"}

@@ -340,16 +340,17 @@ def test_liouvillian_preserves_hermiticity(rng):
     np.testing.assert_allclose(dm, dm.conj().T, atol=1e-6 * abs(dm).max())
 
 
-def test_liouvillian_memory_guard():
-    cfg = quoted_system(mech_dim=8)
-    with pytest.raises(MemoryError):
-        build_full_liouvillian(cfg, nnz_cap=1000)
+def test_liouvillian_memory_guard(monkeypatch):
     # steady --full --converge can reach fig2 at 256 levels and 2 photons:
     # 1.1e8 nonzeros, about 10 GB, is refused up front; 128 levels (2.7e7,
     # about 2.5 GB) is not
     cap = lindblad.DEFAULT_NNZ_CAP
     assert lindblad._estimate_nnz(quoted_system(256, cavity_photons=2)) > cap
     assert lindblad._estimate_nnz(quoted_system(128, cavity_photons=2)) <= cap
+    # the cap is read when the Liouvillian is built
+    monkeypatch.setattr(lindblad, "DEFAULT_NNZ_CAP", 1000)
+    with pytest.raises(MemoryError, match="exceed cap 1000"):
+        build_full_liouvillian(quoted_system(mech_dim=8))
 
 
 def test_closed_system_spectrum_is_imaginary():

@@ -44,7 +44,6 @@ def test_single_phonon_origin():
     w = wigner_from_populations([0.0, 1.0], x, p)
     assert w.origin_value == pytest.approx(-WIGNER_BOUND, rel=1e-12)
     assert w.min_value == pytest.approx(-WIGNER_BOUND, rel=1e-6)
-    assert w.min_location == (pytest.approx(0.0), pytest.approx(0.0))
     assert w.grid_integral() == pytest.approx(1.0, abs=1e-6)
 
 
@@ -143,11 +142,10 @@ def test_coarse_grid_warns():
 
 
 def test_default_grid_scales_with_truncation():
-    x8, p8 = default_grid(8)
-    x32, _ = default_grid(32)
+    x8 = default_grid(8, 121)
+    x32 = default_grid(32, 121)
     assert x8[-1] == pytest.approx(4.0 + np.sqrt(8.0))
     assert x32[-1] > x8[-1]
-    assert np.array_equal(x8, p8)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +200,7 @@ def test_spectrum_peak_positions_and_pairing():
     pn = reduced_steady_populations(drive).populations
     freqs = spectrum_grid(drive)
     spec = power_spectrum(pn, transition_rates(drive),
-                          transition_rates(probe), 0.0, freqs,
+                          transition_rates(probe), freqs,
                           GAMMA_M, N_BAR)
     assert spec.resolvable and spec.probe_resonant
     pk1p = spec.peak(1, "+")
@@ -221,7 +219,7 @@ def test_spectrum_resonant_ratio_equals_population_ratio():
     pn = np.array([0.15, 0.60, 0.25])
     freqs = spectrum_grid(drive)
     spec = power_spectrum(pn, transition_rates(drive),
-                          transition_rates(probe), 0.0, freqs,
+                          transition_rates(probe), freqs,
                           GAMMA_M, N_BAR)
     pk = spec.peak(1, "+")
     qk = spec.peak(1, "-")
@@ -236,9 +234,9 @@ def test_spectrum_linearity_in_populations():
     dr, pr = transition_rates(drive), transition_rates(probe)
     p1 = np.array([0.7, 0.2, 0.1, 0.0, 0.0, 0.0])
     p2 = np.array([0.1, 0.3, 0.4, 0.15, 0.05, 0.0])
-    s1 = power_spectrum(p1, dr, pr, 0.0, freqs, GAMMA_M, N_BAR).values
-    s2 = power_spectrum(p2, dr, pr, 0.0, freqs, GAMMA_M, N_BAR).values
-    s12 = power_spectrum(0.5 * (p1 + p2), dr, pr, 0.0, freqs,
+    s1 = power_spectrum(p1, dr, pr, freqs, GAMMA_M, N_BAR).values
+    s2 = power_spectrum(p2, dr, pr, freqs, GAMMA_M, N_BAR).values
+    s12 = power_spectrum(0.5 * (p1 + p2), dr, pr, freqs,
                          GAMMA_M, N_BAR).values
     np.testing.assert_allclose(s12, 0.5 * (s1 + s2), rtol=1e-12)
 
@@ -249,7 +247,7 @@ def test_lorentzian_peak_area():
     pn = np.array([0.0, 1.0, 0.0])
     freqs = spectrum_grid(drive, n_lines=2, points=200001)
     spec = power_spectrum(pn, transition_rates(drive),
-                          transition_rates(probe), 0.0, freqs,
+                          transition_rates(probe), freqs,
                           GAMMA_M, N_BAR)
     pk = spec.peak(1, "+")
     mask = np.abs(freqs - pk.position) < 60.0 * pk.linewidth
@@ -269,7 +267,7 @@ def test_overlapping_lines_flagged():
     freqs = spectrum_grid(squeezed, n_lines=2, points=10001)
     with pytest.warns(UserWarning, match="overlap"):
         spec = power_spectrum(pn, transition_rates(squeezed),
-                              transition_rates(probe), 0.0, freqs,
+                              transition_rates(probe), freqs,
                               GAMMA_M, N_BAR)
     assert not spec.resolvable
     with pytest.raises(SpectrumInversionError):
@@ -287,7 +285,7 @@ def test_detuned_probe_flagged():
     freqs = spectrum_grid(drive, n_lines=2, points=10001)
     with pytest.warns(UserWarning, match="resonant"):
         spec = power_spectrum(pn, transition_rates(drive),
-                              transition_rates(detuned_probe), 0.0, freqs,
+                              transition_rates(detuned_probe), freqs,
                               GAMMA_M, N_BAR)
     assert not spec.probe_resonant
     with pytest.raises(SpectrumInversionError):
@@ -304,7 +302,7 @@ def test_population_round_trip(pn):
     drive, probe = probe_system()
     freqs = spectrum_grid(drive)
     spec = power_spectrum(pn, transition_rates(drive),
-                          transition_rates(probe), 0.0, freqs,
+                          transition_rates(probe), freqs,
                           GAMMA_M, N_BAR)
     rec, sig = populations_from_spectrum(spec, n_levels=pn.size - 1)
     np.testing.assert_allclose(rec, pn, atol=0.02)
@@ -316,7 +314,7 @@ def test_ground_state_spectrum_has_only_lower_sidebands():
     pn = np.array([1.0, 0.0, 0.0])
     freqs = spectrum_grid(drive, n_lines=2, points=10001)
     spec = power_spectrum(pn, transition_rates(drive),
-                          transition_rates(probe), 0.0, freqs,
+                          transition_rates(probe), freqs,
                           GAMMA_M, N_BAR)
     assert spec.peak(1, "+").height == 0.0
     assert spec.peak(1, "-").height > 0.0
@@ -331,7 +329,7 @@ def test_interp_peak_needs_grid_points():
     delta_2 = transition_rates(drive).delta[1]
     freqs = np.linspace(-2.0 * delta_2, 2.0 * delta_2, 41)
     spec = power_spectrum(pn, transition_rates(drive),
-                          transition_rates(probe), 0.0, freqs,
+                          transition_rates(probe), freqs,
                           GAMMA_M, N_BAR)
     with pytest.raises(SpectrumInversionError):
         populations_from_spectrum(spec)
@@ -426,7 +424,7 @@ def test_sideband_grid_from_the_spectrum_lines():
     span = 2.0 * (delta[-1] + 3.0 * drive.lam)
     f = sideband_grid(np.concatenate([-delta, delta]), np.tile(gam, 2),
                       span, 2001)
-    spec = power_spectrum(pn, dr, pr, 0.0, f, GAMMA_M, N_BAR)
+    spec = power_spectrum(pn, dr, pr, f, GAMMA_M, N_BAR)
     assert len(spec.peaks) == 2 * delta.size
     for pk in spec.peaks:
         assert pk.linewidth == gam[pk.n - 1]

@@ -1,4 +1,5 @@
-"""Every command of the README's "Command line" block runs and exits 0."""
+"""Every command of the README's "Command line" block runs, exits 0 and
+repeats itself byte for byte."""
 
 import re
 import shlex
@@ -9,6 +10,8 @@ import pytest
 from nanomech.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parents[1]
+# the one output README declares volatile
+TIMESTAMP = re.compile(rb'"timestamp_utc": "[^"]*"')
 
 
 def readme_commands():
@@ -29,12 +32,24 @@ def test_readme_block_lists_every_command():
 
 
 @pytest.mark.parametrize("args", readme_commands(), ids=" ".join)
-def test_readme_command_runs(tmp_path, monkeypatch, args):
-    # configs are read from the repository; outputs land in tmp_path
-    monkeypatch.chdir(tmp_path)
-    args = list(args[1:])
-    for flag, where in (("--config", ROOT), ("--out", tmp_path)):
-        if flag in args:
-            i = args.index(flag) + 1
-            args[i] = str(where / args[i])
-    assert main(args) == EXIT_OK
+def test_readme_command_runs(tmp_path, monkeypatch, capsys, args):
+    # configs are read from the repository; each of two runs writes into its
+    # own directory, and both print and write the same bytes apart from the
+    # manifest's timestamp
+    runs = []
+    for run in ("first", "second"):
+        where = tmp_path / run
+        where.mkdir()
+        monkeypatch.chdir(where)
+        argv = list(args[1:])
+        for flag, base in (("--config", ROOT), ("--out", where)):
+            if flag in argv:
+                i = argv.index(flag) + 1
+                argv[i] = str(base / argv[i])
+        assert main(argv) == EXIT_OK
+        files = {str(f.relative_to(where)):
+                 TIMESTAMP.sub(b'"timestamp_utc": ""', f.read_bytes())
+                 for f in where.rglob("*") if f.is_file()}
+        runs.append((capsys.readouterr().out, files))
+    assert runs[0] == runs[1]
+    assert runs[0][0]
