@@ -118,6 +118,11 @@ def parse_integer(value, path: str, least: int) -> int:
 # hold it near 3.5 GB, within the 3.7 GB of a full solve at DEFAULT_NNZ_CAP
 MAX_WIGNER_POINTS = 7001
 
+# the largest simulation.spectrum_grid.points: `spectrum --selftest` peaks at
+# about 36 B per point (tracemalloc, fig2 at 400,001 points: 14.4 MB), so
+# 1e8 points stay near 3.6 GB, within the same 3.7 GB
+MAX_SPECTRUM_POINTS = 100_000_000
+
 
 @dataclass(frozen=True)
 class SimulationSection:
@@ -192,14 +197,14 @@ def _parse_beam(d: dict, path: str) -> BeamSpec:
 def _parse_field_model(d: dict, path: str):
     kind = _get(d, "type", path)
     if kind == "gaussian_tip":
-        return _spec(
-            GaussianTipField, path,
+        kwargs = dict(
             e_par_peak=_quantity(d, "e_par_peak", "field", path),
-            e_perp_peak=parse_quantity(d.get("e_perp_peak", "0 V/m"), "field",
-                                       f"{path}.e_perp_peak"),
             center=_quantity(d, "center", "length", path),
             width=_quantity(d, "width", "length", path),
             gradient_scale=_quantity(d, "gradient_scale", "length", path))
+        if "e_perp_peak" in d:
+            kwargs["e_perp_peak"] = _quantity(d, "e_perp_peak", "field", path)
+        return _spec(GaussianTipField, path, **kwargs)
     raise ConfigError(f"{path}.type", f"unknown field model {kind!r}")
 
 
@@ -282,6 +287,9 @@ def _parse_simulation(d: dict, path: str) -> SimulationSection:
     if "points" in sg:
         kwargs["spectrum_points"] = parse_integer(
             sg["points"], f"{path}.spectrum_grid.points", 3)
+        if kwargs["spectrum_points"] > MAX_SPECTRUM_POINTS:
+            raise ConfigError(f"{path}.spectrum_grid.points",
+                              f"must be <= {MAX_SPECTRUM_POINTS}")
     th = d.get("regime_thresholds", {})
     for key in ("pass", "warn"):
         if key in th:
@@ -324,6 +332,8 @@ def parse_config(data: dict) -> RunConfig:
     drives = tuple(_parse_drive(d, f"device.drives[{i}]")
                    for i, d in enumerate(_get(dev, "drives", "device")))
     temperature = _quantity(dev, "temperature", "temperature", "device")
+    if temperature < 0:
+        raise ConfigError("device.temperature", "must be >= 0")
     probe = None
     if "probe" in dev:
         probe = _parse_drive(dev["probe"], "device.probe")

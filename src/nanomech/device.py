@@ -8,7 +8,7 @@ shape normalized to unit midpoint deflection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import c as C_LIGHT, epsilon_0, hbar, k as K_B
@@ -88,7 +88,7 @@ class SofteningSpec:
     zeta: float | None = None
     field_model: object | None = None
     alpha_par: float | None = None
-    alpha_perp: float | None = None
+    alpha_perp: float = 0.0
 
     def __post_init__(self):
         if (self.zeta is None) == (self.field_model is None):
@@ -147,6 +147,8 @@ class DriveSpec:
     def __post_init__(self):
         if self.input_power < 0:
             raise DeviceError("input_power must be >= 0")
+        if self.laser_frequency is not None and not self.laser_frequency > 0:
+            raise DeviceError("laser_frequency must be > 0")
 
 
 @dataclass(frozen=True)
@@ -220,81 +222,75 @@ def transition_frequency(omega_m_prime: float, lam: float, n):
 # ---------------------------------------------------------------------------
 # electrostatic softening
 
-def _refining_trapz(f, a, b, rel_tol=1e-8, n0=64, max_refine=16):
+# refining trapezoid: starting intervals, doublings, relative tolerance
+QUAD_INTERVALS = 64
+QUAD_DOUBLINGS = 16
+QUAD_REL_TOL = 1e-8
+
+
+def _refining_trapz(f, a, b):
     """Trapezoid quadrature with interval doubling until the relative change
-    drops below rel_tol."""
-    n = n0
+    drops below QUAD_REL_TOL."""
+    n = QUAD_INTERVALS
     y = np.linspace(a, b, n + 1)
     last = np.trapezoid(f(y), y)
-    for _ in range(max_refine):
+    for _ in range(QUAD_DOUBLINGS):
         n *= 2
         y = np.linspace(a, b, n + 1)
         cur = np.trapezoid(f(y), y)
         scale = max(abs(cur), abs(last), 1e-300)
-        if abs(cur - last) / scale <= rel_tol:
+        if abs(cur - last) / scale <= QUAD_REL_TOL:
             return cur
         last = cur
-    raise QuadratureError(
-        f"quadrature did not converge to rel {rel_tol} within {max_refine} refinements")
+    raise QuadratureError(f"quadrature did not converge to rel {QUAD_REL_TOL} "
+                          f"within {QUAD_DOUBLINGS} refinements")
 
 
 def electrostatic_quadratic(field_model, beam: BeamSpec,
-                            alpha_par: float, alpha_perp: float = 0.0):
-    """Linear and quadratic electrostatic coefficients (V_es,1 [N],
-    V_es,2 [N/m]) of the dielectric energy expanded in the midpoint
-    deflection, integrated against the fundamental mode shape.
+                            alpha_par: float, alpha_perp: float) -> float:
+    """Quadratic electrostatic coefficient V_es,2 [N/m] of the dielectric
+    energy expanded in the midpoint deflection, integrated against the
+    fundamental mode shape. (The linear term V_es,1 only shifts the
+    equilibrium and enters no derived parameter.)
 
-    The field model must provide dW_dx(y) and d2W_dx2(y): first and second
-    transverse derivatives of the energy line density
+    The field model must provide d2W_dx2(y): the second transverse
+    derivative of the energy line density
     W = -(alpha_par E_par^2 + alpha_perp E_perp^2)/2 on the beam axis.
     """
     phi = mode_shape(beam)
-    dW = field_model.energy_gradient(alpha_par, alpha_perp)
     d2W = field_model.energy_curvature(alpha_par, alpha_perp)
-    v1 = _refining_trapz(lambda y: dW(y) * phi(y), 0.0, beam.length)
-    v2 = 0.5 * _refining_trapz(lambda y: d2W(y) * phi(y) ** 2, 0.0, beam.length)
-    return float(v1), float(v2)
+    return float(0.5 * _refining_trapz(lambda y: d2W(y) * phi(y) ** 2,
+                                       0.0, beam.length))
 
 
+@dataclass(frozen=True, kw_only=True)
 class GaussianTipField:
     """Parametric tip-electrode field: Gaussian lobe along the beam axis with
     exponential transverse growth toward the electrodes,
-    E(x, y) = E_peak * exp(-(y - y0)^2 / (2 w^2)) * exp(x / x_scale).
+    E(x, y) = E_peak * exp(-(y - y0)^2 / (2 w^2)) * exp(x / gradient_scale).
     """
 
-    def __init__(self, e_par_peak, e_perp_peak, center, width, gradient_scale):
-        if width <= 0 or gradient_scale <= 0:
+    e_par_peak: float                  # V/m
+    center: float                      # m
+    width: float                       # m
+    gradient_scale: float              # m
+    e_perp_peak: float = 0.0           # V/m
+
+    def __post_init__(self):
+        if self.width <= 0 or self.gradient_scale <= 0:
             raise DeviceError("GaussianTipField width and gradient_scale must be > 0")
-        self.e_par_peak = e_par_peak
-        self.e_perp_peak = e_perp_peak
-        self.center = center
-        self.width = width
-        self.x_scale = gradient_scale
 
-    def _envelope2(self, y):
-        return np.exp(-((np.asarray(y, dtype=float) - self.center) ** 2) / self.width**2)
-
-    def _amplitude(self, alpha_par, alpha_perp):
+    def energy_curvature(self, alpha_par, alpha_perp):
         amp = (alpha_par * self.e_par_peak * self.e_par_peak
                + alpha_perp * self.e_perp_peak * self.e_perp_peak)
         if not np.isfinite(amp):
             raise DeviceError("field energy amplitude alpha E^2 is not finite")
-        return amp
-
-    def energy_gradient(self, alpha_par, alpha_perp):
-        amp = self._amplitude(alpha_par, alpha_perp)
-
-        def dW(y):
-            # dW/dx = -amp * env^2 / x_scale (E^2 grows as exp(2x/x_scale))
-            return -amp * self._envelope2(y) / self.x_scale
-
-        return dW
-
-    def energy_curvature(self, alpha_par, alpha_perp):
-        amp = self._amplitude(alpha_par, alpha_perp)
 
         def d2W(y):
-            return -2.0 * amp * self._envelope2(y) / self.x_scale**2
+            # E^2 grows as exp(2x/gradient_scale); this is d2W/dx2 at x = 0
+            env2 = np.exp(-((np.asarray(y, dtype=float) - self.center) ** 2)
+                          / self.width**2)
+            return -2.0 * amp * env2 / self.gradient_scale**2
 
         return d2W
 
@@ -310,10 +306,8 @@ def softened_frequency(beam: BeamSpec, softening: SofteningSpec) -> float:
     w0 = base_frequency(beam)
     if softening.zeta is not None:
         return w0 / softening.zeta
-    _, v2 = electrostatic_quadratic(
-        softening.field_model, beam,
-        softening.alpha_par, softening.alpha_perp or 0.0)
-    v2_abs = abs(v2)
+    v2_abs = abs(electrostatic_quadratic(
+        softening.field_model, beam, softening.alpha_par, softening.alpha_perp))
     crit = buckling_threshold(beam)
     if v2_abs >= crit:
         raise BucklingError(v2_abs, crit)
@@ -413,12 +407,6 @@ class DerivedParams:
     temperature: float
     lasers: tuple[LaserDerived, ...] = ()
 
-    def delta_n(self, n: int) -> float:
-        """Transition frequency between |n-1> and |n> (n >= 1)."""
-        if n < 1:
-            raise DeviceError("delta_n defined for n >= 1")
-        return transition_frequency(self.omega_m_prime, self.lam, n)
-
     @property
     def g_abs_max(self) -> float:
         return max((abs(l.g) for l in self.lasers), default=0.0)
@@ -440,14 +428,6 @@ def symbolic_detuning(spec: str) -> tuple[float, int]:
     return sign, n
 
 
-def resolve_detuning(spec: float | str, derived_delta) -> float:
-    """Resolve a symbolic "+delta_n"/"-delta_n" detuning string."""
-    if not isinstance(spec, str):
-        return float(spec)
-    sign, n = symbolic_detuning(spec)
-    return sign * derived_delta(n)
-
-
 def derive_parameters(beam: BeamSpec, softening: SofteningSpec,
                       cavity: CavitySpec, drives: list[DriveSpec],
                       temperature: float) -> DerivedParams:
@@ -456,12 +436,7 @@ def derive_parameters(beam: BeamSpec, softening: SofteningSpec,
     lam = nonlinearity_per_phonon(beam, wm)
     kappa = cavity_linewidth(cavity)
     x_zpm = zero_point_motion(beam.mass, wm)
-    base = DerivedParams(
-        omega_m0=base_frequency(beam), omega_m=wm, omega_m_prime=wm + lam,
-        lam=lam, beta=duffing_coefficient(beam),
-        gamma_m=wm / beam.quality_factor, kappa=kappa, x_zpm=x_zpm,
-        n_bar=thermal_occupancy(temperature, wm + lam),
-        temperature=temperature)
+    n_bar = thermal_occupancy(temperature, wm + lam)
 
     alpha_par = softening.alpha_par
     if alpha_par is None:
@@ -471,8 +446,13 @@ def derive_parameters(beam: BeamSpec, softening: SofteningSpec,
 
     lasers = []
     for d in drives:
-        omega_L = d.laser_frequency or cavity.resonance_frequency
-        det = resolve_detuning(d.detuning, base.delta_n)
+        omega_L = (cavity.resonance_frequency if d.laser_frequency is None
+                   else d.laser_frequency)
+        if isinstance(d.detuning, str):
+            sign, n = symbolic_detuning(d.detuning)
+            det = sign * transition_frequency(wm + lam, lam, n)
+        else:
+            det = float(d.detuning)
         g0 = coupling_G0(cavity, alpha_par, beam.length, omega_L)
         alpha = cavity_amplitude(d, det, kappa,
                                  cavity.external_coupling_fraction, omega_L)
@@ -481,7 +461,11 @@ def derive_parameters(beam: BeamSpec, softening: SofteningSpec,
             detuning_spec=d.detuning, alpha=alpha,
             photon_number=float(abs(alpha) ** 2), g0=g0,
             g=enhanced_coupling(g0, alpha, x_zpm)))
-    return replace(base, lasers=tuple(lasers))
+    return DerivedParams(
+        omega_m0=base_frequency(beam), omega_m=wm, omega_m_prime=wm + lam,
+        lam=lam, beta=duffing_coefficient(beam),
+        gamma_m=wm / beam.quality_factor, kappa=kappa, x_zpm=x_zpm,
+        n_bar=n_bar, temperature=temperature, lasers=tuple(lasers))
 
 
 # ---------------------------------------------------------------------------

@@ -65,9 +65,6 @@ class QuadraticTestPotential:
     def __init__(self, curvature_coefficient):
         self.c = curvature_coefficient
 
-    def energy_gradient(self, alpha_par, alpha_perp):
-        return lambda y: np.zeros_like(np.asarray(y, dtype=float))
-
     def energy_curvature(self, alpha_par, alpha_perp):
         return lambda y: np.full_like(np.asarray(y, dtype=float), -2.0 * self.c)
 

@@ -1,8 +1,10 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
+from scipy.constants import epsilon_0
 
 from nanomech import cli
 from nanomech.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION,
@@ -420,6 +422,69 @@ def test_cli_field_model_spec_errors_name_their_path(tmp_path, capsys, key,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error: device.softening.field_model: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_field_model_device_run(tmp_path, capsys):
+    # fig2 softened by the tip field instead of zeta
+    def mutate(raw):
+        raw["device"]["softening"] = {
+            "field_model": {"type": "gaussian_tip", "e_par_peak": "6.6e6 V/m",
+                            "e_perp_peak": "1.3e6 V/m", "center": "0.5 um",
+                            "width": "0.2 um", "gradient_scale": "20 nm"},
+            "alpha_par": "142 4pi_eps0_A2", "alpha_perp": "10.9 4pi_eps0_A2"}
+    path = write_variant(tmp_path, mutate)
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["device", "--config", str(path), "--out", str(out)]) \
+            == EXIT_OK
+        runs.append((capsys.readouterr().out,
+                     {f.name: re.sub(rb'"timestamp_utc": "[^"]*"', b"",
+                                     f.read_bytes())
+                      for f in out.iterdir()}))
+    assert runs[0] == runs[1]
+    assert sorted(runs[0][1]) == ["derived.json", "manifest.json"]
+    derived = json.loads(runs[0][1]["derived.json"])
+    # V_es,2 = (1/2) integral d2W/dx2 phi0^2 dy on a fixed fine grid, with
+    # W = -(a_par E_par^2 + a_perp E_perp^2)/2 and E^2 ~ exp(2x/x_s), so
+    # d2W/dx2 = -2 (a_par E_par^2 + a_perp E_perp^2) env^2 / x_s^2
+    length, unit = 1e-6, 4 * np.pi * epsilon_0 * 1e-20
+    y = np.linspace(0.0, length, 400_001)
+    kl = 4.73
+    u = kl * y / length
+    sigma = (np.cosh(kl) - np.cos(kl)) / (np.sinh(kl) - np.sin(kl))
+    phi = (np.cosh(u) - np.cos(u)) - sigma * (np.sinh(u) - np.sin(u))
+    phi /= phi[len(y) // 2]
+    amp = 142 * unit * 6.6e6**2 + 10.9 * unit * 1.3e6**2
+    d2w = -2 * amp * np.exp(-((y - 0.5e-6) ** 2) / 0.2e-6**2) / 20e-9**2
+    v2 = 0.5 * np.trapezoid(d2w * phi**2, y)
+    mass = 0.3965 * 1.8623e-15 * length
+    w0 = derived["omega_m0"]["value"]
+    assert w0 / TWO_PI == pytest.approx(20.62e6, rel=1e-3)
+    assert derived["omega_m"]["value"] == pytest.approx(
+        np.sqrt(w0**2 - 2 * abs(v2) / mass), rel=1e-7)
+    assert derived["omega_m"]["value"] / TWO_PI == pytest.approx(10.3246e6,
+                                                                 rel=1e-5)
+
+
+@pytest.mark.parametrize("frequency", ["0 Hz", "-1 THz"])
+@pytest.mark.parametrize("command, section", [("device", "drives"),
+                                              ("spectrum", "probe")])
+def test_cli_laser_frequency_must_be_positive(tmp_path, capsys, frequency,
+                                              command, section):
+    # 0 Hz used to fall back to the cavity resonance and -1 THz to give
+    # NaN couplings and a regime failure
+    def mutate(raw):
+        drive = raw["device"][section]
+        (drive[0] if section == "drives" else drive)["laser_frequency"] = \
+            frequency
+    path = write_variant(tmp_path, mutate)
+    assert main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    field = "device.drives[0]" if section == "drives" else "device.probe"
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {field}: laser_frequency must be > 0"]
     assert not (tmp_path / "out").exists()
 
 

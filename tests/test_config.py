@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from nanomech.config import (MAX_WIGNER_POINTS, ConfigError, load_config,
-                             parse_config, parse_quantity)
+from nanomech.config import (MAX_SPECTRUM_POINTS, MAX_WIGNER_POINTS,
+                             ConfigError, load_config, parse_config,
+                             parse_quantity)
 from nanomech.device import POLARIZABILITY_UNIT, GaussianTipField
 
 TWO_PI = 2 * np.pi
@@ -135,6 +136,7 @@ def test_invalid_truncations(headline_config_dict):
     ("wigner_grid", "points", MAX_WIGNER_POINTS + 2),
     ("wigner_grid", "half_width", 0),
     ("wigner_grid", "half_width", -7), ("spectrum_grid", "points", 0),
+    ("spectrum_grid", "points", MAX_SPECTRUM_POINTS + 1),
     ("spectrum_grid", "span", "0 Hz"), ("spectrum_grid", "span", "-1 MHz"),
 ])
 def test_invalid_grid_fields(headline_config_dict, grid, key, value):
@@ -152,6 +154,13 @@ def test_wigner_grid_points_bound_parses(headline_config_dict):
     raw = json.loads(json.dumps(headline_config_dict))
     raw["simulation"]["wigner_grid"]["points"] = MAX_WIGNER_POINTS
     assert parse_config(raw).simulation.wigner_points == MAX_WIGNER_POINTS
+
+
+def test_spectrum_grid_points_bound_parses(headline_config_dict):
+    # one past the bound is refused above; no grid is allocated
+    raw = json.loads(json.dumps(headline_config_dict))
+    raw["simulation"]["spectrum_grid"] = {"points": MAX_SPECTRUM_POINTS}
+    assert parse_config(raw).simulation.spectrum_points == MAX_SPECTRUM_POINTS
 
 
 @pytest.mark.parametrize("section,key", [
@@ -200,6 +209,13 @@ def test_field_model_config(headline_config_dict):
     assert isinstance(cfg.softening.field_model, GaussianTipField)
     assert cfg.softening.zeta is None
     assert cfg.softening.field_model.e_par_peak == pytest.approx(1.2e7)
+    assert cfg.softening.field_model.e_perp_peak == pytest.approx(2.35e6)
+    # the transverse terms are optional and default to zero
+    del raw["device"]["softening"]["field_model"]["e_perp_peak"]
+    del raw["device"]["softening"]["alpha_perp"]
+    cfg = parse_config(raw)
+    assert cfg.softening.field_model.e_perp_peak == 0.0
+    assert cfg.softening.alpha_perp == 0.0
 
 
 def test_unknown_field_model(headline_config_dict):
@@ -233,6 +249,18 @@ def test_optional_keys_accepted(headline_config_dict):
     assert cfg.beam.effective_mass == pytest.approx(7.3842e-22)
     assert cfg.drives[0].laser_frequency == pytest.approx(TWO_PI * 272e12)
     assert cfg.probe.laser_frequency == pytest.approx(TWO_PI * 272e12)
+
+
+def test_negative_temperature_names_its_path(headline_config_dict):
+    # used to be refused by the device without a path
+    raw = json.loads(json.dumps(headline_config_dict))
+    raw["device"]["temperature"] = "-5 mK"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert exc.value.path == "device.temperature"
+    assert str(exc.value) == "device.temperature: must be >= 0"
+    raw["device"]["temperature"] = "0 K"
+    assert parse_config(raw).temperature == 0.0
 
 
 def test_evanescent_decay_given_as_length(headline_config_dict):

@@ -12,8 +12,9 @@ from nanomech.device import (POLARIZABILITY_UNIT, BeamSpec, BucklingError,
                              duffing_coefficient, electrostatic_quadratic,
                              enhanced_coupling, mode_shape,
                              mode_shape_integral, nonlinearity_per_phonon,
-                             regime_check, resolve_detuning, softened_frequency,
-                             thermal_occupancy, zero_point_motion)
+                             regime_check, softened_frequency,
+                             symbolic_detuning, thermal_occupancy,
+                             transition_frequency, zero_point_motion)
 
 from conftest import QuadraticTestPotential
 
@@ -131,15 +132,15 @@ def test_quadratic_test_potential_closed_form():
     # W = -c x^2 along the whole beam: V2 = -c * integral(phi^2) exactly
     beam = cnt_beam()
     c = 1.7e-4
-    _, v2 = electrostatic_quadratic(QuadraticTestPotential(c), beam, 0.0)
+    v2 = electrostatic_quadratic(QuadraticTestPotential(c), beam, 0.0, 0.0)
     expected = -c * mode_shape_integral(beam) * beam.length
     assert v2 == pytest.approx(expected, rel=1e-6)
 
 
 def test_gaussian_tip_field_derivatives():
-    # dW/dx and d2W/dx2 of the model against central differences of its
-    # energy line density W = -(a_par E_par^2 + a_perp E_perp^2)/2, with
-    # E = E_peak exp(-(y - y0)^2 / (2 w^2)) exp(x / x_scale), at x = 0
+    # d2W/dx2 of the model against a central difference of its energy line
+    # density W = -(a_par E_par^2 + a_perp E_perp^2)/2, with
+    # E = E_peak exp(-(y - y0)^2 / (2 w^2)) exp(x / gradient_scale), at x = 0
     e_par, e_perp, y0, w, xs = 1.2e7, 2.35e6, 0.5e-6, 0.2e-6, 20e-9
     model = GaussianTipField(e_par_peak=e_par, e_perp_peak=e_perp, center=y0,
                              width=w, gradient_scale=xs)
@@ -151,8 +152,6 @@ def test_gaussian_tip_field_derivatives():
         return -(ap * (e_par * env) ** 2 + aperp * (e_perp * env) ** 2) / 2
 
     h = 1e-3 * xs
-    np.testing.assert_allclose(model.energy_gradient(ap, aperp)(y),
-                               (energy(h) - energy(-h)) / (2 * h), rtol=1e-6)
     np.testing.assert_allclose(
         model.energy_curvature(ap, aperp)(y),
         (energy(h) - 2 * energy(0.0) + energy(-h)) / h**2, rtol=1e-5)
@@ -304,15 +303,12 @@ def test_thermal_occupancy_classical_limit():
 
 
 def test_resolve_detuning():
-    delta = lambda n: 100.0 + 10.0 * (n - 1)
-    assert resolve_detuning("+delta_1", delta) == pytest.approx(100.0)
-    assert resolve_detuning("-delta_3", delta) == pytest.approx(-120.0)
-    assert resolve_detuning("delta_2", delta) == pytest.approx(110.0)
-    assert resolve_detuning(-42.0, delta) == -42.0
-    with pytest.raises(DeviceError):
-        resolve_detuning("+delta_x", delta)
-    with pytest.raises(DeviceError):
-        resolve_detuning("gamma_1", delta)
+    assert symbolic_detuning("+delta_1") == (1.0, 1)
+    assert symbolic_detuning("-delta_3") == (-1.0, 3)
+    assert symbolic_detuning("delta_2") == (1.0, 2)
+    for spec in ("+delta_x", "gamma_1", "delta_0", "-delta_-1"):
+        with pytest.raises(DeviceError):
+            symbolic_detuning(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +336,10 @@ def test_derived_reference_numbers(reference_derived):
 
 def test_derived_detunings_follow_the_ladder(reference_derived):
     d = reference_derived
-    assert d.lasers[0].detuning == pytest.approx(d.delta_n(1))
-    assert d.lasers[1].detuning == pytest.approx(-d.delta_n(2))
-    assert d.lasers[2].detuning == pytest.approx(-d.delta_n(3))
-    np.testing.assert_allclose(np.diff([d.delta_n(n) for n in range(1, 6)]),
-                               d.lam)
-
-
-def test_delta_n_validation(reference_derived):
-    with pytest.raises(DeviceError):
-        reference_derived.delta_n(0)
+    delta = transition_frequency(d.omega_m_prime, d.lam, np.arange(1, 6))
+    # the drives' resolved detunings are the same floats as delta_n
+    assert [l.detuning for l in d.lasers] == [delta[0], -delta[1], -delta[2]]
+    np.testing.assert_allclose(np.diff(delta), d.lam)
 
 
 # the regime thresholds of a config that sets none
