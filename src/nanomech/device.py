@@ -11,9 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C_LIGHT, epsilon_0, hbar, k as K_B
 
 TWO_PI = 2 * np.pi
+
+# CODATA 2022 in SI units, the floats of scipy.constants (written out so that
+# the device model loads without scipy); all but epsilon_0 are exact
+C_LIGHT = 299792458.0                   # m/s
+epsilon_0 = 8.8541878188e-12            # F/m
+hbar = 6.62607015e-34 / TWO_PI          # J s
+K_B = 1.380649e-23                      # J/K
 
 # clamped-clamped fundamental: k*L for the first root of cos(kL)cosh(kL)=1
 CC_WAVENUMBER = 4.73
@@ -61,8 +67,10 @@ class BeamSpec:
     linear_mass_density: float | None = None   # kg/m
 
     def __post_init__(self):
-        for name in ("length", "kappa_tilde", "sound_speed", "quality_factor"):
-            if getattr(self, name) <= 0:
+        for name in ("length", "kappa_tilde", "sound_speed", "quality_factor",
+                     "effective_mass", "linear_mass_density"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
                 raise DeviceError(f"BeamSpec.{name} must be positive")
         if self.effective_mass is None and self.linear_mass_density is None:
             raise DeviceError("need effective_mass or linear_mass_density")
@@ -112,10 +120,13 @@ class CavitySpec:
     evanescent_decay: float | None = None  # 1/m
 
     def __post_init__(self):
-        for name in ("bare_finesse", "round_trip_length", "refractive_index",
-                     "wavelength", "waist", "surface_field_ratio", "gap"):
+        for name in ("bare_finesse", "round_trip_length", "wavelength",
+                     "waist", "surface_field_ratio", "gap"):
             if getattr(self, name) <= 0:
                 raise DeviceError(f"CavitySpec.{name} must be positive")
+        if self.refractive_index <= 1:
+            # the evanescent decay constant is k sqrt(n^2 - 1) (kappa_perp)
+            raise DeviceError("CavitySpec.refractive_index must exceed 1")
         if not 0 < self.external_coupling_fraction <= 1:
             raise DeviceError("external_coupling_fraction must be in (0, 1]")
 
@@ -375,7 +386,11 @@ def thermal_occupancy(temperature: float, omega: float) -> float:
         raise DeviceError("temperature must be >= 0")
     if temperature == 0.0:
         return 0.0
-    return 1.0 / np.expm1(hbar * omega / (K_B * temperature))
+    # k_B T underflowing to 0, or hbar w / k_B T past expm1's range, gives
+    # inf here and the exact limit 0 below
+    with np.errstate(divide="ignore", over="ignore"):
+        boltzmann = np.expm1(np.divide(hbar * omega, K_B * temperature))
+    return 1.0 / boltzmann
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,9 @@ Nation and Nori, Comput. Phys. Commun. 184, 1234 (2013)).  Both generators
 are written by index arithmetic from its occupation table, each entry once
 (_generator): column-stacked, vec(A X B) = (B^T kron A) vec(X), as QuTiP's
 spre/spost.
+
+scipy is imported only inside the functions of the full model, so the
+reduced model and every command that uses only it run without loading it.
 """
 
 from __future__ import annotations
@@ -26,14 +29,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import solve_triangular
 
 from .device import transition_frequency
 from .fock import DensityMatrix, partial_trace
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 TRACE_PRESERVATION_TOL = 1e-10
 # nonzeros of L and M together (_estimate_nnz, a bound fig2 meets exactly):
@@ -226,6 +230,7 @@ def _assemble(slots, m: int, d: int) -> sp.csr_matrix:
     that no sum cancels and the row counts are exact.  Rows are counted
     first and offsets taken in order, so each CSR array is written once,
     sorted; adding 0.0 makes -0.0 parts +0.0."""
+    import scipy.sparse as sp
     merged = {}
     for s, v in slots:
         merged.setdefault(s, []).append(v)
@@ -417,6 +422,7 @@ def level_rates(up: np.ndarray, down: np.ndarray):
 def rate_matrix(up: np.ndarray, down: np.ndarray) -> sp.csr_matrix:
     """Tridiagonal rate matrix Q of the chain (dP/dt = Q P, columns sum to
     zero, -Q_kk = out_k)."""
+    import scipy.sparse as sp
     up_w, down_w, out = level_rates(up, down)
     return sp.diags([up_w, -out, down_w], [-1, 0, 1], format="csr",
                     dtype=complex)
@@ -463,8 +469,19 @@ def reduced_steady_populations(config: SystemConfig,
         raise TruncationError(
             f"top-level population {p[-1]:.3e} is not negligible "
             f"(max {p.max():.3e}); increase the truncation")
-    residual = float(np.linalg.norm(rate_matrix(up, down) @ p.astype(complex)))
-    return SteadyState(populations=p, residual=residual, method="recursion")
+    return SteadyState(populations=p, residual=_chain_residual(up, down, p),
+                       method="recursion")
+
+
+def _chain_residual(up: np.ndarray, down: np.ndarray, p: np.ndarray) -> float:
+    """|Q P| for the chain's rate matrix Q (rate_matrix), row k summed in
+    complex as Q's sparse product sums it, so the float is the same:
+    (k up_k P_(k-1) - out_k P_k) + (k+1) down_(k+1) P_(k+1)."""
+    up_w, down_w, out = level_rates(up, down)
+    q = p.astype(complex)
+    rows = np.append(0.0, up_w * q[:-1]) + (-out) * q
+    rows[:-1] += down_w * q[1:]
+    return float(np.linalg.norm(rows))
 
 
 def _hermitian_coordinates(excitations: np.ndarray):
@@ -476,6 +493,7 @@ def _hermitian_coordinates(excitations: np.ndarray):
     each coordinate its entry's vec index and whether it is an Im part; the
     number of even coordinates; and for each coordinate its index before
     the sort."""
+    import scipy.sparse as sp
     d = excitations.size
     parity = excitations % 2
     i, j = (np.concatenate([np.arange(d), k, k]) for k in np.triu_indices(d, 1))
@@ -494,6 +512,7 @@ def _real_system(lsuper: sp.spmatrix, t, rows, imag, unit: float,
     """The real n x n system of a Lindbladian L in Hermitian coordinates (see
     _hermitian_coordinates): row k is Re of row rows[k] of L T / unit, or Im
     where imag[k], but row 0 is the trace row: `weight` on the diagonal."""
+    import scipy.sparse as sp
     d = math.isqrt(rows.size)
     part = (lsuper @ t).tocsr()[rows[1:]]
     data = np.where(np.repeat(imag[1:], np.diff(part.indptr)), part.data.imag,
@@ -509,6 +528,7 @@ def _parity_blocks(r: sp.csr_matrix, r_m: sp.csr_matrix, even: int):
     """The slices of the coordinates before and after `even`, each with its
     diagonal blocks of R and R_M as CSR views; or all coordinates as one
     block if there is no odd one or R or R_M has an entry across them."""
+    import scipy.sparse as sp
     n, halves = r.shape[0], []
     for a in (r,) if r_m is r else (r, r_m):
         cut = a.indptr[even]
@@ -532,6 +552,7 @@ def _arnoldi_cycle(apply, b: np.ndarray, atol: float, restart: int):
     and the step just taken is exact (|w| fell below eps of |apply(v_j)|)
     or adds nothing (a zero rotation; it is left out).  Returns the
     correction and the number of steps taken."""
+    from scipy.linalg import solve_triangular
     steps = min(restart, b.size)
     v = np.empty((steps + 1, b.size))
     tri = np.zeros((steps, steps))
@@ -625,6 +646,7 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     which runs only then (fig2's states are positive definite).  The state
     is symmetrised, so rho is exactly Hermitian; its residual is in L's
     units, and the populations are its mechanics' (the partial trace)."""
+    import scipy.sparse.linalg as spla
     d, n = liou.excitations.size, liou.dim
     t, rows, imag, even, unsplit = _hermitian_coordinates(liou.excitations)
     big = float(np.abs(liou.superoperator.data).max(initial=0.0))

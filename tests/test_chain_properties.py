@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nanomech import lindblad
-from nanomech.lindblad import (RateTable, SystemConfig, build_reduced_generator,
+from nanomech.lindblad import (RateTable, SystemConfig, _chain_residual,
+                               build_reduced_generator, rate_matrix,
                                reduced_steady_populations)
 from nanomech.observables import linewidths
 
@@ -68,6 +69,23 @@ def test_rate_matrix_annihilates_recursion(chain):
     assert np.linalg.norm(q @ ss.populations) <= 1e-12 * scale
     assert ss.residual <= 1e-12 * scale
     assert np.all(np.abs(q.sum(axis=0)) <= 1e-12 * scale)
+
+
+# the residual is summed without scipy but must stay the same float as |Q P|
+# from the sparse rate matrix, on the recursion's P and on any P
+@settings(max_examples=60, deadline=None)
+@given(chains(), st.data())
+def test_chain_residual_is_rate_matrix_product_bit_for_bit(chain, data):
+    table, gamma_m, n_bar = chain
+    up = table.a_plus.sum(axis=1) + gamma_m * n_bar
+    down = table.a_minus.sum(axis=1) + gamma_m * (n_bar + 1.0)
+    ss, _ = solve_chain(*chain)
+    other = data.draw(arrays(float, up.size + 1, elements=st.one_of(
+        st.just(0.0), st.floats(1e-300, 1e3))))
+    for p in (ss.populations, other):
+        expected = np.linalg.norm(rate_matrix(up, down) @ p.astype(complex))
+        assert _chain_residual(up, down, p).hex() == float(expected).hex()
+    assert ss.residual == _chain_residual(up, down, ss.populations)
 
 
 def three_term_linewidths(table, gamma_m, n_bar, probe=None):

@@ -1,11 +1,16 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.constants import epsilon_0
 
+import nanomech
 from nanomech import cli
 from nanomech.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION,
                           EXIT_REGIME, EXIT_SOLVER, SCHEMA_VERSION,
@@ -404,6 +409,44 @@ def test_cli_field_model_failures_are_config_errors(tmp_path, capsys, peak,
                      ["20 mK", "25 mK"])
     assert [r["error"].split(":")[0] for r in rows] == [error] * 2
     assert [r["exit_code"] for r in rows] == [EXIT_CONFIG] * 2
+
+
+def _effective_mass(raw, value):
+    del raw["device"]["beam"]["linear_mass_density"]
+    raw["device"]["beam"]["effective_mass"] = value
+
+
+@pytest.mark.parametrize("command", ["device", "steady"])
+@pytest.mark.parametrize("mutate, path", [
+    # each used to fail later on a division by zero or a NaN (exit 2 or 4)
+    pytest.param(lambda raw: raw["device"]["beam"].update(
+        linear_mass_density="0 kg/m"), "device.beam", id="linear_mass_density"),
+    pytest.param(lambda raw: _effective_mass(raw, "0 kg"), "device.beam",
+                 id="effective_mass"),
+    pytest.param(lambda raw: raw["device"]["cavity"].update(
+        refractive_index=0.5), "device.cavity", id="refractive_index"),
+])
+def test_cli_nonphysical_device_fields_are_config_errors(tmp_path, capsys,
+                                                         command, mutate, path):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_variant(tmp_path, mutate)),
+                 "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: {path}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["device", "steady"])
+def test_cli_vanishing_temperature_warns_nothing(tmp_path, capsys, command):
+    # k_B T underflows to 0: n_bar is its limit 0, with no RuntimeWarning
+    path = write_variant(tmp_path, lambda raw: raw["device"].update(
+        temperature="1e-300 mK"))
+    assert main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["derived"]["n_bar"]["value"] == 0
 
 
 @pytest.mark.parametrize("key, value", [("width", "0 um"),
@@ -859,3 +902,39 @@ def test_cli_solver_memory_guard_exit_code(tmp_path):
         code = main(["steady", "--config", str(path), "--full",
                      "--out", str(tmp_path / "out")])
     assert code == EXIT_SOLVER
+
+
+# In a fresh interpreter every command runs without loading scipy, but
+# steady --full: only the full model imports it.  The first five commands
+# are the start-up the benchmark's setup_s measures and the readout chain.
+STARTUP_CODE = """
+import contextlib, io, json, sys
+import nanomech.cli as cli
+
+commands = [["device"], ["validate"], ["steady"], ["spectrum", "--selftest"],
+            ["sweep", "--param", "device.softening.zeta",
+             "--values", "3.9", "4.0"], ["steady", "--full"]]
+loaded = []
+for k, (name, *flags) in enumerate(commands):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([name, "--config", sys.argv[1], "--out", f"out{k}",
+                         *flags])
+    loaded.append([" ".join([name, *flags]), code,
+                   sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_full_model_loads_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(nanomech.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", STARTUP_CODE, str(CONFIG_PATH)],
+                         cwd=tmp_path, env=env, capture_output=True, text=True,
+                         check=True)
+    *readout, full = json.loads(out.stdout)
+    assert [(cmd, code) for cmd, code, _ in readout + [full]] == [
+        ("device", EXIT_OK), ("validate", EXIT_OK), ("steady", EXIT_OK),
+        ("spectrum --selftest", EXIT_OK),
+        ("sweep --param device.softening.zeta --values 3.9 4.0", EXIT_OK),
+        ("steady --full", EXIT_OK)]
+    assert [modules for _, _, modules in readout] == [[]] * 5
+    assert "scipy.sparse.linalg" in full[2]

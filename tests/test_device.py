@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.constants
 from scipy.constants import hbar, k as kB
 
+from nanomech import device
 from nanomech.config import SimulationSection
 from nanomech.device import (POLARIZABILITY_UNIT, BeamSpec, BucklingError,
                              CavitySpec, DeviceError, DriveSpec,
@@ -34,6 +36,14 @@ def toroid_cavity(**overrides):
                   external_coupling_fraction=0.1)
     kwargs.update(overrides)
     return CavitySpec(**kwargs)
+
+
+def test_constants_are_scipy_codata():
+    # the literals stand in for scipy.constants and must be the same floats
+    assert device.C_LIGHT == scipy.constants.c
+    assert device.epsilon_0 == scipy.constants.epsilon_0
+    assert device.hbar == scipy.constants.hbar
+    assert device.K_B == scipy.constants.k
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +86,14 @@ def test_effective_mass_consistency_check():
         BeamSpec(length=1.0e-6, kappa_tilde=2.76e-10, sound_speed=21000.0,
                  quality_factor=5e6, effective_mass=1.1 * m_eff,
                  linear_mass_density=mu)
+
+
+@pytest.mark.parametrize("name", ["effective_mass", "linear_mass_density"])
+@pytest.mark.parametrize("value", [0.0, -1e-15])
+def test_beam_mass_fields_must_be_positive(name, value):
+    with pytest.raises(DeviceError, match=f"BeamSpec.{name} must be positive"):
+        BeamSpec(length=1.0e-6, kappa_tilde=2.76e-10, sound_speed=21000.0,
+                 quality_factor=5e6, **{name: value})
 
 
 def test_duffing_coefficient_scaling():
@@ -200,6 +218,13 @@ def test_softening_spec_validation():
 # ---------------------------------------------------------------------------
 # cavity and drives
 
+@pytest.mark.parametrize("index", [1.0, 0.5])
+def test_refractive_index_must_exceed_one(index):
+    # kappa_perp = k sqrt(n^2 - 1) needs n > 1
+    with pytest.raises(DeviceError, match="refractive_index must exceed 1"):
+        toroid_cavity(refractive_index=index)
+
+
 def test_cavity_linewidth_reference():
     assert cavity_linewidth(toroid_cavity()) / TWO_PI == pytest.approx(
         52.3e3, rel=0.05)
@@ -293,6 +318,15 @@ def test_thermal_occupancy():
     assert thermal_occupancy(0.020, w) == pytest.approx(76.1, abs=0.5)
     with pytest.raises(DeviceError):
         thermal_occupancy(-1.0, w)
+
+
+# k_B T underflows to 0 (1e-303 K) or expm1(hbar w / k_B T) overflows
+# (1e-7 K): n_bar is its limit 0, with no RuntimeWarning
+@pytest.mark.parametrize("temperature", [1e-303, 1e-7])
+@pytest.mark.parametrize("w", [TWO_PI * 5.44e6, np.float64(TWO_PI * 5.44e6)],
+                         ids=["float", "float64"])
+def test_thermal_occupancy_vanishing_limit(temperature, w):
+    assert thermal_occupancy(temperature, w) == 0.0
 
 
 def test_thermal_occupancy_classical_limit():
