@@ -71,39 +71,65 @@ SCHEMA_VERSION = "nanomech-files-1"
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
-def _json_fragment(obj, indent):
-    pad = "  " * indent
-    if isinstance(obj, dict):
+_quote = json.encoder.encode_basestring_ascii     # what json.dumps(str) runs
+
+
+def _append_json(obj, newline: str, out: list[str]):
+    """Append the canonical JSON text of `obj` to `out`, its nested lines
+    starting with `newline` (a line break and the indent of `obj`): dicts
+    with sorted keys, floats by `format_float`, complex as {"re", "im"} and
+    other objects as their quoted str.  The exact types that fill the
+    written files are tested first; other dicts and sequences are copied
+    to them."""
+    kind = type(obj)
+    if kind is dict:
         if not obj:
-            return "{}"
-        items = []
+            out.append("{}")
+            return
+        inner, sep = newline + "  ", "{"
         for k in sorted(obj):
-            items.append(f"{pad}  {json.dumps(str(k))}: "
-                         f"{_json_fragment(obj[k], indent + 1)}")
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
+            out += (sep, inner, _quote(str(k)), ": ")
+            _append_json(obj[k], inner, out)
+            sep = ","
+        out += (newline, "}")
+    elif kind is list or kind is tuple:
         if not obj:
-            return "[]"
-        items = [f"{pad}  {_json_fragment(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
-    if isinstance(obj, complex):
-        return _json_fragment({"re": obj.real, "im": obj.imag}, indent)
-    return json.dumps(str(obj))
+            out.append("[]")
+            return
+        inner, sep = newline + "  ", "["
+        for v in obj:
+            out += (sep, inner)
+            _append_json(v, inner, out)
+            sep = ","
+        out += (newline, "]")
+    elif kind is str:
+        out.append(_quote(obj))
+    elif kind is float:
+        out.append(format_float(obj))
+    elif kind is np.float64:
+        out.append(format_float(float(obj)))
+    elif isinstance(obj, dict):
+        _append_json(dict(obj), newline, out)
+    elif isinstance(obj, (list, tuple)):
+        _append_json(list(obj), newline, out)
+    elif isinstance(obj, bool) or obj is None:
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(format_float(float(obj)))
+    elif isinstance(obj, complex):
+        _append_json({"re": obj.real, "im": obj.imag}, newline, out)
+    else:
+        out.append(_quote(str(obj)))
 
 
 def format_float(v: float) -> str:
-    """Fixed 17-significant-digit float formatting for byte-stable outputs."""
-    if v != v:
-        return '"nan"'
-    if v in (float("inf"), float("-inf")):
-        return json.dumps(str(v))
-    return f"{v:.17g}"
+    """Fixed 17-significant-digit float formatting for byte-stable outputs;
+    NaN and the infinities as the JSON strings "nan", "inf" and "-inf"."""
+    if v - v == 0.0:                    # finite
+        return f"{v:.17g}"
+    return '"nan"' if v != v else '"inf"' if v > 0 else '"-inf"'
 
 
 # format_floats writes "%.17g" in numpy.  For a = |v| in FLOAT_RANGE it finds
@@ -246,7 +272,10 @@ def _format_block(values: np.ndarray) -> list[str]:
 
 
 def canonical_json(obj) -> str:
-    return _json_fragment(obj, 0) + "\n"
+    out = []
+    _append_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_json(path: Path, obj):
@@ -355,14 +384,19 @@ def write_csv(path: Path, header: list[str], columns):
             blocks.append((False, c))
     text = np.array(_csv_cells(np.concatenate(tables)) if tables else [],
                     dtype=object)
+    width = 2 * len(blocks)
     with path.open("w") as f:
         f.write(f"# schema: {SCHEMA_VERSION}\n{','.join(header)}\n")
         for start in range(0, len(blocks[0][1]), CSV_BLOCK_ROWS):
             stop = start + CSV_BLOCK_ROWS
-            cells = [text[c[start:stop]] if paired else _csv_cells(c[start:stop])
-                     for paired, c in blocks]
-            f.write("\n".join(map(",".join, zip(*cells, strict=True)))
-                    + "\n")
+            # one string per block: cell, ",", cell, ..., "\n"; a column of
+            # another length does not fit its extended slice (ValueError)
+            flat = [","] * (width * len(blocks[0][1][start:stop]))
+            for j, (paired, c) in enumerate(blocks):
+                flat[2 * j::width] = (text[c[start:stop]].tolist() if paired
+                                      else _csv_cells(c[start:stop]))
+            flat[width - 1::width] = ["\n"] * (len(flat) // width)
+            f.write("".join(flat))
 
 
 # ---------------------------------------------------------------------------
@@ -580,12 +614,16 @@ def cmd_validate(cfg: RunConfig, args) -> int:
 
 def _wigner_columns(wig):
     """The x, p and W columns of wigner.csv as (values, index) pairs,
-    p-major: row k is (x[k % nx], p[k // nx], W[k // nx, k % nx])."""
-    bits, inverse = np.unique(wig.values.ravel().view(np.int64),
+    p-major: row k is (x[k % nx], p[k // nx], W[k // nx, k % nx]).  W's
+    table holds the distinct values of `wig.cells`, when given."""
+    cells, rows, cols = wig.cells or (wig.values, np.arange(wig.p.size),
+                                      np.arange(wig.x.size))
+    bits, inverse = np.unique(cells.ravel().view(np.int64),
                               return_inverse=True)
+    index = inverse.reshape(cells.shape)[np.ix_(rows, cols)].ravel()
     return [(wig.x, np.tile(np.arange(wig.x.size), wig.p.size)),
             (wig.p, np.repeat(np.arange(wig.p.size), wig.x.size)),
-            (bits.view(np.float64), inverse)]
+            (bits.view(np.float64), index)]
 
 
 def cmd_steady(cfg: RunConfig, args) -> int:

@@ -113,6 +113,11 @@ def parse_integer(value, path: str, least: int) -> int:
     return int(num)
 
 
+# the largest simulation.mech_truncation: `spectrum --selftest`, the slowest
+# command that runs at any truncation, took 14 s and 45 MB peak RSS on fig2
+# at 10,000 levels (1.0 s at 1,000); `steady` took 0.24 s there
+MAX_MECH_TRUNCATION = 10_000
+
 # the largest simulation.wigner_grid.points: `steady` peaks at about 72 B
 # per grid point (tracemalloc, fig2 at 1,001 points: 72 MB), so 7,001 points
 # hold it near 3.5 GB, within the 3.7 GB of a full solve at DEFAULT_NNZ_CAP
@@ -267,6 +272,9 @@ def _parse_simulation(d: dict, path: str) -> SimulationSection:
     for key, least in (("mech_truncation", 3), ("cavity_photons", 1)):
         if key in d:
             kwargs[key] = parse_integer(d[key], f"{path}.{key}", least)
+    if kwargs.get("mech_truncation", 0) > MAX_MECH_TRUNCATION:
+        raise ConfigError(f"{path}.mech_truncation",
+                          f"must be <= {MAX_MECH_TRUNCATION}")
     wg = d.get("wigner_grid", {})
     if "half_width" in wg:
         kwargs["wigner_half_width"] = _quantity(

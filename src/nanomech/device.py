@@ -8,6 +8,8 @@ shape normalized to unit midpoint deflection.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,12 @@ class QuadratureError(DeviceError):
     """Quadrature failed to converge within the refinement cap."""
 
 
+def _square_in_range(v: float) -> bool:
+    """Whether v * v is a positive finite double: the model squares lengths
+    and frequencies, and a float's ** raises past the range."""
+    return 0.0 < v * v < math.inf
+
+
 # ---------------------------------------------------------------------------
 # specs
 
@@ -72,6 +80,17 @@ class BeamSpec:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise DeviceError(f"BeamSpec.{name} must be positive")
+        if self.quality_factor < 0.5:
+            raise DeviceError("BeamSpec.quality_factor must be at least 1/2: "
+                              "below it the beam is overdamped")
+        # in Python floats, whose products overflow to inf without a warning
+        c_s, kt = float(self.sound_speed), float(self.kappa_tilde)
+        k = CC_WAVENUMBER / float(self.length)
+        if not all(map(_square_in_range, (k, kt, c_s * kt * k * k))):
+            raise DeviceError(
+                "BeamSpec.length, kappa_tilde and sound_speed put the mode "
+                "frequency c_s kappa_tilde (4.73/L)^2 or a square of them "
+                "outside the float range")
         if self.effective_mass is None and self.linear_mass_density is None:
             raise DeviceError("need effective_mass or linear_mass_density")
         if self.effective_mass is not None and self.linear_mass_density is not None:
@@ -127,6 +146,16 @@ class CavitySpec:
         if self.refractive_index <= 1:
             # the evanescent decay constant is k sqrt(n^2 - 1) (kappa_perp)
             raise DeviceError("CavitySpec.refractive_index must exceed 1")
+        for name in ("refractive_index", "surface_field_ratio"):
+            if not _square_in_range(float(getattr(self, name))):
+                raise DeviceError(f"CavitySpec.{name}: its square overflows")
+        # the coupling divides by eps0 times the mode volume pi waist^2 L
+        waist = float(self.waist)
+        if not (_square_in_range(waist) and 0.0 < epsilon_0 * math.pi * waist
+                * waist * float(self.round_trip_length) < math.inf):
+            raise DeviceError("CavitySpec.waist and round_trip_length put the "
+                              "mode volume pi waist^2 L outside the float "
+                              "range")
         if not 0 < self.external_coupling_fraction <= 1:
             raise DeviceError("external_coupling_fraction must be in (0, 1]")
 
@@ -446,7 +475,26 @@ def symbolic_detuning(spec: str) -> tuple[float, int]:
 def derive_parameters(beam: BeamSpec, softening: SofteningSpec,
                       cavity: CavitySpec, drives: list[DriveSpec],
                       temperature: float) -> DerivedParams:
-    """Full device -> master-equation parameter map."""
+    """Full device -> master-equation parameter map.  Inputs that put a
+    parameter out of the float range are refused, naming the first such
+    parameter; numpy's warnings of the overflow are left out, as the
+    refusal says it."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        derived = _derive(beam, softening, cavity, drives, temperature)
+    lasers = [(l, f"lasers[{j}].") for j, l in enumerate(derived.lasers)]
+    for owner, prefix in [(derived, ""), *lasers]:
+        for name, value in vars(owner).items():
+            if (name not in ("lasers", "detuning_spec")
+                    and not cmath.isfinite(value)):
+                raise DeviceError(
+                    f"derived parameter {prefix}{name} is {value}: the "
+                    "device inputs put it outside the float range")
+    return derived
+
+
+def _derive(beam: BeamSpec, softening: SofteningSpec, cavity: CavitySpec,
+            drives: list[DriveSpec], temperature: float) -> DerivedParams:
+    """derive_parameters, unchecked."""
     wm = softened_frequency(beam, softening)
     lam = nonlinearity_per_phonon(beam, wm)
     kappa = cavity_linewidth(cavity)

@@ -32,6 +32,10 @@ class WignerData:
     values: np.ndarray          # shape (len(p), len(x))
     origin_value: float
     min_value: float
+    # values as cells[rows][:, cols]: W on fewer rows and columns, and the
+    # index into them of each row and column of values; None for values
+    # itself
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def grid_integral(self) -> float:
         return float(np.trapezoid(np.trapezoid(self.values, self.x, axis=1), self.p))
@@ -44,7 +48,6 @@ class SpectrumPeak:
     position: float
     height: float
     linewidth: float
-    weight: float               # n * A * P (area / 2 pi)
 
 
 @dataclass(frozen=True)
@@ -117,17 +120,14 @@ def _wigner_series(diagonals, x, p) -> np.ndarray:
     return WIGNER_BOUND * w
 
 
-def _wigner_data(diagonals, x, p, check_norm) -> WignerData:
-    """_wigner_series on the grid, refused when not finite."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    w = _wigner_series(diagonals, x, p)
+def _wigner_data(w, x, p, populations, check_norm, cells=None) -> WignerData:
+    """W on the grid, refused when not finite."""
     if not np.isfinite(w).all():
         raise SolverError(f"Wigner series overflows at {np.sum(~np.isfinite(w))}"
                           f" of {w.size} grid points")
     data = WignerData(x=x, p=p, values=w,
-                      origin_value=wigner_origin(diagonals[0]),
-                      min_value=float(w.min()))
+                      origin_value=wigner_origin(populations),
+                      min_value=float(w.min()), cells=cells)
     if check_norm:
         norm = data.grid_integral()
         if abs(norm - 1.0) > 1e-3:
@@ -140,9 +140,18 @@ def _wigner_data(diagonals, x, p, check_norm) -> WignerData:
 def wigner_from_populations(populations, x, p, check_norm=True) -> WignerData:
     """Wigner function of a diagonal (Fock-mixture) state:
     W(r) = (2/pi) e^(-2 r^2) sum_n P_n (-1)^n L_n(4 r^2), radially symmetric.
-    """
-    return _wigner_data([np.asarray(populations, dtype=float)], x, p,
-                        check_norm)
+    It depends on x^2 and p^2 alone, so the series runs on the distinct |x|
+    and |p|, and `cells` keeps that quarter of the grid.  Each point's z is
+    the same double there, and the recurrence and its rescaling test see the
+    same set of values, so W is the full grid's bit for bit."""
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    populations = np.asarray(populations, dtype=float)
+    ax, cols = np.unique(np.abs(x), return_inverse=True)
+    ap, rows = np.unique(np.abs(p), return_inverse=True)
+    quarter = _wigner_series([populations], ax, ap)
+    return _wigner_data(quarter[np.ix_(rows, cols)], x, p, populations,
+                        check_norm, cells=(quarter, rows, cols))
 
 
 def wigner_from_density_matrix(rho: DensityMatrix, x, p,
@@ -158,7 +167,10 @@ def wigner_from_density_matrix(rho: DensityMatrix, x, p,
         raise ValueError("density matrix is not Hermitian")
     diagonals = [np.real(np.diagonal(m))]
     diagonals += [np.diagonal(m, -k) for k in range(1, len(m))]
-    return _wigner_data(diagonals, x, p, check_norm)
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    return _wigner_data(_wigner_series(diagonals, x, p), x, p, diagonals[0],
+                        check_norm)
 
 
 def symmetric_grid(half_width: float, points: int) -> np.ndarray:
@@ -270,10 +282,10 @@ def power_spectrum(populations, drive_rates: RateTable,
         values += lo / ((freqs - w_minus) ** 2 + g_n**2 / 4.0)
         peaks.append(SpectrumPeak(
             n=n, side="+", position=w_plus, height=4.0 * up / g_n**2,
-            linewidth=g_n, weight=n * a_minus[n - 1] * pn[n]))
+            linewidth=g_n))
         peaks.append(SpectrumPeak(
             n=n, side="-", position=w_minus, height=4.0 * lo / g_n**2,
-            linewidth=g_n, weight=n * a_plus[n - 1] * pn[n - 1]))
+            linewidth=g_n))
     lam = np.diff(drive_rates.delta).mean() if drive_rates.delta.size > 1 else np.inf
     resolvable = bool(lam >= 3.0 * gam.max())
     if not resolvable:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -434,6 +435,53 @@ def test_cli_nonphysical_device_fields_are_config_errors(tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"config error: {path}: ")
+    assert not out.exists()
+
+
+def _set(section, key, value):
+    def mutate(raw):
+        node = raw
+        for part in section.split("."):
+            node = node[part]
+        node[key] = value
+    return mutate
+
+
+@pytest.mark.parametrize("command", ["device", "steady"])
+@pytest.mark.parametrize("mutate, message", [
+    # each used to raise a traceback from the device model
+    pytest.param(_set("device.cavity", "refractive_index", 1e200),
+                 "device.cavity: CavitySpec.refractive_index",
+                 id="refractive_index_overflows"),
+    pytest.param(_set("device.beam", "length", "1e-300 um"),
+                 "device.beam: BeamSpec.length", id="beam_length_overflows"),
+    pytest.param(_set("device.cavity", "waist", "1e-300 um"),
+                 "device.cavity: CavitySpec.waist", id="waist_underflows"),
+    pytest.param(_set("simulation", "mech_truncation", 1e300),
+                 "simulation.mech_truncation: must be <= 10000",
+                 id="mech_truncation_too_large"),
+    # each used to reach the solvers with a non-finite parameter, after
+    # numpy's RuntimeWarnings (device exit 2, steady exit 4)
+    pytest.param(_set("device.beam", "linear_mass_density", "1e-300 kg/m"),
+                 "derived parameter omega_m_prime is inf",
+                 id="linear_mass_density_underflows"),
+    pytest.param(_set("device.beam", "quality_factor", 1e-300),
+                 "device.beam: BeamSpec.quality_factor must be at least 1/2",
+                 id="quality_factor_overdamped"),
+])
+def test_cli_out_of_range_device_fields_are_config_errors(tmp_path, capsys,
+                                                          command, mutate,
+                                                          message):
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(write_variant(tmp_path, mutate)),
+                     "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: {message}")
     assert not out.exists()
 
 

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from nanomech.config import (MAX_SPECTRUM_POINTS, MAX_WIGNER_POINTS,
-                             ConfigError, load_config, parse_config,
-                             parse_quantity)
+from nanomech.config import (MAX_MECH_TRUNCATION, MAX_SPECTRUM_POINTS,
+                             MAX_WIGNER_POINTS, ConfigError, load_config,
+                             parse_config, parse_quantity)
 from nanomech.device import POLARIZABILITY_UNIT, GaussianTipField
 
 TWO_PI = 2 * np.pi
@@ -124,6 +124,14 @@ def test_invalid_truncations(headline_config_dict):
     raw["simulation"]["mech_truncation"] = 2
     with pytest.raises(ConfigError, match="mech_truncation"):
         parse_config(raw)
+    # at most MAX_MECH_TRUNCATION levels: 1e300 used to reach the regime
+    # check's n^2 and raise OverflowError
+    raw["simulation"]["mech_truncation"] = MAX_MECH_TRUNCATION
+    assert parse_config(raw).simulation.mech_truncation == MAX_MECH_TRUNCATION
+    for value in (MAX_MECH_TRUNCATION + 1, 1e300):
+        raw["simulation"]["mech_truncation"] = value
+        with pytest.raises(ConfigError, match="mech_truncation: must be <= "):
+            parse_config(raw)
     raw["simulation"]["mech_truncation"] = 8
     raw["simulation"]["cavity_photons"] = 0
     with pytest.raises(ConfigError, match="cavity_photons"):

@@ -242,17 +242,19 @@ def test_spectrum_linearity_in_populations():
 
 
 def test_lorentzian_peak_area():
-    # each line integrates to ~ 2 pi * weight when well resolved
+    # each line integrates to ~ 2 pi * its weight n A P when well resolved:
+    # here n = 1, A = A-^1 of the probe and P = P_1 = 1
     drive, probe = probe_system()
     pn = np.array([0.0, 1.0, 0.0])
     freqs = spectrum_grid(drive, n_lines=2, points=200001)
-    spec = power_spectrum(pn, transition_rates(drive),
-                          transition_rates(probe), freqs,
+    probe_rates = transition_rates(probe)
+    spec = power_spectrum(pn, transition_rates(drive), probe_rates, freqs,
                           GAMMA_M, N_BAR)
     pk = spec.peak(1, "+")
     mask = np.abs(freqs - pk.position) < 60.0 * pk.linewidth
     area = np.trapezoid(spec.values[mask], freqs[mask])
-    assert area == pytest.approx(TWO_PI * pk.weight, rel=0.02)
+    weight = probe_rates.a_minus[0].sum()
+    assert area == pytest.approx(TWO_PI * weight, rel=0.02)
 
 
 def test_overlapping_lines_flagged():

@@ -1,6 +1,7 @@
 """Property tests of the Wigner kernel: the bound |W| <= 2/pi, the origin
-identity, the normalisation of Fock mixtures up to 400 levels, and the
-density-matrix path against an independent displaced-parity oracle."""
+identity, the normalisation of Fock mixtures up to 400 levels, the
+population path's quarter grid against the series on the whole grid, and
+the density-matrix path against an independent displaced-parity oracle."""
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
+from nanomech import observables
 from nanomech.fock import DensityMatrix
-from nanomech.observables import (WIGNER_BOUND, wigner_from_density_matrix,
+from nanomech.observables import (WIGNER_BOUND, _wigner_series, symmetric_grid,
+                                  wigner_from_density_matrix,
                                   wigner_from_populations, wigner_origin)
 
 
@@ -99,3 +102,46 @@ def test_density_path_matches_displaced_parity(rho, points):
         w = wigner_from_density_matrix(rho, [alpha.real], [alpha.imag],
                                        check_norm=False)
         assert w.values[0, 0] == pytest.approx(oracle(rho, alpha), abs=1e-10)
+
+
+@st.composite
+def grids(draw):
+    """A symmetric grid, with or without 0, or any sorted or unsorted set of
+    coordinates, with repeats and signed zeros."""
+    points = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        return symmetric_grid(draw(st.floats(0.1, 8.0)), points)
+    pool = draw(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=5))
+    pool += draw(st.sampled_from([[], [0.0], [-0.0, 0.0]]))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=1,
+                                  max_size=points)))
+
+
+def assert_quarter_matches_whole_grid(pn, x, p):
+    wig = wigner_from_populations(pn, x, p, check_norm=False)
+    whole = _wigner_series([pn], x, p)
+    assert np.array_equal(wig.values.view(np.int64), whole.view(np.int64))
+    cells, rows, cols = wig.cells
+    assert np.array_equal(cells[np.ix_(rows, cols)], wig.values)
+    assert cells.size <= wig.values.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(populations(60), grids(), grids())
+def test_population_quarter_grid_matches_whole_grid(pn, x, p):
+    # W is a function of x^2 + p^2: the series on the distinct |x| and |p|,
+    # expanded, is the series on the whole grid bit for bit
+    assert_quarter_matches_whole_grid(pn, x, p)
+
+
+@pytest.mark.parametrize("levels", [240, 320, 1000])
+def test_population_quarter_grid_matches_after_rescaling(monkeypatch, levels):
+    # the default grid reaches 4 + sqrt(levels), where the recurrence passes
+    # LIMIT and rescales; without the rescaling it overflows to NaN
+    pn = np.random.default_rng(levels).random(levels)
+    pn /= pn.sum()
+    x = symmetric_grid(4.0 + np.sqrt(levels), 15)
+    assert_quarter_matches_whole_grid(pn, x, x[2:9])
+    monkeypatch.setattr(observables, "LIMIT", np.inf)
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(_wigner_series([pn], x, x)).all()
