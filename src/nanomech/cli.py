@@ -423,6 +423,11 @@ def run_steady(cfg: RunConfig, full=False, compare=False, converge=False):
     derived, report = run_device(cfg)
     mech_dim = cfg.simulation.mech_truncation
     sysc = _system_config(cfg, derived, mech_dim)
+    # a drift needs a larger truncation to compare with
+    if converge and 2 * mech_dim > CONVERGE_LEVELS:
+        raise TruncationError(
+            f"mech_truncation {mech_dim} leaves --converge no larger "
+            f"truncation within the cap of {CONVERGE_LEVELS} levels")
     reduced = reduced_steady_populations(sysc, tail_check=not converge)
     if converge:
         drift = np.inf

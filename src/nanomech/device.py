@@ -476,19 +476,23 @@ def derive_parameters(beam: BeamSpec, softening: SofteningSpec,
                       cavity: CavitySpec, drives: list[DriveSpec],
                       temperature: float) -> DerivedParams:
     """Full device -> master-equation parameter map.  Inputs that put a
-    parameter out of the float range are refused, naming the first such
-    parameter; numpy's warnings of the overflow are left out, as the
-    refusal says it."""
+    parameter or its square out of the float range are refused, naming the
+    first such parameter (the model squares its rates and frequencies, as
+    in the Lorentzians of transition_rates); numpy's warnings of the
+    overflow are left out, as the refusal says it."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         derived = _derive(beam, softening, cavity, drives, temperature)
     lasers = [(l, f"lasers[{j}].") for j, l in enumerate(derived.lasers)]
     for owner, prefix in [(derived, ""), *lasers]:
         for name, value in vars(owner).items():
-            if (name not in ("lasers", "detuning_spec")
-                    and not cmath.isfinite(value)):
+            if name in ("lasers", "detuning_spec"):
+                continue
+            z = complex(value)  # Python arithmetic: inf or nan, no warning
+            if not cmath.isfinite(z * z):
                 raise DeviceError(
                     f"derived parameter {prefix}{name} is {value}: the "
-                    "device inputs put it outside the float range")
+                    "device inputs put it or its square outside the float "
+                    "range")
     return derived
 
 

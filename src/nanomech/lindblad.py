@@ -52,6 +52,10 @@ CONDITION_LIMIT = 1e12
 # _gmres); each solve gets at most GMRES_MAX_CYCLES restart cycles of
 # GMRES_RESTART iterations
 GMRES_TOL = 1e-14
+# the probe solves of the uniqueness test stop at this backward error: on a
+# near-singular R it stays above about 1/sqrt(n) until GMRES resolves the
+# small singular direction (see steady_state_solve)
+PROBE_TOL = 1e-6
 GMRES_RESTART = 100
 GMRES_MAX_CYCLES = 20
 # seed of the random right-hand side of the uniqueness probe
@@ -557,17 +561,17 @@ def _arnoldi_cycle(apply, b: np.ndarray, atol: float, restart: int):
     v = np.empty((steps + 1, b.size))
     tri = np.zeros((steps, steps))
     rotations, used = [], 0
-    s = [float(np.linalg.norm(b))]
+    s = [_norm(b)]
     v[0] = b / s[0]
     for j in range(steps):
         w = apply(v[j])
-        size = np.linalg.norm(w)
-        col = np.zeros(j + 1)
-        for _pass in range(2):
-            c = v[:j + 1] @ w
-            w -= c @ v[:j + 1]
-            col += c
-        below = float(np.linalg.norm(w))
+        size = _norm(w)
+        col = v[:j + 1] @ w
+        w -= col @ v[:j + 1]
+        again = v[:j + 1] @ w
+        w -= again @ v[:j + 1]
+        col += again
+        below = _norm(w)
         breakdown = below <= np.finfo(float).eps * size
         if breakdown:
             below = 0.0
@@ -591,30 +595,39 @@ def _arnoldi_cycle(apply, b: np.ndarray, atol: float, restart: int):
     return y @ v[:used], j + 1
 
 
-def _gmres(r: sp.csr_matrix, abs_r: sp.csr_matrix, lu, b: np.ndarray):
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a real vector, as np.linalg.norm computes it."""
+    return math.sqrt(v.dot(v))
+
+
+def _gmres(r: sp.csr_matrix, abs_r: sp.csr_matrix, lu, b: np.ndarray,
+           tol: float):
     """Solve r x = b by GMRES from x = 0, preconditioned on the left by lu,
     the LU of R_M.  Each restart cycle is one _arnoldi_cycle on the
     correction equation lu^-1 r dx = lu^-1 (b - r x), whose right-hand side
-    is formed from the unpreconditioned residual.  The loop stops when the
-    backward error |lu^-1 (b - r x)| / |lu^-1 (|r| |x| + |b|)| is at most
-    GMRES_TOL.  The denominator is the preconditioned size of the terms
-    summed in b - r x, so the test stays a fixed factor above rounding
-    however the rows of r are scaled; their entries span about 1 to 1e8 on
-    the reference device, where a relative test on |b - r x| is out of
-    reach for even a direct solve.  Returns x, the GMRES iteration count
-    and the backward error."""
+    is formed from the unpreconditioned residual (b itself at x = 0, where
+    no product is taken).  The loop stops when the backward error
+    |lu^-1 (b - r x)| / |lu^-1 (|r| |x| + |b|)| is at most tol (GMRES_TOL
+    for the steady state, PROBE_TOL for the uniqueness probe).  The
+    denominator is the preconditioned size of the terms summed in b - r x,
+    so the test stays a fixed factor above rounding however the rows of r
+    are scaled; their entries span about 1 to 1e8 on the reference device,
+    where a relative test on |b - r x| is out of reach for even a direct
+    solve.  Returns x, the GMRES iteration count and the backward error."""
     x = np.zeros_like(b)
     iterations = 0
+    defect, terms = b, np.abs(b)    # b - r x and |r| |x| + |b| at x = 0
     for cycle in range(GMRES_MAX_CYCLES + 1):
-        residual = lu.solve(b - r @ x)
-        scale = np.linalg.norm(lu.solve(abs_r @ np.abs(x) + np.abs(b)))
-        error = np.linalg.norm(residual) / scale
-        if error <= GMRES_TOL or cycle == GMRES_MAX_CYCLES:
+        residual = lu.solve(defect)
+        scale = _norm(lu.solve(terms))
+        error = _norm(residual) / scale
+        if error <= tol or cycle == GMRES_MAX_CYCLES:
             return x, iterations, error
         dx, steps = _arnoldi_cycle(lambda v: lu.solve(r @ v), residual,
-                                   GMRES_TOL * scale, GMRES_RESTART)
+                                   tol * scale, GMRES_RESTART)
         x = x + dx
         iterations += steps
+        defect, terms = b - r @ x, abs_r @ np.abs(x) + np.abs(b)
 
 
 def steady_state_solve(liou: Liouvillian) -> SteadyState:
@@ -639,8 +652,14 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     gives the 1-norm condition estimate |R|_1 sum_k |y_k|_1 / |b|_1.  An
     estimate above CONDITION_LIMIT, or a singular block of R_M, raises
     DegenerateSteadyStateError; a singular R makes b inconsistent, so the
-    estimate is judged even when a probe solve did not converge.  Any solve
-    that misses GMRES_TOL within its budget raises SolverError.  The
+    estimate is judged even when a probe solve did not converge.  The probe
+    solves stop at PROBE_TOL, not GMRES_TOL: for a near-singular R, GMRES
+    cannot bring the backward error below b's share along the small
+    singular direction, about 1/sqrt(n) (2.8e-3 at n = 131k), before it
+    resolves that direction, so the estimate still blows up; on fig2 it
+    halves the probe's steps (36 -> 18) and moves the estimate by 1.6e-6
+    relative.  The steady solve that misses GMRES_TOL, or a probe that
+    misses PROBE_TOL, within its budget raises SolverError.  The
     solution is read back through T.  A smallest eigenvalue below -1e-8
     raises SolverError; a negative one above it is clipped to 0 by eigh,
     which runs only then (fig2's states are positive definite).  The state
@@ -670,23 +689,25 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
         lu_nnz += lu.nnz
         abs_r = abs(r_k)
         if not solves:
-            solves.append(("steady", *_gmres(r_k, abs_r, lu, rhs[at])))
-        solves.append(("probe", *_gmres(r_k, abs_r, lu, probe[at])))
+            solves.append(("steady", GMRES_TOL,
+                           *_gmres(r_k, abs_r, lu, rhs[at], GMRES_TOL)))
+        solves.append(("probe", PROBE_TOL,
+                       *_gmres(r_k, abs_r, lu, probe[at], PROBE_TOL)))
         del lu, abs_r  # free this block's LU before the next one's
-    x, probes = solves[0][1], solves[1:]
+    x, probes = solves[0][2], solves[1:]
     norm_1 = np.bincount(r.indices, np.abs(r.data), n).max()  # |R|_1
-    condition = float(norm_1 * sum(np.abs(y).sum() for _, y, _, _ in probes)
+    condition = float(norm_1 * sum(np.abs(y).sum() for *_, y, _, _ in probes)
                       / np.abs(probe).sum())
     if not condition <= CONDITION_LIMIT:
         raise DegenerateSteadyStateError(
             f"condition estimate {condition:.3e} of the trace-constrained "
             f"system exceeds {CONDITION_LIMIT:.0e}: null space is not "
             "one-dimensional")
-    for name, _, its, error in solves:
-        if not error <= GMRES_TOL:
+    for name, tol, _, its, error in solves:
+        if not error <= tol:
             raise SolverError(
                 f"GMRES {name} solve did not converge: backward error "
-                f"{error:.3e} (tolerance {GMRES_TOL:.0e}) after {its} "
+                f"{error:.3e} (tolerance {tol:.0e}) after {its} "
                 "iterations")
     rho = (t @ np.pad(x, (0, n - x.size))).reshape((d, d), order="F")
     rho /= np.trace(rho).real
@@ -703,6 +724,6 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     rho = DensityMatrix(liou.dims, rho)
     return SteadyState(populations=partial_trace(rho, 0).populations(),
                        residual=residual, method="gmres",
-                       iterations=sum(its for _, _, its, _ in solves),
-                       probe_iterations=sum(its for _, _, its, _ in probes),
+                       iterations=sum(its for *_, its, _ in solves),
+                       probe_iterations=sum(its for *_, its, _ in probes),
                        condition=condition, lu_nnz=lu_nnz, rho=rho)

@@ -2,9 +2,12 @@
 preconditioned GMRES in Hermitian coordinates against the dense null
 space, with the generator as its own preconditioner and with an inexact
 one, and on generators that conserve the excitation parity, solved block by
-block; and its GMRES cycle against scipy's on random nonsymmetric systems."""
+block; its uniqueness test on near-singular generators, at the probe's
+tolerance and at the steady solve's; and its GMRES cycle against scipy's on
+random nonsymmetric systems."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +18,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nanomech.lindblad import (Liouvillian, _arnoldi_cycle,
+from nanomech import lindblad
+from nanomech.lindblad import (CONDITION_LIMIT, DegenerateSteadyStateError,
+                               Liouvillian, SolverError, _arnoldi_cycle,
                                steady_state_solve)
 
 from conftest import (dense_generator, parity_block_count,
@@ -136,6 +141,82 @@ def test_parity_conserving_steady_state_matches_null_space(generators):
     assert parity_block_count(product_excitations(dims), lsuper,
                               uncoupled) == 2
     check_against_null_space(math.prod(dims), lsuper, uncoupled, dims)
+
+
+def linked_islands(seed, d, k, e_l, e_m):
+    """A generator L on d states split into two islands, the first k states
+    and the rest, each with its own random H and two random jumps, linked by
+    one random jump between them of amplitude 10^-e_l: as the link's rate
+    10^-2e_l falls, the null space tends to two dimensions.  The
+    preconditioning generator M has the same H, the island jumps rescaled as
+    in lindbladians_with_inexact_uncoupled and the link at its own amplitude
+    10^-e_m, so M may be far better or far worse conditioned than L.  The
+    entries are Gaussian from `seed`."""
+    rng = np.random.default_rng(seed)
+    within = np.zeros((d, d), dtype=bool)
+    within[:k, :k] = within[k:, k:] = True
+
+    def gaussian():
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = gaussian() * within
+    jumps = [gaussian() * within for _ in range(2)]
+    link = gaussian() * ~within
+    weights = rng.uniform(0.25, 2.0, size=2)
+    lsuper = dense_generator(h + h.conj().T, jumps + [10.0**-e_l * link])
+    uncoupled = dense_generator(h + h.conj().T,
+                                [w * c for w, c in zip(weights, jumps)]
+                                + [10.0**-e_m * link])
+    return Liouvillian((d,), sp.csr_matrix(lsuper), np.arange(d),
+                       sp.csr_matrix(uncoupled))
+
+
+@st.composite
+def weakly_linked_islands(draw):
+    """linked_islands with d = 3..5 and e_l, e_m in [0, 9]: the condition
+    estimate runs from about 1 to past CONDITION_LIMIT."""
+    d = draw(st.integers(3, 5))
+    return linked_islands(draw(st.integers(0, 2**32 - 1)), d,
+                          draw(st.integers(1, d - 1)),
+                          draw(st.floats(0.0, 9.0)), draw(st.floats(0.0, 9.0)))
+
+
+def uniqueness_verdict(liou):
+    """The solve's verdict and its condition estimate: ("unique", estimate),
+    ("degenerate", estimate), inf for a singular preconditioner, or
+    ("unconverged", None)."""
+    try:
+        return "unique", steady_state_solve(liou).condition
+    except DegenerateSteadyStateError as exc:
+        found = re.search(r"condition estimate (\S+) ", str(exc))
+        return "degenerate", float(found.group(1)) if found else math.inf
+    except SolverError:
+        return "unconverged", None
+
+
+# a tight estimate within this factor of CONDITION_LIMIT is left out: over
+# 300 draws the loose estimate was within 0.74-1.19 times the tight one
+# wherever the tight one was above 1e6, and off by more than 30% (down to
+# 0.094 times) only below 10, where M's link was far weaker than L's
+LIMIT_MARGIN = 100.0
+
+
+# two draws on either side of the margin: tight estimates of 3.6e9 (unique)
+# and 2.0e14 (degenerate)
+@example(linked_islands(315565471, 4, 1, 4.74, 2.32))
+@example(linked_islands(3435058134, 3, 1, 7.2, 4.56))
+@settings(max_examples=200, deadline=None)
+@given(weakly_linked_islands())
+def test_probe_tolerance_keeps_the_refusals(liou):
+    # the uniqueness verdict at PROBE_TOL is the one at GMRES_TOL; a tight
+    # probe that stalls above GMRES_TOL leaves no estimate to compare with
+    loose = uniqueness_verdict(liou)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lindblad, "PROBE_TOL", lindblad.GMRES_TOL)
+        tight = uniqueness_verdict(liou)
+    assume(tight[1] is not None and not (CONDITION_LIMIT / LIMIT_MARGIN
+                                         < tight[1]
+                                         < CONDITION_LIMIT * LIMIT_MARGIN))
+    assert loose[0] == tight[0]
 
 
 def scipy_cycle(a, b, atol, restart):
