@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -54,15 +55,14 @@ ERRORS = (
     (SolverError, EXIT_SOLVER, "solver error"),
     (MemoryError, EXIT_SOLVER, "solver error"),
 )
+# what a command refuses with an exit code; any other exception is a bug
+REFUSALS = tuple(cls for cls, _code, _prefix in ERRORS)
 
 
 def classify_error(exc: BaseException) -> tuple[int, str]:
-    """Exit code and message prefix of an exception; one outside ERRORS
-    counts as a config error."""
-    for cls, code, prefix in ERRORS:
-        if isinstance(exc, cls):
-            return code, prefix
-    return EXIT_CONFIG, "config error"
+    """Exit code and message prefix of a refusal (an instance of REFUSALS)."""
+    return next((code, prefix) for cls, code, prefix in ERRORS
+                if isinstance(exc, cls))
 
 
 SCHEMA_VERSION = "nanomech-files-1"
@@ -532,21 +532,21 @@ def run_spectrum(cfg: RunConfig, selftest=False):
 
 
 def set_config_path(raw: dict, dotted: str, value):
-    """Set a dotted-path entry (lists indexed numerically) in a config dict."""
-    parts = dotted.split(".")
+    """Set a dotted-path entry (lists indexed numerically) in a config dict;
+    only the last key may be new to its section."""
+    keys = dotted.split(".")
     node = raw
-    for p in parts[:-1]:
-        if isinstance(node, list):
-            node = node[int(p)]
-        elif p in node:
-            node = node[p]
-        else:
-            raise ConfigError(dotted, f"unknown config section {p!r}")
-    leaf = parts[-1]
-    if isinstance(node, list):
-        node[int(leaf)] = value
-    else:
-        node[leaf] = value
+    for depth, key in enumerate(keys):
+        last = depth == len(keys) - 1
+        if isinstance(node, list) and key.isdecimal() and int(key) < len(node):
+            key = int(key)
+        elif not isinstance(node, dict) or not (last or key in node):
+            holder = ".".join(keys[:depth]) or "the config"
+            raise ConfigError(dotted, f"{holder} holds no section or list "
+                                      f"entry {key!r}")
+        if not last:
+            node = node[key]
+    node[key] = value
     return raw
 
 
@@ -560,7 +560,7 @@ def run_sweep(cfg: RunConfig, param: str, values):
             derived, _report = run_device(point)
             p = reduced_steady_populations(
                 _system_config(point, derived)).populations
-        except Exception as exc:              # recorded in-row, sweep continues
+        except REFUSALS as exc:               # recorded in-row, sweep continues
             rows.append({"value": value,
                          "error": f"{type(exc).__name__}: {exc}",
                          "exit_code": classify_error(exc)[0]})
@@ -636,11 +636,17 @@ def cmd_steady(cfg: RunConfig, args) -> int:
         raise ConfigError("--compare", "needs --full")
     res = run_steady(cfg, full=args.full, compare=args.compare,
                      converge=args.converge)
+    # judged once every solve has succeeded, so that a refusal is one line
+    wig = res["wigner"]
+    norm = wig.grid_integral()
+    if abs(norm - 1.0) > 1e-3:
+        warnings.warn(f"Wigner grid integral {norm:.6f} deviates from 1; "
+                      "the grid may be too coarse or too small")
     out = _outdir(cfg, args)
     pops = {"reduced": list(res["reduced"].populations),
             "mech_truncation": res["mech_dim"],
-            "wigner_origin": res["wigner"].origin_value,
-            "wigner_min": res["wigner"].min_value}
+            "wigner_origin": wig.origin_value,
+            "wigner_min": wig.min_value}
     diagnostics = {"command": "steady",
                    "reduced_residual": res["reduced"].residual}
     if args.full:
@@ -660,7 +666,6 @@ def cmd_steady(cfg: RunConfig, args) -> int:
         if args.compare:
             pops["compare_abs_diff"] = list(res["compare"])
     write_json(out / "populations.json", pops)
-    wig = res["wigner"]
     write_csv(out / "wigner.csv", ["x", "p", "W"], _wigner_columns(wig))
     _emit_manifest(out, cfg, res["derived"], res["report"], diagnostics)
     p = res["reduced"].populations
@@ -780,7 +785,7 @@ def main(argv=None) -> int:
                 "sweep": cmd_sweep}
     try:
         return handlers[args.command](load_config(args.config), args)
-    except tuple(cls for cls, _code, _prefix in ERRORS) as exc:
+    except REFUSALS as exc:
         code, prefix = classify_error(exc)
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code

@@ -158,6 +158,14 @@ class CavitySpec:
                               "range")
         if not 0 < self.external_coupling_fraction <= 1:
             raise DeviceError("external_coupling_fraction must be in (0, 1]")
+        # the rates square kappa = 2 pi c / (n L F) (cavity_linewidth), and
+        # divide 0/0 at a resonant drive if the square underflows
+        nlf = (float(self.refractive_index) * float(self.round_trip_length)
+               * float(self.bare_finesse))
+        if not (nlf > 0.0 and _square_in_range(TWO_PI * C_LIGHT / nlf)):
+            raise DeviceError("CavitySpec.bare_finesse, round_trip_length and "
+                              "refractive_index put kappa = 2 pi c / (n L F) "
+                              "or its square outside the float range")
 
     @property
     def kappa_perp(self) -> float:

@@ -9,7 +9,6 @@ parts of the coherent amplitude, so the vacuum gives W(0,0) = 2/pi and
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +55,7 @@ class SpectrumData:
     values: np.ndarray
     peaks: tuple[SpectrumPeak, ...]
     resolvable: bool
-    probe_resonant: bool = True
+    probe_resonant: bool
 
     def peak(self, n: int, side: str) -> SpectrumPeak:
         for pk in self.peaks:
@@ -120,24 +119,17 @@ def _wigner_series(diagonals, x, p) -> np.ndarray:
     return WIGNER_BOUND * w
 
 
-def _wigner_data(w, x, p, populations, check_norm, cells=None) -> WignerData:
+def _wigner_data(w, x, p, populations, cells=None) -> WignerData:
     """W on the grid, refused when not finite."""
     if not np.isfinite(w).all():
         raise SolverError(f"Wigner series overflows at {np.sum(~np.isfinite(w))}"
                           f" of {w.size} grid points")
-    data = WignerData(x=x, p=p, values=w,
+    return WignerData(x=x, p=p, values=w,
                       origin_value=wigner_origin(populations),
                       min_value=float(w.min()), cells=cells)
-    if check_norm:
-        norm = data.grid_integral()
-        if abs(norm - 1.0) > 1e-3:
-            warnings.warn(
-                f"Wigner grid integral {norm:.6f} deviates from 1; "
-                "the grid may be too coarse or too small", stacklevel=3)
-    return data
 
 
-def wigner_from_populations(populations, x, p, check_norm=True) -> WignerData:
+def wigner_from_populations(populations, x, p) -> WignerData:
     """Wigner function of a diagonal (Fock-mixture) state:
     W(r) = (2/pi) e^(-2 r^2) sum_n P_n (-1)^n L_n(4 r^2), radially symmetric.
     It depends on x^2 and p^2 alone, so the series runs on the distinct |x|
@@ -151,11 +143,10 @@ def wigner_from_populations(populations, x, p, check_norm=True) -> WignerData:
     ap, rows = np.unique(np.abs(p), return_inverse=True)
     quarter = _wigner_series([populations], ax, ap)
     return _wigner_data(quarter[np.ix_(rows, cols)], x, p, populations,
-                        check_norm, cells=(quarter, rows, cols))
+                        cells=(quarter, rows, cols))
 
 
-def wigner_from_density_matrix(rho: DensityMatrix, x, p,
-                               check_norm=True) -> WignerData:
+def wigner_from_density_matrix(rho: DensityMatrix, x, p) -> WignerData:
     """Wigner function of a general single-mode state,
     W(alpha) = (2/pi) Tr[rho D(alpha) (-1)^(b+ b) D(alpha)^+]; agrees with
     the population path for diagonal states."""
@@ -169,8 +160,7 @@ def wigner_from_density_matrix(rho: DensityMatrix, x, p,
     diagonals += [np.diagonal(m, -k) for k in range(1, len(m))]
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    return _wigner_data(_wigner_series(diagonals, x, p), x, p, diagonals[0],
-                        check_norm)
+    return _wigner_data(_wigner_series(diagonals, x, p), x, p, diagonals[0])
 
 
 def symmetric_grid(half_width: float, points: int) -> np.ndarray:
@@ -263,7 +253,9 @@ def power_spectrum(populations, drive_rates: RateTable,
     S(w) = sum_n n Gamma_n [A-^n P_n / ((w - w_n+)^2 + Gamma_n^2/4)
                           + A+^n P_(n-1) / ((w - w_n-)^2 + Gamma_n^2/4)].
     The probe's own rates broaden the lines.  The overall scale is
-    arbitrary; only ratios are physical."""
+    arbitrary; only ratios are physical.  Overlapping lines
+    (lam < 3 max Gamma_n) and a probe that is not resonant are flagged in
+    the result, for populations_from_spectrum to refuse."""
     pn = np.asarray(populations, dtype=float)
     freqs = np.asarray(frequencies, dtype=float)
     delta, gam = sideband_lines(drive_rates, probe_rates, gamma_m, n_bar,
@@ -287,20 +279,13 @@ def power_spectrum(populations, drive_rates: RateTable,
             n=n, side="-", position=w_minus, height=4.0 * lo / g_n**2,
             linewidth=g_n))
     lam = np.diff(drive_rates.delta).mean() if drive_rates.delta.size > 1 else np.inf
-    resolvable = bool(lam >= 3.0 * gam.max())
-    if not resolvable:
-        warnings.warn("sideband lines overlap (lam < 3 max Gamma_n); "
-                      "population inversion will be unreliable", stacklevel=2)
     # a resonant probe has A+^n = A-^n; grade resonance by the actual
     # asymmetry of the probe rate table rather than the raw detuning
     ap, am = a_plus[:n_lines], a_minus[:n_lines]
     asym = float(np.max(np.abs(ap - am) / (ap + am + 1e-300)))
-    resonant = asym < 0.01
-    if not resonant:
-        warnings.warn(f"probe rate asymmetry {asym:.3f}: probe is not "
-                      "resonant, peak ratios are biased", stacklevel=2)
     return SpectrumData(frequencies=freqs, values=values, peaks=tuple(peaks),
-                        resolvable=resolvable, probe_resonant=resonant)
+                        resolvable=bool(lam >= 3.0 * gam.max()),
+                        probe_resonant=asym < 0.01)
 
 
 def _interp_peak(freqs: np.ndarray, values: np.ndarray, center: float,

@@ -123,6 +123,34 @@ def test_run_sweep_temperature_monotonicity(headline_config):
     assert rows[0]["P1"] > rows[1]["P1"]
 
 
+@pytest.mark.parametrize("param, holder, key", [
+    ("device.drives.9.power", "device.drives", "9"),
+    ("device.drives.x.power", "device.drives", "x"),
+    ("device.beam.length.x", "device.beam.length", "x"),
+    ("simulation.wigner_grid.points.0", "simulation.wigner_grid.points", "0"),
+    ("simulation.grid.points", "simulation", "grid"),
+    ("nothing.x", "the config", "nothing"),
+])
+def test_run_sweep_bad_paths_are_config_errors(headline_config, param,
+                                               holder, key):
+    # the first four used to be recorded as the IndexError, ValueError or
+    # TypeError that the path raised
+    assert run_sweep(headline_config, param, ["1 W"]) == [
+        {"value": "1 W", "exit_code": EXIT_CONFIG,
+         "error": f"ConfigError: {param}: {holder} holds no section or list "
+                  f"entry {key!r}"}]
+
+
+def test_run_sweep_does_not_record_program_errors(headline_config,
+                                                  monkeypatch):
+    # only refusals become rows; any other exception is a bug, and raises
+    def broken(_cfg):
+        raise ZeroDivisionError("division by zero")
+    monkeypatch.setattr(cli, "run_device", broken)
+    with pytest.raises(ZeroDivisionError):
+        run_sweep(headline_config, "device.softening.zeta", [4.0])
+
+
 def test_run_sweep_unknown_param_fails_every_row(headline_config):
     rows = run_sweep(headline_config, "simulation.mech_trunction", [4, 6])
     assert [r["value"] for r in rows] == [4, 6]
@@ -495,6 +523,15 @@ def _set(section, key, value):
     pytest.param(lambda raw: _effective_mass(raw, "1e-300 kg"),
                  "derived parameter omega_m_prime is 9.98",
                  id="effective_mass_square_overflows"),
+    # a kappa of 9.7e-289, whose square underflowed to 0: transition_rates
+    # divided 0/0 at the resonant drive, and steady exited 4 after numpy's
+    # RuntimeWarnings
+    pytest.param(_set("device.cavity", "bare_finesse", 1e300),
+                 "device.cavity: CavitySpec.bare_finesse",
+                 id="linewidth_square_underflows"),
+    pytest.param(_set("device.cavity", "bare_finesse", 1e-300),
+                 "device.cavity: CavitySpec.bare_finesse",
+                 id="linewidth_square_overflows"),
 ])
 def test_cli_out_of_range_device_fields_are_config_errors(tmp_path, capsys,
                                                           command, mutate,
@@ -952,31 +989,50 @@ def test_cli_buckling_exit_code(tmp_path):
     assert main(["device", "--config", str(path)]) == EXIT_REGIME
 
 
-def test_cli_unresolved_spectrum_exit_code(tmp_path):
-    # 100x the drive power broadens every line far beyond the splitting
+def test_cli_unresolved_spectrum_exit_code(tmp_path, capsys):
+    # 100x the drive power broadens every line far beyond the splitting;
+    # the refusal is the one diagnostic, with no warning before it
     def mutate(raw):
         for drive in raw["device"]["drives"]:
             drive["power"] = "120 W"
     path = write_variant(tmp_path, mutate)
-    with pytest.warns(UserWarning):
-        code = main(["spectrum", "--config", str(path),
-                     "--out", str(tmp_path / "out")])
+    code = main(["spectrum", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
     assert code == EXIT_PRECONDITION
+    assert capsys.readouterr().err.splitlines() == [
+        "analysis precondition: sideband lines are not resolved; "
+        "refusing the inversion"]
 
 
-def test_cli_solver_memory_guard_exit_code(tmp_path):
+def test_cli_solver_memory_guard_exit_code(tmp_path, capsys):
     # at most 3 photons in all, as steady --full --converge can reach:
     # d = 6,000, about 5e8 estimated nonzeros
     def mutate(raw):
         raw["simulation"]["mech_truncation"] = 300
         raw["simulation"]["cavity_photons"] = 3
     path = write_variant(tmp_path, mutate)
-    # the fixed Wigner grid is too narrow for 300 levels; that warning is
-    # expected before the superoperator size guard fires
-    with pytest.warns(UserWarning, match="grid"):
-        code = main(["steady", "--config", str(path), "--full",
-                     "--out", str(tmp_path / "out")])
+    # the fixed Wigner grid is too narrow for 300 levels, but a run the
+    # superoperator size guard refuses reports only the refusal
+    code = main(["steady", "--config", str(path), "--full",
+                 "--out", str(tmp_path / "out")])
     assert code == EXIT_SOLVER
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("solver error: ")
+
+
+def test_cli_coarse_grid_warns_once(tmp_path, capsys):
+    # the grid integral of the W that steady writes is judged once, by the
+    # command; the kernel evaluates W on any grid without a diagnostic
+    path = write_variant(tmp_path, lambda raw: raw["simulation"].update(
+        wigner_grid={"half_width": 1.0, "points": 5}))
+    with pytest.warns(UserWarning) as record:
+        code = main(["steady", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert [str(w.message) for w in record] == [
+        "Wigner grid integral 0.434079 deviates from 1; "
+        "the grid may be too coarse or too small"]
+    assert capsys.readouterr().err == ""
 
 
 # In a fresh interpreter every command runs without loading scipy, but

@@ -329,7 +329,6 @@ def test_setup_does_not_build_the_formatter_tables():
 # ---------------------------------------------------------------------------
 # the Wigner grid: exactly antisymmetric, so W is exactly symmetric
 
-@pytest.mark.filterwarnings("ignore:Wigner grid integral")
 @pytest.mark.parametrize("grid, points", [("fig2", 101), ("default", 121),
                                           ("three", 3)])
 def test_wigner_grid_and_values_are_exactly_symmetric(grid, points):

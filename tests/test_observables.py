@@ -74,10 +74,9 @@ def test_density_matrix_path_matches_population_path(weights):
     assume(weights.sum() > 1e-3)
     pn = weights / weights.sum()
     x, p = grid()
-    w_pop = wigner_from_populations(pn, x, p, check_norm=False)
+    w_pop = wigner_from_populations(pn, x, p)
     w_rho = wigner_from_density_matrix(
-        DensityMatrix((pn.size,), np.diag(pn)), x, p,
-        check_norm=False)
+        DensityMatrix((pn.size,), np.diag(pn)), x, p)
     np.testing.assert_allclose(w_rho.values, w_pop.values, atol=1e-12)
 
 
@@ -90,7 +89,7 @@ def test_displaced_vacuum_gaussian():
     vac[0, 0] = 1.0
     rho = DensityMatrix((25,), disp @ vac @ disp.conj().T)
     x, p = grid(half=4.0, pts=121)
-    w = wigner_from_density_matrix(rho, x, p, check_norm=False)
+    w = wigner_from_density_matrix(rho, x, p)
     expected = WIGNER_BOUND * np.exp(
         -2.0 * ((x[None, :] - alpha.real) ** 2 + (p[:, None] - alpha.imag) ** 2))
     np.testing.assert_allclose(w.values, expected, atol=1e-8)
@@ -135,10 +134,6 @@ def test_multimode_rejected():
             DensityMatrix((2, 2), np.diag([1.0, 0.0, 0.0, 0.0])), *grid())
 
 
-def test_coarse_grid_warns():
-    x = np.linspace(-1.0, 1.0, 5)
-    with pytest.warns(UserWarning, match="grid"):
-        wigner_from_populations([1.0], x, x)
 
 
 def test_default_grid_scales_with_truncation():
@@ -267,10 +262,8 @@ def test_overlapping_lines_flagged():
         lasers=drive.lasers)
     pn = np.array([0.2, 0.6, 0.2])
     freqs = spectrum_grid(squeezed, n_lines=2, points=10001)
-    with pytest.warns(UserWarning, match="overlap"):
-        spec = power_spectrum(pn, transition_rates(squeezed),
-                              transition_rates(probe), freqs,
-                              GAMMA_M, N_BAR)
+    spec = power_spectrum(pn, transition_rates(squeezed),
+                          transition_rates(probe), freqs, GAMMA_M, N_BAR)
     assert not spec.resolvable
     with pytest.raises(SpectrumInversionError):
         populations_from_spectrum(spec)
@@ -285,10 +278,9 @@ def test_detuned_probe_flagged():
         lasers=(LaserParams(g=2.0e2, detuning=3.0 * drive.kappa),))
     pn = np.array([0.2, 0.6, 0.2])
     freqs = spectrum_grid(drive, n_lines=2, points=10001)
-    with pytest.warns(UserWarning, match="resonant"):
-        spec = power_spectrum(pn, transition_rates(drive),
-                              transition_rates(detuned_probe), freqs,
-                              GAMMA_M, N_BAR)
+    spec = power_spectrum(pn, transition_rates(drive),
+                          transition_rates(detuned_probe), freqs, GAMMA_M,
+                          N_BAR)
     assert not spec.probe_resonant
     with pytest.raises(SpectrumInversionError):
         populations_from_spectrum(spec)

@@ -59,7 +59,7 @@ def oracle(rho, alpha, pad=40):
 @given(density_matrices(12))
 def test_wigner_bound(rho):
     x = np.linspace(-6.0, 6.0, 41)
-    w = wigner_from_density_matrix(rho, x, x, check_norm=False).values
+    w = wigner_from_density_matrix(rho, x, x).values
     assert np.max(np.abs(w)) <= WIGNER_BOUND * (1.0 + 1e-12)
 
 
@@ -68,11 +68,11 @@ def test_wigner_bound(rho):
 def test_origin_is_alternating_sum(pn, rho):
     origin = np.zeros(1)
     alternating = WIGNER_BOUND * sum((-1) ** n * v for n, v in enumerate(pn))
-    w = wigner_from_populations(pn, origin, origin, check_norm=False)
+    w = wigner_from_populations(pn, origin, origin)
     assert w.values[0, 0] == pytest.approx(alternating, abs=1e-12)
     assert wigner_origin(pn) == pytest.approx(alternating, abs=1e-12)
     diag = np.real(np.diag(rho.matrix))
-    w = wigner_from_density_matrix(rho, origin, origin, check_norm=False)
+    w = wigner_from_density_matrix(rho, origin, origin)
     assert w.values[0, 0] == pytest.approx(
         WIGNER_BOUND * sum((-1) ** n * v for n, v in enumerate(diag)),
         abs=1e-12)
@@ -87,7 +87,7 @@ def test_fock_mixture_normalisation_and_bound(pn):
     # the grid steps 0.005, about 1/16 of the shortest fringe at 400 levels,
     # and reaches 6 beyond the classical radius sqrt(n)
     r = np.arange(0.0, np.sqrt(pn.size) + 6.0, 0.005)
-    w = wigner_from_populations(pn, r, np.zeros(1), check_norm=False).values[0]
+    w = wigner_from_populations(pn, r, np.zeros(1)).values[0]
     assert 2.0 * np.pi * np.trapezoid(r * w, r) == pytest.approx(1.0, abs=1e-3)
     assert np.max(np.abs(w)) <= WIGNER_BOUND * (1.0 + 1e-12)
 
@@ -99,8 +99,7 @@ def test_fock_mixture_normalisation_and_bound(pn):
 def test_density_path_matches_displaced_parity(rho, points):
     for radius, angle in points:
         alpha = radius * np.exp(1j * angle)
-        w = wigner_from_density_matrix(rho, [alpha.real], [alpha.imag],
-                                       check_norm=False)
+        w = wigner_from_density_matrix(rho, [alpha.real], [alpha.imag])
         assert w.values[0, 0] == pytest.approx(oracle(rho, alpha), abs=1e-10)
 
 
@@ -118,7 +117,7 @@ def grids(draw):
 
 
 def assert_quarter_matches_whole_grid(pn, x, p):
-    wig = wigner_from_populations(pn, x, p, check_norm=False)
+    wig = wigner_from_populations(pn, x, p)
     whole = _wigner_series([pn], x, p)
     assert np.array_equal(wig.values.view(np.int64), whole.view(np.int64))
     cells, rows, cols = wig.cells
