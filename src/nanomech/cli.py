@@ -370,32 +370,37 @@ def write_csv(path: Path, header: list[str], columns):
 
     A column is an array or list of cells, or a pair (values, index): a
     float64 array and one index in [0, len(values)) into it per row.  The
-    values of all pairs are formatted in one call per file; other columns
-    are formatted block by block.  Float cells have the 17 significant
-    digits of `format_float`, as in the JSON files; text cells are quoted
-    per RFC 4180 when needed.  Rows are written in blocks of
-    CSV_BLOCK_ROWS."""
-    tables, blocks = [], []
-    for c in columns:
+    values of all pairs are formatted in one call per file, each cell with
+    the separator that follows it; other columns are formatted block by
+    block.  Float cells have the 17 significant digits of `format_float`,
+    as in the JSON files; text cells are quoted per RFC 4180 when needed.
+    Rows are written in blocks of CSV_BLOCK_ROWS."""
+    tables, blocks, seps = [], [], []
+    for j, c in enumerate(columns):
         if isinstance(c, tuple):     # its index, shifted to its values' place
             blocks.append((True, sum(map(len, tables)) + np.asarray(c[1])))
             tables.append(c[0])
+            seps += ["\n" if j == len(columns) - 1 else ","] * len(c[0])
         else:
             blocks.append((False, c))
     text = np.array(_csv_cells(np.concatenate(tables)) if tables else [],
-                    dtype=object)
-    width = 2 * len(blocks)
+                    dtype=object) + np.array(seps, dtype=object)
+    # a paired cell is one entry of a row's list, any other cell two
+    width = sum(1 if paired else 2 for paired, _ in blocks)
     with path.open("w") as f:
         f.write(f"# schema: {SCHEMA_VERSION}\n{','.join(header)}\n")
         for start in range(0, len(blocks[0][1]), CSV_BLOCK_ROWS):
             stop = start + CSV_BLOCK_ROWS
-            # one string per block: cell, ",", cell, ..., "\n"; a column of
-            # another length does not fit its extended slice (ValueError)
+            # one string per block; a column of another length does not fit
+            # its extended slice (ValueError)
             flat = [","] * (width * len(blocks[0][1][start:stop]))
-            for j, (paired, c) in enumerate(blocks):
-                flat[2 * j::width] = (text[c[start:stop]].tolist() if paired
-                                      else _csv_cells(c[start:stop]))
-            flat[width - 1::width] = ["\n"] * (len(flat) // width)
+            at = 0
+            for paired, c in blocks:
+                flat[at::width] = (text[c[start:stop]].tolist() if paired
+                                   else _csv_cells(c[start:stop]))
+                at += 1 if paired else 2
+            if not blocks[-1][0]:
+                flat[width - 1::width] = ["\n"] * (len(flat) // width)
             f.write("".join(flat))
 
 

@@ -74,7 +74,8 @@ def parse_quantity(value, dimension: str, path: str) -> float:
                                     "write e.g. \"5.23 MHz\"")
         num_s, unit = value, None
     elif not isinstance(value, str):
-        raise ConfigError(path, f"expected a quantity string, got {type(value).__name__}")
+        wanted = "number" if dimension == "dimensionless" else "quantity string"
+        raise ConfigError(path, f"expected a {wanted}, got {type(value).__name__}")
     else:
         parts = value.strip().split()
         if dimension == "dimensionless":

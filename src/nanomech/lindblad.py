@@ -138,8 +138,11 @@ class Liouvillian:
     def trace_preservation_defect(self) -> float:
         """Norm of L^dagger applied to the identity (should vanish), up to a
         conjugation the sum of L's rows at the diagonal entries of vec(I)."""
-        d = self.excitations.size
-        return float(np.abs(self.superoperator[::d + 1].sum(axis=0)).max())
+        a, d = self.superoperator, self.excitations.size
+        at = _row_entries(a.indptr, np.arange(0, d * d, d + 1))[0]
+        sums = (np.bincount(a.indices[at], part[at], a.shape[1])
+                for part in (a.data.real, a.data.imag))
+        return float(np.hypot(*sums).max())
 
 
 @dataclass(frozen=True)
@@ -212,9 +215,9 @@ def _lowering(table: np.ndarray, slot: int, weights):
 
 
 def _transpose(op):
-    """The transpose of a real operator given as steps (each roll wraps
-    only zero weights)."""
-    return [(-s, np.roll(w, s)) for s, w in op]
+    """The transpose of a real operator given as steps: each weight array
+    rolled by its offset (np.roll by slicing; it wraps only zero weights)."""
+    return [(-s, np.concatenate((w[-s:], w[:-s]))) for s, w in op]
 
 
 def _product(v, rows=slice(None)):
@@ -230,28 +233,31 @@ def _product(v, rows=slice(None)):
 def _assemble(slots, m: int, d: int) -> sp.csr_matrix:
     """The (m d) x (m d) CSR matrix whose row p = i + j d holds at column
     p + s the sum of v[j, i] over the slots (s, v) of offset s (v as in
-    _product).  The slots of one offset must fill different entries, so
-    that no sum cancels and the row counts are exact.  Rows are counted
-    first and offsets taken in order, so each CSR array is written once,
-    sorted; adding 0.0 makes -0.0 parts +0.0."""
+    _product).  Blocks of rows are summed into a table of one column per
+    offset, counted, then written backwards from the block still in the
+    table, so each CSR array is written once, sorted; adding 0.0 makes -0.0
+    parts +0.0."""
     import scipy.sparse as sp
     merged = {}
     for s, v in slots:
         merged.setdefault(s, []).append(v)
     offsets, parts = zip(*sorted(merged.items()))
     offsets = np.array(offsets, dtype=np.int32)
-    indptr = np.zeros(m * d + 1, dtype=np.int32)
-    np.cumsum(sum(_product(v) != 0 for vs in parts for v in vs),
-              out=indptr[1:])
-    data = np.empty(indptr[-1], dtype=complex)
-    indices = np.empty(indptr[-1], dtype=np.int32)
     rows = max(1, ASSEMBLY_BLOCK // (d * len(parts)))
     table = np.empty((min(rows, m), d, len(parts)), dtype=complex)
-    for j in range(0, m, rows):
+    def fill(j):            # rows j d to (j + rows) d, in the table
         block = table[:min(rows, m - j)]
         for k, vs in enumerate(parts):
             block[..., k] = sum(_product(v, slice(j, j + rows)) for v in vs)
-        block = block.reshape(-1, len(parts))
+        return block.reshape(-1, len(parts))
+    indptr = np.zeros(m * d + 1, dtype=np.int32)
+    for j in range(0, m, rows):
+        block = fill(j)
+        indptr[j * d + 1:][:len(block)] = np.count_nonzero(block, 1)
+    np.cumsum(indptr, out=indptr)
+    data, indices = np.empty(indptr[-1], complex), np.empty(indptr[-1], np.int32)
+    for j in reversed(range(0, m, rows)):
+        block = fill(j) if j + rows < m else block
         at = np.flatnonzero(block != 0)
         start, stop = j * d, j * d + len(block)
         span = slice(indptr[start], indptr[stop])
@@ -488,6 +494,15 @@ def _chain_residual(up: np.ndarray, down: np.ndarray, p: np.ndarray) -> float:
     return float(np.linalg.norm(rows))
 
 
+def _row_entries(indptr: np.ndarray, rows: np.ndarray):
+    """The positions in a CSR matrix's data and indices of the entries of
+    `rows`, row after row, and the indptr of those rows stacked."""
+    starts, counts = indptr[rows], indptr[rows + 1] - indptr[rows]
+    stacked = np.append(0, np.cumsum(counts)).astype(indptr.dtype)
+    at = np.arange(stacked[-1]) + np.repeat(starts - stacked[:-1], counts)
+    return at, stacked
+
+
 def _hermitian_coordinates(excitations: np.ndarray):
     """Real coordinates of Hermitian matrices on the basis states whose total
     excitation numbers N are `excitations`: the diagonal entries, then Re
@@ -496,7 +511,8 @@ def _hermitian_coordinates(excitations: np.ndarray):
     Returns the sparse map T from coordinates to the column-stacked vec; for
     each coordinate its entry's vec index and whether it is an Im part; the
     number of even coordinates; and for each coordinate its index before
-    the sort."""
+    the sort.  T is written row by row: an off-diagonal vec entry holds Re
+    then Im, at 1 and 1j above the diagonal and their conjugates below."""
     import scipy.sparse as sp
     d = excitations.size
     parity = excitations % 2
@@ -505,9 +521,14 @@ def _hermitian_coordinates(excitations: np.ndarray):
     unsplit = np.argsort(odd, kind="stable")
     i, j, imag = i[unsplit], j[unsplit], unsplit >= d * (d + 1) // 2
     k, off, value = np.arange(d * d), i != j, np.where(imag, 1j, 1.0)
-    t = sp.csr_matrix((np.concatenate([value, value[off].conj()]),
-                       (np.concatenate([i + j * d, (j + i * d)[off]]),
-                        np.concatenate([k, k[off]]))), shape=(d * d, d * d))
+    indptr = np.zeros(d * d + 1, dtype=np.int32)
+    np.cumsum(2 - (np.arange(d * d) % (d + 1) == 0), out=indptr[1:])
+    at = np.concatenate([indptr[i + j * d] + imag,
+                         (indptr[j + i * d] + imag)[off]])
+    indices, data = np.empty(at.size, np.int32), np.empty(at.size, complex)
+    indices[at] = np.concatenate([k, k[off]])
+    data[at] = np.concatenate([value, value[off].conj()])
+    t = sp.csr_matrix((data, indices, indptr), shape=(d * d, d * d))
     return t, i + j * d, imag, d * d - int(odd.sum()), unsplit
 
 
@@ -515,16 +536,19 @@ def _real_system(lsuper: sp.spmatrix, t, rows, imag, unit: float,
                  weight: float) -> sp.csr_matrix:
     """The real n x n system of a Lindbladian L in Hermitian coordinates (see
     _hermitian_coordinates): row k is Re of row rows[k] of L T / unit, or Im
-    where imag[k], but row 0 is the trace row: `weight` on the diagonal."""
+    where imag[k], but row 0 is the trace row: `weight` on the diagonal.
+    Its indices are sorted (the order of GMRES's row sums)."""
     import scipy.sparse as sp
     d = math.isqrt(rows.size)
-    part = (lsuper @ t).tocsr()[rows[1:]]
-    data = np.where(np.repeat(imag[1:], np.diff(part.indptr)), part.data.imag,
-                    part.data.real) / unit
+    part = lsuper @ t
+    at, indptr = _row_entries(part.indptr, rows[1:])
+    data = np.where(np.repeat(imag[1:], np.diff(indptr)), part.data.imag[at],
+                    part.data.real[at]) / unit
     a = sp.csr_matrix((np.insert(data, 0, np.full(d, weight)),
-                       np.insert(part.indices, 0, np.arange(d)),
-                       np.insert(part.indptr + d, 0, 0)), shape=t.shape)
+                       np.insert(part.indices[at], 0, np.arange(d)),
+                       np.insert(indptr + d, 0, 0)), shape=t.shape)
     a.eliminate_zeros()
+    a.sort_indices()
     return a
 
 
@@ -665,6 +689,7 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     which runs only then (fig2's states are positive definite).  The state
     is symmetrised, so rho is exactly Hermitian; its residual is in L's
     units, and the populations are its mechanics' (the partial trace)."""
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
     d, n = liou.excitations.size, liou.dim
     t, rows, imag, even, unsplit = _hermitian_coordinates(liou.excitations)
@@ -679,15 +704,18 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     for at, r_k, r_mk in _parity_blocks(r, r_m, even):
         try:
             # natural order suits an M with no mechanics-cavity term (fig2 mech
-            # 8: 33k nonzeros, 34k after COLAMD), not M = L (d = 320: x2.9)
+            # 8: 33k nonzeros, 34k after COLAMD), not M = L (d = 320: x2.9);
+            # narrow supernodes gain nothing from panels of several columns
             lu = spla.splu(r_mk.tocsc(), permc_spec="COLAMD"
-                           if liou.uncoupled is None else "NATURAL")
+                           if liou.uncoupled is None else "NATURAL",
+                           panel_size=1)
         except RuntimeError:
             raise DegenerateSteadyStateError(
                 "trace-constrained preconditioner is singular; the generator "
                 "null space is not one-dimensional") from None
         lu_nnz += lu.nnz
-        abs_r = abs(r_k)
+        abs_r = sp.csr_matrix((np.abs(r_k.data), r_k.indices, r_k.indptr),
+                              shape=r_k.shape)
         if not solves:
             solves.append(("steady", GMRES_TOL,
                            *_gmres(r_k, abs_r, lu, rhs[at], GMRES_TOL)))

@@ -56,6 +56,8 @@ class SpectrumData:
     peaks: tuple[SpectrumPeak, ...]
     resolvable: bool
     probe_resonant: bool
+    resolution: float           # lam / (3 max Gamma_n): resolvable at >= 1
+    asymmetry: float            # max |A+ - A-| / (A+ + A-) of the probe
 
     def peak(self, n: int, side: str) -> SpectrumPeak:
         for pk in self.peaks:
@@ -285,7 +287,8 @@ def power_spectrum(populations, drive_rates: RateTable,
     asym = float(np.max(np.abs(ap - am) / (ap + am + 1e-300)))
     return SpectrumData(frequencies=freqs, values=values, peaks=tuple(peaks),
                         resolvable=bool(lam >= 3.0 * gam.max()),
-                        probe_resonant=asym < 0.01)
+                        probe_resonant=asym < 0.01, asymmetry=asym,
+                        resolution=float(lam / (3.0 * gam.max())))
 
 
 def _interp_peak(freqs: np.ndarray, values: np.ndarray, center: float,
@@ -315,10 +318,12 @@ def populations_from_spectrum(spectrum: SpectrumData,
     highest detected line.  Returns (P, uncertainty)."""
     if not spectrum.probe_resonant:
         raise SpectrumInversionError(
-            "probe is not resonant; peak ratios no longer equal P_n/P_(n-1)")
+            f"probe is not resonant: probe rate asymmetry {spectrum.asymmetry:.3f}"
+            " (limit 0.01); peak ratios no longer equal P_n/P_(n-1)")
     if not spectrum.resolvable:
         raise SpectrumInversionError(
-            "sideband lines are not resolved; refusing the inversion")
+            "sideband lines are not resolved: line spacing over 3 max linewidth "
+            f"{spectrum.resolution:.3g} (limit 1); refusing the inversion")
     ns = sorted({pk.n for pk in spectrum.peaks})
     if n_levels is not None:
         ns = [n for n in ns if n <= n_levels]

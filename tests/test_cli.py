@@ -1000,8 +1000,9 @@ def test_cli_unresolved_spectrum_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_PRECONDITION
     assert capsys.readouterr().err.splitlines() == [
-        "analysis precondition: sideband lines are not resolved; "
-        "refusing the inversion"]
+        "analysis precondition: sideband lines are not resolved: line "
+        "spacing over 3 max linewidth 0.0156 (limit 1); refusing the "
+        "inversion"]
 
 
 def test_cli_solver_memory_guard_exit_code(tmp_path, capsys):

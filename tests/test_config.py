@@ -66,6 +66,15 @@ def test_parse_quantity_non_finite(value, dim):
     assert exc.value.path == "device.x"
 
 
+@pytest.mark.parametrize("value", [{}, [], True])
+def test_parse_quantity_names_the_type_it_expects(value):
+    # a dimensionless field takes a bare number, not a "number unit" string
+    with pytest.raises(ConfigError, match="expected a number, got"):
+        parse_quantity(value, "dimensionless", "simulation.mech_truncation")
+    with pytest.raises(ConfigError, match="expected a quantity string, got"):
+        parse_quantity(value, "length", "device.beam.length")
+
+
 def test_parse_quantity_wrong_dimension():
     with pytest.raises(ConfigError, match="dimension"):
         parse_quantity("5 um", "frequency", "p")

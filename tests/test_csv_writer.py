@@ -168,17 +168,32 @@ def test_wigner_csv_matches_per_cell_reference(tmp_path, grid):
         assert_same_lines(f.read().split("\n"), want.split("\n"))
 
 
+def columns_of(kind, n):
+    return {"floats": np.arange(n, dtype=float), "text": ["t"] * n,
+            "pair": (np.array([0.5]), np.zeros(n, dtype=np.intp))}[kind]
+
+
 @pytest.mark.parametrize("n", [1, B + 1])
 @pytest.mark.parametrize("kind", ["floats", "text", "pair"])
 @pytest.mark.parametrize("change", [-1, 1])
 def test_write_csv_refuses_columns_of_unequal_length(tmp_path, n, kind,
                                                      change):
     # a later column one cell short or long within the rows of the first
-    col = {"floats": np.arange(n + change, dtype=float),
-           "text": ["t"] * (n + change),
-           "pair": (np.array([0.5]), np.zeros(n + change, dtype=np.intp))}
     with pytest.raises(ValueError):
-        write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(n), col[kind]])
+        write_csv(tmp_path / "t.csv", ["a", "b"],
+                  [np.zeros(n), columns_of(kind, n + change)])
+
+
+@pytest.mark.parametrize("n", [1, B + 1])
+@pytest.mark.parametrize("kind", ["floats", "text", "pair"])
+@pytest.mark.parametrize("change", [-1, 1])
+def test_write_csv_refuses_unequal_length_after_a_pair(tmp_path, n, kind,
+                                                       change):
+    # as above, after a paired first column, whose cells carry their
+    # separator
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", ["a", "b"],
+                  [columns_of("pair", n), columns_of(kind, n + change)])
 
 
 def test_write_csv_memory_does_not_grow_with_rows(tmp_path):

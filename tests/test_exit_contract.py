@@ -1,12 +1,15 @@
 """The exit-code contract under mutated configs: each leaf of
-configs/fig2.json is removed, nulled, given the wrong type, or set to 0, a
-negative, a tiny, a huge and a NaN value in its own unit, and `device`,
-`validate`, `steady` and `spectrum --selftest` run on every mutation.  A
-command either succeeds without writing a non-finite value, or refuses with
-its exit code and one stderr line; no numpy RuntimeWarning reaches stderr,
-and a success warns of nothing but a Wigner grid integral off 1."""
+configs/fig2.json is removed, nulled, set to {}, given the wrong type, or
+set to 0, a negative, a tiny, a huge and a NaN value in its own unit, and
+`device`, `validate`, `steady`, `spectrum --selftest` and a one-point
+`sweep` run on every mutation.  A command either succeeds without writing a
+non-finite value, or refuses with its exit code and one stderr line (a
+sweep whose point fails records the refusal in its row instead); no numpy
+RuntimeWarning reaches stderr, and a success warns of nothing but a Wigner
+grid integral off 1."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -22,7 +25,8 @@ from nanomech.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION,
 
 from conftest import CONFIG_PATH
 
-COMMANDS = [["device"], ["validate"], ["steady"], ["spectrum", "--selftest"]]
+COMMANDS = [["device"], ["validate"], ["steady"], ["spectrum", "--selftest"],
+            ["sweep", "--param", "device.softening.zeta", "--values", "4.0"]]
 # the message prefixes of each exit code but 0
 PREFIXES = {code: tuple(prefix for _cls, c, prefix in ERRORS if c == code)
             for _cls, code, _prefix in ERRORS}
@@ -46,10 +50,10 @@ def _leaves(node, path=()):
 
 
 def _values(key, value):
-    """The mutations of one leaf: missing, null, a wrong type, and for a
-    number or a quantity "<number> <unit>" 0, a negative, a tiny, a huge and
-    a NaN value in its unit (a symbolic detuning in Hz)."""
-    out = {"missing": MISSING, "null": None}
+    """The mutations of one leaf: missing, null, an empty object, a wrong
+    type, and for a number or a quantity "<number> <unit>" 0, a negative, a
+    tiny, a huge and a NaN value in its unit (a symbolic detuning in Hz)."""
+    out = {"missing": MISSING, "null": None, "object": {}}
     if isinstance(value, str):
         out["wrong_type"] = 1.0
         number, _, unit = value.partition(" ")
@@ -120,12 +124,29 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def contract_breaches(code, err, outdir):
-    """What a run with exit code `code`, stderr `err` and output directory
-    `outdir` does against the contract."""
+def failed_sweep_point(outdir):
+    """The error of the first failed row of the sweep.csv in `outdir`, or
+    None."""
+    path = outdir / "sweep.csv"
+    if not path.exists():
+        return None
+    with path.open(newline="") as f:
+        next(f)                 # the schema comment
+        return next((r["error"] for r in csv.DictReader(f) if r["error"]),
+                    None)
+
+
+def contract_breaches(code, err, outdir, command="device"):
+    """What a run of `command` with exit code `code`, stderr `err` and output
+    directory `outdir` does against the contract.  A sweep whose point
+    fails records the refusal in its row and exits with its code, writing
+    nothing to stderr."""
     lines = err.splitlines()
     if type(code) is not int or not EXIT_OK <= code <= EXIT_SOLVER:
         return [f"exit code {code!r}"]
+    if command == "sweep" and code != EXIT_OK and not err:
+        return ([] if failed_sweep_point(outdir) else
+                [f"sweep exit {code} with no failed row"])
     breaches = []
     if "RuntimeWarning" in err:
         breaches.append(f"RuntimeWarning: {err!r}")
@@ -159,7 +180,8 @@ def test_mutated_configs_keep_the_exit_code_contract(tmp_path):
                                        "--out", str(outdir)])
             codes[code] = codes.get(code, 0) + 1
             breaches += [f"{name} {command[0]}: {b}"
-                         for b in contract_breaches(code, err, outdir)]
+                         for b in contract_breaches(code, err, outdir,
+                                                    command[0])]
     assert breaches == []
     # the table reaches every exit code
     assert set(codes) == {0, 1, 2, 3, 4}
@@ -180,5 +202,6 @@ def test_refused_spectrum_prints_one_line(tmp_path):
                          cwd=tmp_path, env=env, capture_output=True, text=True)
     assert run.returncode == EXIT_PRECONDITION
     assert run.stderr.splitlines() == [
-        "analysis precondition: probe is not resonant; peak ratios no "
-        "longer equal P_n/P_(n-1)"]
+        "analysis precondition: probe is not resonant: probe rate "
+        "asymmetry 0.360 (limit 0.01); peak ratios no longer equal "
+        "P_n/P_(n-1)"]

@@ -198,6 +198,7 @@ def test_spectrum_peak_positions_and_pairing():
                           transition_rates(probe), freqs,
                           GAMMA_M, N_BAR)
     assert spec.resolvable and spec.probe_resonant
+    assert spec.resolution >= 1.0 and spec.asymmetry < 0.01
     pk1p = spec.peak(1, "+")
     pk1m = spec.peak(1, "-")
     # the 0 <-> 1 line sits at delta_1 = w_m'
@@ -265,7 +266,12 @@ def test_overlapping_lines_flagged():
     spec = power_spectrum(pn, transition_rates(squeezed),
                           transition_rates(probe), freqs, GAMMA_M, N_BAR)
     assert not spec.resolvable
-    with pytest.raises(SpectrumInversionError):
+    # the refusal names the spacing's ratio to 3 max Gamma_n and its limit
+    assert spec.resolution == pytest.approx(
+        squeezed.lam / (3.0 * max(pk.linewidth for pk in spec.peaks)),
+        rel=1e-12)
+    with pytest.raises(SpectrumInversionError,
+                       match=rf"{spec.resolution:.3g} \(limit 1\)"):
         populations_from_spectrum(spec)
 
 
@@ -282,7 +288,8 @@ def test_detuned_probe_flagged():
                           transition_rates(detuned_probe), freqs, GAMMA_M,
                           N_BAR)
     assert not spec.probe_resonant
-    with pytest.raises(SpectrumInversionError):
+    with pytest.raises(SpectrumInversionError,
+                       match=rf"asymmetry {spec.asymmetry:.3f} \(limit 0.01\)"):
         populations_from_spectrum(spec)
 
 
