@@ -366,7 +366,8 @@ def _csv_cells(column) -> list[str]:
 
 def write_csv(path: Path, header: list[str], columns):
     """Write a `# schema:` comment line, the header, then one row per index
-    of `columns`, which holds one equally long column per header name.
+    of `columns`, which holds one equally long column per header name;
+    columns of unequal length raise ValueError before the file is opened.
 
     A column is an array or list of cells, or a pair (values, index): a
     float64 array and one index in [0, len(values)) into it per row.  The
@@ -375,6 +376,10 @@ def write_csv(path: Path, header: list[str], columns):
     block.  Float cells have the 17 significant digits of `format_float`,
     as in the JSON files; text cells are quoted per RFC 4180 when needed.
     Rows are written in blocks of CSV_BLOCK_ROWS."""
+    lengths = {len(c[1]) if isinstance(c, tuple) else len(c) for c in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal length: {sorted(lengths)} rows")
+    (rows,) = lengths
     tables, blocks, seps = [], [], []
     for j, c in enumerate(columns):
         if isinstance(c, tuple):     # its index, shifted to its values' place
@@ -389,11 +394,9 @@ def write_csv(path: Path, header: list[str], columns):
     width = sum(1 if paired else 2 for paired, _ in blocks)
     with path.open("w") as f:
         f.write(f"# schema: {SCHEMA_VERSION}\n{','.join(header)}\n")
-        for start in range(0, len(blocks[0][1]), CSV_BLOCK_ROWS):
+        for start in range(0, rows, CSV_BLOCK_ROWS):
             stop = start + CSV_BLOCK_ROWS
-            # one string per block; a column of another length does not fit
-            # its extended slice (ValueError)
-            flat = [","] * (width * len(blocks[0][1][start:stop]))
+            flat = [","] * (width * (min(stop, rows) - start))
             at = 0
             for paired, c in blocks:
                 flat[at::width] = (text[c[start:stop]].tolist() if paired
@@ -401,7 +404,7 @@ def write_csv(path: Path, header: list[str], columns):
                 at += 1 if paired else 2
             if not blocks[-1][0]:
                 flat[width - 1::width] = ["\n"] * (len(flat) // width)
-            f.write("".join(flat))
+            f.write("".join(flat))       # one string per block
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +506,7 @@ def run_spectrum(cfg: RunConfig, selftest=False):
         sysc, lasers=(LaserParams(g=probe.g, detuning=probe.detuning),))
     drive_rates = transition_rates(sysc)
     probe_rates = transition_rates(probe_sys)
-
+    # refuses lines that cannot be read out before any of them is sampled
     delta, gam = sideband_lines(drive_rates, probe_rates, sysc.gamma_m,
                                 sysc.n_bar, reduced.populations.size)
     span = cfg.simulation.spectrum_span
@@ -687,9 +690,10 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     spec = res["spectrum"]
     write_csv(out / "spectrum.csv", ["omega_minus_omegaL", "S"],
               [spec.frequencies, spec.values])
+    # true by construction: sideband_lines refuses any other line table
     peaks = {
-        "probe_resonant": spec.probe_resonant,
-        "resolvable": spec.resolvable,
+        "probe_resonant": True,
+        "resolvable": True,
         "peaks": [
             {"n": pk.n, "side": pk.side, "position": pk.position,
              "height": pk.height, "linewidth": pk.linewidth}

@@ -54,10 +54,6 @@ class SpectrumData:
     frequencies: np.ndarray
     values: np.ndarray
     peaks: tuple[SpectrumPeak, ...]
-    resolvable: bool
-    probe_resonant: bool
-    resolution: float           # lam / (3 max Gamma_n): resolvable at >= 1
-    asymmetry: float            # max |A+ - A-| / (A+ + A-) of the probe
 
     def peak(self, n: int, side: str) -> SpectrumPeak:
         for pk in self.peaks:
@@ -207,10 +203,26 @@ def sideband_lines(drive_rates: RateTable, probe_rates: RateTable,
                    gamma_m: float, n_bar: float, n_levels: int):
     """Offsets delta_n from the probe and widths Gamma_n of the sideband
     lines n = 1..n_lines that power_spectrum draws for n_levels populations,
-    n_lines = min(n_levels - 1, probe n_max, drive n_max - 1)."""
+    n_lines = min(n_levels - 1, probe n_max, drive n_max - 1).  Lines that
+    cannot be read out raise SpectrumInversionError: a probe that is not
+    resonant, then a mean line spacing lam < 3 max Gamma_n."""
     n_lines = min(n_levels - 1, probe_rates.n_max, drive_rates.n_max - 1)
     gam = linewidths(drive_rates, gamma_m, n_bar, n_max=n_lines,
                      probe_rates=probe_rates)
+    # a resonant probe has A+^n = A-^n; grade resonance by the actual
+    # asymmetry of the probe rate table rather than the raw detuning
+    ap = probe_rates.a_plus[:n_lines].sum(axis=1)
+    am = probe_rates.a_minus[:n_lines].sum(axis=1)
+    asym = float(np.max(np.abs(ap - am) / (ap + am + 1e-300)))
+    if not asym < 0.01:
+        raise SpectrumInversionError(
+            f"probe is not resonant: probe rate asymmetry {asym:.3f}"
+            " (limit 0.01); peak ratios no longer equal P_n/P_(n-1)")
+    lam = np.diff(drive_rates.delta).mean() if drive_rates.delta.size > 1 else np.inf
+    if not lam >= 3.0 * gam.max():
+        raise SpectrumInversionError(
+            "sideband lines are not resolved: line spacing over 3 max linewidth "
+            f"{lam / (3.0 * gam.max()):.3g} (limit 1); refusing the inversion")
     return drive_rates.delta[:n_lines], gam
 
 
@@ -255,19 +267,17 @@ def power_spectrum(populations, drive_rates: RateTable,
     S(w) = sum_n n Gamma_n [A-^n P_n / ((w - w_n+)^2 + Gamma_n^2/4)
                           + A+^n P_(n-1) / ((w - w_n-)^2 + Gamma_n^2/4)].
     The probe's own rates broaden the lines.  The overall scale is
-    arbitrary; only ratios are physical.  Overlapping lines
-    (lam < 3 max Gamma_n) and a probe that is not resonant are flagged in
-    the result, for populations_from_spectrum to refuse."""
+    arbitrary; only ratios are physical.  Lines that cannot be read out are
+    refused by sideband_lines before anything is sampled."""
     pn = np.asarray(populations, dtype=float)
     freqs = np.asarray(frequencies, dtype=float)
     delta, gam = sideband_lines(drive_rates, probe_rates, gamma_m, n_bar,
                                 pn.size)
-    n_lines = gam.size
     a_plus, a_minus = (probe_rates.a_plus.sum(axis=1),
                        probe_rates.a_minus.sum(axis=1))
     values = np.zeros_like(freqs)
     peaks = []
-    for n in range(1, n_lines + 1):
+    for n in range(1, gam.size + 1):
         g_n = gam[n - 1]
         w_plus, w_minus = delta[n - 1], -delta[n - 1]
         up = n * g_n * a_minus[n - 1] * pn[n]
@@ -280,15 +290,7 @@ def power_spectrum(populations, drive_rates: RateTable,
         peaks.append(SpectrumPeak(
             n=n, side="-", position=w_minus, height=4.0 * lo / g_n**2,
             linewidth=g_n))
-    lam = np.diff(drive_rates.delta).mean() if drive_rates.delta.size > 1 else np.inf
-    # a resonant probe has A+^n = A-^n; grade resonance by the actual
-    # asymmetry of the probe rate table rather than the raw detuning
-    ap, am = a_plus[:n_lines], a_minus[:n_lines]
-    asym = float(np.max(np.abs(ap - am) / (ap + am + 1e-300)))
-    return SpectrumData(frequencies=freqs, values=values, peaks=tuple(peaks),
-                        resolvable=bool(lam >= 3.0 * gam.max()),
-                        probe_resonant=asym < 0.01, asymmetry=asym,
-                        resolution=float(lam / (3.0 * gam.max())))
+    return SpectrumData(frequencies=freqs, values=values, peaks=tuple(peaks))
 
 
 def _interp_peak(freqs: np.ndarray, values: np.ndarray, center: float,
@@ -316,14 +318,6 @@ def populations_from_spectrum(spectrum: SpectrumData,
     """Recover populations from resonant-probe peak-height ratios
     S(w_n+)/S(w_n-) ~ P_n / P_(n-1), assuming negligible occupation above the
     highest detected line.  Returns (P, uncertainty)."""
-    if not spectrum.probe_resonant:
-        raise SpectrumInversionError(
-            f"probe is not resonant: probe rate asymmetry {spectrum.asymmetry:.3f}"
-            " (limit 0.01); peak ratios no longer equal P_n/P_(n-1)")
-    if not spectrum.resolvable:
-        raise SpectrumInversionError(
-            "sideband lines are not resolved: line spacing over 3 max linewidth "
-            f"{spectrum.resolution:.3g} (limit 1); refusing the inversion")
     ns = sorted({pk.n for pk in spectrum.peaks})
     if n_levels is not None:
         ns = [n for n in ns if n <= n_levels]

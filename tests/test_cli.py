@@ -1005,6 +1005,36 @@ def test_cli_unresolved_spectrum_exit_code(tmp_path, capsys):
         "inversion"]
 
 
+@pytest.mark.parametrize("mech, span, resolution", [
+    (227, None, "0.996"), (10_000, None, "0.0224"),
+    # a span that misses the first line is not judged: the line table is
+    # refused first
+    (227, "5e7 rad/s", "0.996")])
+def test_cli_refused_readout_samples_nothing(tmp_path, capsys, monkeypatch,
+                                             mech, span, resolution):
+    # fig2 keeps its lines resolved up to 226 levels only, since Gamma_n
+    # grows with n; above, the refusal comes from the line table, before
+    # any frequency grid or spectrum is computed
+    def mutate(raw):
+        raw["simulation"]["mech_truncation"] = mech
+        if span is not None:
+            raw["simulation"]["spectrum_grid"] = {"span": span}
+    path = write_variant(tmp_path, mutate)
+
+    def sampled(*_args, **_kwargs):
+        raise AssertionError("a refused readout was sampled")
+    monkeypatch.setattr(cli, "sideband_grid", sampled)
+    monkeypatch.setattr(cli, "power_spectrum", sampled)
+    code = main(["spectrum", "--selftest", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_PRECONDITION
+    assert capsys.readouterr().err.splitlines() == [
+        "analysis precondition: sideband lines are not resolved: line "
+        f"spacing over 3 max linewidth {resolution} (limit 1); refusing the "
+        "inversion"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_solver_memory_guard_exit_code(tmp_path, capsys):
     # at most 3 photons in all, as steady --full --converge can reach:
     # d = 6,000, about 5e8 estimated nonzeros

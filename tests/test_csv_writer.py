@@ -196,6 +196,21 @@ def test_write_csv_refuses_unequal_length_after_a_pair(tmp_path, n, kind,
                   [columns_of("pair", n), columns_of(kind, n + change)])
 
 
+@pytest.mark.parametrize("n", [0, B])
+@pytest.mark.parametrize("kind", ["floats", "text", "pair"])
+def test_write_csv_refuses_a_longer_column_after_whole_blocks(tmp_path, n,
+                                                              kind):
+    # a first column of whole blocks (or none) used to end the block loop
+    # before a longer later column's extra rows, which were dropped silently
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError):
+        write_csv(path, ["a", "b"], [np.zeros(n), columns_of(kind, n + 3)])
+    with pytest.raises(ValueError):
+        write_csv(path, ["a", "b"], [columns_of("pair", n),
+                                     columns_of(kind, n + 1)])
+    assert not path.exists()
+
+
 def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
     # two all-distinct float64 columns: the allocation peak at 160,004 rows
     # is that at 40,001 rows (about 1.4 MB both), where formatting each

@@ -2,7 +2,8 @@
 configs/fig2.json is removed, nulled, set to {}, given the wrong type, or
 set to 0, a negative, a tiny, a huge and a NaN value in its own unit, and
 `device`, `validate`, `steady`, `spectrum --selftest` and a one-point
-`sweep` run on every mutation.  A command either succeeds without writing a
+`sweep` run on every mutation, `steady --full` and `steady --converge` on a
+fixed sample of them.  A command either succeeds without writing a
 non-finite value, or refuses with its exit code and one stderr line (a
 sweep whose point fails records the refusal in its row instead); no numpy
 RuntimeWarning reaches stderr, and a success warns of nothing but a Wigner
@@ -27,6 +28,30 @@ from conftest import CONFIG_PATH
 
 COMMANDS = [["device"], ["validate"], ["steady"], ["spectrum", "--selftest"],
             ["sweep", "--param", "device.softening.zeta", "--values", "4.0"]]
+# the solves of steady --full and --converge run on this sample only, to
+# keep the test within seconds (over all mutations --full took about 1 s):
+# every mutation of the truncations they read, mutations that reach them
+# and succeed or exit 4, and the regressions at the end of the table
+SOLVER_COMMANDS = [["steady", "--full"], ["steady", "--converge"]]
+SOLVER_SAMPLE = (
+    *(f"simulation.{leaf}:{kind}"
+      for leaf in ("mech_truncation", "cavity_photons")
+      for kind in ("missing", "null", "object", "wrong_type", "zero",
+                   "negative", "tiny", "huge", "nan")),
+    "simulation.wigner_grid.half_width:tiny",
+    "simulation.wigner_grid.half_width:huge",
+    "device.beam.quality_factor:huge",
+    "device.softening.alpha_par:zero",
+    "device.cavity.external_coupling_fraction:tiny",
+    "device.drives.0.power:zero",
+    "device.drives.0.detuning:zero",
+    "device.drives.1.power:zero",
+    "device.temperature:zero",
+    "probe_off_resonance",
+    "drives_at_1200_W",
+    "drives_at_120_W",
+    "linewidth_square_underflows",
+)
 # the message prefixes of each exit code but 0
 PREFIXES = {code: tuple(prefix for _cls, c, prefix in ERRORS if c == code)
             for _cls, code, _prefix in ERRORS}
@@ -169,22 +194,29 @@ def contract_breaches(code, err, outdir, command="device"):
 
 def test_mutated_configs_keep_the_exit_code_contract(tmp_path):
     breaches, codes, text = [], {}, CONFIG_PATH.read_text()
-    for k, (name, mutate) in enumerate(mutations()):
+    table = mutations()
+    assert set(SOLVER_SAMPLE) <= {name for name, _mutate in table}
+    for k, (name, mutate) in enumerate(table):
         raw = json.loads(text)
         mutate(raw)
         path = tmp_path / f"{k}.json"
         path.write_text(json.dumps(raw))
-        for command in COMMANDS:
-            outdir = tmp_path / f"{k}-{command[0]}"
+        runs = [(command[0], command) for command in COMMANDS]
+        if name in SOLVER_SAMPLE:
+            runs += [(" ".join(command), command) for command in SOLVER_COMMANDS]
+        for j, (label, command) in enumerate(runs):
+            outdir = tmp_path / f"{k}-{j}"
             code, _out, err = run_cli([*command, "--config", str(path),
                                        "--out", str(outdir)])
-            codes[code] = codes.get(code, 0) + 1
-            breaches += [f"{name} {command[0]}: {b}"
+            codes.setdefault(label, set()).add(code)
+            breaches += [f"{name} {label}: {b}"
                          for b in contract_breaches(code, err, outdir,
                                                     command[0])]
     assert breaches == []
-    # the table reaches every exit code
-    assert set(codes) == {0, 1, 2, 3, 4}
+    # the table reaches every exit code, and the sample every code that
+    # the solves give
+    assert set().union(*codes.values()) == {0, 1, 2, 3, 4}
+    assert codes["steady --full"] == codes["steady --converge"] == {0, 1, 4}
 
 
 def test_refused_spectrum_prints_one_line(tmp_path):

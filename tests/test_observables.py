@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -161,6 +163,18 @@ def spectrum_grid(cfg, n_lines=4, points=40001):
     return np.linspace(-span / 2.0, span / 2.0, points)
 
 
+def readout_ratios(drive, probe, n_lines):
+    """The splitting over 3 max Gamma_n of the first n_lines lines, and the
+    largest |A+ - A-| / (A+ + A-) of the probe over them."""
+    probe_rates = transition_rates(probe)
+    gam = linewidths(transition_rates(drive), GAMMA_M, N_BAR, n_max=n_lines,
+                     probe_rates=probe_rates)
+    ap = probe_rates.a_plus[:n_lines].sum(axis=1)
+    am = probe_rates.a_minus[:n_lines].sum(axis=1)
+    return (drive.lam / (3.0 * gam.max()),
+            float(np.max(np.abs(ap - am) / (ap + am))))
+
+
 def test_linewidth_thermal_only():
     # no lasers at all: Gamma_n = gamma [n (2 n_bar + 1) + (n-1)(n_bar+1)
     # + (n+1) n_bar]
@@ -197,8 +211,13 @@ def test_spectrum_peak_positions_and_pairing():
     spec = power_spectrum(pn, transition_rates(drive),
                           transition_rates(probe), freqs,
                           GAMMA_M, N_BAR)
-    assert spec.resolvable and spec.probe_resonant
-    assert spec.resolution >= 1.0 and spec.asymmetry < 0.01
+    # a readable line table is not refused: its splitting clears 3 max
+    # Gamma_n and its probe is resonant
+    _delta, gam = sideband_lines(transition_rates(drive),
+                                 transition_rates(probe), GAMMA_M, N_BAR,
+                                 pn.size)
+    resolution, asymmetry = readout_ratios(drive, probe, gam.size)
+    assert resolution >= 1.0 and asymmetry < 0.01
     pk1p = spec.peak(1, "+")
     pk1m = spec.peak(1, "-")
     # the 0 <-> 1 line sits at delta_1 = w_m'
@@ -263,16 +282,14 @@ def test_overlapping_lines_flagged():
         lasers=drive.lasers)
     pn = np.array([0.2, 0.6, 0.2])
     freqs = spectrum_grid(squeezed, n_lines=2, points=10001)
-    spec = power_spectrum(pn, transition_rates(squeezed),
-                          transition_rates(probe), freqs, GAMMA_M, N_BAR)
-    assert not spec.resolvable
-    # the refusal names the spacing's ratio to 3 max Gamma_n and its limit
-    assert spec.resolution == pytest.approx(
-        squeezed.lam / (3.0 * max(pk.linewidth for pk in spec.peaks)),
-        rel=1e-12)
+    resolution, asymmetry = readout_ratios(squeezed, probe, n_lines=2)
+    assert resolution < 1.0 and asymmetry < 0.01
+    # the refusal names the spacing's ratio to 3 max Gamma_n and its limit,
+    # and comes before anything is sampled
     with pytest.raises(SpectrumInversionError,
-                       match=rf"{spec.resolution:.3g} \(limit 1\)"):
-        populations_from_spectrum(spec)
+                       match=rf"not resolved: .* {resolution:.3g} \(limit 1\)"):
+        power_spectrum(pn, transition_rates(squeezed),
+                       transition_rates(probe), freqs, GAMMA_M, N_BAR)
 
 
 def test_detuned_probe_flagged():
@@ -284,13 +301,19 @@ def test_detuned_probe_flagged():
         lasers=(LaserParams(g=2.0e2, detuning=3.0 * drive.kappa),))
     pn = np.array([0.2, 0.6, 0.2])
     freqs = spectrum_grid(drive, n_lines=2, points=10001)
-    spec = power_spectrum(pn, transition_rates(drive),
-                          transition_rates(detuned_probe), freqs, GAMMA_M,
-                          N_BAR)
-    assert not spec.probe_resonant
+    resolution, asymmetry = readout_ratios(drive, detuned_probe, n_lines=2)
+    assert resolution >= 1.0 and asymmetry >= 0.01
     with pytest.raises(SpectrumInversionError,
-                       match=rf"asymmetry {spec.asymmetry:.3f} \(limit 0.01\)"):
-        populations_from_spectrum(spec)
+                       match=rf"asymmetry {asymmetry:.3f} \(limit 0.01\)"):
+        power_spectrum(pn, transition_rates(drive),
+                       transition_rates(detuned_probe), freqs, GAMMA_M, N_BAR)
+    # the probe is judged first, also when the lines overlap as well
+    squeezed = dataclasses.replace(drive, lam=drive.lam * 1e-3)
+    assert readout_ratios(squeezed, detuned_probe, n_lines=2)[0] < 1.0
+    with pytest.raises(SpectrumInversionError,
+                       match=rf"asymmetry {asymmetry:.3f} \(limit 0.01\)"):
+        power_spectrum(pn, transition_rates(squeezed),
+                       transition_rates(detuned_probe), freqs, GAMMA_M, N_BAR)
 
 
 @pytest.mark.parametrize("pn", [
