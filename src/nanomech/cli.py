@@ -27,8 +27,8 @@ from .device import (POLARIZABILITY_UNIT, BucklingError, DeviceError,
                      derive_parameters, regime_check)
 from .lindblad import (LaserParams, SolverError, SystemConfig,
                        TruncationError, build_full_liouvillian,
-                       reduced_steady_populations, steady_state_solve,
-                       transition_rates)
+                       reduced_steady_populations, sig3,
+                       steady_state_solve, transition_rates)
 from .observables import (SpectrumInversionError, default_grid,
                           populations_from_spectrum, power_spectrum,
                           sideband_grid, sideband_lines, symmetric_grid,
@@ -465,8 +465,8 @@ def run_steady(cfg: RunConfig, full=False, compare=False, converge=False):
         # a drift needs a larger photon number to compare with
         if converge and sysc.lasers and sysc.cavity_photons >= CONVERGE_PHOTONS:
             raise TruncationError(
-                f"cavity_photons {sysc.cavity_photons} leaves --converge no "
-                f"larger photon number within the cap of {CONVERGE_PHOTONS}")
+                f"cavity_photons {sig3(sysc.cavity_photons)} leaves --converge "
+                f"no larger photon number within the cap of {CONVERGE_PHOTONS}")
         ss = steady_state_solve(build_full_liouvillian(sysc))
         if converge:
             # with no laser there is no cavity
@@ -507,8 +507,9 @@ def run_spectrum(cfg: RunConfig, selftest=False):
     drive_rates = transition_rates(sysc)
     probe_rates = transition_rates(probe_sys)
     # refuses lines that cannot be read out before any of them is sampled
-    delta, gam = sideband_lines(drive_rates, probe_rates, sysc.gamma_m,
-                                sysc.n_bar, reduced.populations.size)
+    lines = sideband_lines(drive_rates, probe_rates, sysc.gamma_m,
+                           sysc.n_bar, reduced.populations.size)
+    delta = lines.delta
     span = cfg.simulation.spectrum_span
     if span is None:
         # every line the readout reads, and 3 splittings beyond the outermost
@@ -519,10 +520,10 @@ def run_spectrum(cfg: RunConfig, selftest=False):
             f"sideband line n={n} at +-{abs(delta[n - 1]):.6e} rad/s lies "
             f"outside simulation.spectrum_grid.span = {span:.6e} rad/s "
             f"(+-{span / 2.0:.6e}); widen the span or leave it unset")
-    freqs = sideband_grid(np.concatenate([-delta, delta]), np.tile(gam, 2),
-                          span, cfg.simulation.spectrum_points)
-    spec = power_spectrum(reduced.populations, drive_rates, probe_rates, freqs,
-                          sysc.gamma_m, sysc.n_bar)
+    freqs = sideband_grid(np.concatenate([-delta, delta]),
+                          np.tile(lines.width, 2), span,
+                          cfg.simulation.spectrum_points)
+    spec = power_spectrum(reduced.populations, lines, freqs)
     recovered, sigma = populations_from_spectrum(spec)
     result = {
         "derived": derived, "report": report, "system": sysc,
@@ -532,9 +533,8 @@ def run_spectrum(cfg: RunConfig, selftest=False):
     }
     if selftest:
         p_test = np.array([0.05, 0.9, 0.05])
-        spec_t = power_spectrum(p_test, drive_rates, probe_rates, freqs,
-                                sysc.gamma_m, sysc.n_bar)
-        rec_t, _ = populations_from_spectrum(spec_t, n_levels=2)
+        rec_t, _ = populations_from_spectrum(
+            power_spectrum(p_test, lines, freqs))
         result["selftest_error"] = float(np.max(np.abs(rec_t - p_test)))
     return result
 
@@ -688,6 +688,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     res = run_spectrum(cfg, selftest=args.selftest)
     out = _outdir(cfg, args)
     spec = res["spectrum"]
+    lines = spec.lines
     write_csv(out / "spectrum.csv", ["omega_minus_omegaL", "S"],
               [spec.frequencies, spec.values])
     # true by construction: sideband_lines refuses any other line table
@@ -695,9 +696,11 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
         "probe_resonant": True,
         "resolvable": True,
         "peaks": [
-            {"n": pk.n, "side": pk.side, "position": pk.position,
-             "height": pk.height, "linewidth": pk.linewidth}
-            for pk in spec.peaks],
+            {"n": i + 1, "side": side, "position": position,
+             "height": height, "linewidth": lines.width[i]}
+            for i, row in enumerate(spec.heights)
+            for side, position, height in zip(
+                "+-", (lines.delta[i], -lines.delta[i]), row)],
         "recovered_populations": list(res["recovered"]),
         "recovered_uncertainty": list(res["recovered_sigma"]),
         "recovered_wigner_origin": res["recovered_origin"],

@@ -159,9 +159,10 @@ class SteadyState:
 
 @dataclass(frozen=True)
 class RateTable:
-    """Cavity-induced transition rates A+-[n][j] for n = 1..n_max."""
+    """Cavity-induced transition rates A+-^n for n = 1..n_max, summed over
+    the lasers."""
 
-    a_plus: np.ndarray          # shape (n_max, n_lasers)
+    a_plus: np.ndarray          # shape (n_max,)
     a_minus: np.ndarray
     delta: np.ndarray           # shape (n_max,)
 
@@ -332,6 +333,14 @@ def _generator(energy, coupling, jumps) -> sp.csr_matrix:
     return _assemble(slots, d, d)
 
 
+def sig3(n: int) -> str:
+    """An int to 3 significant digits, as f"{n:.3g}" writes a float, for
+    any size of int: the float conversion overflows past 1.8e308, and
+    str() refuses more than 4,300 digits."""
+    from decimal import Decimal
+    return f"{Decimal(n):.3g}"
+
+
 def _estimate_nnz(config: SystemConfig) -> int:
     """Nonzeros of L and M together at most: two diagonals; 2 d entries per
     off-diagonal entry of H, 4 (mech - 1) A per laser with A the cavity
@@ -360,8 +369,8 @@ def build_full_liouvillian(config: SystemConfig) -> Liouvillian:
     g_j = 0 alone would be singular."""
     est = _estimate_nnz(config)
     if est > DEFAULT_NNZ_CAP:
-        raise MemoryError(f"estimated superoperator nonzeros {est} exceed "
-                          f"cap {DEFAULT_NNZ_CAP}")
+        raise MemoryError(f"estimated superoperator nonzeros {sig3(est)} "
+                          f"exceed cap {DEFAULT_NNZ_CAP}")
     table, energy, coupling, b, cavities = _hamiltonian_parts(config)
 
     def scaled(op, rate):
@@ -395,8 +404,8 @@ def build_full_liouvillian(config: SystemConfig) -> Liouvillian:
 
 def transition_rates(config: SystemConfig) -> RateTable:
     """Lorentzian phonon-adding/removing rates
-    A+-[n][j] = |g_j|^2 kappa / [4 (Delta_j -+ delta_n)^2 + kappa^2]
-    for n = 1..mech_dim - 1."""
+    A+-^n = sum_j |g_j|^2 kappa / [4 (Delta_j -+ delta_n)^2 + kappa^2]
+    for n = 1..mech_dim - 1, summed over the lasers once, here."""
     n_max = config.mech_dim - 1
     nj = len(config.lasers)
     a_plus = np.zeros((n_max, nj))
@@ -408,15 +417,16 @@ def transition_rates(config: SystemConfig) -> RateTable:
         g2k = abs(laser.g) ** 2 * kap
         a_plus[:, j] = g2k / (4.0 * (laser.detuning - delta) ** 2 + kap**2)
         a_minus[:, j] = g2k / (4.0 * (laser.detuning + delta) ** 2 + kap**2)
-    return RateTable(a_plus=a_plus, a_minus=a_minus, delta=delta)
+    return RateTable(a_plus=a_plus.sum(axis=1), a_minus=a_minus.sum(axis=1),
+                     delta=delta)
 
 
 def chain_rates(rates: RateTable, gamma_m: float, n_bar: float):
     """Per-phonon rates of the population chain for n = 1..n_max:
-    up_n = sum_j A+^n + gamma n_bar (level n-1 -> n at rate n up_n) and
-    down_n = sum_j A-^n + gamma (n_bar + 1) (n -> n-1 at rate n down_n)."""
-    up = rates.a_plus.sum(axis=1) + gamma_m * n_bar
-    down = rates.a_minus.sum(axis=1) + gamma_m * (n_bar + 1.0)
+    up_n = A+^n + gamma n_bar (level n-1 -> n at rate n up_n) and
+    down_n = A-^n + gamma (n_bar + 1) (n -> n-1 at rate n down_n)."""
+    up = rates.a_plus + gamma_m * n_bar
+    down = rates.a_minus + gamma_m * (n_bar + 1.0)
     return up, down
 
 

@@ -41,25 +41,24 @@ class WignerData:
 
 
 @dataclass(frozen=True)
-class SpectrumPeak:
-    n: int
-    side: str                   # "+" (at w_L + delta_n) or "-"
-    position: float
-    height: float
-    linewidth: float
+class SidebandLines:
+    """The readable sideband lines n = 1..N of a probe spectrum, made by
+    sideband_lines only: offsets delta_n from the probe, widths Gamma_n,
+    and the probe's A-^n and A+^n."""
+    delta: np.ndarray
+    width: np.ndarray
+    a_minus: np.ndarray
+    a_plus: np.ndarray
 
 
 @dataclass(frozen=True)
 class SpectrumData:
     frequencies: np.ndarray
     values: np.ndarray
-    peaks: tuple[SpectrumPeak, ...]
-
-    def peak(self, n: int, side: str) -> SpectrumPeak:
-        for pk in self.peaks:
-            if pk.n == n and pk.side == side:
-                return pk
-        raise KeyError((n, side))
+    lines: SidebandLines
+    # isolated-line heights of the lines drawn, 1..n: row n - 1 holds those
+    # at +delta_n and -delta_n
+    heights: np.ndarray         # shape (n, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -186,33 +185,33 @@ def linewidths(rates: RateTable, gamma_m: float, n_bar: float, n_max: int,
     Gamma_n = n [A-^n + A+^n + gamma (2 n_bar + 1)]
             + (n-1) [A-^(n-1) + gamma (n_bar + 1)]
             + (n+1) [A+^(n+1) + gamma n_bar]
-    with A summed over all lasers (and the probe when supplied), i.e. the
+    with A the drives' rates (plus the probe's when supplied), i.e. the
     sum of the chain's total rates out of levels n and n-1."""
     if n_max + 1 > rates.n_max:
         raise ValueError("rate table must cover n_max + 1")
     k = n_max + 1
     up, down = chain_rates(rates, gamma_m, n_bar)
     if probe_rates is not None:
-        up[:k] += probe_rates.a_plus[:k].sum(axis=1)
-        down[:k] += probe_rates.a_minus[:k].sum(axis=1)
+        up[:k] += probe_rates.a_plus[:k]
+        down[:k] += probe_rates.a_minus[:k]
     out = level_rates(up[:k], down[:k])[2]
     return out[1:k] + out[:n_max]
 
 
 def sideband_lines(drive_rates: RateTable, probe_rates: RateTable,
-                   gamma_m: float, n_bar: float, n_levels: int):
-    """Offsets delta_n from the probe and widths Gamma_n of the sideband
-    lines n = 1..n_lines that power_spectrum draws for n_levels populations,
-    n_lines = min(n_levels - 1, probe n_max, drive n_max - 1).  Lines that
-    cannot be read out raise SpectrumInversionError: a probe that is not
-    resonant, then a mean line spacing lam < 3 max Gamma_n."""
+                   gamma_m: float, n_bar: float,
+                   n_levels: int) -> SidebandLines:
+    """The sideband lines n = 1..N of the spectrum of n_levels populations,
+    N = min(n_levels - 1, probe n_max, drive n_max - 1).  Lines that cannot
+    be read out raise SpectrumInversionError: a probe that is not resonant,
+    then a mean line spacing lam < 3 max Gamma_n."""
     n_lines = min(n_levels - 1, probe_rates.n_max, drive_rates.n_max - 1)
     gam = linewidths(drive_rates, gamma_m, n_bar, n_max=n_lines,
                      probe_rates=probe_rates)
     # a resonant probe has A+^n = A-^n; grade resonance by the actual
     # asymmetry of the probe rate table rather than the raw detuning
-    ap = probe_rates.a_plus[:n_lines].sum(axis=1)
-    am = probe_rates.a_minus[:n_lines].sum(axis=1)
+    ap = probe_rates.a_plus[:n_lines]
+    am = probe_rates.a_minus[:n_lines]
     asym = float(np.max(np.abs(ap - am) / (ap + am + 1e-300)))
     if not asym < 0.01:
         raise SpectrumInversionError(
@@ -223,7 +222,8 @@ def sideband_lines(drive_rates: RateTable, probe_rates: RateTable,
         raise SpectrumInversionError(
             "sideband lines are not resolved: line spacing over 3 max linewidth "
             f"{lam / (3.0 * gam.max()):.3g} (limit 1); refusing the inversion")
-    return drive_rates.delta[:n_lines], gam
+    return SidebandLines(delta=drive_rates.delta[:n_lines], width=gam,
+                         a_minus=am, a_plus=ap)
 
 
 def sideband_grid(centers, widths, span: float, points: int) -> np.ndarray:
@@ -259,38 +259,28 @@ def sideband_grid(centers, widths, span: float, points: int) -> np.ndarray:
     return np.unique(np.concatenate([background[keep], *pieces]))
 
 
-def power_spectrum(populations, drive_rates: RateTable,
-                   probe_rates: RateTable, frequencies: np.ndarray,
-                   gamma_m: float, n_bar: float) -> SpectrumData:
+def power_spectrum(populations, lines: SidebandLines,
+                   frequencies: np.ndarray) -> SpectrumData:
     """Probe output sideband spectrum, at frequencies measured from the probe
-    laser w_L: a Lorentzian pair at w_n+- = +-delta_n per phonon line,
+    laser w_L: a Lorentzian pair at w_n+- = +-delta_n per phonon line
+    n = 1..min(N, len(populations) - 1) of the N in `lines`,
     S(w) = sum_n n Gamma_n [A-^n P_n / ((w - w_n+)^2 + Gamma_n^2/4)
                           + A+^n P_(n-1) / ((w - w_n-)^2 + Gamma_n^2/4)].
     The probe's own rates broaden the lines.  The overall scale is
-    arbitrary; only ratios are physical.  Lines that cannot be read out are
-    refused by sideband_lines before anything is sampled."""
+    arbitrary; only ratios are physical."""
     pn = np.asarray(populations, dtype=float)
     freqs = np.asarray(frequencies, dtype=float)
-    delta, gam = sideband_lines(drive_rates, probe_rates, gamma_m, n_bar,
-                                pn.size)
-    a_plus, a_minus = (probe_rates.a_plus.sum(axis=1),
-                       probe_rates.a_minus.sum(axis=1))
+    heights = np.empty((min(lines.delta.size, pn.size - 1), 2))
     values = np.zeros_like(freqs)
-    peaks = []
-    for n in range(1, gam.size + 1):
-        g_n = gam[n - 1]
-        w_plus, w_minus = delta[n - 1], -delta[n - 1]
-        up = n * g_n * a_minus[n - 1] * pn[n]
-        lo = n * g_n * a_plus[n - 1] * pn[n - 1]
-        values += up / ((freqs - w_plus) ** 2 + g_n**2 / 4.0)
-        values += lo / ((freqs - w_minus) ** 2 + g_n**2 / 4.0)
-        peaks.append(SpectrumPeak(
-            n=n, side="+", position=w_plus, height=4.0 * up / g_n**2,
-            linewidth=g_n))
-        peaks.append(SpectrumPeak(
-            n=n, side="-", position=w_minus, height=4.0 * lo / g_n**2,
-            linewidth=g_n))
-    return SpectrumData(frequencies=freqs, values=values, peaks=tuple(peaks))
+    for n in range(1, len(heights) + 1):
+        g_n, w_n = lines.width[n - 1], lines.delta[n - 1]
+        up = n * g_n * lines.a_minus[n - 1] * pn[n]
+        lo = n * g_n * lines.a_plus[n - 1] * pn[n - 1]
+        values += up / ((freqs - w_n) ** 2 + g_n**2 / 4.0)
+        values += lo / ((freqs + w_n) ** 2 + g_n**2 / 4.0)
+        heights[n - 1] = 4.0 * up / g_n**2, 4.0 * lo / g_n**2
+    return SpectrumData(frequencies=freqs, values=values, lines=lines,
+                        heights=heights)
 
 
 def _interp_peak(freqs: np.ndarray, values: np.ndarray, center: float,
@@ -313,30 +303,26 @@ def _interp_peak(freqs: np.ndarray, values: np.ndarray, center: float,
     return float(y1 - 0.125 * (y2 - y0) ** 2 / denom)
 
 
-def populations_from_spectrum(spectrum: SpectrumData,
-                              n_levels: int | None = None):
+def populations_from_spectrum(spectrum: SpectrumData):
     """Recover populations from resonant-probe peak-height ratios
-    S(w_n+)/S(w_n-) ~ P_n / P_(n-1), assuming negligible occupation above the
-    highest detected line.  Returns (P, uncertainty)."""
-    ns = sorted({pk.n for pk in spectrum.peaks})
-    if n_levels is not None:
-        ns = [n for n in ns if n <= n_levels]
+    S(w_n+)/S(w_n-) ~ P_n / P_(n-1) of the lines drawn, assuming negligible
+    occupation above the highest of them.  Returns (P, uncertainty)."""
+    lines = spectrum.lines
     log_ratios = []
     uncertainties = []
-    for n in ns:
-        plus = spectrum.peak(n, "+")
-        minus = spectrum.peak(n, "-")
+    for i, (iso_plus, iso_minus) in enumerate(spectrum.heights):
+        half = lines.width[i] / 2.0
         h_plus = _interp_peak(spectrum.frequencies, spectrum.values,
-                              plus.position, plus.linewidth / 2.0)
+                              lines.delta[i], half)
         h_minus = _interp_peak(spectrum.frequencies, spectrum.values,
-                               minus.position, minus.linewidth / 2.0)
+                               -lines.delta[i], half)
         if h_minus <= 0:
-            raise SpectrumInversionError(f"vanishing red peak for n={n}")
+            raise SpectrumInversionError(f"vanishing red peak for n={i + 1}")
         ratio = h_plus / h_minus
         # leakage of neighbouring lines sets the systematic error of a
         # peak-height readout; estimate it from the isolated-line heights
-        leak_p = abs(h_plus - plus.height) / max(plus.height, 1e-300)
-        leak_m = abs(h_minus - minus.height) / max(minus.height, 1e-300)
+        leak_p = abs(h_plus - iso_plus) / max(iso_plus, 1e-300)
+        leak_m = abs(h_minus - iso_minus) / max(iso_minus, 1e-300)
         log_ratios.append(np.log(max(ratio, 1e-300)))
         uncertainties.append(leak_p + leak_m)
     p = populations_from_log_ratios(log_ratios)

@@ -21,7 +21,7 @@ from nanomech.lindblad import (SystemConfig, build_full_liouvillian,
                                steady_state_solve, transition_rates)
 from nanomech.observables import (WIGNER_BOUND, linewidths,
                                   populations_from_spectrum, power_spectrum,
-                                  wigner_from_density_matrix,
+                                  sideband_lines, wigner_from_density_matrix,
                                   wigner_from_populations, wigner_origin)
 
 from conftest import (CONFIG_PATH, GAMMA_M, N_BAR, QuadraticTestPotential,
@@ -153,9 +153,9 @@ def test_criterion_6_spectrum_round_trip():
     for pn in ([0.05, 0.90, 0.05], [0.6, 0.25, 0.1, 0.05],
                [0.1, 0.3, 0.35, 0.15, 0.1]):
         pn = np.array(pn)
-        spec = power_spectrum(pn, drive_rates, probe_rates, freqs,
-                              GAMMA_M, N_BAR)
-        rec, _ = populations_from_spectrum(spec, n_levels=pn.size - 1)
+        lines = sideband_lines(drive_rates, probe_rates, GAMMA_M, N_BAR,
+                               pn.size)
+        rec, _ = populations_from_spectrum(power_spectrum(pn, lines, freqs))
         worst = max(worst, float(np.max(np.abs(rec - pn))))
     ok = resolvable and worst < 0.02
     report(6, "spectrum round trip", ok,

@@ -12,7 +12,7 @@ import pytest
 from scipy.constants import epsilon_0
 
 import nanomech
-from nanomech import cli
+from nanomech import cli, observables
 from nanomech.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION,
                           EXIT_REGIME, EXIT_SOLVER, SCHEMA_VERSION,
                           canonical_json, config_hash, format_float, main,
@@ -313,11 +313,13 @@ def test_cli_steady_full_converge_unsettled_at_photon_cap(tmp_path, capsys,
     # at 2 W per drive (|g|/kappa = 0.58) one more photon moves the full
     # populations by 1.15e-3: with a cap of 2 photons they have not settled;
     # a run that starts at the cap has no larger photon number to compare
-    # with and is refused before any full solve
+    # with and is refused before any full solve, the photon number written
+    # to 3 significant digits
     monkeypatch.setattr(cli, "CONVERGE_PHOTONS", 2)
     for photons, message in (
             (1, "not settled within 2 cavity photons: drift 1.153e-03"),
-            (2, "cavity_photons 2 leaves --converge no larger photon number")):
+            (2, "cavity_photons 2 leaves --converge no larger photon number"),
+            (1e300, "cavity_photons 1.00e+300 leaves --converge no larger")):
         def mutate(raw):
             raw["simulation"]["cavity_photons"] = photons
             for drive in raw["device"]["drives"]:
@@ -1033,6 +1035,37 @@ def test_cli_refused_readout_samples_nothing(tmp_path, capsys, monkeypatch,
         f"spacing over 3 max linewidth {resolution} (limit 1); refusing the "
         "inversion"]
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_spectrum_builds_its_line_table_once(tmp_path, monkeypatch):
+    # run_spectrum judges the line table once and hands it to the grid,
+    # to both spectra and to the readout; power_spectrum judges nothing
+    calls = []
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+        return wrapper
+    judge = counted("sideband_lines", observables.sideband_lines)
+    monkeypatch.setattr(cli, "sideband_lines", judge)
+    monkeypatch.setattr(observables, "sideband_lines", judge)
+    monkeypatch.setattr(observables, "linewidths",
+                        counted("linewidths", observables.linewidths))
+    draw = cli.power_spectrum
+
+    def drawn(*args, **kwargs):
+        before = len(calls)
+        spec = draw(*args, **kwargs)
+        assert calls[before:] == [], "power_spectrum judged its lines"
+        calls.append("power_spectrum")
+        return spec
+    monkeypatch.setattr(cli, "power_spectrum", drawn)
+    code = main(["spectrum", "--selftest", "--config", str(CONFIG_PATH),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert calls == ["sideband_lines", "linewidths", "power_spectrum",
+                     "power_spectrum"]
 
 
 def test_cli_solver_memory_guard_exit_code(tmp_path, capsys):

@@ -5,9 +5,9 @@ set to 0, a negative, a tiny, a huge and a NaN value in its own unit, and
 `sweep` run on every mutation, `steady --full` and `steady --converge` on a
 fixed sample of them.  A command either succeeds without writing a
 non-finite value, or refuses with its exit code and one stderr line (a
-sweep whose point fails records the refusal in its row instead); no numpy
-RuntimeWarning reaches stderr, and a success warns of nothing but a Wigner
-grid integral off 1."""
+sweep whose point fails records the refusal in its row instead); no stderr
+line is longer than 200 characters, no numpy RuntimeWarning reaches
+stderr, and a success warns of nothing but a Wigner grid integral off 1."""
 
 import contextlib
 import csv
@@ -51,6 +51,7 @@ SOLVER_SAMPLE = (
     "drives_at_1200_W",
     "drives_at_120_W",
     "linewidth_square_underflows",
+    "twelve_drives_at_1e300_photons",
 )
 # the message prefixes of each exit code but 0
 PREFIXES = {code: tuple(prefix for _cls, c, prefix in ERRORS if c == code)
@@ -61,6 +62,9 @@ NON_FINITE = re.compile(r'"(nan|inf|-inf)"')
 GRID_WARNING = re.compile(r".*: UserWarning: Wigner grid integral -?[0-9.]+ "
                           r"deviates from 1; the grid may be too coarse or "
                           r"too small\n.*\n")
+# the longest stderr line a run may print; the longest over all mutations
+# is 165 characters
+MAX_LINE = 200
 MISSING = object()
 
 
@@ -114,13 +118,19 @@ def _drives(power):
     return mutate
 
 
+def _twelve_drives_at_1e300_photons(raw):
+    raw["simulation"]["cavity_photons"] = 1e300
+    raw["device"]["drives"] = raw["device"]["drives"] * 4
+
+
 def mutations():
     raw = json.loads(CONFIG_PATH.read_text())
     table = [(".".join(map(str, path)) + ":" + kind, _setter(path, value))
              for path, leaf in _leaves(raw)
              for kind, value in _values(path[-1], leaf).items()]
-    # regressions: each printed a warning before its refusal, or reached the
-    # solver with a NaN rate
+    # regressions: each printed a warning before its refusal, reached the
+    # solver with a NaN rate, or printed its superoperator size as an exact
+    # integer (with 12 drives, more digits than str() gives an int)
     return table + [
         ("probe_off_resonance", _setter(("device", "probe", "detuning"),
                                         "1 MHz")),
@@ -128,6 +138,7 @@ def mutations():
         ("drives_at_120_W", _drives("120 W")),
         ("linewidth_square_underflows",
          _setter(("device", "cavity", "bare_finesse"), 1e300)),
+        ("twelve_drives_at_1e300_photons", _twelve_drives_at_1e300_photons),
     ]
 
 
@@ -172,7 +183,8 @@ def contract_breaches(code, err, outdir, command="device"):
     if command == "sweep" and code != EXIT_OK and not err:
         return ([] if failed_sweep_point(outdir) else
                 [f"sweep exit {code} with no failed row"])
-    breaches = []
+    breaches = [f"stderr line of {len(line)} characters: {line[:80]!r}..."
+                for line in lines if len(line) > MAX_LINE]
     if "RuntimeWarning" in err:
         breaches.append(f"RuntimeWarning: {err!r}")
     if code in (EXIT_CONFIG, EXIT_PRECONDITION, EXIT_SOLVER) and not (

@@ -365,17 +365,34 @@ def test_closed_system_spectrum_is_imaginary():
 
 def test_transition_rates_lorentzian_values():
     cfg = quoted_system(mech_dim=8)
-    rates = transition_rates(cfg)
+    first, second = (
+        transition_rates(dataclasses.replace(cfg, lasers=(laser,)))
+        for laser in cfg.lasers[:2])
     g2 = abs(cfg.lasers[0].g) ** 2
     # laser 1 sits exactly on the 0 -> 1 line: A+^1 = |g|^2 / kappa
-    assert rates.a_plus[0, 0] == pytest.approx(g2 / KAPPA)
+    assert first.a_plus[0] == pytest.approx(g2 / KAPPA)
     # laser 2 is resonant with the 2 -> 1 removal line
-    assert rates.a_minus[1, 1] == pytest.approx(g2 / KAPPA)
+    assert second.a_minus[1] == pytest.approx(g2 / KAPPA)
     # one rung away the same laser is suppressed by kappa^2/(4 lam^2 + kappa^2)
     expected_ratio = KAPPA**2 / (4.0 * LAMBDA**2 + KAPPA**2)
-    assert rates.a_minus[0, 1] / rates.a_minus[1, 1] == pytest.approx(
+    assert second.a_minus[0] / second.a_minus[1] == pytest.approx(
         expected_ratio)
     assert expected_ratio == pytest.approx(1.0 / 65.0, rel=0.02)
+
+
+def test_transition_rates_sum_the_lasers_bit_for_bit():
+    # A+- are summed over the lasers once, as numpy sums the stacked
+    # single-laser tables, so the chain rates of M and of the reduced model
+    # keep their bits
+    cfg = fig2_system(40)
+    assert len(cfg.lasers) == 3
+    rates = transition_rates(cfg)
+    single = [transition_rates(dataclasses.replace(cfg, lasers=(laser,)))
+              for laser in cfg.lasers]
+    for name in ("a_plus", "a_minus"):
+        stacked = np.stack([getattr(table, name) for table in single], axis=1)
+        assert getattr(rates, name).tobytes() == stacked.sum(axis=1).tobytes()
+    assert rates.delta.tobytes() == single[0].delta.tobytes()
 
 
 def test_birth_death_rates_structure():
@@ -383,10 +400,9 @@ def test_birth_death_rates_structure():
     rates = transition_rates(cfg)
     up, down, _ = level_rates(*chain_rates(rates, GAMMA_M, N_BAR))
     n = np.arange(1, 6)
+    np.testing.assert_allclose(up, n * (rates.a_plus + GAMMA_M * N_BAR))
     np.testing.assert_allclose(
-        up, n * (rates.a_plus.sum(axis=1) + GAMMA_M * N_BAR))
-    np.testing.assert_allclose(
-        down, n * (rates.a_minus.sum(axis=1) + GAMMA_M * (N_BAR + 1.0)))
+        down, n * (rates.a_minus + GAMMA_M * (N_BAR + 1.0)))
 
 
 def test_reduced_generator_columns_sum_to_zero():

@@ -163,14 +163,20 @@ def spectrum_grid(cfg, n_lines=4, points=40001):
     return np.linspace(-span / 2.0, span / 2.0, points)
 
 
+def spectrum_lines(drive, probe, n_levels):
+    """The line table of the spectrum of n_levels populations."""
+    return sideband_lines(transition_rates(drive), transition_rates(probe),
+                          GAMMA_M, N_BAR, n_levels)
+
+
 def readout_ratios(drive, probe, n_lines):
     """The splitting over 3 max Gamma_n of the first n_lines lines, and the
     largest |A+ - A-| / (A+ + A-) of the probe over them."""
     probe_rates = transition_rates(probe)
     gam = linewidths(transition_rates(drive), GAMMA_M, N_BAR, n_max=n_lines,
                      probe_rates=probe_rates)
-    ap = probe_rates.a_plus[:n_lines].sum(axis=1)
-    am = probe_rates.a_minus[:n_lines].sum(axis=1)
+    ap = probe_rates.a_plus[:n_lines]
+    am = probe_rates.a_minus[:n_lines]
     return (drive.lam / (3.0 * gam.max()),
             float(np.max(np.abs(ap - am) / (ap + am))))
 
@@ -178,8 +184,7 @@ def readout_ratios(drive, probe, n_lines):
 def test_linewidth_thermal_only():
     # no lasers at all: Gamma_n = gamma [n (2 n_bar + 1) + (n-1)(n_bar+1)
     # + (n+1) n_bar]
-    nj = 1
-    zeros = np.zeros((6, nj))
+    zeros = np.zeros(6)
     rates = RateTable(a_plus=zeros, a_minus=zeros.copy(),
                       delta=np.arange(1.0, 7.0))
     gam = linewidths(rates, gamma_m=2.0, n_bar=0.0, n_max=5)
@@ -188,9 +193,9 @@ def test_linewidth_thermal_only():
 
 def test_linewidth_single_rate():
     # only A-^1 nonzero: Gamma_1 = A-^1 plus the thermal floor
-    a_minus = np.zeros((3, 1))
-    a_minus[0, 0] = 7.0
-    rates = RateTable(a_plus=np.zeros((3, 1)), a_minus=a_minus,
+    a_minus = np.zeros(3)
+    a_minus[0] = 7.0
+    rates = RateTable(a_plus=np.zeros(3), a_minus=a_minus,
                       delta=np.arange(1.0, 4.0))
     gam = linewidths(rates, gamma_m=0.0, n_bar=0.0, n_max=2)
     assert gam[0] == pytest.approx(7.0)
@@ -198,7 +203,7 @@ def test_linewidth_single_rate():
 
 
 def test_linewidth_requires_covering_table():
-    rates = RateTable(a_plus=np.zeros((3, 1)), a_minus=np.zeros((3, 1)),
+    rates = RateTable(a_plus=np.zeros(3), a_minus=np.zeros(3),
                       delta=np.arange(1.0, 4.0))
     with pytest.raises(ValueError):
         linewidths(rates, 1.0, 0.0, n_max=3)
@@ -208,51 +213,46 @@ def test_spectrum_peak_positions_and_pairing():
     drive, probe = probe_system()
     pn = reduced_steady_populations(drive).populations
     freqs = spectrum_grid(drive)
-    spec = power_spectrum(pn, transition_rates(drive),
-                          transition_rates(probe), freqs,
-                          GAMMA_M, N_BAR)
     # a readable line table is not refused: its splitting clears 3 max
     # Gamma_n and its probe is resonant
-    _delta, gam = sideband_lines(transition_rates(drive),
-                                 transition_rates(probe), GAMMA_M, N_BAR,
-                                 pn.size)
-    resolution, asymmetry = readout_ratios(drive, probe, gam.size)
+    lines = spectrum_lines(drive, probe, pn.size)
+    resolution, asymmetry = readout_ratios(drive, probe, lines.width.size)
     assert resolution >= 1.0 and asymmetry < 0.01
-    pk1p = spec.peak(1, "+")
-    pk1m = spec.peak(1, "-")
+    spec = power_spectrum(pn, lines, freqs)
     # the 0 <-> 1 line sits at delta_1 = w_m'
-    assert pk1p.position == pytest.approx(drive.omega_m_prime)
-    assert pk1m.position == pytest.approx(-drive.omega_m_prime)
+    assert lines.delta[0] == pytest.approx(drive.omega_m_prime)
+    # and its pair is drawn at -+delta_1: S there tops S a tenth of a
+    # width to either side
+    d, g = lines.delta[0], lines.width[0]
+    s = power_spectrum(pn, lines, [-d - g / 10, -d, -d + g / 10,
+                                   d - g / 10, d, d + g / 10]).values
+    assert s[1] > max(s[0], s[2]) and s[4] > max(s[3], s[5])
     # neighbouring lines are split by lam
-    assert spec.peak(2, "+").position - pk1p.position == pytest.approx(drive.lam)
+    assert lines.delta[1] - lines.delta[0] == pytest.approx(drive.lam)
     # the dominant upper sideband reflects the inverted n=1 population
-    assert pk1p.height > pk1m.height
+    assert spec.heights[0, 0] > spec.heights[0, 1]
 
 
 def test_spectrum_resonant_ratio_equals_population_ratio():
     drive, probe = probe_system()
     pn = np.array([0.15, 0.60, 0.25])
     freqs = spectrum_grid(drive)
-    spec = power_spectrum(pn, transition_rates(drive),
-                          transition_rates(probe), freqs,
-                          GAMMA_M, N_BAR)
-    pk = spec.peak(1, "+")
-    qk = spec.peak(1, "-")
+    spec = power_spectrum(pn, spectrum_lines(drive, probe, pn.size), freqs)
     # isolated-line heights: n Gamma A- P_n vs n Gamma A+ P_(n-1) with
     # A+ = A- for the resonant probe
-    assert pk.height / qk.height == pytest.approx(pn[1] / pn[0], rel=1e-9)
+    plus, minus = spec.heights[0]
+    assert plus / minus == pytest.approx(pn[1] / pn[0], rel=1e-9)
 
 
 def test_spectrum_linearity_in_populations():
     drive, probe = probe_system(mech_dim=6)
     freqs = spectrum_grid(drive, n_lines=3, points=8001)
-    dr, pr = transition_rates(drive), transition_rates(probe)
     p1 = np.array([0.7, 0.2, 0.1, 0.0, 0.0, 0.0])
     p2 = np.array([0.1, 0.3, 0.4, 0.15, 0.05, 0.0])
-    s1 = power_spectrum(p1, dr, pr, freqs, GAMMA_M, N_BAR).values
-    s2 = power_spectrum(p2, dr, pr, freqs, GAMMA_M, N_BAR).values
-    s12 = power_spectrum(0.5 * (p1 + p2), dr, pr, freqs,
-                         GAMMA_M, N_BAR).values
+    lines = spectrum_lines(drive, probe, p1.size)
+    s1 = power_spectrum(p1, lines, freqs).values
+    s2 = power_spectrum(p2, lines, freqs).values
+    s12 = power_spectrum(0.5 * (p1 + p2), lines, freqs).values
     np.testing.assert_allclose(s12, 0.5 * (s1 + s2), rtol=1e-12)
 
 
@@ -262,13 +262,11 @@ def test_lorentzian_peak_area():
     drive, probe = probe_system()
     pn = np.array([0.0, 1.0, 0.0])
     freqs = spectrum_grid(drive, n_lines=2, points=200001)
-    probe_rates = transition_rates(probe)
-    spec = power_spectrum(pn, transition_rates(drive), probe_rates, freqs,
-                          GAMMA_M, N_BAR)
-    pk = spec.peak(1, "+")
-    mask = np.abs(freqs - pk.position) < 60.0 * pk.linewidth
+    lines = spectrum_lines(drive, probe, pn.size)
+    spec = power_spectrum(pn, lines, freqs)
+    mask = np.abs(freqs - lines.delta[0]) < 60.0 * lines.width[0]
     area = np.trapezoid(spec.values[mask], freqs[mask])
-    weight = probe_rates.a_minus[0].sum()
+    weight = transition_rates(probe).a_minus[0]
     assert area == pytest.approx(TWO_PI * weight, rel=0.02)
 
 
@@ -281,15 +279,13 @@ def test_overlapping_lines_flagged():
         gamma_m=drive.gamma_m, n_bar=drive.n_bar, kappa=drive.kappa,
         lasers=drive.lasers)
     pn = np.array([0.2, 0.6, 0.2])
-    freqs = spectrum_grid(squeezed, n_lines=2, points=10001)
     resolution, asymmetry = readout_ratios(squeezed, probe, n_lines=2)
     assert resolution < 1.0 and asymmetry < 0.01
-    # the refusal names the spacing's ratio to 3 max Gamma_n and its limit,
-    # and comes before anything is sampled
+    # the line table is refused, so nothing can be sampled; the refusal
+    # names the spacing's ratio to 3 max Gamma_n and its limit
     with pytest.raises(SpectrumInversionError,
                        match=rf"not resolved: .* {resolution:.3g} \(limit 1\)"):
-        power_spectrum(pn, transition_rates(squeezed),
-                       transition_rates(probe), freqs, GAMMA_M, N_BAR)
+        spectrum_lines(squeezed, probe, pn.size)
 
 
 def test_detuned_probe_flagged():
@@ -300,20 +296,17 @@ def test_detuned_probe_flagged():
         gamma_m=drive.gamma_m, n_bar=drive.n_bar, kappa=drive.kappa,
         lasers=(LaserParams(g=2.0e2, detuning=3.0 * drive.kappa),))
     pn = np.array([0.2, 0.6, 0.2])
-    freqs = spectrum_grid(drive, n_lines=2, points=10001)
     resolution, asymmetry = readout_ratios(drive, detuned_probe, n_lines=2)
     assert resolution >= 1.0 and asymmetry >= 0.01
     with pytest.raises(SpectrumInversionError,
                        match=rf"asymmetry {asymmetry:.3f} \(limit 0.01\)"):
-        power_spectrum(pn, transition_rates(drive),
-                       transition_rates(detuned_probe), freqs, GAMMA_M, N_BAR)
+        spectrum_lines(drive, detuned_probe, pn.size)
     # the probe is judged first, also when the lines overlap as well
     squeezed = dataclasses.replace(drive, lam=drive.lam * 1e-3)
     assert readout_ratios(squeezed, detuned_probe, n_lines=2)[0] < 1.0
     with pytest.raises(SpectrumInversionError,
                        match=rf"asymmetry {asymmetry:.3f} \(limit 0.01\)"):
-        power_spectrum(pn, transition_rates(squeezed),
-                       transition_rates(detuned_probe), freqs, GAMMA_M, N_BAR)
+        spectrum_lines(squeezed, detuned_probe, pn.size)
 
 
 @pytest.mark.parametrize("pn", [
@@ -325,24 +318,21 @@ def test_population_round_trip(pn):
     pn = np.array(pn)
     drive, probe = probe_system()
     freqs = spectrum_grid(drive)
-    spec = power_spectrum(pn, transition_rates(drive),
-                          transition_rates(probe), freqs,
-                          GAMMA_M, N_BAR)
-    rec, sig = populations_from_spectrum(spec, n_levels=pn.size - 1)
+    spec = power_spectrum(pn, spectrum_lines(drive, probe, pn.size), freqs)
+    rec, sig = populations_from_spectrum(spec)
     np.testing.assert_allclose(rec, pn, atol=0.02)
     assert np.all(sig >= 0)
 
 
 def test_ground_state_spectrum_has_only_lower_sidebands():
     drive, probe = probe_system()
-    pn = np.array([1.0, 0.0, 0.0])
+    pn = np.array([1.0, 0.0])
     freqs = spectrum_grid(drive, n_lines=2, points=10001)
-    spec = power_spectrum(pn, transition_rates(drive),
-                          transition_rates(probe), freqs,
-                          GAMMA_M, N_BAR)
-    assert spec.peak(1, "+").height == 0.0
-    assert spec.peak(1, "-").height > 0.0
-    rec, _ = populations_from_spectrum(spec, n_levels=1)
+    spec = power_spectrum(pn, spectrum_lines(drive, probe, pn.size), freqs)
+    assert spec.heights.shape == (1, 2)
+    assert spec.heights[0, 0] == 0.0
+    assert spec.heights[0, 1] > 0.0
+    rec, _ = populations_from_spectrum(spec)
     assert rec[0] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -352,9 +342,7 @@ def test_interp_peak_needs_grid_points():
     # absurdly coarse grid: no samples fall within a half linewidth
     delta_2 = transition_rates(drive).delta[1]
     freqs = np.linspace(-2.0 * delta_2, 2.0 * delta_2, 41)
-    spec = power_spectrum(pn, transition_rates(drive),
-                          transition_rates(probe), freqs,
-                          GAMMA_M, N_BAR)
+    spec = power_spectrum(pn, spectrum_lines(drive, probe, pn.size), freqs)
     with pytest.raises(SpectrumInversionError):
         populations_from_spectrum(spec)
 
@@ -442,14 +430,14 @@ def test_sideband_grid_peak_at_clipped_window_edge():
 def test_sideband_grid_from_the_spectrum_lines():
     # one window per line power_spectrum draws, with its widths
     drive, probe = probe_system()
-    dr, pr = transition_rates(drive), transition_rates(probe)
     pn = reduced_steady_populations(drive).populations
-    delta, gam = sideband_lines(dr, pr, GAMMA_M, N_BAR, pn.size)
-    span = 2.0 * (delta[-1] + 3.0 * drive.lam)
-    f = sideband_grid(np.concatenate([-delta, delta]), np.tile(gam, 2),
-                      span, 2001)
-    spec = power_spectrum(pn, dr, pr, f, GAMMA_M, N_BAR)
-    assert len(spec.peaks) == 2 * delta.size
-    for pk in spec.peaks:
-        assert pk.linewidth == gam[pk.n - 1]
-        assert np.sum(np.abs(f - pk.position) <= pk.linewidth / 2) >= 9
+    lines = spectrum_lines(drive, probe, pn.size)
+    span = 2.0 * (lines.delta[-1] + 3.0 * drive.lam)
+    f = sideband_grid(np.concatenate([-lines.delta, lines.delta]),
+                      np.tile(lines.width, 2), span, 2001)
+    spec = power_spectrum(pn, lines, f)
+    assert spec.lines is lines
+    assert spec.heights.shape == (lines.delta.size, 2)
+    for d, g in zip(lines.delta, lines.width):
+        for position in (d, -d):
+            assert np.sum(np.abs(f - position) <= g / 2) >= 9
