@@ -15,10 +15,10 @@ is solved in the even block, the uniqueness probe in each block apart.
 The basis is the mechanics times one block of cavity states: the photon
 configurations (c_1..c_k) with sum_j c_j <= N (cavity_photons), QuTiP's
 excitation-number-restricted states (enr_fock, enr_destroy; Johansson,
-Nation and Nori, Comput. Phys. Commun. 184, 1234 (2013)).  Both generators
-are written by index arithmetic from its occupation table, each entry once
-(_generator): column-stacked, vec(A X B) = (B^T kron A) vec(X), as QuTiP's
-spre/spost.
+Nation and Nori, Comput. Phys. Commun. 184, 1234 (2013)).  No complex
+superoperator is formed: each generator is written by index arithmetic from
+the occupation table straight into the real system the solve takes, in the
+real coordinates of Hermitian matrices (_real_generator).
 
 scipy is imported only inside the functions of the full model, so the
 reduced model and every command that uses only it run without loading it.
@@ -42,8 +42,8 @@ if TYPE_CHECKING:
 TRACE_PRESERVATION_TOL = 1e-10
 # nonzeros of L and M together (_estimate_nnz, a bound fig2 meets exactly):
 # a full steady state peaks at about 92 B per nonzero (fig2 mech 32 and 64
-# with at most 2 photons), so this holds a solve near 3.7 GB; far below
-# 2**31, so CSR indices fit int32 (_assemble)
+# with at most 2 photons), so this holds a solve near 3.7 GB; R and R_M hold
+# under twice as many, far below 2**31, so their CSR indices fit int32
 DEFAULT_NNZ_CAP = 40_000_000
 # a trace-rowed system whose 1-norm condition estimate exceeds this has a
 # null space that is numerically not one-dimensional
@@ -57,6 +57,7 @@ GMRES_TOL = 1e-14
 # small singular direction (see steady_state_solve)
 PROBE_TOL = 1e-6
 GMRES_RESTART = 100
+EPS = np.finfo(float).eps   # an Arnoldi step below it is exact
 GMRES_MAX_CYCLES = 20
 # seed of the random right-hand side of the uniqueness probe
 PROBE_SEED = 0
@@ -122,27 +123,23 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class Liouvillian:
+    """The full generator L and the uncoupled generator M as the real n x n
+    systems R and R_M that steady_state_solve solves, in L's units: R's row
+    k is Re or Im of L(rho)_ij for Hermitian rho, coordinate k's entry, but
+    row 0 is the trace row, max|L_ij| on the diagonal (see _real_generator)."""
+
     dims: tuple[int, ...]
     superoperator: sp.csr_matrix = field(repr=False)
     # the total excitation number of each basis state, whose parity splits
     # the steady-state solve (see _hermitian_coordinates)
     excitations: np.ndarray = field(repr=False)
-    # the uncoupled generator M that preconditions the steady-state solve
-    # (see build_full_liouvillian); None means M = L
+    # R_M, whose LU preconditions the steady-state solve (see
+    # build_full_liouvillian); None means M = L
     uncoupled: sp.csr_matrix | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.superoperator.shape[0]
-
-    def trace_preservation_defect(self) -> float:
-        """Norm of L^dagger applied to the identity (should vanish), up to a
-        conjugation the sum of L's rows at the diagonal entries of vec(I)."""
-        a, d = self.superoperator, self.excitations.size
-        at = _row_entries(a.indptr, np.arange(0, d * d, d + 1))[0]
-        sums = (np.bincount(a.indices[at], part[at], a.shape[1])
-                for part in (a.data.real, a.data.imag))
-        return float(np.hypot(*sums).max())
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,8 @@ class RateTable:
 # ---------------------------------------------------------------------------
 # generator construction
 
-ASSEMBLY_BLOCK = 1 << 16    # slot-table entries per block of rows (_assemble)
+# R's rows are written in REAL_BLOCKS blocks of >= REAL_BLOCK_ROWS rho_ij each
+REAL_BLOCKS, REAL_BLOCK_ROWS = 32, 1024
 
 
 def _occupations(config: SystemConfig) -> np.ndarray:
@@ -221,54 +219,6 @@ def _transpose(op):
     return [(-s, np.concatenate((w[-s:], w[:-s]))) for s, w in op]
 
 
-def _product(v, rows=slice(None)):
-    """The given rows of a slot value v of _assemble: an array broadcasting
-    to m x d, or a pair (column, row) of an m x 1 and a 1 x d array, whose
-    outer product it is."""
-    if isinstance(v, tuple):
-        column, row = v
-        return column[rows] * row
-    return v[rows] if len(v) > 1 else v
-
-
-def _assemble(slots, m: int, d: int) -> sp.csr_matrix:
-    """The (m d) x (m d) CSR matrix whose row p = i + j d holds at column
-    p + s the sum of v[j, i] over the slots (s, v) of offset s (v as in
-    _product).  Blocks of rows are summed into a table of one column per
-    offset, counted, then written backwards from the block still in the
-    table, so each CSR array is written once, sorted; adding 0.0 makes -0.0
-    parts +0.0."""
-    import scipy.sparse as sp
-    merged = {}
-    for s, v in slots:
-        merged.setdefault(s, []).append(v)
-    offsets, parts = zip(*sorted(merged.items()))
-    offsets = np.array(offsets, dtype=np.int32)
-    rows = max(1, ASSEMBLY_BLOCK // (d * len(parts)))
-    table = np.empty((min(rows, m), d, len(parts)), dtype=complex)
-    def fill(j):            # rows j d to (j + rows) d, in the table
-        block = table[:min(rows, m - j)]
-        for k, vs in enumerate(parts):
-            block[..., k] = sum(_product(v, slice(j, j + rows)) for v in vs)
-        return block.reshape(-1, len(parts))
-    indptr = np.zeros(m * d + 1, dtype=np.int32)
-    for j in range(0, m, rows):
-        block = fill(j)
-        indptr[j * d + 1:][:len(block)] = np.count_nonzero(block, 1)
-    np.cumsum(indptr, out=indptr)
-    data, indices = np.empty(indptr[-1], complex), np.empty(indptr[-1], np.int32)
-    for j in reversed(range(0, m, rows)):
-        block = fill(j) if j + rows < m else block
-        at = np.flatnonzero(block != 0)
-        start, stop = j * d, j * d + len(block)
-        span = slice(indptr[start], indptr[stop])
-        block.take(at, out=data[span], mode="clip")
-        (np.arange(start, stop, dtype=np.int32)[:, None] + offsets).take(
-            at, out=indices[span], mode="clip")
-    data += 0.0
-    return sp.csr_matrix((data, indices, indptr), shape=(m * d, m * d))
-
-
 def _hamiltonian_parts(config: SystemConfig):
     """The full Hamiltonian on the occupation table: the table, H's diagonal
     (the anharmonic mechanics w_m' n + (lam/2) n (n - 1), detuned
@@ -297,40 +247,134 @@ def _hamiltonian_parts(config: SystemConfig):
 def build_full_hamiltonian(config: SystemConfig) -> sp.csr_matrix:
     """Multi-mode Hamiltonian (in units of hbar): detuned cavities, the
     anharmonic mechanical mode, and the displaced linear coupling."""
-    table, energy, coupling, _b, _cavities = _hamiltonian_parts(config)
-    h = _assemble([(s, w[None, :]) for s, w in [(0, energy)] + coupling], 1,
-                  len(table))
+    import scipy.sparse as sp
+    _table, energy, coupling, _b, _cavities = _hamiltonian_parts(config)
+    d = energy.size
+    h = sum((sp.diags(w[max(0, -s):d - max(0, s)], s, (d, d))
+             for s, w in coupling), sp.diags(energy + 0j)).tocsr()
     herm_defect = abs(h - h.conj().T).max()
     if herm_defect > 1e-12 * max(1.0, abs(h).max()):
         raise SolverError(f"Hamiltonian not Hermitian, defect {herm_defect:.3e}")
     return h
 
 
-def _generator(energy, coupling, jumps) -> sp.csr_matrix:
-    """The generator -i[H, .] + sum_c (c . c^dag - {c^dag c, .}/2) of
-    H = diag(energy) + the coupling steps, with real jump operators, each a
-    list of steps carrying the square root of its rate: column-stacked,
-    I kron K + conj(K) kron I + sum_c c kron c, K = -iH - sum_c c^dag c / 2,
-    each c^dag c diagonal (no row of c holds two steps).  Row p = i + j d
-    holds K[i, i'] at column i' + j d, conj(K[j, j']) at i + j' d and
-    c[j, j'] c[i, i'] at i' + j' d: slots at fixed offsets (_assemble), one
-    per coupling step, per conjugate coupling step and per pair of steps of
-    a jump.  They meet in K[i, i] + conj(K[j, j]); apart from that, slots
-    share an offset only across lasers or cavity decays (a coupling step
-    moves two modes, a jump one, and steps of two cavities can be equally
-    long), and then fill different entries, as lowering or raising two
-    cavities never leads from one state to the same state."""
-    d = energy.size
+def _hermitian_coordinates(excitations: np.ndarray):
+    """Real coordinates of Hermitian matrices on the basis states whose total
+    excitation numbers N are `excitations`: the diagonal entries, then Re
+    and Im of the strict-upper entries (np.triu_indices order), stably
+    sorted by the parity of N_i + N_j of their entry rho_ij, even first.
+    Returns each coordinate's entry (i, j), i <= j, and whether it is an
+    Im part; the number of even coordinates; and each one's index before
+    the sort."""
+    d = excitations.size
+    parity = excitations % 2
+    i, j = (np.concatenate([np.arange(d), k, k]).astype(np.int32)
+            for k in np.triu_indices(d, 1))
+    odd = parity[i] != parity[j]
+    unsplit = np.argsort(odd, kind="stable")
+    return (i[unsplit], j[unsplit], unsplit >= d * (d + 1) // 2,
+            i.size - int(odd.sum()), unsplit)
+
+
+def _real_generator(energy, coupling, jumps, coords, weight=None):
+    """R (see Liouvillian), with `weight` (max|L_ij| if None) in the trace
+    row, max|L_ij| and the trace defect, the largest column sum of the
+    diagonal rows, (0,0) included, of L = -i[H, .] + sum_c (c . c^dag -
+    {c^dag c, .}/2): H = diag(energy) + the coupling steps, real jumps.
+
+    With K = -iH - sum_c c^dag c / 2, L(rho)_ij holds K[i, i] + conj(K[j, j])
+    at rho_ij, K[i, i'] at rho_i'j and conj(K[j, j']) at rho_ij' per
+    coupling step, and c[i, i'] c[j, j'] at rho_i'j' per pair of steps of a
+    jump: slots (da, db, x, y) of value v = x[i] y[j] at rho_ab,
+    (a, b) = (i + da, j + db), one per entry of L (two cavities never lead
+    from one state to the same state).  With rho_ab = p + i s q, p and q the
+    coordinates of rho_ab or rho_ba and s = sign(b - a), v rho_ab adds
+    v.real p - s v.imag q to the Re row, v.imag p + s v.real q to the Im
+    row; rho_ab and rho_ba add up as in L T, T the map from the coordinates
+    to vec(rho), and a sum of two terms does not depend on their order: R
+    has the bits of L T's rows.  Blocks of rows are written by _real_rows,
+    the slots in (da, db) order, so rows off the diagonal come sorted."""
+    import scipy.sparse as sp
+    i, j, imag, even, _unsplit = coords
+    n, d = i.size, energy.size
+    # place[a, b] and place[b, a], a <= b: the coordinates of Re and Im rho_ab
+    place = np.empty((d, d), dtype=np.int32)
+    place[np.where(imag, j, i), np.where(imag, i, j)] = np.arange(n)
     k = -1j * energy
     for jump in jumps:
         for _s, w in _transpose(jump):
             k = k - 0.5 * w ** 2
-    slots = [(0, k + k.conj()[:, None])]
-    slots += [(s_i + s_j * d, (w_j[:, None], w_i[None, :]))
+    one = np.ones(d)
+    slots = [(0, 0, one, one)]    # K's slot, on every rho_ij
+    slots += [(s_i, s_j, w_i, w_j)
               for jump in jumps for s_i, w_i in jump for s_j, w_j in jump]
     for s, w in coupling:
-        slots += [(s, -1j * w[None, :]), (s * d, (-1j * w).conj()[:, None])]
-    return _assemble(slots, d, d)
+        slots += [(s, 0, -1j * w, one), (0, s, one, (-1j * w).conj())]
+    order = sorted(range(len(slots)), key=lambda t: slots[t][:2])
+    da, db, x, y = zip(*map(slots.__getitem__, order))
+    x, y = np.array(x, dtype=complex), np.array(y, dtype=complex)
+    model = (k, order.index(0), np.array(da, dtype=np.int32),
+             np.array(db, dtype=np.int32), x, y, x != 0, y != 0, place)
+    kept = np.flatnonzero(~imag)    # the coordinates of each rho_ij itself
+    step = max(REAL_BLOCK_ROWS, -(-kept.size // REAL_BLOCKS))
+    scale, sums, pieces = 0.0, np.zeros(n), ([], [], [], [])
+    for first in range(0, kept.size, step):
+        at = kept[first:first + step]
+        parts, big = _real_rows(model, i[at], j[at], np.searchsorted(at, even))
+        scale = max(scale, big)
+        if first < d:   # the diagonal rows, which lead the Re rows
+            cut = parts[0][0][:d - first].sum()
+            sums += np.bincount(parts[0][1][:cut], parts[0][2][:cut], n)
+        for to, part in zip(pieces, parts):
+            to.append(part)
+    pieces = [part for kind in pieces for part in kind]
+    head = pieces[0][0][0]  # the (0,0) row's entries: the trace row's place
+    pieces[0] = tuple(a[c:] for a, c in zip(pieces[0], (1, head, head)))
+    counts, indices, data = map(list, zip(
+        ([d], np.arange(d, dtype=np.int32),
+         np.full(d, scale if weight is None else weight)), *pieces))
+    del pieces      # each list's arrays are freed as they are joined
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))],
+                            dtype=np.int32)
+    indices = np.concatenate(indices)
+    data = np.concatenate(data)
+    return (sp.csr_matrix((data, indices, indptr), shape=(n, n)), scale,
+            float(np.abs(sums).max()))
+
+
+def _real_rows(model, ci, cj, even):
+    """R's rows for rho_ij, (i, j) = (ci, cj), the first `even` of them in
+    the even block: its Re (or diagonal) rows and Im rows, then the odd
+    block's, each as row lengths, indices and values (no Im rows for the
+    diagonal rho_ii, which lead); and the largest |L_ij| they hold."""
+    import scipy.sparse as sp
+    k, k_slot, da, db, x, y, on_x, on_y, place = model
+    m = ci.size
+    s, on = np.nonzero(on_x[:, ci] & on_y[:, cj])
+    si, sj = ci[on], cj[on]
+    v = x[s, si] * y[s, sj]
+    run = np.searchsorted(s, k_slot)
+    v[run:run + m] = k[ci] + k.conj()[cj]
+    a, b = si + da[s], sj + db[s]
+    lo, hi, sign = np.minimum(a, b), np.maximum(a, b), np.sign(b - a)
+    # the terms at p, then at q, of the Re rows, then the Im rows; scipy
+    # sorts the rows and sums their duplicates
+    row, col = (np.empty((2, 2, on.size), np.int32) for _ in "rc")
+    row[:, 0], row[:, 1] = on, on + m
+    col[0], col[1] = place[lo, hi], place[hi, lo]
+    val = np.empty((2, 2, on.size))
+    val[0, 0], val[0, 1], val[1, 0], val[1, 1] = (
+        v.real, v.imag, -sign * v.imag, sign * v.real)
+    block = sp.csr_matrix((val.ravel(), (row.ravel(), col.ravel())),
+                          shape=(2 * m, place.size))
+    block.eliminate_zeros()
+    p, pieces, diagonal = block.indptr, [], np.count_nonzero(ci == cj)
+    for lo, hi in ((0, even), (m + diagonal, m + even), (even, m),
+                   (m + even, 2 * m)):
+        at = slice(p[lo], p[hi])    # copied: the triplets' size is freed
+        pieces.append((np.diff(p[lo:hi + 1]), block.indices[at].copy(),
+                       block.data[at].copy()))
+    return pieces, float(np.abs(v).max(initial=0.0))
 
 
 def sig3(n: int) -> str:
@@ -355,12 +399,12 @@ def _estimate_nnz(config: SystemConfig) -> int:
 
 
 def build_full_liouvillian(config: SystemConfig) -> Liouvillian:
-    """Sparse superoperator L for the full master equation: coherent part plus
-    cavity decay and the thermal mechanical dissipator.
+    """The full master equation's generator L (coherent part, cavity decay
+    and the thermal mechanical dissipator) as its real system R.
 
-    The same pass assembles the uncoupled generator M that preconditions the
-    steady-state solve: L with every coupling g_j = 0 and the mechanical
-    bath replaced by the reduced chain's jump operators
+    The same pass writes R_M of the uncoupled generator M that
+    preconditions the steady-state solve: L with every coupling g_j = 0 and
+    the mechanical bath replaced by the reduced chain's jump operators
     sum_n sqrt(n up_n) |n><n-1| and sum_n sqrt(n down_n) |n-1><n| (rates
     from chain_rates).  No term of M acts on the mechanics and a cavity
     together (the chain's rates stand in for the cavities' effect on the
@@ -372,6 +416,8 @@ def build_full_liouvillian(config: SystemConfig) -> Liouvillian:
         raise MemoryError(f"estimated superoperator nonzeros {sig3(est)} "
                           f"exceed cap {DEFAULT_NNZ_CAP}")
     table, energy, coupling, b, cavities = _hamiltonian_parts(config)
+    excitations = table.sum(axis=1)
+    coords = _hermitian_coordinates(excitations)
 
     def scaled(op, rate):
         return [(s, np.sqrt(rate) * w) for s, w in op]
@@ -381,7 +427,10 @@ def build_full_liouvillian(config: SystemConfig) -> Liouvillian:
     # the thermal bath; a zero rate gives zero weights, which drop out
     mech_jumps = [scaled(b, config.gamma_m * (config.n_bar + 1.0)),
                   _transpose(scaled(b, config.gamma_m * config.n_bar))]
-    lsuper = _generator(energy, coupling, cavity_jumps + mech_jumps)
+    lsuper, big, defect = _real_generator(
+        energy, coupling, cavity_jumps + mech_jumps, coords)
+    if defect > TRACE_PRESERVATION_TOL * max(1.0, big):
+        raise SolverError(f"generator is not trace preserving: defect {defect:.3e}")
 
     # with no drive the chain's jump operators are the thermal dissipator's
     # and there is no coupling, so M = L
@@ -392,14 +441,9 @@ def build_full_liouvillian(config: SystemConfig) -> Liouvillian:
         n = np.arange(1, config.mech_dim)
         chain_jumps = [_lowering(table, 0, np.sqrt(n * down)),
                        _transpose(_lowering(table, 0, np.sqrt(n * up)))]
-        uncoupled = _generator(energy, [], cavity_jumps + chain_jumps)
-
-    liou = Liouvillian(config.dims(), lsuper, table.sum(axis=1), uncoupled)
-    defect = liou.trace_preservation_defect()
-    scale = np.abs(lsuper.data).max(initial=1.0)
-    if defect > TRACE_PRESERVATION_TOL * scale:
-        raise SolverError(f"generator is not trace preserving: defect {defect:.3e}")
-    return liou
+        uncoupled = _real_generator(energy, [], cavity_jumps + chain_jumps,
+                                    coords, big)[0]
+    return Liouvillian(config.dims(), lsuper, excitations, uncoupled)
 
 
 def transition_rates(config: SystemConfig) -> RateTable:
@@ -504,64 +548,6 @@ def _chain_residual(up: np.ndarray, down: np.ndarray, p: np.ndarray) -> float:
     return float(np.linalg.norm(rows))
 
 
-def _row_entries(indptr: np.ndarray, rows: np.ndarray):
-    """The positions in a CSR matrix's data and indices of the entries of
-    `rows`, row after row, and the indptr of those rows stacked."""
-    starts, counts = indptr[rows], indptr[rows + 1] - indptr[rows]
-    stacked = np.append(0, np.cumsum(counts)).astype(indptr.dtype)
-    at = np.arange(stacked[-1]) + np.repeat(starts - stacked[:-1], counts)
-    return at, stacked
-
-
-def _hermitian_coordinates(excitations: np.ndarray):
-    """Real coordinates of Hermitian matrices on the basis states whose total
-    excitation numbers N are `excitations`: the diagonal entries, then Re
-    and Im of the strict-upper entries (np.triu_indices order), stably
-    sorted by the parity of N_i + N_j of their entry rho_ij, even first.
-    Returns the sparse map T from coordinates to the column-stacked vec; for
-    each coordinate its entry's vec index and whether it is an Im part; the
-    number of even coordinates; and for each coordinate its index before
-    the sort.  T is written row by row: an off-diagonal vec entry holds Re
-    then Im, at 1 and 1j above the diagonal and their conjugates below."""
-    import scipy.sparse as sp
-    d = excitations.size
-    parity = excitations % 2
-    i, j = (np.concatenate([np.arange(d), k, k]) for k in np.triu_indices(d, 1))
-    odd = parity[i] != parity[j]
-    unsplit = np.argsort(odd, kind="stable")
-    i, j, imag = i[unsplit], j[unsplit], unsplit >= d * (d + 1) // 2
-    k, off, value = np.arange(d * d), i != j, np.where(imag, 1j, 1.0)
-    indptr = np.zeros(d * d + 1, dtype=np.int32)
-    np.cumsum(2 - (np.arange(d * d) % (d + 1) == 0), out=indptr[1:])
-    at = np.concatenate([indptr[i + j * d] + imag,
-                         (indptr[j + i * d] + imag)[off]])
-    indices, data = np.empty(at.size, np.int32), np.empty(at.size, complex)
-    indices[at] = np.concatenate([k, k[off]])
-    data[at] = np.concatenate([value, value[off].conj()])
-    t = sp.csr_matrix((data, indices, indptr), shape=(d * d, d * d))
-    return t, i + j * d, imag, d * d - int(odd.sum()), unsplit
-
-
-def _real_system(lsuper: sp.spmatrix, t, rows, imag, unit: float,
-                 weight: float) -> sp.csr_matrix:
-    """The real n x n system of a Lindbladian L in Hermitian coordinates (see
-    _hermitian_coordinates): row k is Re of row rows[k] of L T / unit, or Im
-    where imag[k], but row 0 is the trace row: `weight` on the diagonal.
-    Its indices are sorted (the order of GMRES's row sums)."""
-    import scipy.sparse as sp
-    d = math.isqrt(rows.size)
-    part = lsuper @ t
-    at, indptr = _row_entries(part.indptr, rows[1:])
-    data = np.where(np.repeat(imag[1:], np.diff(indptr)), part.data.imag[at],
-                    part.data.real[at]) / unit
-    a = sp.csr_matrix((np.insert(data, 0, np.full(d, weight)),
-                       np.insert(part.indices[at], 0, np.arange(d)),
-                       np.insert(indptr + d, 0, 0)), shape=t.shape)
-    a.eliminate_zeros()
-    a.sort_indices()
-    return a
-
-
 def _parity_blocks(r: sp.csr_matrix, r_m: sp.csr_matrix, even: int):
     """The slices of the coordinates before and after `even`, each with its
     diagonal blocks of R and R_M as CSR views; or all coordinates as one
@@ -606,7 +592,7 @@ def _arnoldi_cycle(apply, b: np.ndarray, atol: float, restart: int):
         w -= again @ v[:j + 1]
         col += again
         below = _norm(w)
-        breakdown = below <= np.finfo(float).eps * size
+        breakdown = below <= EPS * size
         if breakdown:
             below = 0.0
         else:
@@ -666,17 +652,14 @@ def _gmres(r: sp.csr_matrix, abs_r: sp.csr_matrix, lu, b: np.ndarray,
 
 def steady_state_solve(liou: Liouvillian) -> SteadyState:
     """Null-space steady state of the full generator, solved in the real
-    coordinates r of Hermitian matrices (x = T r, see _hermitian_coordinates).
+    coordinates of Hermitian matrices (see Liouvillian).
 
-    A Lindbladian maps Hermitian matrices to Hermitian ones, so L T has real
-    diagonal rows and its upper rows fix the lower ones: the real n x n
-    system R stacks Re of the diagonal rows of L T on Re and Im of its upper
-    rows, with a trace row in place of the (0,0) row, in units of u, the
-    power of two at or below max|L_ij| (so that no rate scale overflows);
-    R_M likewise from M (liou.uncoupled, or L when that is None).  GMRES,
-    preconditioned by the LU of R_M's block (natural order, or COLAMD when
-    M = L), solves each block of _parity_blocks on its own (see _gmres); the
-    steady state is R r = (max|L_ij| / u) e_0 on the block that holds e_0.
+    L maps Hermitian matrices to Hermitian ones, so R holds all of it; R
+    and R_M (R if None) are divided, exactly, by the power of two u at or
+    below max|L_ij| (the trace row's weight), so no rate scale overflows.
+    GMRES, preconditioned by the LU of R_M's block (natural order, or
+    COLAMD when M = L), solves each block of _parity_blocks on its own (see
+    _gmres); the steady state is R x = max|L_ij| e_0 on e_0's block.
 
     Uniqueness: L(X^dagger) = L(X)^dagger, so the null space of L is closed
     under the adjoint, and a complex null space of dimension k has a
@@ -693,21 +676,23 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     resolves that direction, so the estimate still blows up; on fig2 it
     halves the probe's steps (36 -> 18) and moves the estimate by 1.6e-6
     relative.  The steady solve that misses GMRES_TOL, or a probe that
-    misses PROBE_TOL, within its budget raises SolverError.  The
-    solution is read back through T.  A smallest eigenvalue below -1e-8
-    raises SolverError; a negative one above it is clipped to 0 by eigh,
-    which runs only then (fig2's states are positive definite).  The state
-    is symmetrised, so rho is exactly Hermitian; its residual is in L's
-    units, and the populations are its mechanics' (the partial trace)."""
+    misses PROBE_TOL, within its budget raises SolverError.  A smallest
+    eigenvalue below -1e-8 raises SolverError; a negative one above it is
+    clipped to 0 by eigh, which runs only then (fig2's states are positive
+    definite).  The state is symmetrised, so rho is exactly Hermitian; the
+    populations are its mechanics' (the partial trace).  Its residual is
+    |L vec(rho)|_2 in L's units, from R: L(rho)_00 is minus the sum of the
+    other diagonal entries, and each upper entry counts for its conjugate."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
     d, n = liou.excitations.size, liou.dim
-    t, rows, imag, even, unsplit = _hermitian_coordinates(liou.excitations)
-    big = float(np.abs(liou.superoperator.data).max(initial=0.0))
+    i, j, imag, even, unsplit = _hermitian_coordinates(liou.excitations)
+    big = float(liou.superoperator[0].max())    # the trace row's weight
     unit = math.ldexp(1.0, math.frexp(big)[1] - 1)
-    r = _real_system(liou.superoperator, t, rows, imag, unit, big / unit)
-    r_m = r if liou.uncoupled is None else _real_system(
-        liou.uncoupled, t, rows, imag, unit, big / unit)
+    r, r_m = (a if a is None else sp.csr_matrix(
+        (a.data / unit, a.indices, a.indptr), a.shape)
+        for a in (liou.superoperator, liou.uncoupled))
+    r_m = r if r_m is None else r_m
     rhs = big / unit * np.eye(1, n)[0]
     probe = np.random.default_rng(PROBE_SEED).standard_normal(n)[unsplit]
     solves, lu_nnz = [], 0
@@ -747,7 +732,11 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
                 f"GMRES {name} solve did not converge: backward error "
                 f"{error:.3e} (tolerance {tol:.0e}) after {its} "
                 "iterations")
-    rho = (t @ np.pad(x, (0, n - x.size))).reshape((d, d), order="F")
+    x = np.pad(x, (0, n - x.size)) + 0.0    # no -0.0, as rho's bits are pinned
+    rho = np.zeros((d, d), dtype=complex)
+    parts = rho.view(float).reshape(d, d, 2)    # Re and Im of each entry
+    parts[j, i, imag.astype(int)] = np.where(imag, 0.0 - x, x)
+    parts[i, j, imag.astype(int)] = x
     rho /= np.trace(rho).real
     smallest = np.linalg.eigvalsh(rho)[0]
     if smallest < -1e-8:
@@ -757,8 +746,10 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
         w, v = np.linalg.eigh(rho)
         rho = (v * np.clip(w, 0.0, None)) @ v.conj().T
     rho = (rho + rho.conj().T) / np.trace(rho).real / 2
-    defect = liou.superoperator @ rho.reshape(-1, order="F")
-    residual = unit * float(np.linalg.norm(defect / unit))
+    defect = r @ np.where(imag, rho.imag[i, j], rho.real[i, j])
+    defect[0] = -defect[1:d].sum()
+    defect[d:] *= math.sqrt(2.0)
+    residual = unit * _norm(defect)
     rho = DensityMatrix(liou.dims, rho)
     return SteadyState(populations=partial_trace(rho, 0).populations(),
                        residual=residual, method="gmres",

@@ -283,16 +283,24 @@ def power_spectrum(populations, lines: SidebandLines,
                         heights=heights)
 
 
+def _window(freqs: np.ndarray, center: float, halfwidth: float) -> np.ndarray:
+    """The indices of the points f of the sorted grid with |f - center| <=
+    halfwidth: that test, on the slice of the grid within twice halfwidth,
+    so the same points as on the whole grid, also at the rounding edges."""
+    lo = np.searchsorted(freqs, center - 2.0 * halfwidth)
+    hi = np.searchsorted(freqs, center + 2.0 * halfwidth, side="right")
+    return lo + np.flatnonzero(np.abs(freqs[lo:hi] - center) <= halfwidth)
+
+
 def _interp_peak(freqs: np.ndarray, values: np.ndarray, center: float,
                  halfwidth: float) -> float:
     """Peak height by quadratic interpolation around the grid maximum inside
     a window centered at the predicted position."""
-    mask = np.abs(freqs - center) <= halfwidth
-    if mask.sum() < 3:
+    idx = _window(freqs, center, halfwidth)
+    if idx.size < 3:
         raise SpectrumInversionError(
             f"fewer than 3 grid points within {halfwidth:.3e} of predicted "
             f"peak at {center:.6e}; refine the frequency grid")
-    idx = np.flatnonzero(mask)
     k = idx[np.argmax(values[idx])]
     if k == 0 or k == freqs.size - 1:
         return float(values[k])

@@ -8,9 +8,11 @@ import scipy.sparse as sp
 from scipy.constants import hbar, k as kB
 
 from nanomech.config import parse_config
-from nanomech.lindblad import (LaserParams, Liouvillian, SystemConfig,
+from nanomech.lindblad import (LaserParams, SystemConfig,
                                _hermitian_coordinates, _parity_blocks,
-                               _real_system, chain_rates, transition_rates)
+                               chain_rates, transition_rates)
+
+from reference_path import real_liouvillian, real_system
 
 TWO_PI = 2 * np.pi
 
@@ -52,9 +54,8 @@ def parity_block_count(excitations, lsuper, uncoupled=None):
     """How many blocks steady_state_solve factors and solves for the
     generators L and M (M = L when None) on basis states of total excitation
     numbers `excitations`."""
-    t, rows, imag, even, _unsplit = _hermitian_coordinates(excitations)
-    r, r_m = (None if g is None else
-              _real_system(sp.csr_matrix(g), t, rows, imag, 1.0, 1.0)
+    even = _hermitian_coordinates(excitations)[3]
+    r, r_m = (None if g is None else real_system(g, excitations, 1.0)
               for g in (lsuper, uncoupled))
     return len(_parity_blocks(r, r if r_m is None else r_m, even))
 
@@ -116,11 +117,12 @@ def kron_ladders(cfg, levels=None):
     return b, cavities, lowering, table[keep]
 
 
-def kron_liouvillian(cfg, levels=None):
-    """The generators L and M of build_full_liouvillian (M is None with no
-    drive) on the space of kron_ladders, each from its sparse ladder
+def kron_generators(cfg, levels=None):
+    """The complex generators L and M of build_full_liouvillian (M is None
+    with no drive) on the space of kron_ladders, each from its sparse ladder
     operators, the Hamiltonian built from their products and
-    kron_generator."""
+    kron_generator; with the space's factor dimensions and the total
+    excitation number of each of its states: (dims, excitations, L, M)."""
     b, cavities, lowering, table = kron_ladders(cfg, levels)
     n = table[:, 0]
     energy = cfg.omega_m_prime * n + 0.5 * cfg.lam * n * (n - 1)
@@ -141,13 +143,20 @@ def kron_liouvillian(cfg, levels=None):
                               else ())
     lsuper = kron_generator(h, decay + thermal)
     if not cfg.lasers:
-        return Liouvillian(dims, lsuper, table.sum(axis=1))
+        return dims, table.sum(axis=1), lsuper, None
     up, down = chain_rates(transition_rates(cfg), cfg.gamma_m, cfg.n_bar)
     level = np.arange(1, cfg.mech_dim)
     chain = [lowering(0, np.sqrt(level * down)),
              lowering(0, np.sqrt(level * up)).T.tocsr()]
-    return Liouvillian(dims, lsuper, table.sum(axis=1),
-                       kron_generator(h0, decay + chain))
+    return (dims, table.sum(axis=1), lsuper,
+            kron_generator(h0, decay + chain))
+
+
+def kron_liouvillian(cfg, levels=None):
+    """kron_generators' L and M as the Liouvillian steady_state_solve
+    takes (reference_path.real_liouvillian)."""
+    dims, excitations, lsuper, uncoupled = kron_generators(cfg, levels)
+    return real_liouvillian(dims, lsuper, excitations, uncoupled)
 
 
 def quoted_system(mech_dim=8, cavity_photons=1, g_scale=1.0):

@@ -1,11 +1,11 @@
 """The full solve's bits, pinned beyond README's fig2 run at mech 8: the
 SHA-256 of `populations.json` and of the manifest's `solver` block (as
-`canonical_json` writes it) for `steady --full` at fig2 mech 5, at fig2
-mech 8 with at most 2 photons, and on criterion 1's thermal chain (mech
-30, no drives, n_bar about 0.5).  A change to the full model's assembly,
-real system, factorization or GMRES that moves one bit of the populations,
-the residual, the step counts, the LU's nonzeros or the condition estimate
-fails here.  A change that moves them on purpose regenerates the digests,
+`canonical_json` writes it) for `steady --full` at fig2 mech 5 and 32, at
+fig2 mech 8 with at most 2 photons, and on criterion 1's thermal chain
+(mech 30, no drives, n_bar about 0.5).  A change to the full model's
+assembly, real system, factorization or GMRES that moves one bit of the
+populations, the residual, the step counts, the LU's nonzeros or the
+condition estimate fails here.  A change that moves them on purpose regenerates the digests,
 from the repository root, with
 
     PYTHONPATH=src python tests/test_full_solve_bits.py
@@ -30,6 +30,11 @@ def _mech5(raw):
     raw["simulation"]["mech_truncation"] = 5
 
 
+def _mech32(raw):
+    # R's rows are written in several blocks per parity block here
+    raw["simulation"]["mech_truncation"] = 32
+
+
 def _two_photons(raw):
     raw["simulation"]["cavity_photons"] = 2
 
@@ -40,19 +45,23 @@ def _thermal_chain(raw):
     raw["simulation"]["mech_truncation"] = 30
 
 
-CASES = {"fig2_mech5": _mech5, "fig2_mech8_two_photons": _two_photons,
+CASES = {"fig2_mech5": _mech5, "fig2_mech32": _mech32,
+         "fig2_mech8_two_photons": _two_photons,
          "thermal_chain_mech30": _thermal_chain}
 
 DIGESTS = {
     "fig2_mech5": (
         "8a4e2eeaedd156e4e65630076b5cc50b8a2d73b9568d9830fb8daba344989acb",
-        "0308e036d15023e56c74dca81085146c93ba7bad30f0aa11f84a17671d4b18b3"),
+        "32b558c314beadefe48003588b00551fcc3020350530232bf52ac35b9465f0fd"),
+    "fig2_mech32": (
+        "b3f8ea088e57ddae84f068202d9cb3ddd7f6449a361eea41231ec662e225cbb0",
+        "e6173a1c7f707674dd96702928c4f3f0dbd06ed840bf3e513f00c69d329b56cb"),
     "fig2_mech8_two_photons": (
         "4b2064d1fd7865e1fc92f50daeabdf01e3149aeb88deeed262ed26f269930e69",
-        "0be3e202788591574dfdc7493e2b949e96fe7d0fde7d321dc679c3371edec553"),
+        "4250f5a50500a0bb1a056427c2acc353a0929e82f1868fda845e5c380ae7817b"),
     "thermal_chain_mech30": (
         "2d87370a226f720d99db9c85cf322be1f561e497122e09deeb7b0ae57cfe0be5",
-        "dfb2d9c63a8527125626a46ccd08b70e08d8d87bf2bb915064259e6c914eb115"),
+        "c42a50b80b07dd1cffdf3ddcb9468cf585b7921d4c49346ed3b1215bb8e00eba"),
 }
 
 

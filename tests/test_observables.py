@@ -11,7 +11,8 @@ from nanomech.fock import DensityMatrix
 from nanomech.lindblad import (RateTable, SystemConfig, LaserParams,
                                reduced_steady_populations, transition_rates)
 from nanomech.observables import (WIGNER_BOUND, SpectrumInversionError,
-                                  _interp_peak, default_grid, linewidths,
+                                  _interp_peak, _window, default_grid,
+                                  linewidths,
                                   populations_from_spectrum, power_spectrum,
                                   sideband_grid, sideband_lines,
                                   wigner_from_density_matrix,
@@ -345,6 +346,36 @@ def test_interp_peak_needs_grid_points():
     spec = power_spectrum(pn, spectrum_lines(drive, probe, pn.size), freqs)
     with pytest.raises(SpectrumInversionError):
         populations_from_spectrum(spec)
+
+
+@st.composite
+def grids_and_windows(draw):
+    """A sorted grid of distinct floats at a drawn scale, a center and a
+    halfwidth from about an ulp of the center to the scale, with the
+    rounded window edges center -+ halfwidth, their neighbouring floats and
+    the center among the grid points."""
+    scale = 10.0 ** draw(st.integers(-3, 12))
+    grid = draw(arrays(float, st.integers(0, 40),
+                       elements=st.floats(-1.0, 1.0)))
+    center = scale * draw(st.floats(-1.0, 1.0))
+    halfwidth = (scale * 10.0 ** draw(st.integers(-17, 0))
+                 * draw(st.floats(0.01, 1.0)))
+    edges = np.array([center - halfwidth, center + halfwidth])
+    freqs = np.unique(np.concatenate([
+        scale * grid, edges, np.nextafter(edges, -np.inf),
+        np.nextafter(edges, np.inf), [center]]))
+    return freqs, center, halfwidth
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids_and_windows())
+def test_window_selects_the_points_of_the_whole_grid_mask(case):
+    # the slice of the sorted grid within twice the halfwidth holds every
+    # point the test |f - c| <= h admits, rounding edges included
+    freqs, center, halfwidth = case
+    np.testing.assert_array_equal(
+        _window(freqs, center, halfwidth),
+        np.flatnonzero(np.abs(freqs - center) <= halfwidth))
 
 
 # ---------------------------------------------------------------------------

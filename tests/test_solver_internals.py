@@ -1,29 +1,38 @@
 """Oracles for the full solve's index-arithmetic internals, on drawn
-systems: the Hermitian-coordinate map T against its COO build, the real
-system against scipy's product and fancy row index (then sorted), and the
-trace-preservation defect against the sum of a CSR row slice.  Each oracle
-is the straightforward scipy formula; the internals must give the same
-arrays bit for bit (the defect to rounding), since GMRES's sums and so
-every output bit follow their order."""
+systems: the reference path's Hermitian-coordinate map T against its COO
+build; the real systems R and R_M that build_full_liouvillian writes
+straight from the model against the reference path (the complex L and M
+through T, tests/reference_path.py) and against scipy's product and
+fancy row index (then sorted); and the trace defect that the build judges
+against the sum of a CSR row slice.  Each oracle is the straightforward
+scipy formula; the internals must give the same arrays bit for bit (the
+defect to rounding), since GMRES's sums and so every output bit follow
+their order."""
 
+import contextlib
 import math
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nanomech.lindblad import (_hermitian_coordinates, _real_system,
-                               build_full_liouvillian)
+from nanomech import lindblad
+from nanomech.lindblad import (LaserParams, SystemConfig, _hamiltonian_parts,
+                               _hermitian_coordinates, _real_generator,
+                               _transpose, build_full_liouvillian)
 
+from reference_path import (_generator, assert_same_csr, complex_generators,
+                            hermitian_map, reference_liouvillian)
 from test_lindblad import small_systems
 
 
 def coo_coordinates(excitations):
-    """T of _hermitian_coordinates built from COO triplets: the diagonal
-    coordinates at 1, Re at 1 and Im at 1j on the upper vec entry, their
-    conjugates on the lower one."""
+    """T of hermitian_map built from COO triplets: the diagonal coordinates
+    at 1, Re at 1 and Im at 1j on the upper vec entry, their conjugates on
+    the lower one."""
     d = excitations.size
     parity = excitations % 2
     i, j = (np.concatenate([np.arange(d), k, k]) for k in np.triu_indices(d, 1))
@@ -36,7 +45,9 @@ def coo_coordinates(excitations):
 
 
 def indexed_real_system(lsuper, t, rows, imag, unit, weight):
-    """_real_system from scipy's product and fancy row index, then sorted."""
+    """The real system from scipy's product and fancy row index, then
+    sorted: row k is Re, or Im where imag[k], of row rows[k] of L T / unit,
+    but row 0 is the trace row, `weight` on the diagonal coordinates."""
     d = math.isqrt(rows.size)
     part = (lsuper @ t).tocsr()[rows[1:]]
     data = np.where(np.repeat(imag[1:], np.diff(part.indptr)), part.data.imag,
@@ -49,51 +60,118 @@ def indexed_real_system(lsuper, t, rows, imag, unit, weight):
     return a
 
 
-def assert_same_csr(got, want):
-    assert got.shape == want.shape
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype, name
-        assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+@contextlib.contextmanager
+def real_blocks(rows, blocks):
+    """build_full_liouvillian writing R in blocks of at least `rows` pairs,
+    `blocks` per parity block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lindblad, "REAL_BLOCK_ROWS", rows)
+        patch.setattr(lindblad, "REAL_BLOCKS", blocks)
+        yield
+
+
+BLOCKINGS = st.sampled_from([(lindblad.REAL_BLOCK_ROWS, lindblad.REAL_BLOCKS),
+                             (1, 10**9), (5, 10**9), (10**9, 1)])
 
 
 @settings(max_examples=40, deadline=None)
 @given(arrays(np.int64, st.integers(1, 24), elements=st.integers(0, 6)))
 def test_hermitian_coordinates_match_coo_build(excitations):
-    t = _hermitian_coordinates(excitations)[0]
+    t = hermitian_map(excitations)[0]
     assert_same_csr(t, coo_coordinates(excitations))
 
 
 @settings(max_examples=25, deadline=None)
 @given(small_systems(), st.integers(-3, 3))
 def test_real_system_matches_indexed_product(cfg, shift):
+    # R in L's units with the trace row at max|L_ij|, and R divided by a
+    # power of two near it as the solve divides it: exact, the system of
+    # L T / unit with the trace row at max|L_ij| / unit
     liou = build_full_liouvillian(cfg)
-    t, rows, imag, _even, _unsplit = _hermitian_coordinates(liou.excitations)
-    big = float(np.abs(liou.superoperator.data).max())
+    lsuper, uncoupled = complex_generators(cfg)
+    t, rows = hermitian_map(liou.excitations)
+    imag = _hermitian_coordinates(liou.excitations)[2]
+    big = float(np.abs(lsuper.data).max())
     unit = math.ldexp(1.0, math.frexp(big)[1] - 1 + shift)
-    for g in (liou.superoperator, liou.uncoupled):
+    for r, g in ((liou.superoperator, lsuper), (liou.uncoupled, uncoupled)):
         if g is None:
+            assert r is None
             continue
-        r = _real_system(g, t, rows, imag, unit, big / unit)
         assert r.has_canonical_format
-        assert_same_csr(r, indexed_real_system(g, t, rows, imag, unit,
-                                               big / unit))
+        assert_same_csr(r, indexed_real_system(g, t, rows, imag, 1.0, big))
+        assert_same_csr(
+            sp.csr_matrix((r.data / unit, r.indices, r.indptr), r.shape),
+            indexed_real_system(g, t, rows, imag, unit, big / unit))
+
+
+@st.composite
+def drawn_systems(draw):
+    """Systems of mech 3-12 and 0-3 cavities with at most 1-2 photons in
+    all, couplings of any phase and of |g| up to 3 kappa, with and without
+    mechanical damping and thermal occupation."""
+    kappa = 5.0e4
+    magnitude = st.floats(0.0, 3.0 * kappa)
+    lasers = tuple(
+        LaserParams(g=draw(magnitude) * np.exp(1j * draw(st.floats(-4, 4))),
+                    detuning=draw(st.floats(-6.0e6, 6.0e6)))
+        for _ in range(draw(st.integers(0, 3))))
+    return SystemConfig(
+        mech_dim=draw(st.integers(3, 12)),
+        cavity_photons=draw(st.integers(1, 2)),
+        omega_m_prime=5.0e6, lam=draw(st.floats(0.0, 4.0e5)),
+        gamma_m=draw(st.sampled_from([0.0, 5.0, 3.0e3])),
+        n_bar=draw(st.sampled_from([0.0, 0.3, 20.0])), kappa=kappa,
+        lasers=lasers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_systems(), BLOCKINGS)
+def test_real_systems_match_the_reference_path_bit_for_bit(cfg, blocking):
+    # R and R_M written straight from the model are those of the complex L
+    # and M through T, in every blocking of their rows; and the sizes that
+    # the benchmark's traced spans read off them are R's
+    with real_blocks(*blocking):
+        liou = build_full_liouvillian(cfg)
+    ref = reference_liouvillian(cfg)
+    assert liou.dims == ref.dims == cfg.dims()
+    assert_same_csr(liou.superoperator, ref.superoperator)
+    if ref.uncoupled is None:
+        assert liou.uncoupled is None
+    else:
+        assert_same_csr(liou.uncoupled, ref.uncoupled)
+    assert liou.dim == math.prod(cfg.dims()) ** 2 == ref.superoperator.shape[0]
+    assert liou.superoperator.nnz == ref.superoperator.nnz
+    assert abs(liou.superoperator).max() == abs(ref.superoperator).max()
+    # the trace row holds max|L_ij|, the scale of the solve
+    big = np.abs(complex_generators(cfg)[0].data).max()
+    d = math.isqrt(liou.dim)
+    row = liou.superoperator[[0]]
+    np.testing.assert_array_equal(row.indices, np.arange(d))
+    assert (row.data == big).all()
 
 
 @settings(max_examples=25, deadline=None)
-@given(small_systems(), st.integers(0, 2**32 - 1))
-def test_trace_preservation_defect_matches_row_slice_sum(cfg, seed):
-    # on L itself (a defect at rounding) and on L plus a random perturbation
-    # of its diagonal rows' entries (a defect of order 1)
-    liou = build_full_liouvillian(cfg)
-    d = liou.excitations.size
+@given(small_systems(), st.integers(0, 2**32 - 1), BLOCKINGS)
+def test_trace_preservation_defect_matches_row_slice_sum(cfg, seed, blocking):
+    # on L itself (a defect at rounding) and on L with random imaginary
+    # parts of order kappa added to its energies, a non-Hermitian H (a
+    # defect of order 1): the largest column sum of R's diagonal rows, (0,0)
+    # row included, against scipy's sum of those rows of Re L T
+    table, energy, coupling, b, cavities = _hamiltonian_parts(cfg)
+    excitations = table.sum(axis=1)
+    d = excitations.size
+    coords = _hermitian_coordinates(excitations)
+    jumps = [[(s, np.sqrt(cfg.kappa) * w) for s, w in a] for a in cavities]
+    jumps += [[(s, np.sqrt(cfg.gamma_m * (cfg.n_bar + 1.0)) * w) for s, w in b],
+              _transpose([(s, np.sqrt(cfg.gamma_m * cfg.n_bar) * w)
+                          for s, w in b])]
     rng = np.random.default_rng(seed)
+    t, rows = hermitian_map(excitations)
     for noise in (0.0, 1.0):
-        lsuper = liou.superoperator.copy()
-        lsuper.data += noise * (rng.standard_normal(lsuper.nnz)
-                                + 1j * rng.standard_normal(lsuper.nnz))
-        perturbed = type(liou)(liou.dims, lsuper, liou.excitations)
-        want = float(np.abs(lsuper[::d + 1].sum(axis=0)).max())
-        got = perturbed.trace_preservation_defect()
-        scale = np.abs(lsuper[::d + 1].toarray()).sum(axis=0).max()
+        drawn = energy + 1j * noise * cfg.kappa * rng.standard_normal(d)
+        with real_blocks(*blocking):
+            got = _real_generator(drawn, coupling, jumps, coords)[2]
+        diagonal = (_generator(drawn, coupling, jumps) @ t).tocsr()[rows[:d]]
+        want = float(np.abs(diagonal.real.sum(axis=0)).max())
+        scale = np.abs(diagonal.real).sum(axis=0).max()
         assert abs(got - want) <= 1e-15 * max(want, scale)

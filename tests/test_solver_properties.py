@@ -12,7 +12,6 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -20,9 +19,10 @@ from hypothesis.extra.numpy import arrays
 
 from nanomech import lindblad
 from nanomech.lindblad import (CONDITION_LIMIT, DegenerateSteadyStateError,
-                               Liouvillian, SolverError, _arnoldi_cycle,
+                               SolverError, _arnoldi_cycle,
                                steady_state_solve)
 
+from reference_path import real_liouvillian
 from conftest import (dense_generator, parity_block_count,
                       product_excitations)
 
@@ -78,9 +78,8 @@ def check_against_null_space(d, lsuper, uncoupled=None, dims=None):
     oracle /= np.trace(oracle)
 
     dims = dims or (d,)
-    ss = steady_state_solve(Liouvillian(
-        dims, sp.csr_matrix(lsuper), product_excitations(dims),
-        None if uncoupled is None else sp.csr_matrix(uncoupled)))
+    ss = steady_state_solve(real_liouvillian(
+        dims, lsuper, product_excitations(dims), uncoupled))
     rho = ss.rho.matrix
     np.testing.assert_allclose(rho, oracle, rtol=0, atol=1e-10)
     assert np.array_equal(rho, rho.conj().T)
@@ -166,8 +165,7 @@ def linked_islands(seed, d, k, e_l, e_m):
     uncoupled = dense_generator(h + h.conj().T,
                                 [w * c for w, c in zip(weights, jumps)]
                                 + [10.0**-e_m * link])
-    return Liouvillian((d,), sp.csr_matrix(lsuper), np.arange(d),
-                       sp.csr_matrix(uncoupled))
+    return real_liouvillian((d,), lsuper, np.arange(d), uncoupled)
 
 
 @st.composite
