@@ -2,15 +2,19 @@
 the full multi-mode master equation and the reduced Fock-resolved
 birth-death model, with their steady-state solvers.
 
-The full steady state is solved by restarted GMRES (Saad and Schultz, SIAM
-J. Sci. Stat. Comput. 7, 856 (1986)), preconditioned with an exact sparse
-LU of the uncoupled generator M (see build_full_liouvillian), so that the
-reduced model preconditions its own oracle (iterative steady states as in
-Nation, arXiv:1504.06768).  Each restart cycle is an Arnoldi cycle of this
-module, so a GMRES step costs one matrix-vector product, one triangular
-solve pair and four BLAS-2 products.  The model conserves the parity of
-N_i + N_j (N the total excitation number) of each rho_ij: the steady state
-is solved in the even block, the uniqueness probe in each block apart.
+The full steady state is solved in the real coordinates of Hermitian
+matrices.  The model conserves the parity of N_i + N_j (N the total
+excitation number) of each rho_ij: the steady state is solved in the even
+block, the uniqueness probe in each block apart.  Where no block holds more
+than DIRECT_BLOCK unknowns, and on every undriven system, each block is
+solved directly from its sparse LU (SuperLU: Demmel et al., SIAM J. Matrix
+Anal. Appl. 20, 720 (1999)).  A larger driven block is solved by restarted
+GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 856 (1986)),
+preconditioned with an exact sparse LU of the uncoupled generator M (see
+_uncoupled_system), so that the reduced model preconditions its own oracle
+(iterative steady states as in Nation, arXiv:1504.06768).  Each restart
+cycle is an Arnoldi cycle of this module, so a GMRES step costs one
+matrix-vector product, one triangular solve pair and four BLAS-2 products.
 
 The basis is the mechanics times one block of cavity states: the photon
 configurations (c_1..c_k) with sum_j c_j <= N (cavity_photons), QuTiP's
@@ -59,6 +63,13 @@ PROBE_TOL = 1e-6
 GMRES_RESTART = 100
 EPS = np.finfo(float).eps   # an Arnoldi step below it is exact
 GMRES_MAX_CYCLES = 20
+# a driven system whose parity blocks hold at most this many unknowns each
+# is solved directly from the LU of R, not by GMRES preconditioned by the
+# LU of R_M: the crossover of `steady --full` (median of 30 in-process
+# pairs) lies between fig2 mech 5, 202 unknowns per block, where the direct
+# solve takes 0.98 of GMRES's time (0.87 at mech 4), and mech 6, 288
+# unknowns, where it takes 1.15
+DIRECT_BLOCK = 256
 # seed of the random right-hand side of the uniqueness probe
 PROBE_SEED = 0
 
@@ -131,10 +142,13 @@ class Liouvillian:
     dims: tuple[int, ...]
     superoperator: sp.csr_matrix = field(repr=False)
     # the total excitation number of each basis state, whose parity splits
-    # the steady-state solve (see _hermitian_coordinates)
+    # the steady-state solve
     excitations: np.ndarray = field(repr=False)
-    # R_M, whose LU preconditions the steady-state solve (see
-    # build_full_liouvillian); None means M = L
+    # the coordinates of R's rows and columns: _hermitian_coordinates of
+    # the excitation numbers
+    coordinates: tuple = field(repr=False)
+    # R_M, whose LU preconditions GMRES (see build_full_liouvillian); None
+    # means M = L, and the blocks of R are solved directly from their LU
     uncoupled: sp.csr_matrix | None = field(default=None, repr=False)
 
     @property
@@ -150,7 +164,7 @@ class SteadyState:
     iterations: int = 0         # GMRES iterations, steady and probe solves
     probe_iterations: int = 0   # of them in the probe solves
     condition: float | None = None  # 1-norm condition estimate (full solve)
-    lu_nnz: int | None = None   # nonzeros of the preconditioner's LUs (full)
+    lu_nnz: int | None = None   # nonzeros of the blocks' LUs (full solve)
     rho: DensityMatrix | None = None  # the full state (full solve)
 
 
@@ -189,22 +203,28 @@ def _occupations(config: SystemConfig) -> np.ndarray:
                             np.tile(photons, (config.mech_dim, 1))))
 
 
-def _lowering(table: np.ndarray, slot: int, weights):
+def _encode(table: np.ndarray):
+    """One int code per row of the sorted occupation table `table`, in the
+    rows' order, and each mode's stride: the state raised by one quantum on
+    mode s has code + strides[s] (the codes leave room for it)."""
+    dims = tuple(table.max(axis=0) + 2)
+    return (np.ravel_multi_index(table.T, dims),
+            np.ravel_multi_index(np.eye(len(dims), dtype=int), dims))
+
+
+def _lowering(table: np.ndarray, encoded, slot: int, weights):
     """sum_n weights[n-1] |..n-1..><..n..| on mode `slot` of the basis whose
-    states are the rows of the sorted occupation table `table`, the identity
-    on the other modes and 0 where the raised state is not in the basis, as
-    a list of steps (s, w), one per offset s: entries [i, i + s] = w[i], 0
-    on rows with none; weights sqrt(n) give the annihilation operator.  The
-    mechanics has one step; a cavity has one per distance from a cavity
-    state to its raised state (QuTiP's enr_destroy).  Every model operator
-    is diagonal, steps on one mode, or the product of a mechanical and a
-    cavity step, whose row weights multiply (neither changes the other's
-    occupation)."""
-    dims = tuple(table.max(axis=0) + 2)     # codes keep the rows' order
-    codes = np.ravel_multi_index(table.T, dims)
-    raised = table.copy()
-    raised[:, slot] += 1
-    raised = np.ravel_multi_index(raised.T, dims)
+    states are the rows of the sorted occupation table `table` (`encoded`
+    by _encode), the identity on the other modes and 0 where the raised
+    state is not in the basis, as a list of steps (s, w), one per offset s:
+    entries [i, i + s] = w[i], 0 on rows with none; weights sqrt(n) give
+    the annihilation operator.  The mechanics has one step; a cavity has one
+    per distance from a cavity state to its raised state (QuTiP's
+    enr_destroy).  Every model operator is diagonal, steps on one mode, or
+    the product of a mechanical and a cavity step, whose row weights
+    multiply (neither changes the other's occupation)."""
+    codes, strides = encoded
+    raised = codes + strides[slot]
     target = np.searchsorted(codes, raised)
     found = codes.take(target, mode="clip") == raised
     w = np.where(found, np.append(weights, 0.0)[table[:, slot]], 0.0)
@@ -220,18 +240,19 @@ def _transpose(op):
 
 
 def _hamiltonian_parts(config: SystemConfig):
-    """The full Hamiltonian on the occupation table: the table, H's diagonal
-    (the anharmonic mechanics w_m' n + (lam/2) n (n - 1), detuned
-    cavities), the steps of the displaced linear coupling, and the
-    operators b and a_j as steps."""
+    """The full Hamiltonian on the occupation table: the table and its
+    codes (_encode), H's diagonal (the anharmonic mechanics
+    w_m' n + (lam/2) n (n - 1), detuned cavities), the steps of the
+    displaced linear coupling, and the operators b and a_j as steps."""
     table = _occupations(config)
+    encoded = _encode(table)
     n = table[:, 0]
     energy = config.omega_m_prime * n + 0.5 * config.lam * n * (n - 1)
     for j, laser in enumerate(config.lasers):
         energy = energy + (-laser.detuning) * table[:, 1 + j]
-    b = _lowering(table, 0, np.sqrt(np.arange(1, config.mech_dim)))
+    b = _lowering(table, encoded, 0, np.sqrt(np.arange(1, config.mech_dim)))
     photons = np.sqrt(np.arange(1, config.cavity_photons + 1))
-    cavities = [_lowering(table, 1 + j, photons)
+    cavities = [_lowering(table, encoded, 1 + j, photons)
                 for j in range(len(config.lasers))]
     # (g*/2 a_j + g/2 a_j^dag)(b + b^dag): four steps per step of a_j
     position = b + _transpose(b)
@@ -241,14 +262,15 @@ def _hamiltonian_parts(config: SystemConfig):
                                  (_transpose(a), laser.g / 2.0))
                 for s_a, w_a in op
                 for s_b, w_b in position]
-    return table, energy, coupling, b, cavities
+    return table, encoded, energy, coupling, b, cavities
 
 
 def build_full_hamiltonian(config: SystemConfig) -> sp.csr_matrix:
     """Multi-mode Hamiltonian (in units of hbar): detuned cavities, the
     anharmonic mechanical mode, and the displaced linear coupling."""
     import scipy.sparse as sp
-    _table, energy, coupling, _b, _cavities = _hamiltonian_parts(config)
+    _table, _encoded, energy, coupling, _b, _cavities = _hamiltonian_parts(
+        config)
     d = energy.size
     h = sum((sp.diags(w[max(0, -s):d - max(0, s)], s, (d, d))
              for s, w in coupling), sp.diags(energy + 0j)).tocsr()
@@ -398,52 +420,64 @@ def _estimate_nnz(config: SystemConfig) -> int:
             + 2 * k * (mech * lit) ** 2 + 4 * ((mech - 1) * block) ** 2)
 
 
+def _scaled(op, rate):
+    """The steps of op times sqrt(rate): a jump operator of that rate."""
+    return [(s, np.sqrt(rate) * w) for s, w in op]
+
+
 def build_full_liouvillian(config: SystemConfig) -> Liouvillian:
     """The full master equation's generator L (coherent part, cavity decay
     and the thermal mechanical dissipator) as its real system R.
 
-    The same pass writes R_M of the uncoupled generator M that
-    preconditions the steady-state solve: L with every coupling g_j = 0 and
-    the mechanical bath replaced by the reduced chain's jump operators
-    sum_n sqrt(n up_n) |n><n-1| and sum_n sqrt(n down_n) |n-1><n| (rates
-    from chain_rates).  No term of M acts on the mechanics and a cavity
-    together (the chain's rates stand in for the cavities' effect on the
-    mechanics), so its LU has almost no fill, and M has a unique steady
-    state whenever the chain has one, also at gamma_m = 0, where L with
-    g_j = 0 alone would be singular."""
+    A driven system whose larger parity block holds more than DIRECT_BLOCK
+    unknowns also gets R_M (_uncoupled_system), whose LU preconditions
+    GMRES; on every other system uncoupled is None and steady_state_solve
+    solves the blocks of R directly from their LU."""
     est = _estimate_nnz(config)
     if est > DEFAULT_NNZ_CAP:
         raise MemoryError(f"estimated superoperator nonzeros {sig3(est)} "
                           f"exceed cap {DEFAULT_NNZ_CAP}")
-    table, energy, coupling, b, cavities = _hamiltonian_parts(config)
+    parts = _hamiltonian_parts(config)
+    table, _encoded, energy, coupling, b, cavities = parts
     excitations = table.sum(axis=1)
     coords = _hermitian_coordinates(excitations)
-
-    def scaled(op, rate):
-        return [(s, np.sqrt(rate) * w) for s, w in op]
-
-    # the jumps L and M share: the cavity decay
-    cavity_jumps = [scaled(a, config.kappa) for a in cavities]
-    # the thermal bath; a zero rate gives zero weights, which drop out
-    mech_jumps = [scaled(b, config.gamma_m * (config.n_bar + 1.0)),
-                  _transpose(scaled(b, config.gamma_m * config.n_bar))]
-    lsuper, big, defect = _real_generator(
-        energy, coupling, cavity_jumps + mech_jumps, coords)
+    # the cavity decay, then the thermal bath; a zero rate gives zero
+    # weights, which drop out
+    jumps = [_scaled(a, config.kappa) for a in cavities]
+    jumps += [_scaled(b, config.gamma_m * (config.n_bar + 1.0)),
+              _transpose(_scaled(b, config.gamma_m * config.n_bar))]
+    lsuper, big, defect = _real_generator(energy, coupling, jumps, coords)
     if defect > TRACE_PRESERVATION_TOL * max(1.0, big):
         raise SolverError(f"generator is not trace preserving: defect {defect:.3e}")
-
     # with no drive the chain's jump operators are the thermal dissipator's
-    # and there is no coupling, so M = L
+    # and there is no coupling, so M = L; the model conserves the parity,
+    # so its blocks are those of _hermitian_coordinates
+    even, n = coords[3], coords[0].size
     uncoupled = None
-    if config.lasers:
-        up, down = chain_rates(transition_rates(config), config.gamma_m,
-                               config.n_bar)
-        n = np.arange(1, config.mech_dim)
-        chain_jumps = [_lowering(table, 0, np.sqrt(n * down)),
-                       _transpose(_lowering(table, 0, np.sqrt(n * up)))]
-        uncoupled = _real_generator(energy, [], cavity_jumps + chain_jumps,
-                                    coords, big)[0]
-    return Liouvillian(config.dims(), lsuper, excitations, uncoupled)
+    if config.lasers and max(even, n - even) > DIRECT_BLOCK:
+        uncoupled = _uncoupled_system(config, parts, coords, big)
+    return Liouvillian(config.dims(), lsuper, excitations, coords, uncoupled)
+
+
+def _uncoupled_system(config: SystemConfig, parts, coords, weight):
+    """R_M, with `weight` (the max|L_ij| of R's trace row) in its trace row,
+    of the uncoupled generator M for `config`, whose _hamiltonian_parts
+    are `parts`: L with every coupling g_j = 0 and the mechanical bath
+    replaced by the reduced chain's jump operators sum_n sqrt(n up_n)
+    |n><n-1| and sum_n sqrt(n down_n) |n-1><n| (rates from chain_rates).
+    No term of M acts on the mechanics and a cavity together (the chain's
+    rates stand in for the cavities' effect on the mechanics), so its LU
+    has almost no fill, and M has a unique steady state whenever the chain
+    has one, also at gamma_m = 0, where L with g_j = 0 alone would be
+    singular."""
+    table, encoded, energy, _coupling, _b, cavities = parts
+    up, down = chain_rates(transition_rates(config), config.gamma_m,
+                           config.n_bar)
+    n = np.arange(1, config.mech_dim)
+    jumps = [_scaled(a, config.kappa) for a in cavities]
+    jumps += [_lowering(table, encoded, 0, np.sqrt(n * down)),
+              _transpose(_lowering(table, encoded, 0, np.sqrt(n * up)))]
+    return _real_generator(energy, [], jumps, coords, weight)[0]
 
 
 def transition_rates(config: SystemConfig) -> RateTable:
@@ -655,60 +689,71 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     coordinates of Hermitian matrices (see Liouvillian).
 
     L maps Hermitian matrices to Hermitian ones, so R holds all of it; R
-    and R_M (R if None) are divided, exactly, by the power of two u at or
+    and R_M (if any) are divided, exactly, by the power of two u at or
     below max|L_ij| (the trace row's weight), so no rate scale overflows.
-    GMRES, preconditioned by the LU of R_M's block (natural order, or
-    COLAMD when M = L), solves each block of _parity_blocks on its own (see
-    _gmres); the steady state is R x = max|L_ij| e_0 on e_0's block.
+    Each block of _parity_blocks is solved on its own; the steady state is
+    R x = max|L_ij| e_0 on e_0's block.  With no R_M (liou.uncoupled None,
+    method "lu"), each block of R is factored by SuperLU after COLAMD and
+    solved from its LU.  Otherwise (method "gmres") GMRES, preconditioned
+    by the LU of R_M's block in natural order, solves it (see _gmres).
 
     Uniqueness: L(X^dagger) = L(X)^dagger, so the null space of L is closed
     under the adjoint, and a complex null space of dimension k has a
     Hermitian part of real dimension k.  R is therefore nonsingular exactly
     when the null space of L is one-dimensional, that is when each block is.
-    A GMRES solve R_k y_k = b_k per block, b a fixed-seed random vector,
-    gives the 1-norm condition estimate |R|_1 sum_k |y_k|_1 / |b|_1.  An
-    estimate above CONDITION_LIMIT, or a singular block of R_M, raises
-    DegenerateSteadyStateError; a singular R makes b inconsistent, so the
-    estimate is judged even when a probe solve did not converge.  The probe
-    solves stop at PROBE_TOL, not GMRES_TOL: for a near-singular R, GMRES
-    cannot bring the backward error below b's share along the small
-    singular direction, about 1/sqrt(n) (2.8e-3 at n = 131k), before it
-    resolves that direction, so the estimate still blows up; on fig2 it
-    halves the probe's steps (36 -> 18) and moves the estimate by 1.6e-6
-    relative.  The steady solve that misses GMRES_TOL, or a probe that
-    misses PROBE_TOL, within its budget raises SolverError.  A smallest
-    eigenvalue below -1e-8 raises SolverError; a negative one above it is
-    clipped to 0 by eigh, which runs only then (fig2's states are positive
-    definite).  The state is symmetrised, so rho is exactly Hermitian; the
-    populations are its mechanics' (the partial trace).  Its residual is
-    |L vec(rho)|_2 in L's units, from R: L(rho)_00 is minus the sum of the
-    other diagonal entries, and each upper entry counts for its conjugate."""
+    A solve R_k y_k = b_k per block, b a fixed-seed random vector, gives the
+    1-norm condition estimate |R|_1 sum_k |y_k|_1 / |b|_1.  An estimate
+    above CONDITION_LIMIT, or an exactly singular block of the factored
+    system, raises DegenerateSteadyStateError; a singular R makes b
+    inconsistent, so the estimate is judged even when a probe solve did not
+    converge.  The GMRES probe solves stop at PROBE_TOL, not GMRES_TOL: for
+    a near-singular R, GMRES cannot bring the backward error below b's share
+    along the small singular direction, about 1/sqrt(n) (2.8e-3 at n =
+    131k), before it resolves that direction, so the estimate still blows
+    up; on fig2 it halves the probe's steps (36 -> 18) and moves the
+    estimate by 1.6e-6 relative.  The steady solve that misses GMRES_TOL, or
+    a probe that misses PROBE_TOL, within its budget raises SolverError.  A
+    smallest eigenvalue below -1e-8 raises SolverError; a negative one above
+    it is clipped to 0 by eigh, which runs only then (fig2's states are
+    positive definite).  The state is symmetrised, so rho is exactly
+    Hermitian; the populations are its mechanics' (the partial trace).  Its
+    residual is |L vec(rho)|_2 in L's units, from R: L(rho)_00 is minus the
+    sum of the other diagonal entries, and each upper entry counts for its
+    conjugate."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
     d, n = liou.excitations.size, liou.dim
-    i, j, imag, even, unsplit = _hermitian_coordinates(liou.excitations)
+    i, j, imag, even, unsplit = liou.coordinates
     big = float(liou.superoperator[0].max())    # the trace row's weight
     unit = math.ldexp(1.0, math.frexp(big)[1] - 1)
     r, r_m = (a if a is None else sp.csr_matrix(
         (a.data / unit, a.indices, a.indptr), a.shape)
         for a in (liou.superoperator, liou.uncoupled))
-    r_m = r if r_m is None else r_m
+    direct = r_m is None
+    r_m = r if direct else r_m
     rhs = big / unit * np.eye(1, n)[0]
     probe = np.random.default_rng(PROBE_SEED).standard_normal(n)[unsplit]
     solves, lu_nnz = [], 0
     for at, r_k, r_mk in _parity_blocks(r, r_m, even):
         try:
             # natural order suits an M with no mechanics-cavity term (fig2 mech
-            # 8: 33k nonzeros, 34k after COLAMD), not M = L (d = 320: x2.9);
-            # narrow supernodes gain nothing from panels of several columns
+            # 8: 33k nonzeros, 34k after COLAMD), not R itself (an undriven
+            # chain at d = 320: x2.9); narrow supernodes gain nothing from
+            # panels of several columns
             lu = spla.splu(r_mk.tocsc(), permc_spec="COLAMD"
-                           if liou.uncoupled is None else "NATURAL",
-                           panel_size=1)
+                           if direct else "NATURAL", panel_size=1)
         except RuntimeError:
             raise DegenerateSteadyStateError(
-                "trace-constrained preconditioner is singular; the generator "
-                "null space is not one-dimensional") from None
+                f"trace-constrained {'system' if direct else 'preconditioner'}"
+                " is singular; the generator null space is not "
+                "one-dimensional") from None
         lu_nnz += lu.nnz
+        if direct:
+            # an exact solve: no steps, and no backward error to judge
+            if not solves:
+                solves.append(("steady", GMRES_TOL, lu.solve(rhs[at]), 0, 0.0))
+            solves.append(("probe", PROBE_TOL, lu.solve(probe[at]), 0, 0.0))
+            continue
         abs_r = sp.csr_matrix((np.abs(r_k.data), r_k.indices, r_k.indptr),
                               shape=r_k.shape)
         if not solves:
@@ -752,7 +797,7 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     residual = unit * _norm(defect)
     rho = DensityMatrix(liou.dims, rho)
     return SteadyState(populations=partial_trace(rho, 0).populations(),
-                       residual=residual, method="gmres",
+                       residual=residual, method="lu" if direct else "gmres",
                        iterations=sum(its for *_, its, _ in solves),
                        probe_iterations=sum(its for *_, its, _ in probes),
                        condition=condition, lu_nnz=lu_nnz, rho=rho)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -9,8 +10,10 @@ from scipy.constants import hbar, k as kB
 
 from nanomech.config import parse_config
 from nanomech.lindblad import (LaserParams, SystemConfig,
-                               _hermitian_coordinates, _parity_blocks,
-                               chain_rates, transition_rates)
+                               _hamiltonian_parts, _hermitian_coordinates,
+                               _parity_blocks, _uncoupled_system,
+                               build_full_liouvillian, chain_rates,
+                               transition_rates)
 
 from reference_path import real_liouvillian, real_system
 
@@ -58,6 +61,19 @@ def parity_block_count(excitations, lsuper, uncoupled=None):
     r, r_m = (None if g is None else real_system(g, excitations, 1.0)
               for g in (lsuper, uncoupled))
     return len(_parity_blocks(r, r if r_m is None else r_m, even))
+
+
+def with_uncoupled(cfg):
+    """build_full_liouvillian(cfg) with R_M, written by _uncoupled_system
+    where the build leaves it out on a driven system, so that
+    steady_state_solve runs GMRES preconditioned by its LU; with no drive
+    M = L and uncoupled stays None."""
+    liou = build_full_liouvillian(cfg)
+    if not cfg.lasers or liou.uncoupled is not None:
+        return liou
+    big = float(liou.superoperator[0].max())    # the trace row's weight
+    return dataclasses.replace(liou, uncoupled=_uncoupled_system(
+        cfg, _hamiltonian_parts(cfg), liou.coordinates, big))
 
 
 class QuadraticTestPotential:

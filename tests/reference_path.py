@@ -96,7 +96,7 @@ def complex_generators(config):
     """The complex column-stacked generators L and M of
     build_full_liouvillian (M None with no drive): the same jumps, written
     by _generator."""
-    table, energy, coupling, b, cavities = _hamiltonian_parts(config)
+    table, encoded, energy, coupling, b, cavities = _hamiltonian_parts(config)
 
     def scaled(op, rate):
         return [(s, np.sqrt(rate) * w) for s, w in op]
@@ -110,8 +110,8 @@ def complex_generators(config):
     up, down = chain_rates(transition_rates(config), config.gamma_m,
                            config.n_bar)
     n = np.arange(1, config.mech_dim)
-    chain_jumps = [_lowering(table, 0, np.sqrt(n * down)),
-                   _transpose(_lowering(table, 0, np.sqrt(n * up)))]
+    chain_jumps = [_lowering(table, encoded, 0, np.sqrt(n * down)),
+                   _transpose(_lowering(table, encoded, 0, np.sqrt(n * up)))]
     return lsuper, _generator(energy, [], cavity_jumps + chain_jumps)
 
 
@@ -169,7 +169,7 @@ def real_liouvillian(dims, lsuper, excitations, uncoupled=None) -> Liouvillian:
     the trace row at max|L_ij|."""
     big = float(np.abs(sp.csr_matrix(lsuper).data).max(initial=0.0))
     return Liouvillian(dims, real_system(lsuper, excitations, big),
-                       excitations,
+                       excitations, _hermitian_coordinates(excitations),
                        None if uncoupled is None
                        else real_system(uncoupled, excitations, big))
 

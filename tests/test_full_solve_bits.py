@@ -2,11 +2,13 @@
 SHA-256 of `populations.json` and of the manifest's `solver` block (as
 `canonical_json` writes it) for `steady --full` at fig2 mech 5 and 32, at
 fig2 mech 8 with at most 2 photons, and on criterion 1's thermal chain
-(mech 30, no drives, n_bar about 0.5).  A change to the full model's
-assembly, real system, factorization or GMRES that moves one bit of the
-populations, the residual, the step counts, the LU's nonzeros or the
-condition estimate fails here.  A change that moves them on purpose regenerates the digests,
-from the repository root, with
+(mech 30, no drives, n_bar about 0.5).  Fig2 at mech 5 and the chain are
+solved directly from the LU of R, the other two cases by GMRES.  A change
+to the full model's assembly, real system, factorization, direct solve or
+GMRES that moves one bit of the populations, the residual, the step
+counts, the LU's nonzeros or the condition estimate fails here.  A change
+that moves them on purpose regenerates the digests, from the repository
+root, with
 
     PYTHONPATH=src python tests/test_full_solve_bits.py
 
@@ -51,8 +53,8 @@ CASES = {"fig2_mech5": _mech5, "fig2_mech32": _mech32,
 
 DIGESTS = {
     "fig2_mech5": (
-        "8a4e2eeaedd156e4e65630076b5cc50b8a2d73b9568d9830fb8daba344989acb",
-        "32b558c314beadefe48003588b00551fcc3020350530232bf52ac35b9465f0fd"),
+        "27db9cd1a605e6a72798ebe981eb6fc3b18a103298a6467643bd34367b51abd5",
+        "71050a48ef78b9a3598bae780b7ec3f0de7a392947eb1c68b11fe31f19ee7957"),
     "fig2_mech32": (
         "b3f8ea088e57ddae84f068202d9cb3ddd7f6449a361eea41231ec662e225cbb0",
         "e6173a1c7f707674dd96702928c4f3f0dbd06ed840bf3e513f00c69d329b56cb"),
@@ -60,8 +62,8 @@ DIGESTS = {
         "4b2064d1fd7865e1fc92f50daeabdf01e3149aeb88deeed262ed26f269930e69",
         "4250f5a50500a0bb1a056427c2acc353a0929e82f1868fda845e5c380ae7817b"),
     "thermal_chain_mech30": (
-        "2d87370a226f720d99db9c85cf322be1f561e497122e09deeb7b0ae57cfe0be5",
-        "c42a50b80b07dd1cffdf3ddcb9468cf585b7921d4c49346ed3b1215bb8e00eba"),
+        "69434928b586dad918710ee4dba042f1cf883d5ea7dfac3cc0dd203f9718f6f3",
+        "f5e7e915b52f692f1abf8b64554808545994973579e4d8df8d09ad49fbc335e5"),
 }
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply, splu
 
@@ -18,8 +18,9 @@ from nanomech import lindblad
 from nanomech.lindblad import (CONDITION_LIMIT, DegenerateSteadyStateError,
                                LaserParams, SolverError,
                                SystemConfig, TruncationError,
-                               _hamiltonian_parts, _hermitian_coordinates,
-                               _lowering, _occupations, _parity_blocks,
+                               _encode, _hamiltonian_parts,
+                               _hermitian_coordinates, _lowering,
+                               _occupations, _parity_blocks,
                                _real_generator, _transpose,
                                build_full_hamiltonian, build_full_liouvillian,
                                build_reduced_generator, chain_rates,
@@ -35,7 +36,8 @@ from reference_path import (assert_same_csr,
 from conftest import (CONFIG_PATH, GAMMA_M, KAPPA, LAMBDA, N_BAR,
                       OMEGA_M_PRIME, dense_generator, kron_generators,
                       kron_ladders, kron_lift, kron_liouvillian,
-                      parity_block_count, product_excitations, quoted_system)
+                      parity_block_count, product_excitations, quoted_system,
+                      with_uncoupled)
 
 TWO_PI = 2 * np.pi
 
@@ -172,7 +174,7 @@ def test_liouvillian_trace_preservation():
     d = cfg.dims()[0] * cfg.dims()[1]
     scale = abs(lsuper).max()
     assert np.abs(lsuper[::d + 1].sum(axis=0)).max() <= 1e-10 * scale
-    table, energy, coupling, b, cavities = _hamiltonian_parts(cfg)
+    table, _encoded, energy, coupling, b, cavities = _hamiltonian_parts(cfg)
     coords = _hermitian_coordinates(table.sum(axis=1))
     jumps = [[(s, np.sqrt(KAPPA) * w) for s, w in a] for a in cavities]
     _r, big, defect = _real_generator(energy, coupling, jumps, coords)
@@ -208,7 +210,7 @@ def test_lowering_matches_kron_per_factor(slot, rng):
     n = np.arange(1, 4 if slot == 0 else 3)
     for weights in (np.sqrt(n), rng.uniform(0.1, 10.0, n.size)):
         ref = lowering(slot, weights)
-        op = _lowering(table, slot, weights)
+        op = _lowering(table, _encode(table), slot, weights)
         assert [s for s, _w in op] == [[10], [3, 5, 6], [2, 3], [1]][slot]
         for m, r in ((sum(step_matrix(*step) for step in op), ref),
                      (sum(step_matrix(*step) for step in _transpose(op)),
@@ -257,11 +259,12 @@ def test_liouvillian_assembly_matches_kron_sums(make, block, monkeypatch):
     # photons in all): the same sparsity (the sums drop exact zeros), int32
     # indices in canonical form and data within 1e-12 max|L|, also when the
     # slot table is written one row j at a time; and the R and R_M that
-    # build_full_liouvillian writes straight from the model are those of
-    # that L and M, bit for bit
+    # build_full_liouvillian writes straight from the model (R_M by
+    # _uncoupled_system where the build solves directly) are those of that
+    # L and M, bit for bit
     monkeypatch.setattr(reference_path, "ASSEMBLY_BLOCK", block)
     cfg = make()
-    liou = build_full_liouvillian(cfg)
+    liou = with_uncoupled(cfg)
     dims, excitations, ref_l, ref_m = kron_generators(cfg)
     lsuper, uncoupled = reference_generators(cfg)
     assert liou.dims == dims
@@ -337,11 +340,11 @@ def test_liouvillian_assembly_matches_dense_kronecker_sums():
     # N photons in all.  Inputs: fig2 at mech 4 (n = 256), fig2 at mech 3
     # with N <= 2 (n = 900), and one driven cavity with N <= 2 (d = 9), whose
     # ladder has the entry sqrt(2)
-    # The R and R_M of the build are those of the dense L and M, in
-    # Hermitian coordinates, to rounding.
+    # The R of the build and the R_M of _uncoupled_system are those of the
+    # dense L and M, in Hermitian coordinates, to rounding.
     for cfg in (fig2_system(4), fig2_system(3, photons=2),
                 small_driven(mech_dim=3, cavity_photons=2)):
-        liou = build_full_liouvillian(cfg)
+        liou = with_uncoupled(cfg)
         generators = reference_generators(cfg)
         n = np.arange(1, cfg.mech_dim)
         b, cavities, lowering, _table = kron_ladders(cfg)
@@ -538,9 +541,11 @@ def fig2_scaled(mech_dim, g_scale):
     lambda: small_driven(gamma_m=0.0),
 ], ids=["small_driven", "fig2_mech4", "small_driven_no_bath"])
 def test_full_solve_matches_null_space(make):
-    # exact oracle: the null space of the dense generator
+    # exact oracle: the null space of the dense generator, for GMRES
+    # preconditioned by the LU of R_M (which these small blocks would be
+    # solved without)
     cfg = make()
-    liou = build_full_liouvillian(cfg)
+    liou = with_uncoupled(cfg)
     d = liou.excitations.size
     ns = scipy.linalg.null_space(reference_generators(cfg)[0].toarray())
     assert ns.shape == (d * d, 1)
@@ -551,6 +556,84 @@ def test_full_solve_matches_null_space(make):
     assert ss.method == "gmres"
     assert ss.iterations >= 2
     assert 1.0 <= ss.condition <= CONDITION_LIMIT
+
+
+def test_build_writes_uncoupled_only_for_large_driven_blocks():
+    # fig2 at mech 5 has parity blocks of 202 and 198 unknowns, at most
+    # DIRECT_BLOCK, and is solved directly from R's LU; at mech 6 they hold
+    # 288 each, and GMRES takes the LU of R_M; an undriven chain is solved
+    # directly at any size
+    small, large = (build_full_liouvillian(fig2_system(m)) for m in (5, 6))
+    assert (small.coordinates[3], small.dim) == (202, 400)
+    assert (large.coordinates[3], large.dim) == (288, 576)
+    assert lindblad.DIRECT_BLOCK == 256
+    assert small.uncoupled is None and large.uncoupled is not None
+    ss = steady_state_solve(small)
+    assert (ss.method, ss.iterations, ss.probe_iterations) == ("lu", 0, 0)
+    assert steady_state_solve(large).method == "gmres"
+    chain = build_full_liouvillian(mech_only(mech_dim=30, n_bar=0.5))
+    assert chain.dim > 2 * lindblad.DIRECT_BLOCK and chain.uncoupled is None
+
+
+def solve_verdict(liou):
+    """steady_state_solve's verdict on liou, its condition estimate and
+    populations: ("unique", estimate, populations), or ("degenerate" or
+    "unconverged", None, None)."""
+    try:
+        ss = steady_state_solve(liou)
+    except DegenerateSteadyStateError:
+        return "degenerate", None, None
+    except SolverError:
+        return "unconverged", None, None
+    return "unique", ss.condition, ss.populations
+
+
+@st.composite
+def directly_solved_systems(draw):
+    """Systems the build leaves without R_M, to be solved from R's LU, each
+    with the tolerance to which its populations by GMRES must agree: fig2
+    at mech 3-5 and undriven chains of up to 40 levels, 1e-12; drawn small
+    systems (small_systems) whose parity blocks hold at most DIRECT_BLOCK
+    unknowns, None (see test_direct_solve_matches_gmres)."""
+    kind = draw(st.sampled_from(["drawn", "fig2", "chain"]))
+    if kind == "fig2":
+        return fig2_system(draw(st.integers(3, 5))), 1e-12
+    if kind == "chain":
+        return mech_only(mech_dim=draw(st.integers(3, 40)),
+                         lam=draw(st.sampled_from([0.0, 2.0e5])),
+                         gamma_m=draw(st.sampled_from([1.0, 1.0e3])),
+                         n_bar=draw(st.sampled_from([0.0, 0.5, 5.0]))), 1e-12
+    cfg = draw(small_systems())
+    assume(build_full_liouvillian(cfg).uncoupled is None)
+    return cfg, None
+
+
+@settings(max_examples=40, deadline=None)
+@given(directly_solved_systems())
+def test_direct_solve_matches_gmres(system):
+    # the same R solved from its LU and by GMRES, preconditioned by the LU
+    # of R_M (M = L with no drive): the same verdict at the default
+    # tolerances; with the probe at GMRES_TOL, condition estimates within
+    # 1e-5 relative (at PROBE_TOL GMRES's estimate is off by up to 1e-3 at
+    # estimates near 1e6) and populations within the system's tolerance or,
+    # for a drawn system, within max(1e-12, the estimate times GMRES_TOL),
+    # GMRES's forward error bound (6e-11 apart at an estimate of 6e6, a
+    # weakly driven chain with no mechanical bath)
+    cfg, atol = system
+    direct = build_full_liouvillian(cfg)
+    gmres = (with_uncoupled(cfg) if cfg.lasers else
+             dataclasses.replace(direct, uncoupled=direct.superoperator))
+    verdict, condition, populations = solve_verdict(direct)
+    assert solve_verdict(gmres)[0] == verdict
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lindblad, "PROBE_TOL", lindblad.GMRES_TOL)
+        tight = solve_verdict(gmres)
+    assert tight[0] == verdict
+    if verdict == "unique":
+        assert condition == pytest.approx(tight[1], rel=1e-5)
+        np.testing.assert_allclose(
+            populations, tight[2], rtol=0,
+            atol=atol or max(1e-12, condition * lindblad.GMRES_TOL))
 
 
 @pytest.mark.parametrize("g_scale", [1.0, 4.0], ids=["g", "4g"])
@@ -599,7 +682,7 @@ def test_gmres_budget_overrun_is_a_solver_error(monkeypatch):
     monkeypatch.setattr(lindblad, "GMRES_RESTART", 5)
     monkeypatch.setattr(lindblad, "GMRES_MAX_CYCLES", 1)
     with pytest.raises(SolverError, match=r"after 5 iterations") as err:
-        steady_state_solve(build_full_liouvillian(fig2_system(4)))
+        steady_state_solve(with_uncoupled(fig2_system(4)))
     assert not isinstance(err.value, DegenerateSteadyStateError)
 
 
@@ -632,18 +715,20 @@ def test_degenerate_generator_detected(liou):
 @pytest.mark.parametrize("scale", [1e-30, 1e30])
 def test_steady_state_does_not_depend_on_rate_units(scale):
     # a change of the unit of time rescales L (and M); neither the solution
-    # nor the uniqueness test may depend on it
-    liou = build_full_liouvillian(small_driven(mech_dim=4, g=3.0e3, n_bar=0.2))
-    scaled = dataclasses.replace(liou, superoperator=scale * liou.superoperator,
-                                 uncoupled=scale * liou.uncoupled)
-    np.testing.assert_allclose(steady_state_solve(scaled).rho.matrix,
-                               steady_state_solve(liou).rho.matrix,
-                               rtol=0, atol=1e-12)
-    weak = build_full_liouvillian(small_driven(g=0.0, gamma_m=1e-9))
-    with pytest.raises(DegenerateSteadyStateError):
-        steady_state_solve(dataclasses.replace(
-            weak, superoperator=scale * weak.superoperator,
-            uncoupled=scale * weak.uncoupled))
+    # nor the uniqueness test may depend on it, by GMRES or solved directly
+    def rescaled(liou):
+        return dataclasses.replace(
+            liou, superoperator=scale * liou.superoperator,
+            uncoupled=None if liou.uncoupled is None
+            else scale * liou.uncoupled)
+    for build in (with_uncoupled, build_full_liouvillian):
+        liou = build(small_driven(mech_dim=4, g=3.0e3, n_bar=0.2))
+        np.testing.assert_allclose(steady_state_solve(rescaled(liou)).rho.matrix,
+                                   steady_state_solve(liou).rho.matrix,
+                                   rtol=0, atol=1e-12)
+        weak = build(small_driven(g=0.0, gamma_m=1e-9))
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state_solve(rescaled(weak))
 
 
 def decay_generator(scale):
@@ -711,7 +796,7 @@ def assert_splits_by_parity(liou):
 
 def test_fig2_real_systems_split_by_parity():
     # L and M conserve the parity of N_i + N_j (N = phonons + photons)
-    assert_splits_by_parity(build_full_liouvillian(fig2_system(4)))
+    assert_splits_by_parity(with_uncoupled(fig2_system(4)))
 
 
 def test_fig2_real_systems_split_by_parity_with_two_photons():

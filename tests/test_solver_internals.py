@@ -26,6 +26,7 @@ from nanomech.lindblad import (LaserParams, SystemConfig, _hamiltonian_parts,
 
 from reference_path import (_generator, assert_same_csr, complex_generators,
                             hermitian_map, reference_liouvillian)
+from conftest import with_uncoupled
 from test_lindblad import small_systems
 
 
@@ -86,8 +87,10 @@ def test_hermitian_coordinates_match_coo_build(excitations):
 def test_real_system_matches_indexed_product(cfg, shift):
     # R in L's units with the trace row at max|L_ij|, and R divided by a
     # power of two near it as the solve divides it: exact, the system of
-    # L T / unit with the trace row at max|L_ij| / unit
-    liou = build_full_liouvillian(cfg)
+    # L T / unit with the trace row at max|L_ij| / unit; R_M as the build
+    # writes it or, where the build solves directly, as _uncoupled_system
+    # does
+    liou = with_uncoupled(cfg)
     lsuper, uncoupled = complex_generators(cfg)
     t, rows = hermitian_map(liou.excitations)
     imag = _hermitian_coordinates(liou.excitations)[2]
@@ -127,11 +130,12 @@ def drawn_systems(draw):
 @settings(max_examples=60, deadline=None)
 @given(drawn_systems(), BLOCKINGS)
 def test_real_systems_match_the_reference_path_bit_for_bit(cfg, blocking):
-    # R and R_M written straight from the model are those of the complex L
-    # and M through T, in every blocking of their rows; and the sizes that
-    # the benchmark's traced spans read off them are R's
+    # R and R_M written straight from the model (R_M by _uncoupled_system
+    # where the build solves directly) are those of the complex L and M
+    # through T, in every blocking of their rows; and the sizes that the
+    # benchmark's traced spans read off them are R's
     with real_blocks(*blocking):
-        liou = build_full_liouvillian(cfg)
+        liou = with_uncoupled(cfg)
     ref = reference_liouvillian(cfg)
     assert liou.dims == ref.dims == cfg.dims()
     assert_same_csr(liou.superoperator, ref.superoperator)
@@ -157,7 +161,7 @@ def test_trace_preservation_defect_matches_row_slice_sum(cfg, seed, blocking):
     # parts of order kappa added to its energies, a non-Hermitian H (a
     # defect of order 1): the largest column sum of R's diagonal rows, (0,0)
     # row included, against scipy's sum of those rows of Re L T
-    table, energy, coupling, b, cavities = _hamiltonian_parts(cfg)
+    table, _encoded, energy, coupling, b, cavities = _hamiltonian_parts(cfg)
     excitations = table.sum(axis=1)
     d = excitations.size
     coords = _hermitian_coordinates(excitations)

@@ -1,10 +1,10 @@
-"""Property tests of the full steady-state solver over random Lindbladians:
-preconditioned GMRES in Hermitian coordinates against the dense null
-space, with the generator as its own preconditioner and with an inexact
-one, and on generators that conserve the excitation parity, solved block by
-block; its uniqueness test on near-singular generators, at the probe's
-tolerance and at the steady solve's; and its GMRES cycle against scipy's on
-random nonsymmetric systems."""
+"""Property tests of the full steady-state solver over random Lindbladians,
+in Hermitian coordinates against the dense null space: solved directly from
+the LU of the generator's real system, by GMRES preconditioned with an
+inexact generator, and on generators that conserve the excitation parity,
+solved block by block; its uniqueness test on near-singular generators, at
+the probe's tolerance and at the steady solve's; and its GMRES cycle
+against scipy's on random nonsymmetric systems."""
 
 import math
 import re
