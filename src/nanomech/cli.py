@@ -410,15 +410,10 @@ def write_csv(path: Path, header: list[str], columns):
 # ---------------------------------------------------------------------------
 # pipelines (shared by the CLI and the test suite)
 
-def _regime_check(cfg: RunConfig, derived, mech_dim=None):
-    return regime_check(derived, mech_dim or cfg.simulation.mech_truncation,
-                        cfg.simulation.pass_ratio, cfg.simulation.warn_ratio)
-
-
 def run_device(cfg: RunConfig):
     derived = derive_parameters(cfg.beam, cfg.softening, cfg.cavity,
                                 list(cfg.drives), cfg.temperature)
-    return derived, _regime_check(cfg, derived)
+    return derived, regime_check(derived, cfg.simulation.mech_truncation)
 
 
 def _system_config(cfg: RunConfig, derived, mech_dim=None) -> SystemConfig:
@@ -452,7 +447,7 @@ def run_steady(cfg: RunConfig, full=False, compare=False, converge=False):
         # only the final truncation has to pass the tail check, and the
         # regime is graded at the truncation the result comes from
         reduced = reduced_steady_populations(sysc)
-        report = _regime_check(cfg, derived, mech_dim)
+        report = regime_check(derived, mech_dim)
     half, points = cfg.simulation.wigner_half_width, cfg.simulation.wigner_points
     x = (default_grid(mech_dim, points) if half is None
          else symmetric_grid(half, points))
@@ -490,6 +485,10 @@ def run_steady(cfg: RunConfig, full=False, compare=False, converge=False):
     return result
 
 
+# the evenly spaced background points of the spectrum's frequency grid
+SPECTRUM_BACKGROUND = 2001
+
+
 def run_spectrum(cfg: RunConfig, selftest=False):
     if cfg.probe is None:
         raise ConfigError("device.probe", "spectrum command requires a probe laser")
@@ -499,7 +498,7 @@ def run_spectrum(cfg: RunConfig, selftest=False):
                              [*cfg.drives, cfg.probe], cfg.temperature)
     *drives, probe = both.lasers
     derived = dataclasses.replace(both, lasers=tuple(drives))
-    report = _regime_check(cfg, derived)
+    report = regime_check(derived, cfg.simulation.mech_truncation)
     sysc = _system_config(cfg, derived)
     reduced = reduced_steady_populations(sysc)
     probe_sys = dataclasses.replace(
@@ -510,19 +509,10 @@ def run_spectrum(cfg: RunConfig, selftest=False):
     lines = sideband_lines(drive_rates, probe_rates, sysc.gamma_m,
                            sysc.n_bar, reduced.populations.size)
     delta = lines.delta
-    span = cfg.simulation.spectrum_span
-    if span is None:
-        # every line the readout reads, and 3 splittings beyond the outermost
-        span = 2.0 * (np.abs(delta).max() + 3.0 * abs(sysc.lam))
-    elif np.abs(delta).max() > span / 2.0:
-        n = int(np.argmax(np.abs(delta) > span / 2.0)) + 1
-        raise SpectrumInversionError(
-            f"sideband line n={n} at +-{abs(delta[n - 1]):.6e} rad/s lies "
-            f"outside simulation.spectrum_grid.span = {span:.6e} rad/s "
-            f"(+-{span / 2.0:.6e}); widen the span or leave it unset")
+    # every line the readout reads, and 3 splittings beyond the outermost
+    span = 2.0 * (np.abs(delta).max() + 3.0 * abs(sysc.lam))
     freqs = sideband_grid(np.concatenate([-delta, delta]),
-                          np.tile(lines.width, 2), span,
-                          cfg.simulation.spectrum_points)
+                          np.tile(lines.width, 2), span, SPECTRUM_BACKGROUND)
     spec = power_spectrum(reduced.populations, lines, freqs)
     recovered, sigma = populations_from_spectrum(spec)
     result = {

@@ -124,11 +124,6 @@ MAX_MECH_TRUNCATION = 10_000
 # hold it near 3.5 GB, within the 3.7 GB of a full solve at DEFAULT_NNZ_CAP
 MAX_WIGNER_POINTS = 7001
 
-# the largest simulation.spectrum_grid.points: `spectrum --selftest` peaks at
-# about 36 B per point (tracemalloc, fig2 at 400,001 points: 14.4 MB), so
-# 1e8 points stay near 3.6 GB, within the same 3.7 GB
-MAX_SPECTRUM_POINTS = 100_000_000
-
 
 @dataclass(frozen=True)
 class SimulationSection:
@@ -136,10 +131,6 @@ class SimulationSection:
     cavity_photons: int = 1     # photons in all cavities together
     wigner_half_width: float | None = None
     wigner_points: int = 121
-    spectrum_span: float | None = None      # rad/s, centered on the probe
-    spectrum_points: int = 2001         # background; line windows added
-    pass_ratio: float = 0.1
-    warn_ratio: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -183,6 +174,9 @@ def _quantity(d: dict, key: str, dimension: str, path: str) -> float:
 def _parse_beam(d: dict, path: str) -> BeamSpec:
     if "transverse_scale" in d:
         kt = _quantity(d, "transverse_scale", "length", path)
+        if "radius" in d:
+            raise ConfigError(f"{path}.radius",
+                              "give radius or transverse_scale, not both")
     elif "radius" in d:
         # nanotube convention: transverse scale R / sqrt(2)
         kt = _quantity(d, "radius", "length", path) / np.sqrt(2.0)
@@ -289,25 +283,8 @@ def _parse_simulation(d: dict, path: str) -> SimulationSection:
         if kwargs["wigner_points"] > MAX_WIGNER_POINTS:
             raise ConfigError(f"{path}.wigner_grid.points",
                               f"must be <= {MAX_WIGNER_POINTS}")
-    sg = d.get("spectrum_grid", {})
-    if "span" in sg:
-        kwargs["spectrum_span"] = _quantity(sg, "span", "frequency",
-                                            f"{path}.spectrum_grid")
-    if "points" in sg:
-        kwargs["spectrum_points"] = parse_integer(
-            sg["points"], f"{path}.spectrum_grid.points", 3)
-        if kwargs["spectrum_points"] > MAX_SPECTRUM_POINTS:
-            raise ConfigError(f"{path}.spectrum_grid.points",
-                              f"must be <= {MAX_SPECTRUM_POINTS}")
-    th = d.get("regime_thresholds", {})
-    for key in ("pass", "warn"):
-        if key in th:
-            kwargs[f"{key}_ratio"] = _quantity(
-                th, key, "dimensionless", f"{path}.regime_thresholds")
-    for key, name in (("wigner_grid.half_width", "wigner_half_width"),
-                      ("spectrum_grid.span", "spectrum_span")):
-        if name in kwargs and kwargs[name] <= 0:
-            raise ConfigError(f"{path}.{key}", "must be > 0")
+    if kwargs.get("wigner_half_width", 1) <= 0:
+        raise ConfigError(f"{path}.wigner_grid.half_width", "must be > 0")
     return SimulationSection(**kwargs)
 
 
@@ -376,7 +353,7 @@ CONFIG_SCHEMA = {
         "beam": {
             "length": "quantity, e.g. \"1.0 um\"",
             "radius": "nanotube radius (transverse scale R/sqrt(2)); or give transverse_scale",
-            "transverse_scale": "length; replaces radius",
+            "transverse_scale": "length; give it or radius, not both",
             "sound_speed": "e.g. \"21000 m/s\"",
             "quality_factor": "bare number",
             "linear_mass_density": "e.g. \"1.86e-15 kg/m\" (or effective_mass in kg)",
@@ -391,7 +368,9 @@ CONFIG_SCHEMA = {
                 "width": "lobe width, length",
                 "gradient_scale": "transverse growth length",
             },
-            "alpha_par": "e.g. \"142 4pi_eps0_A2\" (per unit length)",
+            "alpha_par": "e.g. \"142 4pi_eps0_A2\" (per unit length); needed "
+                         "with field_model; with zeta, the couplings G0 "
+                         "use 142 4pi_eps0_A2 if it is left out",
             "alpha_perp": "optional, same unit",
         },
         "cavity": {
@@ -419,15 +398,6 @@ CONFIG_SCHEMA = {
                           "): photons in all cavities together",
         "wigner_grid": {"half_width": "bare number > 0",
                         "points": "odd integer >= 3"},
-        "spectrum_grid": {"span": "frequency around the probe, > 0; "
-                                  "default: the outermost line + 3 lambda",
-                          "points": "integer >= 3 (default "
-                                    f"{SimulationSection.spectrum_points}): "
-                                    "evenly spaced background points; a "
-                                    "window of Gamma_n/10 steps is added "
-                                    "around each sideband line"},
-        "regime_thresholds": {"pass": SimulationSection.pass_ratio,
-                              "warn": SimulationSection.warn_ratio},
     },
     "output": {"directory": "path"},
 }

@@ -546,6 +546,11 @@ def _derive(beam: BeamSpec, softening: SofteningSpec, cavity: CavitySpec,
 # ---------------------------------------------------------------------------
 # regime validation
 
+# the grades of every check: see regime_check
+PASS_RATIO = 0.1
+WARN_RATIO = 0.5
+
+
 @dataclass(frozen=True)
 class RegimeCheck:
     name: str
@@ -557,8 +562,6 @@ class RegimeCheck:
 @dataclass(frozen=True)
 class ValidationReport:
     checks: tuple[RegimeCheck, ...]
-    pass_ratio: float
-    warn_ratio: float
 
     @property
     def ok(self) -> bool:
@@ -566,7 +569,7 @@ class ValidationReport:
 
     def to_dict(self) -> dict:
         return {
-            "thresholds": {"pass": self.pass_ratio, "warn": self.warn_ratio},
+            "thresholds": {"pass": PASS_RATIO, "warn": WARN_RATIO},
             "ok": self.ok,
             "checks": [
                 {"name": c.name, "description": c.description,
@@ -576,18 +579,17 @@ class ValidationReport:
         }
 
 
-def regime_check(derived: DerivedParams, n_max: int, pass_ratio: float,
-                 warn_ratio: float) -> ValidationReport:
+def regime_check(derived: DerivedParams, n_max: int) -> ValidationReport:
     """Evaluate the validity inequalities of the model; each 'much less than'
-    is graded by the ratio of the two sides (<= pass_ratio passes,
-    <= warn_ratio warns, above fails)."""
+    is graded by the ratio of the two sides (<= PASS_RATIO passes,
+    <= WARN_RATIO warns, above fails)."""
     g = derived.g_abs_max
     g2k = g**2 / derived.kappa if derived.kappa > 0 else 0.0
 
     def grade(r):
-        if r <= pass_ratio:
+        if r <= PASS_RATIO:
             return "pass"
-        if r <= warn_ratio:
+        if r <= WARN_RATIO:
             return "warn"
         return "fail"
 
@@ -605,4 +607,4 @@ def regime_check(derived: DerivedParams, n_max: int, pass_ratio: float,
     ]
     checks = tuple(
         RegimeCheck(name, desc, float(r), grade(r)) for name, desc, r in entries)
-    return ValidationReport(checks, pass_ratio, warn_ratio)
+    return ValidationReport(checks)

@@ -26,7 +26,7 @@ from nanomech.observables import (WIGNER_BOUND, linewidths,
 
 from conftest import (CONFIG_PATH, GAMMA_M, N_BAR, QuadraticTestPotential,
                       quoted_system)
-from test_device import THRESHOLDS, cnt_beam
+from test_device import cnt_beam
 from test_observables import probe_system, spectrum_grid
 
 TWO_PI = 2 * np.pi
@@ -193,7 +193,7 @@ def test_criterion_7_softening_boundary():
 
 def test_criterion_8_regime_validator():
     derived, _ = fig2_derived()
-    base = regime_check(derived, n_max=8, **THRESHOLDS)
+    base = regime_check(derived, n_max=8)
 
     def mutate(**kwargs):
         lasers = derived.lasers
@@ -202,8 +202,7 @@ def test_criterion_8_regime_validator():
             lasers = tuple(dataclasses.replace(l, g=scale * l.g)
                            for l in lasers)
         return regime_check(dataclasses.replace(derived, lasers=lasers,
-                                                **kwargs), n_max=8,
-                            **THRESHOLDS)
+                                                **kwargs), n_max=8)
 
     failing = lambda rep: {c.name for c in rep.checks if c.status == "fail"}
     rep_kappa = mutate(kappa=derived.omega_m)

@@ -705,20 +705,6 @@ def test_cli_spectrum_matches_dense_readout(tmp_path, monkeypatch, point):
         dense["selftest_max_error"], abs=1e-4)
 
 
-def test_cli_spectrum_line_outside_span(tmp_path, capsys):
-    # +-2.5e7 rad/s misses every line (the first at +-3.37e7); this used to
-    # exit 3 with "refine the frequency grid", which no grid could mend
-    path = write_variant(tmp_path, lambda raw: raw["simulation"].update(
-        spectrum_grid={"span": "5e7 rad/s"}))
-    assert main(["spectrum", "--config", str(path),
-                 "--out", str(tmp_path / "out")]) == EXIT_PRECONDITION
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert "3.374363e+07" in err[0]
-    assert "simulation.spectrum_grid.span" in err[0]
-    assert not (tmp_path / "out").exists()
-
-
 def test_cli_spectrum_default_truncation(tmp_path):
     # at the default 10 levels the readout reads 8 lines; the default span
     # used to cover only the first 4 plus 3 lambda and missed line 8
@@ -825,6 +811,8 @@ def test_cli_symbolic_detuning_below_first_line(tmp_path, capsys):
     ("output", "formats", ["json"]),                 # removed knob
     ("simulation", "solver", "iterative"),           # removed knob
     ("simulation", "include_probe_in_linewidth", False),  # removed knob
+    ("simulation", "spectrum_grid", {"points": 2001}),    # removed knob
+    ("simulation", "regime_thresholds", {"pass": 0.1}),   # removed knob
 ])
 def test_cli_unknown_config_key(tmp_path, capsys, section, key, value):
     path = write_variant(tmp_path, lambda raw: raw[section].update({key: value}))
@@ -850,16 +838,16 @@ def test_cli_cavity_space_config_errors(tmp_path, capsys, key, value, message):
     assert not (tmp_path / "out").exists()
 
 
-def schema_sections(schema=CONFIG_SCHEMA, keys=()):
-    """(keys, type) of every JSON object and array CONFIG_SCHEMA holds, the
-    keys leading to it from the root (0 for the item of an array)."""
+def schema_nodes(schema=CONFIG_SCHEMA, keys=()):
+    """(keys, type) of every JSON object, array and leaf CONFIG_SCHEMA
+    holds, the keys leading to it from the root (0 for the item of an
+    array)."""
+    yield keys, type(schema)
     if isinstance(schema, dict):
-        yield keys, dict
         for key, sub in schema.items():
-            yield from schema_sections(sub, keys + (key,))
+            yield from schema_nodes(sub, keys + (key,))
     elif isinstance(schema, list):
-        yield keys, list
-        yield from schema_sections(schema[0], keys + (0,))
+        yield from schema_nodes(schema[0], keys + (0,))
 
 
 def dotted(keys):
@@ -870,13 +858,22 @@ def dotted(keys):
     return text or "<root>"
 
 
+# sections the schema no longer lists: any value there is an unknown key
+RETIRED_SECTIONS = [("simulation", "spectrum_grid"),
+                    ("simulation", "regime_thresholds")]
+
+
 @pytest.mark.parametrize("keys, value", [
-    (keys, value) for keys, kind in schema_sections()
+    (keys, value)
+    for keys, kind in [*schema_nodes(),
+                       *((keys, dict) for keys in RETIRED_SECTIONS)]
+    if kind is not str
     for value in (5, "x", {} if kind is list else [])],
     ids=lambda v: dotted(v) if isinstance(v, tuple) else json.dumps(v))
 def test_cli_config_section_of_wrong_type(tmp_path, capsys, keys, value):
     # a section that is not the JSON object or array of the schema used to
-    # escape main() as a TypeError or AttributeError
+    # escape main() as a TypeError or AttributeError; a retired section is
+    # refused at its path too, before anything is written
     raw = json.loads(CONFIG_PATH.read_text())
     if keys:
         node = raw
@@ -892,6 +889,43 @@ def test_cli_config_section_of_wrong_type(tmp_path, capsys, keys, value):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"config error: {dotted(keys)}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "keys", [keys for keys, kind in schema_nodes() if kind is str], ids=dotted)
+def test_every_schema_key_is_read(keys):
+    # a key --print-schema lists but no parser reads would take any value;
+    # {} is refused at the path of every key that is read
+    raw = json.loads(CONFIG_PATH.read_text())
+    if "field_model" in keys:
+        softening = raw["device"]["softening"]
+        del softening["zeta"]
+        softening["field_model"] = {
+            "type": "gaussian_tip", "e_par_peak": "1.2e7 V/m",
+            "center": "0.5 um", "width": "0.2 um", "gradient_scale": "20 nm"}
+    node = raw
+    for k in keys[:-1]:
+        node = node[k] if isinstance(node, list) else node.setdefault(k, {})
+    node[keys[-1]] = {}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert exc.value.path == dotted(keys)
+
+
+@pytest.mark.parametrize("radius", [{"garbage": True}, "5 nm", "0.39 nm"])
+def test_cli_beam_refuses_radius_with_transverse_scale(tmp_path, capsys,
+                                                       radius):
+    # the radius used to be accepted and never read
+    def mutate(raw):
+        raw["device"]["beam"].update(radius=radius,
+                                     transverse_scale="0.2757716 nm")
+    path = write_variant(tmp_path, mutate)
+    assert main(["device", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: device.beam.radius: give radius or transverse_scale, "
+        "not both"]
     assert not (tmp_path / "out").exists()
 
 
@@ -956,23 +990,29 @@ def test_cli_non_finite_quantities(tmp_path, capsys):
 
 
 def test_cli_bad_regime_threshold(tmp_path, capsys):
+    # the regime grades are fixed; their section is an unknown key
     path = write_variant(tmp_path, lambda raw: raw["simulation"].update(
         regime_thresholds={"pass": "x"}))
     assert main(["validate", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert "simulation.regime_thresholds.pass" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: simulation.regime_thresholds: unknown config key; "
+        "see nanomech --print-schema"]
 
 
-@pytest.mark.parametrize("command, grid", [
-    ("steady", "wigner_grid"),        # used to escape as a ValueError
-    ("spectrum", "spectrum_grid"),    # used to exit 3
-])
-def test_cli_bad_grid_points(tmp_path, capsys, command, grid):
+@pytest.mark.parametrize("command, grid, message", [
+    # used to escape as a ValueError
+    ("steady", "wigner_grid", "simulation.wigner_grid.points: must be >= 3"),
+    # used to exit 3; the spectrum grid comes from its line table
+    ("spectrum", "spectrum_grid",
+     "simulation.spectrum_grid: unknown config key"),
+], ids=["steady-wigner_grid", "spectrum-spectrum_grid"])
+def test_cli_bad_grid_points(tmp_path, capsys, command, grid, message):
     path = write_variant(tmp_path, lambda raw: raw["simulation"].setdefault(
         grid, {}).update(points=0))
     assert main([command, "--config", str(path),
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert f"simulation.{grid}.points" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_cli_buckling_exit_code(tmp_path):
@@ -1007,21 +1047,15 @@ def test_cli_unresolved_spectrum_exit_code(tmp_path, capsys):
         "inversion"]
 
 
-@pytest.mark.parametrize("mech, span, resolution", [
-    (227, None, "0.996"), (10_000, None, "0.0224"),
-    # a span that misses the first line is not judged: the line table is
-    # refused first
-    (227, "5e7 rad/s", "0.996")])
+@pytest.mark.parametrize("mech, resolution", [(227, "0.996"),
+                                              (10_000, "0.0224")])
 def test_cli_refused_readout_samples_nothing(tmp_path, capsys, monkeypatch,
-                                             mech, span, resolution):
+                                             mech, resolution):
     # fig2 keeps its lines resolved up to 226 levels only, since Gamma_n
     # grows with n; above, the refusal comes from the line table, before
     # any frequency grid or spectrum is computed
-    def mutate(raw):
-        raw["simulation"]["mech_truncation"] = mech
-        if span is not None:
-            raw["simulation"]["spectrum_grid"] = {"span": span}
-    path = write_variant(tmp_path, mutate)
+    path = write_variant(tmp_path, lambda raw: raw["simulation"].update(
+        mech_truncation=mech))
 
     def sampled(*_args, **_kwargs):
         raise AssertionError("a refused readout was sampled")

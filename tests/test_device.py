@@ -4,7 +4,6 @@ import scipy.constants
 from scipy.constants import hbar, k as kB
 
 from nanomech import device
-from nanomech.config import SimulationSection
 from nanomech.device import (POLARIZABILITY_UNIT, BeamSpec, BucklingError,
                              CavitySpec, DeviceError, DriveSpec,
                              ElectrodeSpec, GaussianTipField, SofteningSpec,
@@ -376,18 +375,13 @@ def test_derived_detunings_follow_the_ladder(reference_derived):
     np.testing.assert_allclose(np.diff(delta), d.lam)
 
 
-# the regime thresholds of a config that sets none
-THRESHOLDS = dict(pass_ratio=SimulationSection.pass_ratio,
-                  warn_ratio=SimulationSection.warn_ratio)
-
-
 def check(report, name):
     """The regime check of `report` called `name`."""
     return next(c for c in report.checks if c.name == name)
 
 
 def test_regime_report_reference_point(reference_derived):
-    report = regime_check(reference_derived, n_max=8, **THRESHOLDS)
+    report = regime_check(reference_derived, n_max=8)
     assert report.ok
     assert not check(report, "resolved_sideband").status == "fail"
     assert check(report, "resolved_sideband").ratio == pytest.approx(
@@ -399,24 +393,28 @@ def test_regime_report_reference_point(reference_derived):
 def test_regime_report_truncation_dependence(reference_derived):
     # the rotating-wave ratio grows as n^2; a generous truncation pushes it
     # past the failure threshold
-    assert check(regime_check(reference_derived, n_max=6, **THRESHOLDS),
+    assert check(regime_check(reference_derived, n_max=6),
                  "rwa").ratio == pytest.approx(0.25, abs=0.02)
-    assert check(regime_check(reference_derived, n_max=12, **THRESHOLDS),
+    assert check(regime_check(reference_derived, n_max=12),
                  "rwa").status == "fail"
 
 
-def test_regime_check_thresholds(reference_derived):
-    strict = regime_check(reference_derived, n_max=8, pass_ratio=1e-6,
-                          warn_ratio=2e-6)
+def test_regime_check_thresholds(reference_derived, monkeypatch):
+    monkeypatch.setattr(device, "PASS_RATIO", 1e-6)
+    monkeypatch.setattr(device, "WARN_RATIO", 2e-6)
+    strict = regime_check(reference_derived, n_max=8)
     assert not strict.ok
-    lax = regime_check(reference_derived, n_max=8, pass_ratio=10.0,
-                       warn_ratio=20.0)
+    assert strict.to_dict()["thresholds"] == {"pass": 1e-6, "warn": 2e-6}
+    monkeypatch.setattr(device, "PASS_RATIO", 10.0)
+    monkeypatch.setattr(device, "WARN_RATIO", 20.0)
+    lax = regime_check(reference_derived, n_max=8)
     assert all(c.status == "pass" for c in lax.checks)
 
 
 def test_report_serialization(reference_derived):
-    d = regime_check(reference_derived, n_max=8, **THRESHOLDS).to_dict()
+    d = regime_check(reference_derived, n_max=8).to_dict()
     assert set(c["name"] for c in d["checks"]) == {
         "rwa", "resolved_sideband", "backaction_dominance",
         "adiabatic_elimination", "strong_nonlinearity"}
     assert d["ok"] is True
+    assert d["thresholds"] == {"pass": 0.1, "warn": 0.5}
