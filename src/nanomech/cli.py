@@ -658,6 +658,7 @@ def cmd_steady(cfg: RunConfig, args) -> int:
         diagnostics["full_probe_iterations"] = res["full"].probe_iterations
         diagnostics["full_lu_nnz"] = res["full"].lu_nnz
         diagnostics["full_condition_estimate"] = res["full"].condition
+        diagnostics["full_uniqueness"] = res["full"].uniqueness
         diagnostics["full_cavity_photons"] = res["system"].cavity_photons
         if args.converge:
             diagnostics["full_cavity_drift"] = res["cavity_drift"]

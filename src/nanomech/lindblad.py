@@ -4,11 +4,14 @@ birth-death model, with their steady-state solvers.
 
 The full steady state is solved in the real coordinates of Hermitian
 matrices.  The model conserves the parity of N_i + N_j (N the total
-excitation number) of each rho_ij: the steady state is solved in the even
-block, the uniqueness probe in each block apart.  Where no block holds more
-than DIRECT_BLOCK unknowns, and on every undriven system, each block is
-solved directly from its sparse LU (SuperLU: Demmel et al., SIAM J. Matrix
-Anal. Appl. 20, 720 (1999)).  A larger driven block is solved by restarted
+excitation number) of each rho_ij, and the steady state lies in the even
+block.  Where the model's structure proves the steady state unique (see
+below), only the even block is built and solved, its probe judging its own
+conditioning; elsewhere both blocks are built, and the uniqueness probe is
+solved in each block apart.  Where no block holds more than DIRECT_BLOCK
+unknowns, and on every undriven system, each block is solved directly from
+its sparse LU (SuperLU: Demmel et al., SIAM J. Matrix Anal. Appl. 20, 720
+(1999)).  A larger driven block is solved by restarted
 GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 856 (1986)),
 preconditioned with an exact sparse LU of the uncoupled generator M (see
 _uncoupled_system), so that the reduced model preconditions its own oracle
@@ -23,6 +26,26 @@ Nation and Nori, Comput. Phys. Commun. 184, 1234 (2013)).  No complex
 superoperator is formed: each generator is written by index arithmetic from
 the occupation table straight into the real system the solve takes, in the
 real coordinates of Hermitian matrices (_real_generator).
+
+The structural uniqueness certificate (_unique_by_structure): the support
+of a stationary state is invariant under every jump L_k and under
+K = -iH - sum_k L_k^dag L_k / 2 (Baumgartner and Narnhofer, J. Phys. A 41,
+395303 (2008); Schirmer and Wang, PRA 81, 062306 (2010)), so where no
+proper subspace is, L has one steady state, and it is faithful.  Here that
+holds when gamma_m > 0 and n_bar > 0 (b and b^dag are both jumps); with
+lasers, also kappa > 0 and every g_j != 0; and the pairs
+(sum_j Delta_j c_j, sum_j c_j) are pairwise distinct over the cavity
+block's photon configurations c.  Proof, for an invariant subspace W' != 0:
+- b and b^dag generate all of M_mech, so W' = C^mech (x) W;
+- W contains the vacuum, since the a_j lower any vector to it;
+- W is spanned by configurations, since K's cavity part
+  D = i sum_j Delta_j c_j - kappa |c| / 2 is diagonal with distinct entries
+  (K's mechanical part acts on C^mech alone);
+- W is closed upward, since K carries sum_j g_j a_j^dag (times b + b^dag)
+  with every g_j != 0;
+- so W is the whole cavity block.
+The steady state then spans the null space of L, and it lies in the even
+block, so the odd block is nonsingular without being built.
 
 scipy is imported only inside the functions of the full model, so the
 reduced model and every command that uses only it run without loading it.
@@ -44,10 +67,12 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 TRACE_PRESERVATION_TOL = 1e-10
-# nonzeros of L and M together (_estimate_nnz, a bound fig2 meets exactly):
-# a full steady state peaks at about 92 B per nonzero (fig2 mech 32 and 64
-# with at most 2 photons), so this holds a solve near 3.7 GB; R and R_M hold
-# under twice as many, far below 2**31, so their CSR indices fit int32
+# nonzeros of L and M together (_estimate_nnz, a bound over both parity
+# blocks, no longer met exactly: a build of the even block alone writes
+# about half): a steady state of both blocks peaks at about 92 B per
+# nonzero (fig2 mech 32 and 64 with at most 2 photons), so this holds a
+# solve near 3.7 GB; R and R_M hold under twice as many, far below 2**31,
+# so their CSR indices fit int32
 DEFAULT_NNZ_CAP = 40_000_000
 # a trace-rowed system whose 1-norm condition estimate exceeds this has a
 # null space that is numerically not one-dimensional
@@ -137,7 +162,18 @@ class Liouvillian:
     """The full generator L and the uncoupled generator M as the real n x n
     systems R and R_M that steady_state_solve solves, in L's units: R's row
     k is Re or Im of L(rho)_ij for Hermitian rho, coordinate k's entry, but
-    row 0 is the trace row, max|L_ij| on the diagonal (see _real_generator)."""
+    row 0 is the trace row, max|L_ij| over R's rows on the diagonal (see
+    _real_generator).
+
+    Where the model's structure proves L's steady state unique, R and R_M
+    hold the even block alone (n = the even coordinates); elsewhere both
+    blocks (n = d^2).  The certificate (_unique_by_structure; proof in the
+    module docstring) needs gamma_m > 0 and n_bar > 0; with lasers also
+    kappa > 0, every g_j != 0 and distinct pairs (sum_j Delta_j c_j,
+    sum_j c_j) over the photon configurations c.  It rests on the
+    invariance of a stationary state's support under the jumps and K
+    (Baumgartner and Narnhofer, J. Phys. A 41, 395303 (2008); Schirmer and
+    Wang, PRA 81, 062306 (2010))."""
 
     dims: tuple[int, ...]
     superoperator: sp.csr_matrix = field(repr=False)
@@ -145,7 +181,7 @@ class Liouvillian:
     # the steady-state solve
     excitations: np.ndarray = field(repr=False)
     # the coordinates of R's rows and columns: _hermitian_coordinates of
-    # the excitation numbers
+    # the excitation numbers, or their first `even` (the even block)
     coordinates: tuple = field(repr=False)
     # R_M, whose LU preconditions GMRES (see build_full_liouvillian); None
     # means M = L, and the blocks of R are solved directly from their LU
@@ -166,6 +202,9 @@ class SteadyState:
     condition: float | None = None  # 1-norm condition estimate (full solve)
     lu_nnz: int | None = None   # nonzeros of the blocks' LUs (full solve)
     rho: DensityMatrix | None = None  # the full state (full solve)
+    # what showed the steady state unique (full solve): "structure"
+    # (_unique_by_structure) or "probe" (the probe of every block solved)
+    uniqueness: str | None = None
 
 
 @dataclass(frozen=True)
@@ -319,8 +358,9 @@ def _real_generator(energy, coupling, jumps, coords, weight=None):
     import scipy.sparse as sp
     i, j, imag, even, _unsplit = coords
     n, d = i.size, energy.size
-    # place[a, b] and place[b, a], a <= b: the coordinates of Re and Im rho_ab
-    place = np.empty((d, d), dtype=np.int32)
+    # place[a, b] and place[b, a], a <= b: the coordinates of Re and Im rho_ab,
+    # -1 where rho_ab is not among the coordinates (see _real_rows)
+    place = np.full((d, d), -1, dtype=np.int32)
     place[np.where(imag, j, i), np.where(imag, i, j)] = np.arange(n)
     k = -1j * energy
     for jump in jumps:
@@ -368,7 +408,10 @@ def _real_rows(model, ci, cj, even):
     """R's rows for rho_ij, (i, j) = (ci, cj), the first `even` of them in
     the even block: its Re (or diagonal) rows and Im rows, then the odd
     block's, each as row lengths, indices and values (no Im rows for the
-    diagonal rho_ii, which lead); and the largest |L_ij| they hold."""
+    diagonal rho_ii, which lead); and the largest |L_ij| they hold.  A row
+    that reaches an entry of rho outside the coordinates (one of the odd
+    block where only the even one is built: a model that breaks the parity)
+    raises SolverError."""
     import scipy.sparse as sp
     k, k_slot, da, db, x, y, on_x, on_y, place = model
     m = ci.size
@@ -384,6 +427,9 @@ def _real_rows(model, ci, cj, even):
     row, col = (np.empty((2, 2, on.size), np.int32) for _ in "rc")
     row[:, 0], row[:, 1] = on, on + m
     col[0], col[1] = place[lo, hi], place[hi, lo]
+    if col.min(initial=0) < 0:
+        raise SolverError("a generator row reaches an entry of rho outside "
+                          "the coordinates built: the model breaks the parity")
     val = np.empty((2, 2, on.size))
     val[0, 0], val[0, 1], val[1, 0], val[1, 1] = (
         v.real, v.imag, -sign * v.imag, sign * v.real)
@@ -408,11 +454,12 @@ def sig3(n: int) -> str:
 
 
 def _estimate_nnz(config: SystemConfig) -> int:
-    """Nonzeros of L and M together at most: two diagonals; 2 d entries per
-    off-diagonal entry of H, 4 (mech - 1) A per laser with A the cavity
-    states that hold a photon of that laser's cavity; nnz(c)^2 per jump,
-    mech A for each cavity decay (in L and M), (mech - 1) B for the two
-    thermal and the two chain jumps, with B the cavity states."""
+    """Nonzeros of L and M together at most, over both parity blocks (a
+    build of the even block alone writes about half): two diagonals; 2 d
+    entries per off-diagonal entry of H, 4 (mech - 1) A per laser with A
+    the cavity states that hold a photon of that laser's cavity; nnz(c)^2
+    per jump, mech A for each cavity decay (in L and M), (mech - 1) B for
+    the two thermal and the two chain jumps, with B the cavity states."""
     k, top, mech = len(config.lasers), config.cavity_photons, config.mech_dim
     block, lit = math.comb(top + k, k), math.comb(top - 1 + k, k)
     d = mech * block
@@ -425,9 +472,37 @@ def _scaled(op, rate):
     return [(s, np.sqrt(rate) * w) for s, w in op]
 
 
+def _unique_by_structure(config: SystemConfig, table: np.ndarray) -> bool:
+    """Whether the structural certificate of the module docstring holds for
+    `config`, whose occupation table is `table`: gamma_m > 0 and n_bar > 0;
+    with lasers also kappa > 0, every g_j != 0 and the pairs
+    (sum_j Delta_j c_j, sum_j c_j) pairwise distinct over the cavity
+    block's photon configurations c, the sums compared exactly.  Then no
+    proper subspace is invariant under the jumps and K, and L's steady
+    state is unique and faithful."""
+    if not (config.gamma_m > 0 and config.n_bar > 0):
+        return False
+    if not config.lasers:
+        return True
+    detunings = [laser.detuning for laser in config.lasers]
+    if not (config.kappa > 0 and all(laser.g != 0 for laser in config.lasers)
+            and np.isfinite(detunings).all()):
+        return False
+    # the detunings as integers over a common power-of-two denominator:
+    # exact sums, as Python ints
+    ratios = [float(delta).as_integer_ratio() for delta in detunings]
+    scale = max(q for _p, q in ratios)
+    weights = np.array([p * (scale // q) for p, q in ratios], dtype=object)
+    photons = table[table[:, 0] == 0, 1:]
+    pairs = set(zip((photons.astype(object) @ weights).tolist(),
+                    photons.sum(axis=1).tolist()))
+    return len(pairs) == len(photons)
+
+
 def build_full_liouvillian(config: SystemConfig) -> Liouvillian:
     """The full master equation's generator L (coherent part, cavity decay
-    and the thermal mechanical dissipator) as its real system R.
+    and the thermal mechanical dissipator) as its real system R: its even
+    block alone where _unique_by_structure holds, both blocks elsewhere.
 
     A driven system whose larger parity block holds more than DIRECT_BLOCK
     unknowns also gets R_M (_uncoupled_system), whose LU preconditions
@@ -441,6 +516,14 @@ def build_full_liouvillian(config: SystemConfig) -> Liouvillian:
     table, _encoded, energy, coupling, b, cavities = parts
     excitations = table.sum(axis=1)
     coords = _hermitian_coordinates(excitations)
+    # with no drive the chain's jump operators are the thermal dissipator's
+    # and there is no coupling, so M = L; the model conserves the parity,
+    # so its blocks are those of _hermitian_coordinates
+    even, n = coords[3], coords[0].size
+    direct = not config.lasers or max(even, n - even) <= DIRECT_BLOCK
+    if _unique_by_structure(config, table):
+        i, j, imag, even, unsplit = coords
+        coords = i[:even], j[:even], imag[:even], even, unsplit[:even]
     # the cavity decay, then the thermal bath; a zero rate gives zero
     # weights, which drop out
     jumps = [_scaled(a, config.kappa) for a in cavities]
@@ -449,13 +532,8 @@ def build_full_liouvillian(config: SystemConfig) -> Liouvillian:
     lsuper, big, defect = _real_generator(energy, coupling, jumps, coords)
     if defect > TRACE_PRESERVATION_TOL * max(1.0, big):
         raise SolverError(f"generator is not trace preserving: defect {defect:.3e}")
-    # with no drive the chain's jump operators are the thermal dissipator's
-    # and there is no coupling, so M = L; the model conserves the parity,
-    # so its blocks are those of _hermitian_coordinates
-    even, n = coords[3], coords[0].size
-    uncoupled = None
-    if config.lasers and max(even, n - even) > DIRECT_BLOCK:
-        uncoupled = _uncoupled_system(config, parts, coords, big)
+    uncoupled = (None if direct
+                 else _uncoupled_system(config, parts, coords, big))
     return Liouvillian(config.dims(), lsuper, excitations, coords, uncoupled)
 
 
@@ -699,9 +777,18 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
 
     Uniqueness: L(X^dagger) = L(X)^dagger, so the null space of L is closed
     under the adjoint, and a complex null space of dimension k has a
-    Hermitian part of real dimension k.  R is therefore nonsingular exactly
-    when the null space of L is one-dimensional, that is when each block is.
-    A solve R_k y_k = b_k per block, b a fixed-seed random vector, gives the
+    Hermitian part of real dimension k.  R of both blocks is therefore
+    nonsingular exactly when the null space of L is one-dimensional, that
+    is when each block is.  Where the build proved the steady state unique
+    from the model's structure (gamma_m > 0, n_bar > 0 and, with lasers,
+    kappa > 0, every g_j != 0 and distinct pairs (sum_j Delta_j c_j,
+    sum_j c_j): no proper subspace is invariant under the jumps and K, by
+    Baumgartner and Narnhofer, J. Phys. A 41, 395303 (2008), and Schirmer
+    and Wang, PRA 81, 062306 (2010); proof in the module docstring), R
+    holds the even block alone and uniqueness is "structure": the odd block
+    is nonsingular without a solve, and the probe judges the even block's
+    conditioning.  Elsewhere (uniqueness "probe") it judges every block.  A
+    solve R_k y_k = b_k per block, b a fixed-seed random vector, gives the
     1-norm condition estimate |R|_1 sum_k |y_k|_1 / |b|_1.  An estimate
     above CONDITION_LIMIT, or an exactly singular block of the factored
     system, raises DegenerateSteadyStateError; a singular R makes b
@@ -712,14 +799,18 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     131k), before it resolves that direction, so the estimate still blows
     up; on fig2 it halves the probe's steps (36 -> 18) and moves the
     estimate by 1.6e-6 relative.  The steady solve that misses GMRES_TOL, or
-    a probe that misses PROBE_TOL, within its budget raises SolverError.  A
-    smallest eigenvalue below -1e-8 raises SolverError; a negative one above
-    it is clipped to 0 by eigh, which runs only then (fig2's states are
-    positive definite).  The state is symmetrised, so rho is exactly
-    Hermitian; the populations are its mechanics' (the partial trace).  Its
-    residual is |L vec(rho)|_2 in L's units, from R: L(rho)_00 is minus the
-    sum of the other diagonal entries, and each upper entry counts for its
-    conjugate."""
+    a probe that misses PROBE_TOL, within its budget raises SolverError.
+
+    Where the steady state was solved in the even block, its odd entries
+    are exactly 0, and rho is checked on its two parity blocks: the basis
+    states of even and of odd N.  A smallest eigenvalue below -1e-8 raises
+    SolverError; a negative one above it is clipped to 0 by eigh, which
+    runs only then (fig2's states are positive definite).  The state is
+    symmetrised, so rho is exactly Hermitian; the populations are its
+    mechanics' (the partial trace).  Its residual is |L vec(rho)|_2 in L's
+    units, from R: L(rho)_00 is minus the sum of the other diagonal
+    entries, and each upper entry counts for its conjugate (the odd rows of
+    L(rho), which R may not hold, are 0 by parity)."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
     d, n = liou.excitations.size, liou.dim
@@ -732,7 +823,9 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     direct = r_m is None
     r_m = r if direct else r_m
     rhs = big / unit * np.eye(1, n)[0]
-    probe = np.random.default_rng(PROBE_SEED).standard_normal(n)[unsplit]
+    # each coordinate's entry of a vector over all d^2 of them, so the even
+    # block's probe is the same whichever blocks were built
+    probe = np.random.default_rng(PROBE_SEED).standard_normal(d * d)[unsplit]
     solves, lu_nnz = [], 0
     for at, r_k, r_mk in _parity_blocks(r, r_m, even):
         try:
@@ -777,19 +870,26 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
                 f"GMRES {name} solve did not converge: backward error "
                 f"{error:.3e} (tolerance {tol:.0e}) after {its} "
                 "iterations")
+    # the states of each parity of N: where the steady state was solved in
+    # the even block, rho has no entry across them
+    parity = liou.excitations % 2
+    states = ([np.flatnonzero(parity == p) for p in (0, 1)]
+              if x.size == even else [np.arange(d)])
+    blocks = [np.ix_(s, s) for s in states if s.size]
     x = np.pad(x, (0, n - x.size)) + 0.0    # no -0.0, as rho's bits are pinned
     rho = np.zeros((d, d), dtype=complex)
     parts = rho.view(float).reshape(d, d, 2)    # Re and Im of each entry
     parts[j, i, imag.astype(int)] = np.where(imag, 0.0 - x, x)
     parts[i, j, imag.astype(int)] = x
     rho /= np.trace(rho).real
-    smallest = np.linalg.eigvalsh(rho)[0]
+    smallest = min(np.linalg.eigvalsh(rho[at])[0] for at in blocks)
     if smallest < -1e-8:
         raise SolverError(
             f"steady state has negative eigenvalue {smallest:.3e}")
     if smallest < 0:
-        w, v = np.linalg.eigh(rho)
-        rho = (v * np.clip(w, 0.0, None)) @ v.conj().T
+        for at in blocks:
+            w, v = np.linalg.eigh(rho[at])
+            rho[at] = (v * np.clip(w, 0.0, None)) @ v.conj().T
     rho = (rho + rho.conj().T) / np.trace(rho).real / 2
     defect = r @ np.where(imag, rho.imag[i, j], rho.real[i, j])
     defect[0] = -defect[1:d].sum()
@@ -800,4 +900,5 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
                        residual=residual, method="lu" if direct else "gmres",
                        iterations=sum(its for *_, its, _ in solves),
                        probe_iterations=sum(its for *_, its, _ in probes),
-                       condition=condition, lu_nnz=lu_nnz, rho=rho)
+                       condition=condition, lu_nnz=lu_nnz, rho=rho,
+                       uniqueness="structure" if n < d * d else "probe")

@@ -15,7 +15,7 @@ from nanomech.lindblad import (LaserParams, SystemConfig,
                                build_full_liouvillian, chain_rates,
                                transition_rates)
 
-from reference_path import real_liouvillian, real_system
+from reference_path import real_liouvillian, real_system, trace_weight
 
 TWO_PI = 2 * np.pi
 
@@ -71,9 +71,8 @@ def with_uncoupled(cfg):
     liou = build_full_liouvillian(cfg)
     if not cfg.lasers or liou.uncoupled is not None:
         return liou
-    big = float(liou.superoperator[0].max())    # the trace row's weight
     return dataclasses.replace(liou, uncoupled=_uncoupled_system(
-        cfg, _hamiltonian_parts(cfg), liou.coordinates, big))
+        cfg, _hamiltonian_parts(cfg), liou.coordinates, trace_weight(liou)))
 
 
 class QuadraticTestPotential:

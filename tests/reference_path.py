@@ -143,42 +143,63 @@ def _row_entries(indptr: np.ndarray, rows: np.ndarray):
     return at, stacked
 
 
-def real_system(lsuper, excitations, weight: float, unit: float = 1.0):
-    """The real n x n system of a Lindbladian L in Hermitian coordinates: row
-    k is Re of row rows[k] of L T / unit, or Im where coordinate k is an Im
-    part, but row 0 is the trace row: `weight` on the diagonal coordinates.
-    Its indices are sorted."""
+def real_system(lsuper, excitations, weight: float, unit: float = 1.0,
+                size=None):
+    """The real system of a Lindbladian L on the first `size` Hermitian
+    coordinates (all if None): row k is Re of row rows[k] of L T / unit, or
+    Im where coordinate k is an Im part, over T's first `size` columns, but
+    row 0 is the trace row: `weight` on the diagonal coordinates.  Its
+    indices are sorted."""
     t, rows = hermitian_map(excitations)
     imag = _hermitian_coordinates(excitations)[2]
-    d = excitations.size
+    t, rows, imag = t[:, :size], rows[:size], imag[:size]
+    d, n = excitations.size, rows.size
     part = sp.csr_matrix(lsuper) @ t
     at, indptr = _row_entries(part.indptr, rows[1:])
     data = np.where(np.repeat(imag[1:], np.diff(indptr)), part.data.imag[at],
                     part.data.real[at]) / unit
     a = sp.csr_matrix((np.insert(data, 0, np.full(d, weight)),
                        np.insert(part.indices[at], 0, np.arange(d)),
-                       np.insert(indptr + d, 0, 0)), shape=t.shape)
+                       np.insert(indptr + d, 0, 0)), shape=(n, n))
     a.eliminate_zeros()
     a.sort_indices()
     return a
 
 
-def real_liouvillian(dims, lsuper, excitations, uncoupled=None) -> Liouvillian:
+def real_liouvillian(dims, lsuper, excitations, uncoupled=None, size=None,
+                     weight=None) -> Liouvillian:
     """The Liouvillian steady_state_solve takes for complex generators L and
-    M (M = L when None), dense or sparse: R and R_M in L's units, each with
-    the trace row at max|L_ij|."""
-    big = float(np.abs(sp.csr_matrix(lsuper).data).max(initial=0.0))
-    return Liouvillian(dims, real_system(lsuper, excitations, big),
-                       excitations, _hermitian_coordinates(excitations),
+    M (M = L when None), dense or sparse: R and R_M in L's units on the
+    first `size` Hermitian coordinates (all if None), each with the trace
+    row at `weight` (max|L_ij| if None)."""
+    if weight is None:
+        weight = float(np.abs(sp.csr_matrix(lsuper).data).max(initial=0.0))
+    i, j, imag, even, unsplit = _hermitian_coordinates(excitations)
+    coords = (i[:size], j[:size], imag[:size], min(even, i[:size].size),
+              unsplit[:size])
+    return Liouvillian(dims, real_system(lsuper, excitations, weight,
+                                         size=size),
+                       excitations, coords,
                        None if uncoupled is None
-                       else real_system(uncoupled, excitations, big))
+                       else real_system(uncoupled, excitations, weight,
+                                        size=size))
 
 
-def reference_liouvillian(config) -> Liouvillian:
-    """build_full_liouvillian's Liouvillian by way of the complex L and M."""
+def reference_liouvillian(config, size=None, weight=None) -> Liouvillian:
+    """build_full_liouvillian's Liouvillian by way of the complex L and M,
+    on the first `size` Hermitian coordinates (all if None; the even block
+    where the build writes that alone) with the trace row at `weight`
+    (max|L_ij| if None; the build's is the largest over the rows it
+    writes)."""
     excitations = _hamiltonian_parts(config)[0].sum(axis=1)
     lsuper, uncoupled = complex_generators(config)
-    return real_liouvillian(config.dims(), lsuper, excitations, uncoupled)
+    return real_liouvillian(config.dims(), lsuper, excitations, uncoupled,
+                            size, weight)
+
+
+def trace_weight(liou) -> float:
+    """The weight of liou's trace row: its largest entry."""
+    return float(liou.superoperator[0].max())
 
 
 def assert_same_csr(got, want):

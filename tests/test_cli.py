@@ -264,33 +264,58 @@ def test_cli_steady_full_three_cavity_levels(tmp_path):
 
 
 def test_cli_steady_full_reference_device(tmp_path):
-    # fig2 at mech 8 with at most one photon in all (n = 1,024): the steady
-    # solve takes 29 GMRES steps on the even-parity block, the probe 18 at
-    # PROBE_TOL on the even and the odd block (15 + 3; 36 at GMRES_TOL), and
+    # fig2 at mech 8 with at most one photon in all (d^2 = 1,024): the
+    # model's structure proves the steady state unique, so only the
+    # even-parity block (512 unknowns) is built; the steady solve takes 29
+    # GMRES steps on it, the probe 15 at PROBE_TOL (29 at GMRES_TOL), and
     # the full-state W(0,0) is the alternating sum of the full populations
     out = tmp_path / "out"
     assert main(["steady", "--config", str(CONFIG_PATH), "--full",
                  "--compare", "--out", str(out)]) == EXIT_OK
     solver = json.loads((out / "manifest.json").read_text())["solver"]
+    assert solver["full_uniqueness"] == "structure"
     assert solver["full_steady_iterations"] == pytest.approx(29, abs=2)
-    assert solver["full_probe_iterations"] <= 18
-    assert solver["full_iterations"] == pytest.approx(47, abs=2)
+    assert solver["full_probe_iterations"] <= 15
+    assert solver["full_iterations"] == pytest.approx(44, abs=2)
     assert solver["full_iterations"] == (solver["full_steady_iterations"]
                                          + solver["full_probe_iterations"])
-    assert solver["full_lu_nnz"] == 6_939
+    assert solver["full_lu_nnz"] == 3_702
     assert solver["full_cavity_photons"] == 1
     assert "full_cavity_drift" not in solver
-    # the probe's seeded vector, put in the order of the blocks, gives the
-    # estimate of the unsplit system; stopped at PROBE_TOL, the probe moves
-    # it by 1.6e-6 relative from 2750.0714 at GMRES_TOL, and other stopping
-    # points move it by more than 5e-6 (17 probe steps: 2750.0893; 21:
-    # 2750.1106; 22: 2750.0820), so a pin to PROBE_TOL relative holds both
-    # the value and the stopping rule
+    # the probe's seeded vector, put in the order of the even block, gives
+    # that block's estimate; stopped at PROBE_TOL, the probe moves it by
+    # 1.6e-6 relative from 4966.2513 at GMRES_TOL, and other stopping points
+    # move it by more than 5e-6 (14 probe steps: 4966.2838; 16: 4966.3420;
+    # 18: 4966.2705), so a pin to PROBE_TOL relative holds both the value
+    # and the stopping rule
     assert solver["full_condition_estimate"] == pytest.approx(
-        2750.0670, rel=PROBE_TOL)
+        4966.2434, rel=PROBE_TOL)
     pops = json.loads((out / "populations.json").read_text())
     assert pops["full_wigner_origin"] == wigner_origin(pops["full"])
     assert max(pops["compare_abs_diff"]) < 0.05
+
+
+@pytest.mark.parametrize("mutate", [
+    # no thermal phonons: b^dag is no jump
+    lambda raw: raw["device"].update(temperature="0 K"),
+    # two red drives on the 1 -> 0 line: their cavities' one-photon states
+    # share K's entry
+    lambda raw: raw["device"].update(drives=[
+        {"power": "1.2 W", "detuning": "-delta_1"},
+        {"power": "1.2 W", "detuning": "-delta_1"}]),
+], ids=["zero_kelvin", "two_drives_one_detuning"])
+def test_cli_steady_full_outside_the_certificate_probes_both_blocks(
+        tmp_path, mutate):
+    # where the model's structure does not prove the steady state unique,
+    # both parity blocks are built and probed, and the run exits 0 as the
+    # two-block solve always did
+    out = tmp_path / "out"
+    assert main(["steady", "--config", str(write_variant(tmp_path, mutate)),
+                 "--full", "--compare", "--out", str(out)]) == EXIT_OK
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    assert solver["full_uniqueness"] == "probe"
+    assert solver["full_method"] == "gmres"
+    assert 1.0 <= solver["full_condition_estimate"] <= 1e12
 
 
 def test_cli_steady_full_converge_raises_cavity_photons(tmp_path):

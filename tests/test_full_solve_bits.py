@@ -54,16 +54,16 @@ CASES = {"fig2_mech5": _mech5, "fig2_mech32": _mech32,
 DIGESTS = {
     "fig2_mech5": (
         "27db9cd1a605e6a72798ebe981eb6fc3b18a103298a6467643bd34367b51abd5",
-        "71050a48ef78b9a3598bae780b7ec3f0de7a392947eb1c68b11fe31f19ee7957"),
+        "b90b968a1df7f4a1d83c6b1a66d2ee8f91453cf45471d9584ba665f07defa42a"),
     "fig2_mech32": (
-        "b3f8ea088e57ddae84f068202d9cb3ddd7f6449a361eea41231ec662e225cbb0",
-        "e6173a1c7f707674dd96702928c4f3f0dbd06ed840bf3e513f00c69d329b56cb"),
+        "99bbd45a43f80340b8b30cd4e812e2768bd6cb65674ce5aeb750f5e44324106a",
+        "c2ccbb250222c573936e469da5ebdc4e01393e4b181b537b2f763a76e73cf0b9"),
     "fig2_mech8_two_photons": (
-        "4b2064d1fd7865e1fc92f50daeabdf01e3149aeb88deeed262ed26f269930e69",
-        "4250f5a50500a0bb1a056427c2acc353a0929e82f1868fda845e5c380ae7817b"),
+        "fde024778aab14e40887ba8410dcecf88438a15cab3815556218418bfe31783a",
+        "4e2a9ceb86f72bf63c438a2274e3a98de40148f01699385d511d6334643fd280"),
     "thermal_chain_mech30": (
-        "69434928b586dad918710ee4dba042f1cf883d5ea7dfac3cc0dd203f9718f6f3",
-        "f5e7e915b52f692f1abf8b64554808545994973579e4d8df8d09ad49fbc335e5"),
+        "5e384de5a97e64e101d4914a871b944e5f604bea90cdfbd1a35b82692611b373",
+        "e7b3852091c0c083889b2d0d2de5d6984a00d13a20c709a5e870d86b5a91cec4"),
 }
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply, splu
 
@@ -22,6 +22,7 @@ from nanomech.lindblad import (CONDITION_LIMIT, DegenerateSteadyStateError,
                                _hermitian_coordinates, _lowering,
                                _occupations, _parity_blocks,
                                _real_generator, _transpose,
+                               _unique_by_structure,
                                build_full_hamiltonian, build_full_liouvillian,
                                build_reduced_generator, chain_rates,
                                level_rates, reduced_steady_populations,
@@ -32,7 +33,7 @@ import reference_path
 from reference_path import (assert_same_csr,
                             complex_generators as reference_generators,
                             hermitian_map, real_liouvillian, real_system,
-                            reference_liouvillian)
+                            reference_liouvillian, trace_weight)
 from conftest import (CONFIG_PATH, GAMMA_M, KAPPA, LAMBDA, N_BAR,
                       OMEGA_M_PRIME, dense_generator, kron_generators,
                       kron_ladders, kron_lift, kron_liouvillian,
@@ -261,7 +262,9 @@ def test_liouvillian_assembly_matches_kron_sums(make, block, monkeypatch):
     # slot table is written one row j at a time; and the R and R_M that
     # build_full_liouvillian writes straight from the model (R_M by
     # _uncoupled_system where the build solves directly) are those of that
-    # L and M, bit for bit
+    # L and M, bit for bit: their even block alone where the model's
+    # structure proves the steady state unique, with the build's trace-row
+    # weight
     monkeypatch.setattr(reference_path, "ASSEMBLY_BLOCK", block)
     cfg = make()
     liou = with_uncoupled(cfg)
@@ -280,7 +283,10 @@ def test_liouvillian_assembly_matches_kron_sums(make, block, monkeypatch):
         np.testing.assert_array_equal(m.indices, r.indices)
         np.testing.assert_allclose(m.data, r.data, rtol=0,
                                    atol=1e-12 * scale)
-    ref = reference_liouvillian(cfg)
+    even = _hermitian_coordinates(excitations)[3]
+    assert liou.dim == (even if _unique_by_structure(cfg, _occupations(cfg))
+                        else excitations.size ** 2)
+    ref = reference_liouvillian(cfg, liou.dim, trace_weight(liou))
     for m, r in ((liou.superoperator, ref.superoperator),
                  (liou.uncoupled, ref.uncoupled)):
         if r is not None:
@@ -289,9 +295,11 @@ def test_liouvillian_assembly_matches_kron_sums(make, block, monkeypatch):
 
 def test_liouvillian_build_memory_stays_flat():
     # R is written in blocks of rows whose pieces are joined once, array by
-    # array: at fig2 mech 32 the build's allocation peak is about 1.6 times
-    # the bytes of the R and R_M it returns, where one that gathered the
-    # triplets of each parity block at once read 2.75
+    # array: at fig2 mech 32 the build's allocation peak is about 1.9 times
+    # the bytes of the R and R_M it returns (a block of at least
+    # REAL_BLOCK_ROWS rows is a quarter of the even block there; 1.6 at
+    # mech 128), where one that gathered the triplets of each parity block
+    # at once read 2.75
     cfg = fig2_system(32)
     tracemalloc.start()
     try:
@@ -341,7 +349,8 @@ def test_liouvillian_assembly_matches_dense_kronecker_sums():
     # with N <= 2 (n = 900), and one driven cavity with N <= 2 (d = 9), whose
     # ladder has the entry sqrt(2)
     # The R of the build and the R_M of _uncoupled_system are those of the
-    # dense L and M, in Hermitian coordinates, to rounding.
+    # dense L and M, in Hermitian coordinates (the even block, as the build
+    # writes these), to rounding.
     for cfg in (fig2_system(4), fig2_system(3, photons=2),
                 small_driven(mech_dim=3, cavity_photons=2)):
         liou = with_uncoupled(cfg)
@@ -360,13 +369,15 @@ def test_liouvillian_assembly_matches_dense_kronecker_sums():
                  lowering(0, np.sqrt(n * up)).T.toarray()]
         lsuper = dense_generator(h, cavities + thermal)
         uncoupled = dense_generator(h0, cavities + chain)
-        scale = np.abs(lsuper).max()
+        scale, weight = np.abs(lsuper).max(), trace_weight(liou)
         for got, want in ((generators[0], lsuper),
                           (generators[1], uncoupled),
                           (liou.superoperator,
-                           real_system(lsuper, liou.excitations, scale)),
+                           real_system(lsuper, liou.excitations, weight,
+                                       size=liou.dim)),
                           (liou.uncoupled,
-                           real_system(uncoupled, liou.excitations, scale))):
+                           real_system(uncoupled, liou.excitations, weight,
+                                       size=liou.dim))):
             np.testing.assert_allclose(got.toarray(), want.toarray()
                                        if sp.issparse(want) else want,
                                        rtol=0, atol=1e-12 * scale)
@@ -562,17 +573,19 @@ def test_build_writes_uncoupled_only_for_large_driven_blocks():
     # fig2 at mech 5 has parity blocks of 202 and 198 unknowns, at most
     # DIRECT_BLOCK, and is solved directly from R's LU; at mech 6 they hold
     # 288 each, and GMRES takes the LU of R_M; an undriven chain is solved
-    # directly at any size
+    # directly at any size.  The build writes the even block alone.
     small, large = (build_full_liouvillian(fig2_system(m)) for m in (5, 6))
-    assert (small.coordinates[3], small.dim) == (202, 400)
-    assert (large.coordinates[3], large.dim) == (288, 576)
+    assert (small.coordinates[3], small.dim, small.excitations.size) == (
+        202, 202, 20)
+    assert (large.coordinates[3], large.dim, large.excitations.size) == (
+        288, 288, 24)
     assert lindblad.DIRECT_BLOCK == 256
     assert small.uncoupled is None and large.uncoupled is not None
     ss = steady_state_solve(small)
     assert (ss.method, ss.iterations, ss.probe_iterations) == ("lu", 0, 0)
     assert steady_state_solve(large).method == "gmres"
     chain = build_full_liouvillian(mech_only(mech_dim=30, n_bar=0.5))
-    assert chain.dim > 2 * lindblad.DIRECT_BLOCK and chain.uncoupled is None
+    assert chain.dim > lindblad.DIRECT_BLOCK and chain.uncoupled is None
 
 
 def solve_verdict(liou):
@@ -712,6 +725,109 @@ def test_degenerate_generator_detected(liou):
         steady_state_solve(liou)
 
 
+@st.composite
+def certificate_systems(draw):
+    """Systems of mech 3-5 and 1-2 cavities with at most 1-2 photons in
+    all, with gamma_m, n_bar, kappa and each g zero or not, and the two
+    detunings equal or distinct: the cases _unique_by_structure tells
+    apart."""
+    # off the lines delta_n, where kappa = 0 leaves the rates 0 / 0
+    detunings = (-5.1e6, draw(st.sampled_from([-5.1e6, 5.3e6])))
+    lasers = tuple(
+        LaserParams(g=draw(st.sampled_from([0.0, 2.0e3, 3.0e3j, -1.5e3])),
+                    detuning=detunings[j])
+        for j in range(draw(st.integers(1, 2))))
+    return SystemConfig(
+        mech_dim=draw(st.integers(3, 5)),
+        cavity_photons=draw(st.integers(1, 2)),
+        omega_m_prime=5.0e6, lam=2.0e5,
+        gamma_m=draw(st.sampled_from([0.0, 5.0, 50.0])),
+        n_bar=draw(st.sampled_from([0.0, 0.3, 2.0])),
+        kappa=draw(st.sampled_from([0.0, 5.0e4, 2.0e5])), lasers=lasers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificate_systems())
+def test_structural_uniqueness_certificate(cfg):
+    # a certified system is built and solved in the even block alone, and
+    # the probe of both blocks (the reference path's R, at the build's
+    # trace-row weight) finds its odd block nonsingular and the same state;
+    # a rejected one is built in both blocks, to be probed in both
+    liou = build_full_liouvillian(cfg)
+    d = liou.excitations.size
+    # the hypotheses on these draws: two cavities' one-photon states share
+    # K's entry exactly when their detunings are equal
+    detunings = {laser.detuning for laser in cfg.lasers}
+    certified = (cfg.gamma_m > 0 and cfg.n_bar > 0 and cfg.kappa > 0
+                 and all(laser.g != 0 for laser in cfg.lasers)
+                 and len(detunings) == len(cfg.lasers))
+    assert _unique_by_structure(cfg, _occupations(cfg)) == certified
+    if not certified:
+        assert liou.dim == d * d
+        event("rejected")
+        return
+    event("certified")
+    assert liou.dim == _hermitian_coordinates(liou.excitations)[3] < d * d
+    ss = steady_state_solve(liou)
+    assert ss.uniqueness == "structure"
+    both = reference_liouvillian(cfg, weight=trace_weight(liou))
+    assert parity_block_count(both.excitations,
+                              reference_generators(cfg)[0]) == 2
+    # a singular or ill-conditioned odd block raises here; the reference
+    # carries R_M, so GMRES solves it where the build may solve directly,
+    # to GMRES's forward error bound (see test_direct_solve_matches_gmres)
+    probed = steady_state_solve(both)
+    assert probed.uniqueness == "probe"
+    np.testing.assert_allclose(
+        ss.populations, probed.populations, rtol=0,
+        atol=max(1e-12, probed.condition * lindblad.GMRES_TOL))
+
+
+def test_certified_build_refuses_a_row_outside_its_block(monkeypatch):
+    # a model term that breaks the parity (a linear mechanical drive
+    # F (b + b^dag)) makes an even row reach an odd entry of rho, which a
+    # build of the even block alone does not hold: a SolverError, not a read
+    # of an unset coordinate; built in both blocks (n_bar = 0), it is held
+    def with_drive(config):
+        table, encoded, energy, coupling, b, cavities = _hamiltonian_parts(
+            config)
+        drive = [(s, 2.0e5 * w) for s, w in b + _transpose(b)]
+        return table, encoded, energy, coupling + drive, b, cavities
+    monkeypatch.setattr(lindblad, "_hamiltonian_parts", with_drive)
+    cfg = fig2_system(4)
+    with pytest.raises(SolverError, match="breaks the parity"):
+        build_full_liouvillian(cfg)
+    liou = build_full_liouvillian(dataclasses.replace(cfg, n_bar=0.0))
+    assert liou.dim == liou.excitations.size ** 2
+
+
+@pytest.mark.parametrize("smallest", [None, -1e-9, -2e-8])
+def test_positivity_is_checked_on_the_parity_blocks(smallest, monkeypatch):
+    # a state solved in the even block has no entry between states of
+    # opposite parity of N, so eigvalsh runs on its two parity blocks (fig2
+    # mech 4: 8 states each); an eigenvalue in [-1e-8, 0) makes eigh clip
+    # each block, which moves a positive definite state by rounding, and
+    # one below -1e-8 is refused
+    liou = build_full_liouvillian(fig2_system(4))
+    parity = liou.excitations % 2
+    want = steady_state_solve(liou).rho.matrix
+    eigvalsh, shapes = np.linalg.eigvalsh, []
+
+    def spy(a):
+        shapes.append(a.shape)
+        w = eigvalsh(a)
+        return w if smallest is None else np.append(smallest, w)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    if smallest is not None and smallest < -1e-8:
+        with pytest.raises(SolverError, match="negative eigenvalue"):
+            steady_state_solve(liou)
+        return
+    rho = steady_state_solve(liou).rho.matrix
+    assert shapes == [(8, 8), (8, 8)]
+    assert not rho[np.ix_(parity == 0, parity == 1)].any()
+    np.testing.assert_allclose(rho, want, rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("scale", [1e-30, 1e30])
 def test_steady_state_does_not_depend_on_rate_units(scale):
     # a change of the unit of time rescales L (and M); neither the solution
@@ -780,29 +896,37 @@ def test_hermitian_coordinates_layout(dims):
     np.testing.assert_array_equal(j[:d], np.arange(d))
 
 
-def assert_splits_by_parity(liou):
-    """Neither R nor R_M of liou has an entry across the even and the odd
-    block, and _parity_blocks splits both into them."""
-    n, r, r_m = liou.dim, liou.superoperator, liou.uncoupled
-    even = _hermitian_coordinates(liou.excitations)[3]
+def assert_splits_by_parity(cfg):
+    """The reference path's R and R_M of cfg over both blocks, at the
+    build's trace-row weight, have no entry across the even and the odd
+    block, _parity_blocks splits both into them, and their even blocks are
+    the R and R_M of the build (R_M by _uncoupled_system where the build
+    solves directly), bit for bit."""
+    liou = with_uncoupled(cfg)
+    ref = reference_liouvillian(cfg, weight=trace_weight(liou))
+    n, r, r_m = ref.dim, ref.superoperator, ref.uncoupled
+    even = ref.coordinates[3]
+    assert liou.dim == even < n
     blocks = _parity_blocks(r, r_m, even)
     assert [block[0] for block in blocks] == [slice(0, even), slice(even, n)]
-    for k, a in enumerate((r, r_m)):
+    for k, (a, built) in enumerate(((r, liou.superoperator),
+                                    (r_m, liou.uncoupled))):
         assert a[:even, even:].nnz == 0 and a[even:, :even].nnz == 0
         assert a[:even, :even].nnz > 0 and a[even:, even:].nnz > 0
         split = sp.block_diag([block[1 + k] for block in blocks])
         assert (split != a).nnz == 0
+        assert_same_csr(built, blocks[0][1 + k])
 
 
 def test_fig2_real_systems_split_by_parity():
     # L and M conserve the parity of N_i + N_j (N = phonons + photons)
-    assert_splits_by_parity(with_uncoupled(fig2_system(4)))
+    assert_splits_by_parity(fig2_system(4))
 
 
 def test_fig2_real_systems_split_by_parity_with_two_photons():
     # also where a cavity ladder has several steps (three cavities with at
     # most two photons in all)
-    assert_splits_by_parity(build_full_liouvillian(fig2_system(4, photons=2)))
+    assert_splits_by_parity(fig2_system(4, photons=2))
 
 
 def test_parity_breaking_drive_is_solved_as_one_block():

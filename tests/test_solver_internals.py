@@ -21,11 +21,13 @@ from hypothesis.extra.numpy import arrays
 
 from nanomech import lindblad
 from nanomech.lindblad import (LaserParams, SystemConfig, _hamiltonian_parts,
-                               _hermitian_coordinates, _real_generator,
-                               _transpose, build_full_liouvillian)
+                               _hermitian_coordinates, _occupations,
+                               _real_generator, _transpose,
+                               _unique_by_structure, build_full_liouvillian)
 
 from reference_path import (_generator, assert_same_csr, complex_generators,
-                            hermitian_map, reference_liouvillian)
+                            hermitian_map, reference_liouvillian,
+                            trace_weight)
 from conftest import with_uncoupled
 from test_lindblad import small_systems
 
@@ -47,15 +49,16 @@ def coo_coordinates(excitations):
 
 def indexed_real_system(lsuper, t, rows, imag, unit, weight):
     """The real system from scipy's product and fancy row index, then
-    sorted: row k is Re, or Im where imag[k], of row rows[k] of L T / unit,
-    but row 0 is the trace row, `weight` on the diagonal coordinates."""
-    d = math.isqrt(rows.size)
+    sorted, on the coordinates that T's columns, rows and imag hold: row k
+    is Re, or Im where imag[k], of row rows[k] of L T / unit, but row 0 is
+    the trace row, `weight` on the diagonal coordinates."""
+    d, n = math.isqrt(t.shape[0]), rows.size
     part = (lsuper @ t).tocsr()[rows[1:]]
     data = np.where(np.repeat(imag[1:], np.diff(part.indptr)), part.data.imag,
                     part.data.real) / unit
     a = sp.csr_matrix((np.insert(data, 0, np.full(d, weight)),
                        np.insert(part.indices, 0, np.arange(d)),
-                       np.insert(part.indptr + d, 0, 0)), shape=t.shape)
+                       np.insert(part.indptr + d, 0, 0)), shape=(n, n))
     a.eliminate_zeros()
     a.sort_indices()
     return a
@@ -85,16 +88,18 @@ def test_hermitian_coordinates_match_coo_build(excitations):
 @settings(max_examples=25, deadline=None)
 @given(small_systems(), st.integers(-3, 3))
 def test_real_system_matches_indexed_product(cfg, shift):
-    # R in L's units with the trace row at max|L_ij|, and R divided by a
-    # power of two near it as the solve divides it: exact, the system of
-    # L T / unit with the trace row at max|L_ij| / unit; R_M as the build
-    # writes it or, where the build solves directly, as _uncoupled_system
-    # does
+    # R in L's units with the trace row at max|L_ij| over its rows, and R
+    # divided by a power of two near it as the solve divides it: exact, the
+    # system of L T / unit on the coordinates built with the trace row at
+    # that weight / unit; R_M as the build writes it or, where the build
+    # solves directly, as _uncoupled_system does
     liou = with_uncoupled(cfg)
     lsuper, uncoupled = complex_generators(cfg)
+    n = liou.dim
     t, rows = hermitian_map(liou.excitations)
-    imag = _hermitian_coordinates(liou.excitations)[2]
-    big = float(np.abs(lsuper.data).max())
+    t, rows = t[:, :n], rows[:n]
+    imag = _hermitian_coordinates(liou.excitations)[2][:n]
+    big = trace_weight(liou)
     unit = math.ldexp(1.0, math.frexp(big)[1] - 1 + shift)
     for r, g in ((liou.superoperator, lsuper), (liou.uncoupled, uncoupled)):
         if g is None:
@@ -132,23 +137,29 @@ def drawn_systems(draw):
 def test_real_systems_match_the_reference_path_bit_for_bit(cfg, blocking):
     # R and R_M written straight from the model (R_M by _uncoupled_system
     # where the build solves directly) are those of the complex L and M
-    # through T, in every blocking of their rows; and the sizes that the
-    # benchmark's traced spans read off them are R's
+    # through T, in every blocking of their rows: the even block alone,
+    # with the build's trace-row weight, where the model's structure proves
+    # the steady state unique, both blocks elsewhere; and the sizes that
+    # the benchmark's traced spans read off them are R's
     with real_blocks(*blocking):
         liou = with_uncoupled(cfg)
-    ref = reference_liouvillian(cfg)
+    d = math.prod(cfg.dims())
+    even = _hermitian_coordinates(liou.excitations)[3]
+    n = even if _unique_by_structure(cfg, _occupations(cfg)) else d * d
+    ref = reference_liouvillian(cfg, n, trace_weight(liou))
     assert liou.dims == ref.dims == cfg.dims()
     assert_same_csr(liou.superoperator, ref.superoperator)
     if ref.uncoupled is None:
         assert liou.uncoupled is None
     else:
         assert_same_csr(liou.uncoupled, ref.uncoupled)
-    assert liou.dim == math.prod(cfg.dims()) ** 2 == ref.superoperator.shape[0]
+    assert liou.dim == n == ref.superoperator.shape[0]
     assert liou.superoperator.nnz == ref.superoperator.nnz
     assert abs(liou.superoperator).max() == abs(ref.superoperator).max()
-    # the trace row holds max|L_ij|, the scale of the solve
-    big = np.abs(complex_generators(cfg)[0].data).max()
-    d = math.isqrt(liou.dim)
+    # the trace row holds max|L_ij| over the rows of the coordinates built,
+    # the scale of the solve
+    rows = hermitian_map(liou.excitations)[1][:n]
+    big = np.abs(complex_generators(cfg)[0][rows].data).max()
     row = liou.superoperator[[0]]
     np.testing.assert_array_equal(row.indices, np.arange(d))
     assert (row.data == big).all()
