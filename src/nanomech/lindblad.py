@@ -27,25 +27,21 @@ superoperator is formed: each generator is written by index arithmetic from
 the occupation table straight into the real system the solve takes, in the
 real coordinates of Hermitian matrices (_real_generator).
 
-The structural uniqueness certificate (_unique_by_structure): the support
-of a stationary state is invariant under every jump L_k and under
-K = -iH - sum_k L_k^dag L_k / 2 (Baumgartner and Narnhofer, J. Phys. A 41,
-395303 (2008); Schirmer and Wang, PRA 81, 062306 (2010)), so where no
-proper subspace is, L has one steady state, and it is faithful.  Here that
-holds when gamma_m > 0 and n_bar > 0 (b and b^dag are both jumps); with
-lasers, also kappa > 0 and every g_j != 0; and the pairs
-(sum_j Delta_j c_j, sum_j c_j) are pairwise distinct over the cavity
-block's photon configurations c.  Proof, for an invariant subspace W' != 0:
-- b and b^dag generate all of M_mech, so W' = C^mech (x) W;
-- W contains the vacuum, since the a_j lower any vector to it;
-- W is spanned by configurations, since K's cavity part
-  D = i sum_j Delta_j c_j - kappa |c| / 2 is diagonal with distinct entries
-  (K's mechanical part acts on C^mech alone);
-- W is closed upward, since K carries sum_j g_j a_j^dag (times b + b^dag)
-  with every g_j != 0;
-- so W is the whole cavity block.
-The steady state then spans the null space of L, and it lies in the even
-block, so the odd block is nonsingular without being built.
+The structural uniqueness certificate (_unique_by_structure): L has one
+steady state when b is a jump (gamma_m (n_bar + 1) > 0) and, with lasers,
+so is every a_j (kappa > 0).  Proof:
+- b and the a_j commute and lower any vector, so every nonzero subspace
+  invariant under them holds a nonzero vector they all annihilate, and
+  only the vacuum is one;
+- the support of a stationary state is invariant under every jump
+  (Baumgartner and Narnhofer, J. Phys. A 41, 395303 (2008); Schirmer and
+  Wang, PRA 81, 062306 (2010)), so it holds the vacuum;
+- the positive and negative parts of a Hermitian X in the null space of L
+  are stationary, of orthogonal supports, so one of them is 0.
+The null space is closed under the adjoint, so it is spanned by Hermitian
+elements, each a multiple of a state, and the difference of two states is
+none: it is spanned by one state, which lies in the even block, and the
+odd block is nonsingular without being built.
 
 scipy is imported only inside the functions of the full model, so the
 reduced model and every command that uses only it run without loading it.
@@ -68,11 +64,12 @@ if TYPE_CHECKING:
 
 TRACE_PRESERVATION_TOL = 1e-10
 # nonzeros of L and M together (_estimate_nnz, a bound over both parity
-# blocks, no longer met exactly: a build of the even block alone writes
-# about half): a steady state of both blocks peaks at about 92 B per
-# nonzero (fig2 mech 32 and 64 with at most 2 photons), so this holds a
-# solve near 3.7 GB; R and R_M hold under twice as many, far below 2**31,
-# so their CSR indices fit int32
+# blocks, which only a system with gamma_m = 0 or kappa = 0 builds: every
+# device config is certified and writes its even block alone, about half):
+# a steady state of both blocks peaks at about 92 B per nonzero (fig2 mech
+# 32 and 64 with at most 2 photons), so this holds a solve near 3.7 GB; R
+# and R_M hold under twice as many, far below 2**31, so their CSR indices
+# fit int32
 DEFAULT_NNZ_CAP = 40_000_000
 # a trace-rowed system whose 1-norm condition estimate exceeds this has a
 # null space that is numerically not one-dimensional
@@ -138,6 +135,10 @@ class SystemConfig:
         if self.cavity_photons < 1:
             raise ValueError(
                 f"cavity photon number must be >= 1, got {self.cavity_photons}")
+        for name in ("gamma_m", "n_bar", "kappa"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got "
+                                 f"{getattr(self, name)}")
 
     @classmethod
     def from_derived(cls, derived, mech_dim: int,
@@ -165,15 +166,10 @@ class Liouvillian:
     row 0 is the trace row, max|L_ij| over R's rows on the diagonal (see
     _real_generator).
 
-    Where the model's structure proves L's steady state unique, R and R_M
-    hold the even block alone (n = the even coordinates); elsewhere both
-    blocks (n = d^2).  The certificate (_unique_by_structure; proof in the
-    module docstring) needs gamma_m > 0 and n_bar > 0; with lasers also
-    kappa > 0, every g_j != 0 and distinct pairs (sum_j Delta_j c_j,
-    sum_j c_j) over the photon configurations c.  It rests on the
-    invariance of a stationary state's support under the jumps and K
-    (Baumgartner and Narnhofer, J. Phys. A 41, 395303 (2008); Schirmer and
-    Wang, PRA 81, 062306 (2010))."""
+    Where the model's jumps prove L's steady state unique
+    (_unique_by_structure; proof in the module docstring), R and R_M hold
+    the even block alone (n = the even coordinates); elsewhere both blocks
+    (n = d^2)."""
 
     dims: tuple[int, ...]
     superoperator: sp.csr_matrix = field(repr=False)
@@ -455,11 +451,12 @@ def sig3(n: int) -> str:
 
 def _estimate_nnz(config: SystemConfig) -> int:
     """Nonzeros of L and M together at most, over both parity blocks (a
-    build of the even block alone writes about half): two diagonals; 2 d
-    entries per off-diagonal entry of H, 4 (mech - 1) A per laser with A
-    the cavity states that hold a photon of that laser's cavity; nnz(c)^2
-    per jump, mech A for each cavity decay (in L and M), (mech - 1) B for
-    the two thermal and the two chain jumps, with B the cavity states."""
+    certified build, as of every device config, writes the even block
+    alone, about half): two diagonals; 2 d entries per off-diagonal entry
+    of H, 4 (mech - 1) A per laser with A the cavity states that hold a
+    photon of that laser's cavity; nnz(c)^2 per jump, mech A for each
+    cavity decay (in L and M), (mech - 1) B for the two thermal and the two
+    chain jumps, with B the cavity states."""
     k, top, mech = len(config.lasers), config.cavity_photons, config.mech_dim
     block, lit = math.comb(top + k, k), math.comb(top - 1 + k, k)
     d = mech * block
@@ -472,42 +469,25 @@ def _scaled(op, rate):
     return [(s, np.sqrt(rate) * w) for s, w in op]
 
 
-def _unique_by_structure(config: SystemConfig, table: np.ndarray) -> bool:
-    """Whether the structural certificate of the module docstring holds for
-    `config`, whose occupation table is `table`: gamma_m > 0 and n_bar > 0;
-    with lasers also kappa > 0, every g_j != 0 and the pairs
-    (sum_j Delta_j c_j, sum_j c_j) pairwise distinct over the cavity
-    block's photon configurations c, the sums compared exactly.  Then no
-    proper subspace is invariant under the jumps and K, and L's steady
-    state is unique and faithful."""
-    if not (config.gamma_m > 0 and config.n_bar > 0):
-        return False
-    if not config.lasers:
-        return True
-    detunings = [laser.detuning for laser in config.lasers]
-    if not (config.kappa > 0 and all(laser.g != 0 for laser in config.lasers)
-            and np.isfinite(detunings).all()):
-        return False
-    # the detunings as integers over a common power-of-two denominator:
-    # exact sums, as Python ints
-    ratios = [float(delta).as_integer_ratio() for delta in detunings]
-    scale = max(q for _p, q in ratios)
-    weights = np.array([p * (scale // q) for p, q in ratios], dtype=object)
-    photons = table[table[:, 0] == 0, 1:]
-    pairs = set(zip((photons.astype(object) @ weights).tolist(),
-                    photons.sum(axis=1).tolist()))
-    return len(pairs) == len(photons)
+def _unique_by_structure(config: SystemConfig) -> bool:
+    """Whether the certificate of the module docstring holds for `config`:
+    b is a jump (gamma_m (n_bar + 1) > 0) and, with lasers, so is every a_j
+    (kappa > 0).  Then L's steady state is unique."""
+    return (config.gamma_m * (config.n_bar + 1.0) > 0
+            and (not config.lasers or config.kappa > 0))
 
 
 def build_full_liouvillian(config: SystemConfig) -> Liouvillian:
     """The full master equation's generator L (coherent part, cavity decay
     and the thermal mechanical dissipator) as its real system R: its even
-    block alone where _unique_by_structure holds, both blocks elsewhere.
+    block alone where its jumps prove the steady state unique
+    (_unique_by_structure), both blocks elsewhere.
 
-    A driven system whose larger parity block holds more than DIRECT_BLOCK
-    unknowns also gets R_M (_uncoupled_system), whose LU preconditions
-    GMRES; on every other system uncoupled is None and steady_state_solve
-    solves the blocks of R directly from their LU."""
+    A driven system whose even block (e^2 + o^2 coordinates for e even and
+    o odd basis states, never fewer than the odd block's 2 e o) holds more
+    than DIRECT_BLOCK unknowns also gets R_M (_uncoupled_system), whose LU
+    preconditions GMRES; on every other system uncoupled is None and
+    steady_state_solve solves the blocks of R directly from their LU."""
     est = _estimate_nnz(config)
     if est > DEFAULT_NNZ_CAP:
         raise MemoryError(f"estimated superoperator nonzeros {sig3(est)} "
@@ -519,9 +499,8 @@ def build_full_liouvillian(config: SystemConfig) -> Liouvillian:
     # with no drive the chain's jump operators are the thermal dissipator's
     # and there is no coupling, so M = L; the model conserves the parity,
     # so its blocks are those of _hermitian_coordinates
-    even, n = coords[3], coords[0].size
-    direct = not config.lasers or max(even, n - even) <= DIRECT_BLOCK
-    if _unique_by_structure(config, table):
+    direct = not config.lasers or coords[3] <= DIRECT_BLOCK
+    if _unique_by_structure(config):
         i, j, imag, even, unsplit = coords
         coords = i[:even], j[:even], imag[:even], even, unsplit[:even]
     # the cavity decay, then the thermal bath; a zero rate gives zero
@@ -571,8 +550,15 @@ def transition_rates(config: SystemConfig) -> RateTable:
     kap = config.kappa
     for j, laser in enumerate(config.lasers):
         g2k = abs(laser.g) ** 2 * kap
-        a_plus[:, j] = g2k / (4.0 * (laser.detuning - delta) ** 2 + kap**2)
-        a_minus[:, j] = g2k / (4.0 * (laser.detuning + delta) ** 2 + kap**2)
+        plus = 4.0 * (laser.detuning - delta) ** 2 + kap**2
+        minus = 4.0 * (laser.detuning + delta) ** 2 + kap**2
+        if kap == 0 and not (plus.all() and minus.all()):
+            n = 1 + int(np.argmin(plus * minus))
+            raise SolverError(
+                f"laser {j + 1} sits exactly on the line delta_{n} "
+                f"({n - 1} <-> {n}) with kappa = 0: its rate there is 0 / 0")
+        a_plus[:, j] = g2k / plus
+        a_minus[:, j] = g2k / minus
     return RateTable(a_plus=a_plus.sum(axis=1), a_minus=a_minus.sum(axis=1),
                      delta=delta)
 
@@ -780,16 +766,13 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     Hermitian part of real dimension k.  R of both blocks is therefore
     nonsingular exactly when the null space of L is one-dimensional, that
     is when each block is.  Where the build proved the steady state unique
-    from the model's structure (gamma_m > 0, n_bar > 0 and, with lasers,
-    kappa > 0, every g_j != 0 and distinct pairs (sum_j Delta_j c_j,
-    sum_j c_j): no proper subspace is invariant under the jumps and K, by
-    Baumgartner and Narnhofer, J. Phys. A 41, 395303 (2008), and Schirmer
-    and Wang, PRA 81, 062306 (2010); proof in the module docstring), R
-    holds the even block alone and uniqueness is "structure": the odd block
-    is nonsingular without a solve, and the probe judges the even block's
-    conditioning.  Elsewhere (uniqueness "probe") it judges every block.  A
-    solve R_k y_k = b_k per block, b a fixed-seed random vector, gives the
-    1-norm condition estimate |R|_1 sum_k |y_k|_1 / |b|_1.  An estimate
+    from the model's jumps (_unique_by_structure; proof in the module
+    docstring), R holds the even block alone and uniqueness is
+    "structure": the odd block is nonsingular without a solve, and the
+    probe judges the even block's conditioning.  Elsewhere (uniqueness
+    "probe") it judges every block.  A solve R_k y_k = b_k per block, b a
+    fixed-seed random vector, gives the 1-norm condition estimate
+    |R|_1 sum_k |y_k|_1 / |b|_1.  An estimate
     above CONDITION_LIMIT, or an exactly singular block of the factored
     system, raises DegenerateSteadyStateError; a singular R makes b
     inconsistent, so the estimate is judged even when a probe solve did not

@@ -20,10 +20,12 @@ from nanomech.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION,
                           set_config_path, write_csv)
 from nanomech.config import (CONFIG_SCHEMA, ConfigError, load_config,
                              parse_config)
-from nanomech.lindblad import PROBE_TOL
+from nanomech.lindblad import (GMRES_TOL, PROBE_TOL, build_full_liouvillian,
+                               steady_state_solve)
 from nanomech.observables import wigner_origin
 
 from conftest import CONFIG_PATH
+from reference_path import reference_liouvillian, trace_weight
 
 TWO_PI = 2 * np.pi
 
@@ -304,18 +306,30 @@ def test_cli_steady_full_reference_device(tmp_path):
         {"power": "1.2 W", "detuning": "-delta_1"},
         {"power": "1.2 W", "detuning": "-delta_1"}]),
 ], ids=["zero_kelvin", "two_drives_one_detuning"])
-def test_cli_steady_full_outside_the_certificate_probes_both_blocks(
-        tmp_path, mutate):
-    # where the model's structure does not prove the steady state unique,
-    # both parity blocks are built and probed, and the run exits 0 as the
-    # two-block solve always did
+def test_cli_steady_full_certifies_every_device(tmp_path, mutate):
+    # every device has gamma_m > 0 and kappa > 0, so b and every a_j are
+    # jumps and the steady state is unique, also at 0 K or with two drives
+    # at one detuning: only the even block is built, and the probe of both
+    # blocks (the reference path's R at the build's trace-row weight) finds
+    # the same populations, to GMRES's forward error bound
+    path = write_variant(tmp_path, mutate)
     out = tmp_path / "out"
-    assert main(["steady", "--config", str(write_variant(tmp_path, mutate)),
-                 "--full", "--compare", "--out", str(out)]) == EXIT_OK
+    assert main(["steady", "--config", str(path), "--full", "--compare",
+                 "--out", str(out)]) == EXIT_OK
     solver = json.loads((out / "manifest.json").read_text())["solver"]
-    assert solver["full_uniqueness"] == "probe"
+    assert solver["full_uniqueness"] == "structure"
     assert solver["full_method"] == "gmres"
     assert 1.0 <= solver["full_condition_estimate"] <= 1e12
+    cfg = load_config(path)
+    sysc = cli._system_config(cfg, run_device(cfg)[0])
+    liou = build_full_liouvillian(sysc)
+    probed = steady_state_solve(reference_liouvillian(
+        sysc, weight=trace_weight(liou)))
+    assert probed.uniqueness == "probe"
+    pops = json.loads((out / "populations.json").read_text())["full"]
+    np.testing.assert_allclose(
+        pops, probed.populations, rtol=0,
+        atol=max(1e-12, probed.condition * GMRES_TOL))
 
 
 def test_cli_steady_full_converge_raises_cavity_photons(tmp_path):

@@ -79,6 +79,13 @@ def two_cavities(photons=1, mech_dim=4):
 def test_config_validation():
     with pytest.raises(ValueError):
         mech_only(mech_dim=2)
+    # a negative, infinite or NaN rate or occupation is refused before any
+    # build (a negative n_bar used to reach np.sqrt of a negative jump rate,
+    # an infinite one inf - inf)
+    for name in ("gamma_m", "n_bar", "kappa"):
+        for bad in (-0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                small_driven(**{name: bad})
     # the cavity block holds at least the one-photon states, also with no
     # laser at all
     for lasers in ((LaserParams(1.0, 0.0),), ()):
@@ -284,7 +291,7 @@ def test_liouvillian_assembly_matches_kron_sums(make, block, monkeypatch):
         np.testing.assert_allclose(m.data, r.data, rtol=0,
                                    atol=1e-12 * scale)
     even = _hermitian_coordinates(excitations)[3]
-    assert liou.dim == (even if _unique_by_structure(cfg, _occupations(cfg))
+    assert liou.dim == (even if _unique_by_structure(cfg)
                         else excitations.size ** 2)
     ref = reference_liouvillian(cfg, liou.dim, trace_weight(liou))
     for m, r in ((liou.superoperator, ref.superoperator),
@@ -448,6 +455,23 @@ def test_transition_rates_sum_the_lasers_bit_for_bit():
     assert rates.delta.tobytes() == single[0].delta.tobytes()
 
 
+@pytest.mark.parametrize("detuning, line", [(-5.2e6, 2), (5.0e6, 1)],
+                         ids=["red_on_line_2", "blue_on_line_1"])
+def test_transition_rates_refuse_a_laser_on_a_line_without_kappa(detuning,
+                                                                 line):
+    # with kappa = 0 a laser exactly on a line delta_n has the rate 0 / 0
+    # there: refused, naming the laser and the line, before any division
+    # (a RuntimeWarning is an error here); off the lines the rates are 0
+    cfg = SystemConfig(mech_dim=4, cavity_photons=2, omega_m_prime=5.0e6,
+                       lam=2.0e5, gamma_m=0.0, n_bar=0.0, kappa=0.0,
+                       lasers=(LaserParams(0.0, -5.1e6),
+                               LaserParams(0.0, detuning)))
+    with pytest.raises(SolverError, match=rf"laser 2 .* line delta_{line} "):
+        transition_rates(cfg)
+    off = transition_rates(dataclasses.replace(cfg, lasers=cfg.lasers[:1]))
+    assert not off.a_plus.any() and not off.a_minus.any()
+
+
 def test_birth_death_rates_structure():
     cfg = quoted_system(mech_dim=6)
     rates = transition_rates(cfg)
@@ -554,10 +578,14 @@ def fig2_scaled(mech_dim, g_scale):
 def test_full_solve_matches_null_space(make):
     # exact oracle: the null space of the dense generator, for GMRES
     # preconditioned by the LU of R_M (which these small blocks would be
-    # solved without)
+    # solved without); with no mechanical bath, b is no jump and the
+    # steady state is unique only through the cavities, so the build holds
+    # both blocks and the probe of both shows it
     cfg = make()
     liou = with_uncoupled(cfg)
     d = liou.excitations.size
+    probed = cfg.gamma_m == 0
+    assert (liou.dim == d * d) == probed
     ns = scipy.linalg.null_space(reference_generators(cfg)[0].toarray())
     assert ns.shape == (d * d, 1)
     oracle = ns[:, 0].reshape((d, d), order="F")
@@ -565,6 +593,7 @@ def test_full_solve_matches_null_space(make):
     ss = steady_state_solve(liou)
     np.testing.assert_allclose(ss.rho.matrix, oracle, atol=1e-10)
     assert ss.method == "gmres"
+    assert ss.uniqueness == ("probe" if probed else "structure")
     assert ss.iterations >= 2
     assert 1.0 <= ss.condition <= CONDITION_LIMIT
 
@@ -729,9 +758,9 @@ def test_degenerate_generator_detected(liou):
 def certificate_systems(draw):
     """Systems of mech 3-5 and 1-2 cavities with at most 1-2 photons in
     all, with gamma_m, n_bar, kappa and each g zero or not, and the two
-    detunings equal or distinct: the cases _unique_by_structure tells
-    apart."""
-    # off the lines delta_n, where kappa = 0 leaves the rates 0 / 0
+    detunings equal or distinct: _unique_by_structure tells them apart by
+    gamma_m and kappa alone."""
+    # off the lines delta_n, where kappa = 0 makes transition_rates refuse
     detunings = (-5.1e6, draw(st.sampled_from([-5.1e6, 5.3e6])))
     lasers = tuple(
         LaserParams(g=draw(st.sampled_from([0.0, 2.0e3, 3.0e3j, -1.5e3])),
@@ -751,17 +780,14 @@ def certificate_systems(draw):
 def test_structural_uniqueness_certificate(cfg):
     # a certified system is built and solved in the even block alone, and
     # the probe of both blocks (the reference path's R, at the build's
-    # trace-row weight) finds its odd block nonsingular and the same state;
-    # a rejected one is built in both blocks, to be probed in both
+    # trace-row weight) finds its odd block nonsingular and the same state,
+    # also at n_bar = 0, g_j = 0 or equal detunings; a rejected one is
+    # built in both blocks, to be probed in both
     liou = build_full_liouvillian(cfg)
     d = liou.excitations.size
-    # the hypotheses on these draws: two cavities' one-photon states share
-    # K's entry exactly when their detunings are equal
-    detunings = {laser.detuning for laser in cfg.lasers}
-    certified = (cfg.gamma_m > 0 and cfg.n_bar > 0 and cfg.kappa > 0
-                 and all(laser.g != 0 for laser in cfg.lasers)
-                 and len(detunings) == len(cfg.lasers))
-    assert _unique_by_structure(cfg, _occupations(cfg)) == certified
+    # the hypotheses on these draws (all driven): b and every a_j are jumps
+    certified = cfg.gamma_m * (cfg.n_bar + 1.0) > 0 and cfg.kappa > 0
+    assert _unique_by_structure(cfg) == certified
     if not certified:
         assert liou.dim == d * d
         event("rejected")
@@ -787,7 +813,7 @@ def test_certified_build_refuses_a_row_outside_its_block(monkeypatch):
     # a model term that breaks the parity (a linear mechanical drive
     # F (b + b^dag)) makes an even row reach an odd entry of rho, which a
     # build of the even block alone does not hold: a SolverError, not a read
-    # of an unset coordinate; built in both blocks (n_bar = 0), it is held
+    # of an unset coordinate; built in both blocks (gamma_m = 0), it is held
     def with_drive(config):
         table, encoded, energy, coupling, b, cavities = _hamiltonian_parts(
             config)
@@ -797,7 +823,7 @@ def test_certified_build_refuses_a_row_outside_its_block(monkeypatch):
     cfg = fig2_system(4)
     with pytest.raises(SolverError, match="breaks the parity"):
         build_full_liouvillian(cfg)
-    liou = build_full_liouvillian(dataclasses.replace(cfg, n_bar=0.0))
+    liou = build_full_liouvillian(dataclasses.replace(cfg, gamma_m=0.0))
     assert liou.dim == liou.excitations.size ** 2
 
 

@@ -21,8 +21,8 @@ from hypothesis.extra.numpy import arrays
 
 from nanomech import lindblad
 from nanomech.lindblad import (LaserParams, SystemConfig, _hamiltonian_parts,
-                               _hermitian_coordinates, _occupations,
-                               _real_generator, _transpose,
+                               _hermitian_coordinates, _real_generator,
+                               _transpose,
                                _unique_by_structure, build_full_liouvillian)
 
 from reference_path import (_generator, assert_same_csr, complex_generators,
@@ -145,7 +145,7 @@ def test_real_systems_match_the_reference_path_bit_for_bit(cfg, blocking):
         liou = with_uncoupled(cfg)
     d = math.prod(cfg.dims())
     even = _hermitian_coordinates(liou.excitations)[3]
-    n = even if _unique_by_structure(cfg, _occupations(cfg)) else d * d
+    n = even if _unique_by_structure(cfg) else d * d
     ref = reference_liouvillian(cfg, n, trace_weight(liou))
     assert liou.dims == ref.dims == cfg.dims()
     assert_same_csr(liou.superoperator, ref.superoperator)
