@@ -576,9 +576,16 @@ def run_sweep(cfg: RunConfig, param: str, values):
 # ---------------------------------------------------------------------------
 # commands
 
-def _outdir(cfg: RunConfig, args) -> Path:
+def _outdir(cfg: RunConfig, args, make=True) -> Path:
+    """The output directory, made if `make`; refused, before anything is
+    made, if it or an ancestor is a file."""
     out = Path(args.out) if args.out else Path(cfg.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
+    for at in (out, *out.parents):
+        if at.exists() and not at.is_dir():
+            raise ConfigError("--out" if args.out else "output.directory",
+                              f"{at} is not a directory")
+    if make:
+        out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -787,7 +794,9 @@ def main(argv=None) -> int:
                 "steady": cmd_steady, "spectrum": cmd_spectrum,
                 "sweep": cmd_sweep}
     try:
-        return handlers[args.command](load_config(args.config), args)
+        cfg = load_config(args.config)
+        _outdir(cfg, args, make=False)  # refused before any computation
+        return handlers[args.command](cfg, args)
     except REFUSALS as exc:
         code, prefix = classify_error(exc)
         print(f"{prefix}: {exc}", file=sys.stderr)

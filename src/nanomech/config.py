@@ -182,16 +182,13 @@ def _parse_beam(d: dict, path: str) -> BeamSpec:
         kt = _quantity(d, "radius", "length", path) / np.sqrt(2.0)
     else:
         raise ConfigError(f"{path}.transverse_scale", "give transverse_scale or radius")
-    kwargs = dict(
+    return _spec(
+        BeamSpec, path,
         length=_quantity(d, "length", "length", path), kappa_tilde=kt,
         sound_speed=_quantity(d, "sound_speed", "speed", path),
-        quality_factor=_quantity(d, "quality_factor", "dimensionless", path))
-    if "effective_mass" in d:
-        kwargs["effective_mass"] = _quantity(d, "effective_mass", "mass", path)
-    if "linear_mass_density" in d:
-        kwargs["linear_mass_density"] = _quantity(
-            d, "linear_mass_density", "linear_density", path)
-    return _spec(BeamSpec, path, **kwargs)
+        quality_factor=_quantity(d, "quality_factor", "dimensionless", path),
+        linear_mass_density=_quantity(
+            d, "linear_mass_density", "linear_density", path))
 
 
 def _parse_field_model(d: dict, path: str):
@@ -222,7 +219,8 @@ def _parse_softening(d: dict, path: str) -> SofteningSpec:
 
 
 def _parse_cavity(d: dict, path: str) -> CavitySpec:
-    kwargs = dict(
+    return _spec(
+        CavitySpec, path,
         bare_finesse=_quantity(d, "bare_finesse", "dimensionless", path),
         round_trip_length=_quantity(d, "round_trip_length", "length", path),
         refractive_index=_quantity(d, "refractive_index", "dimensionless", path),
@@ -232,11 +230,6 @@ def _parse_cavity(d: dict, path: str) -> CavitySpec:
         gap=_quantity(d, "gap", "length", path),
         external_coupling_fraction=_quantity(
             d, "external_coupling_fraction", "dimensionless", path))
-    if "evanescent_decay" in d:
-        # stored as an inverse length; accept a decay length instead
-        kwargs["evanescent_decay"] = 1.0 / _quantity(
-            d, "evanescent_decay", "length", path)
-    return _spec(CavitySpec, path, **kwargs)
 
 
 def _parse_drive(d: dict, path: str) -> DriveSpec:
@@ -246,12 +239,9 @@ def _parse_drive(d: dict, path: str) -> DriveSpec:
         detuning = det
     else:
         detuning = parse_quantity(det, "frequency", f"{path}.detuning")
-    kwargs = dict(
-        input_power=_quantity(d, "power", "power", path),
-        detuning=detuning)
-    if "laser_frequency" in d:
-        kwargs["laser_frequency"] = _quantity(d, "laser_frequency", "frequency", path)
-    return _spec(DriveSpec, path, **kwargs)
+    return _spec(DriveSpec, path,
+                 input_power=_quantity(d, "power", "power", path),
+                 detuning=detuning)
 
 
 def _parse_electrode(d: dict, path: str) -> ElectrodeSpec:
@@ -356,8 +346,7 @@ CONFIG_SCHEMA = {
             "transverse_scale": "length; give it or radius, not both",
             "sound_speed": "e.g. \"21000 m/s\"",
             "quality_factor": "bare number",
-            "linear_mass_density": "e.g. \"1.86e-15 kg/m\" (or effective_mass in kg)",
-            "effective_mass": "mass; must agree with linear_mass_density to 1% if both",
+            "linear_mass_density": "e.g. \"1.86e-15 kg/m\"",
         },
         "softening": {
             "zeta": "softening factor >= 1; or give field_model",
@@ -378,17 +367,14 @@ CONFIG_SCHEMA = {
             "refractive_index": "bare number", "wavelength": "length",
             "waist": "length (a_c)", "surface_field_ratio": "bare number (xi)",
             "gap": "length (d)", "external_coupling_fraction": "kappa_ex/kappa in (0,1]",
-            "evanescent_decay": "optional decay length; default from the mode index",
         },
         "electrode": {
             "diameter": "length", "conductivity_2d": "e.g. \"2e-5 S\"",
             "misalignment": "angle, e.g. \"1 deg\"",
         },
         "drives": [{"power": "e.g. \"1.2 W\"",
-                    "detuning": "frequency or symbolic \"+delta_1\"/\"-delta_2\"",
-                    "laser_frequency": "optional; default cavity resonance"}],
-        "probe": {"power": "weak probe power", "detuning": "usually \"0 Hz\"",
-                  "laser_frequency": "optional; default cavity resonance"},
+                    "detuning": "frequency or symbolic \"+delta_1\"/\"-delta_2\""}],
+        "probe": {"power": "weak probe power", "detuning": "usually \"0 Hz\""},
         "temperature": "e.g. \"20 mK\"",
     },
     "simulation": {

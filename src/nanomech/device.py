@@ -71,14 +71,12 @@ class BeamSpec:
     kappa_tilde: float                 # m
     sound_speed: float                 # m/s
     quality_factor: float
-    effective_mass: float | None = None        # kg
-    linear_mass_density: float | None = None   # kg/m
+    linear_mass_density: float         # kg/m
 
     def __post_init__(self):
         for name in ("length", "kappa_tilde", "sound_speed", "quality_factor",
-                     "effective_mass", "linear_mass_density"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
+                     "linear_mass_density"):
+            if getattr(self, name) <= 0:
                 raise DeviceError(f"BeamSpec.{name} must be positive")
         if self.quality_factor < 0.5:
             raise DeviceError("BeamSpec.quality_factor must be at least 1/2: "
@@ -91,19 +89,10 @@ class BeamSpec:
                 "BeamSpec.length, kappa_tilde and sound_speed put the mode "
                 "frequency c_s kappa_tilde (4.73/L)^2 or a square of them "
                 "outside the float range")
-        if self.effective_mass is None and self.linear_mass_density is None:
-            raise DeviceError("need effective_mass or linear_mass_density")
-        if self.effective_mass is not None and self.linear_mass_density is not None:
-            derived = MODE_SHAPE_MASS_FACTOR * self.linear_mass_density * self.length
-            if abs(derived / self.effective_mass - 1.0) > 0.01:
-                raise DeviceError(
-                    f"effective_mass {self.effective_mass:.4e} kg disagrees with "
-                    f"mass-density value {derived:.4e} kg by more than 1%")
 
     @property
     def mass(self) -> float:
-        if self.effective_mass is not None:
-            return self.effective_mass
+        """Effective mass of the fundamental mode, 0.3965 rho L."""
         return MODE_SHAPE_MASS_FACTOR * self.linear_mass_density * self.length
 
 
@@ -136,7 +125,6 @@ class CavitySpec:
     surface_field_ratio: float         # xi
     gap: float                         # m, chip-to-toroid distance d
     external_coupling_fraction: float  # kappa_ex / kappa
-    evanescent_decay: float | None = None  # 1/m
 
     def __post_init__(self):
         for name in ("bare_finesse", "round_trip_length", "wavelength",
@@ -169,9 +157,7 @@ class CavitySpec:
 
     @property
     def kappa_perp(self) -> float:
-        """Evanescent decay constant; default from the guided-mode index."""
-        if self.evanescent_decay is not None:
-            return self.evanescent_decay
+        """Evanescent decay constant k sqrt(n^2 - 1) of the guided mode."""
         return (TWO_PI / self.wavelength) * np.sqrt(self.refractive_index**2 - 1.0)
 
     @property
@@ -185,18 +171,16 @@ class CavitySpec:
 
 @dataclass(frozen=True)
 class DriveSpec:
-    """One laser drive. Detuning may be a number (rad/s) or a symbolic
-    "+delta_n" / "-delta_n" string resolved after the nonlinearity is known."""
+    """One laser drive, at the cavity resonance omega_L. Detuning may be a
+    number (rad/s) or a symbolic "+delta_n" / "-delta_n" string resolved
+    after the nonlinearity is known."""
 
     input_power: float                 # W
     detuning: float | str
-    laser_frequency: float | None = None  # rad/s; default cavity resonance
 
     def __post_init__(self):
         if self.input_power < 0:
             raise DeviceError("input_power must be >= 0")
-        if self.laser_frequency is not None and not self.laser_frequency > 0:
-            raise DeviceError("laser_frequency must be > 0")
 
 
 @dataclass(frozen=True)
@@ -519,16 +503,16 @@ def _derive(beam: BeamSpec, softening: SofteningSpec, cavity: CavitySpec,
         # paper-style nanotube value unless drives are absent
         alpha_par = 142 * POLARIZABILITY_UNIT
 
+    # every laser drives the cavity at its resonance
+    omega_L = cavity.resonance_frequency
+    g0 = coupling_G0(cavity, alpha_par, beam.length, omega_L)
     lasers = []
     for d in drives:
-        omega_L = (cavity.resonance_frequency if d.laser_frequency is None
-                   else d.laser_frequency)
         if isinstance(d.detuning, str):
             sign, n = symbolic_detuning(d.detuning)
             det = sign * transition_frequency(wm + lam, lam, n)
         else:
             det = float(d.detuning)
-        g0 = coupling_G0(cavity, alpha_par, beam.length, omega_L)
         alpha = cavity_amplitude(d, det, kappa,
                                  cavity.external_coupling_fraction, omega_L)
         lasers.append(LaserDerived(

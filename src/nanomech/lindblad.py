@@ -85,13 +85,14 @@ PROBE_TOL = 1e-6
 GMRES_RESTART = 100
 EPS = np.finfo(float).eps   # an Arnoldi step below it is exact
 GMRES_MAX_CYCLES = 20
-# a driven system whose parity blocks hold at most this many unknowns each
-# is solved directly from the LU of R, not by GMRES preconditioned by the
-# LU of R_M: the crossover of `steady --full` (median of 30 in-process
-# pairs) lies between fig2 mech 5, 202 unknowns per block, where the direct
-# solve takes 0.98 of GMRES's time (0.87 at mech 4), and mech 6, 288
-# unknowns, where it takes 1.15
-DIRECT_BLOCK = 256
+# a driven system whose even block holds at most this many unknowns is
+# solved directly from the LU of R, not by GMRES preconditioned by the LU
+# of R_M: with the even block alone built, a build and solve of fig2 (median
+# of 2 x 40 in-process random-order pairs) takes 0.83-0.86 of GMRES's time
+# directly at mech 6, 288 unknowns (72 of 80 pairs won), and ties at mech 7,
+# 394 unknowns (1.00-1.02, 36 of 80 won); at mech 8, 512, it takes 1.26.
+# The bound sits nearer the win than the tie
+DIRECT_BLOCK = 320
 # seed of the random right-hand side of the uniqueness probe
 PROBE_SEED = 0
 
@@ -798,11 +799,13 @@ def steady_state_solve(liou: Liouvillian) -> SteadyState:
     import scipy.sparse.linalg as spla
     d, n = liou.excitations.size, liou.dim
     i, j, imag, even, unsplit = liou.coordinates
-    big = float(liou.superoperator[0].max())    # the trace row's weight
+    r = liou.superoperator
+    # the trace row's weight, read from the row's stored entries
+    big = float(r.data[r.indptr[0]:r.indptr[1]].max(initial=0.0))
     unit = math.ldexp(1.0, math.frexp(big)[1] - 1)
     r, r_m = (a if a is None else sp.csr_matrix(
         (a.data / unit, a.indices, a.indptr), a.shape)
-        for a in (liou.superoperator, liou.uncoupled))
+        for a in (r, liou.uncoupled))
     direct = r_m is None
     r_m = r if direct else r_m
     rhs = big / unit * np.eye(1, n)[0]

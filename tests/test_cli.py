@@ -297,16 +297,17 @@ def test_cli_steady_full_reference_device(tmp_path):
     assert max(pops["compare_abs_diff"]) < 0.05
 
 
-@pytest.mark.parametrize("mutate", [
+@pytest.mark.parametrize("mutate, method", [
     # no thermal phonons: b^dag is no jump
-    lambda raw: raw["device"].update(temperature="0 K"),
+    (lambda raw: raw["device"].update(temperature="0 K"), "gmres"),
     # two red drives on the 1 -> 0 line: their cavities' one-photon states
-    # share K's entry
-    lambda raw: raw["device"].update(drives=[
+    # share K's entry; the even block holds 288 unknowns, at most
+    # DIRECT_BLOCK, and is solved from R's LU
+    (lambda raw: raw["device"].update(drives=[
         {"power": "1.2 W", "detuning": "-delta_1"},
-        {"power": "1.2 W", "detuning": "-delta_1"}]),
+        {"power": "1.2 W", "detuning": "-delta_1"}]), "lu"),
 ], ids=["zero_kelvin", "two_drives_one_detuning"])
-def test_cli_steady_full_certifies_every_device(tmp_path, mutate):
+def test_cli_steady_full_certifies_every_device(tmp_path, mutate, method):
     # every device has gamma_m > 0 and kappa > 0, so b and every a_j are
     # jumps and the steady state is unique, also at 0 K or with two drives
     # at one detuning: only the even block is built, and the probe of both
@@ -318,7 +319,7 @@ def test_cli_steady_full_certifies_every_device(tmp_path, mutate):
                  "--out", str(out)]) == EXIT_OK
     solver = json.loads((out / "manifest.json").read_text())["solver"]
     assert solver["full_uniqueness"] == "structure"
-    assert solver["full_method"] == "gmres"
+    assert solver["full_method"] == method
     assert 1.0 <= solver["full_condition_estimate"] <= 1e12
     cfg = load_config(path)
     sysc = cli._system_config(cfg, run_device(cfg)[0])
@@ -503,18 +504,14 @@ def test_cli_field_model_failures_are_config_errors(tmp_path, capsys, peak,
     assert [r["exit_code"] for r in rows] == [EXIT_CONFIG] * 2
 
 
-def _effective_mass(raw, value):
-    del raw["device"]["beam"]["linear_mass_density"]
-    raw["device"]["beam"]["effective_mass"] = value
-
-
 @pytest.mark.parametrize("command", ["device", "steady"])
 @pytest.mark.parametrize("mutate, path", [
     # each used to fail later on a division by zero or a NaN (exit 2 or 4)
     pytest.param(lambda raw: raw["device"]["beam"].update(
         linear_mass_density="0 kg/m"), "device.beam", id="linear_mass_density"),
-    pytest.param(lambda raw: _effective_mass(raw, "0 kg"), "device.beam",
-                 id="effective_mass"),
+    pytest.param(lambda raw: raw["device"]["beam"].update(
+        linear_mass_density="-1.8623e-15 kg/m"), "device.beam",
+        id="linear_mass_density_negative"),
     pytest.param(lambda raw: raw["device"]["cavity"].update(
         refractive_index=0.5), "device.cavity", id="refractive_index"),
 ])
@@ -530,10 +527,11 @@ def test_cli_nonphysical_device_fields_are_config_errors(tmp_path, capsys,
 
 
 def _set(section, key, value):
+    """Set `key` in the section at a dotted path, e.g. "device.drives[0]"."""
     def mutate(raw):
         node = raw
-        for part in section.split("."):
-            node = node[part]
+        for part in section.replace("]", "").replace("[", ".").split("."):
+            node = node[int(part) if part.isdecimal() else part]
         node[key] = value
     return mutate
 
@@ -559,11 +557,12 @@ def _set(section, key, value):
     pytest.param(_set("device.beam", "quality_factor", 1e-300),
                  "device.beam: BeamSpec.quality_factor must be at least 1/2",
                  id="quality_factor_overdamped"),
-    # a finite omega_m' of 1e285 whose square overflowed in transition_rates:
-    # steady exited 0 after numpy's RuntimeWarnings
-    pytest.param(lambda raw: _effective_mass(raw, "1e-300 kg"),
+    # a finite omega_m' of 1e285 (a mass of 1e-300 kg) whose square
+    # overflowed in transition_rates: steady exited 0 after numpy's
+    # RuntimeWarnings
+    pytest.param(_set("device.beam", "linear_mass_density", "2.522e-294 kg/m"),
                  "derived parameter omega_m_prime is 9.98",
-                 id="effective_mass_square_overflows"),
+                 id="linear_mass_density_square_overflows"),
     # a kappa of 9.7e-289, whose square underflowed to 0: transition_rates
     # divided 0/0 at the resonant drive, and steady exited 4 after numpy's
     # RuntimeWarnings
@@ -662,26 +661,6 @@ def test_cli_field_model_device_run(tmp_path, capsys):
         np.sqrt(w0**2 - 2 * abs(v2) / mass), rel=1e-7)
     assert derived["omega_m"]["value"] / TWO_PI == pytest.approx(10.3246e6,
                                                                  rel=1e-5)
-
-
-@pytest.mark.parametrize("frequency", ["0 Hz", "-1 THz"])
-@pytest.mark.parametrize("command, section", [("device", "drives"),
-                                              ("spectrum", "probe")])
-def test_cli_laser_frequency_must_be_positive(tmp_path, capsys, frequency,
-                                              command, section):
-    # 0 Hz used to fall back to the cavity resonance and -1 THz to give
-    # NaN couplings and a regime failure
-    def mutate(raw):
-        drive = raw["device"][section]
-        (drive[0] if section == "drives" else drive)["laser_frequency"] = \
-            frequency
-    path = write_variant(tmp_path, mutate)
-    assert main([command, "--config", str(path),
-                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    field = "device.drives[0]" if section == "drives" else "device.probe"
-    assert capsys.readouterr().err.splitlines() == [
-        f"config error: {field}: laser_frequency must be > 0"]
-    assert not (tmp_path / "out").exists()
 
 
 def test_cli_spectrum_outputs(tmp_path):
@@ -852,9 +831,14 @@ def test_cli_symbolic_detuning_below_first_line(tmp_path, capsys):
     ("simulation", "include_probe_in_linewidth", False),  # removed knob
     ("simulation", "spectrum_grid", {"points": 2001}),    # removed knob
     ("simulation", "regime_thresholds", {"pass": 0.1}),   # removed knob
+    # device inputs that restated another
+    ("device.beam", "effective_mass", "7.3842e-22 kg"),
+    ("device.cavity", "evanescent_decay", "100 nm"),
+    ("device.drives[0]", "laser_frequency", "272 THz"),
+    ("device.probe", "laser_frequency", "272 THz"),
 ])
 def test_cli_unknown_config_key(tmp_path, capsys, section, key, value):
-    path = write_variant(tmp_path, lambda raw: raw[section].update({key: value}))
+    path = write_variant(tmp_path, _set(section, key, value))
     assert main(["steady", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert f"{section}.{key}: unknown config key" in capsys.readouterr().err
@@ -976,6 +960,32 @@ def test_cli_output_directory_must_be_text(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.splitlines() == [
         "config error: output.directory: expected a path string"]
     assert [p.name for p in tmp_path.iterdir()] == ["variant.json"]
+
+
+@pytest.mark.parametrize("field, under", [("--out", ""), ("--out", "sub"),
+                                          ("output.directory", "sub")])
+def test_cli_refuses_an_output_path_at_a_file(tmp_path, capsys, monkeypatch,
+                                              field, under):
+    # used to run the whole command, any full solve included, and then die
+    # in mkdir with a FileExistsError or NotADirectoryError traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / under)
+    path = write_variant(tmp_path, lambda raw: raw["output"].update(
+        directory=out if field == "output.directory" else "out"))
+    monkeypatch.chdir(tmp_path)
+
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the output path was checked")
+    monkeypatch.setattr(cli, "run_steady", solve)
+    flags = ["--out", out] if field == "--out" else []
+    assert main(["steady", "--full", "--config", str(path),
+                 *flags]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {field}: {blocker} is not a directory"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file",
+                                                         "variant.json"]
+    assert blocker.read_text() == ""
 
 
 @pytest.mark.parametrize("section, detuning, message", [

@@ -246,14 +246,8 @@ def test_optional_keys_accepted(headline_config_dict):
     beam = raw["device"]["beam"]
     del beam["radius"]
     beam["transverse_scale"] = "0.25 nm"
-    beam["effective_mass"] = "7.3842e-22 kg"
-    raw["device"]["drives"][0]["laser_frequency"] = "272 THz"
-    raw["device"]["probe"]["laser_frequency"] = "272 THz"
     cfg = parse_config(raw)
     assert cfg.beam.kappa_tilde == pytest.approx(0.25e-9)
-    assert cfg.beam.effective_mass == pytest.approx(7.3842e-22)
-    assert cfg.drives[0].laser_frequency == pytest.approx(TWO_PI * 272e12)
-    assert cfg.probe.laser_frequency == pytest.approx(TWO_PI * 272e12)
 
 
 def test_negative_temperature_names_its_path(headline_config_dict):
@@ -266,13 +260,6 @@ def test_negative_temperature_names_its_path(headline_config_dict):
     assert str(exc.value) == "device.temperature: must be >= 0"
     raw["device"]["temperature"] = "0 K"
     assert parse_config(raw).temperature == 0.0
-
-
-def test_evanescent_decay_given_as_length(headline_config_dict):
-    raw = json.loads(json.dumps(headline_config_dict))
-    raw["device"]["cavity"]["evanescent_decay"] = "100 nm"
-    cfg = parse_config(raw)
-    assert cfg.cavity.kappa_perp == pytest.approx(1e7)
 
 
 def test_load_config_errors(tmp_path):

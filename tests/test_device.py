@@ -75,19 +75,7 @@ def test_mode_shape_integral_matches_frozen_mass_factor():
     assert mode_shape_integral(cnt_beam()) == pytest.approx(0.3965, abs=5e-4)
 
 
-def test_effective_mass_consistency_check():
-    mu = 1.8623e-15
-    m_eff = 0.3965 * mu * 1.0e-6
-    BeamSpec(length=1.0e-6, kappa_tilde=2.76e-10, sound_speed=21000.0,
-             quality_factor=5e6, effective_mass=m_eff,
-             linear_mass_density=mu)
-    with pytest.raises(DeviceError):
-        BeamSpec(length=1.0e-6, kappa_tilde=2.76e-10, sound_speed=21000.0,
-                 quality_factor=5e6, effective_mass=1.1 * m_eff,
-                 linear_mass_density=mu)
-
-
-@pytest.mark.parametrize("name", ["effective_mass", "linear_mass_density"])
+@pytest.mark.parametrize("name", ["linear_mass_density"])
 @pytest.mark.parametrize("value", [0.0, -1e-15])
 def test_beam_mass_fields_must_be_positive(name, value):
     with pytest.raises(DeviceError, match=f"BeamSpec.{name} must be positive"):

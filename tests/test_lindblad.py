@@ -599,16 +599,16 @@ def test_full_solve_matches_null_space(make):
 
 
 def test_build_writes_uncoupled_only_for_large_driven_blocks():
-    # fig2 at mech 5 has parity blocks of 202 and 198 unknowns, at most
-    # DIRECT_BLOCK, and is solved directly from R's LU; at mech 6 they hold
-    # 288 each, and GMRES takes the LU of R_M; an undriven chain is solved
+    # fig2 at mech 6 has an even block of 288 unknowns, at most
+    # DIRECT_BLOCK, and is solved directly from R's LU; at mech 7 it holds
+    # 394, and GMRES takes the LU of R_M; an undriven chain is solved
     # directly at any size.  The build writes the even block alone.
-    small, large = (build_full_liouvillian(fig2_system(m)) for m in (5, 6))
+    small, large = (build_full_liouvillian(fig2_system(m)) for m in (6, 7))
     assert (small.coordinates[3], small.dim, small.excitations.size) == (
-        202, 202, 20)
-    assert (large.coordinates[3], large.dim, large.excitations.size) == (
         288, 288, 24)
-    assert lindblad.DIRECT_BLOCK == 256
+    assert (large.coordinates[3], large.dim, large.excitations.size) == (
+        394, 394, 28)
+    assert lindblad.DIRECT_BLOCK == 320
     assert small.uncoupled is None and large.uncoupled is not None
     ss = steady_state_solve(small)
     assert (ss.method, ss.iterations, ss.probe_iterations) == ("lu", 0, 0)
@@ -634,12 +634,12 @@ def solve_verdict(liou):
 def directly_solved_systems(draw):
     """Systems the build leaves without R_M, to be solved from R's LU, each
     with the tolerance to which its populations by GMRES must agree: fig2
-    at mech 3-5 and undriven chains of up to 40 levels, 1e-12; drawn small
+    at mech 3-6 and undriven chains of up to 40 levels, 1e-12; drawn small
     systems (small_systems) whose parity blocks hold at most DIRECT_BLOCK
     unknowns, None (see test_direct_solve_matches_gmres)."""
     kind = draw(st.sampled_from(["drawn", "fig2", "chain"]))
     if kind == "fig2":
-        return fig2_system(draw(st.integers(3, 5))), 1e-12
+        return fig2_system(draw(st.integers(3, 6))), 1e-12
     if kind == "chain":
         return mech_only(mech_dim=draw(st.integers(3, 40)),
                          lam=draw(st.sampled_from([0.0, 2.0e5])),
@@ -706,7 +706,7 @@ def test_uncoupled_generator_holds_the_reduced_chain():
     # M has no coupling, so its steady state is the cavity vacuum times the
     # reduced chain's populations
     cfg = fig2_system(6)
-    liou = build_full_liouvillian(cfg)
+    liou = with_uncoupled(cfg)
     ss = steady_state_solve(dataclasses.replace(
         liou, superoperator=liou.uncoupled, uncoupled=None))
     np.testing.assert_allclose(
